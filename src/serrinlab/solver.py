@@ -12,6 +12,7 @@ stencil for u_rr + (h_dot/h) u_r + u_thth/h^2 + N K u = -1.
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 DEFAULT_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
+ANDERSON_WINDOW = 5
 
 
 @dataclass
@@ -361,9 +363,14 @@ def _assemble(grid: SectorGrid, N: int, K: int, a: np.ndarray):
 
 
 def _solve_sparse(A, b):
+    """Direct sparse solve with SuperLU under a minimum-degree ordering of A^T + A.
+
+    The finite-volume matrix is nearly symmetric in pattern, so the symmetric
+    ordering fills in less than SuperLU's default COLAMD.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", spla.MatrixRankWarning)
-        x = spla.spsolve(A, b)
+        x = spla.spsolve(A, b, permc_spec="MMD_AT_PLUS_A")
     return x
 
 
@@ -423,10 +430,20 @@ def solve_Lf(
 ):
     """Picard continuation for L_f u = -1 on a Euclidean sector grid.
 
-    Each stage freezes the coefficient a(x) = f_eps'(|grad u|)/|grad u| of the
-    previous iterate (continuous at critical points thanks to the epsilon
-    regularization), solves the linear anisotropic problem and under-relaxes;
-    stages walk down the epsilon schedule with warm starts.
+    Each iteration freezes the coefficient a(x) = f_eps'(|grad u|)/|grad u| of
+    the current iterate u_k (continuous at critical points thanks to the
+    epsilon regularization) and solves the linear anisotropic problem for
+    x = A(a)^{-1} b.  Stages walk down the epsilon schedule with warm starts.
+
+    The first stage starts cold from u = 0 and takes the damped Picard step
+    u_{k+1} = g_k = u_k + omega (x - u_k).  Every later, warm-started stage
+    mixes the damped steps by type-II Anderson acceleration (Walker & Ni 2011)
+    over the last ANDERSON_WINDOW iterations: with f_k = x - u_k,
+    u_{k+1} = g_k - dG gamma, where gamma minimizes ||f_k - dF gamma||_2 over
+    the differences dF, dG of successive f and g.  omega is the damping weight
+    of both kinds of update.  If the scaled residual stops improving, omega
+    is halved once and the mixing history is cleared; a second stall ends the
+    solve with converged=False.
     """
     if grid.cone.space_form.curvature != 0:
         raise ValueError("the quasilinear solver is Euclidean-only; use solve_linear_spaceform")
@@ -466,6 +483,9 @@ def solve_Lf(
         best = float("inf")
         no_improvement = 0
         stage_done = False
+        # Anderson history: the last ANDERSON_WINDOW + 1 residuals f and damped steps g
+        hist_f = deque(maxlen=ANDERSON_WINDOW + 1)
+        hist_g = deque(maxlen=ANDERSON_WINDOW + 1)
         for _ in range(max_iters):
             a = reg.coefficient(speed(u))
             A, b = _assemble(grid, N, K, a)
@@ -482,6 +502,8 @@ def solve_Lf(
                     omega *= 0.5
                     halved = True
                     no_improvement = 0
+                    hist_f.clear()
+                    hist_g.clear()
                 else:
                     return ScalarField(grid, u), SolveReport(
                         iterations=total_iters,
@@ -500,7 +522,17 @@ def solve_Lf(
                     converged=False,
                     message=f"linear stage solve failed at epsilon={eps}",
                 )
-            u = (1.0 - omega) * u + omega * x.reshape(grid.Nr, grid.Nt)
+            x = x.reshape(grid.Nr, grid.Nt)
+            g = (1.0 - omega) * u + omega * x
+            if stage > 0:
+                hist_f.append((x - u).ravel())
+                hist_g.append(g.ravel())
+                if len(hist_f) > 1:
+                    dF = np.diff(hist_f, axis=0).T
+                    dG = np.diff(hist_g, axis=0).T
+                    gamma = np.linalg.lstsq(dF, hist_f[-1], rcond=None)[0]
+                    g = g - (dG @ gamma).reshape(grid.Nr, grid.Nt)
+            u = g
         if not stage_done and stage == len(schedule) - 1:
             return ScalarField(grid, u), SolveReport(
                 iterations=total_iters,

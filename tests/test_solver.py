@@ -140,6 +140,46 @@ def test_mean_curvature_converges():
     assert np.max(np.abs(u.values - sample_values(oracle, grid))) <= 5e-4
 
 
+@pytest.mark.parametrize(
+    "profile, budget",
+    [
+        (make_power_profile(1.5), 25),
+        (make_mean_curvature_profile(), 20),
+        (make_power_profile(2.5), 15),
+    ],
+    ids=["p=1.5", "mean-curvature", "p=2.5"],
+)
+def test_picard_iteration_budget(profile, budget):
+    # Anderson mixing on the warm-started stages keeps the total Picard count low
+    grid = build_grid(quarter(), 32, 32)
+    _, rep = solve_Lf(grid, profile, tol=1e-8)
+    assert rep.converged
+    assert rep.iterations <= budget, rep.iterations
+
+
+@pytest.mark.parametrize(
+    "profile, R0, converges",
+    [
+        (make_power_profile(4.0), 1.0, True),
+        (make_mean_curvature_profile(), 1.5, True),
+        (make_power_profile(1.1), 1.0, False),
+        (make_power_profile(6.0), 1.0, False),
+        (P3, 1e3, False),
+    ],
+    ids=["p=4", "mean-curvature-R1.5", "p=1.1", "p=6", "p=3-R1e3"],
+)
+def test_solver_envelope_converges_or_says_why(profile, R0, converges):
+    grid = build_grid(quarter(), 32, 32, R0=R0)
+    u, rep = solve_Lf(grid, profile, tol=1e-8)
+    assert rep.converged is converges, rep.message
+    if converges:
+        exact = sample_values(RadialSolutionEuclidean(profile, 2, R0), grid)
+        rel = np.max(np.abs(u.values - exact)) / np.max(np.abs(exact))
+        assert rel <= 2e-3, rel
+    else:
+        assert "epsilon=" in rep.message, rep.message
+
+
 def test_solve_Lf_schedule_validation():
     grid = build_grid(quarter(), 16, 16)
     with pytest.raises(ValueError):
