@@ -74,10 +74,8 @@ def _grid_from_config(cfg: ExperimentConfig, size=None):
 
 
 def _write_solution_csv(path, grid, field):
-    rows = []
-    for i in range(grid.Nr):
-        for j in range(grid.Nt):
-            rows.append((grid.r_centers[i, j], grid.theta_centers[j], field.values[i, j]))
+    theta = np.broadcast_to(grid.theta_centers, grid.r_centers.shape)
+    rows = zip(grid.r_centers.ravel().tolist(), theta.ravel().tolist(), field.values.ravel().tolist())
     emit_csv(path, ["r", "theta", "u"], rows)
 
 
@@ -90,18 +88,21 @@ def _read_solution_csv(path, grid) -> ScalarField:
         raise ConfigError(
             f"{path}: {len(body)} rows do not match the {grid.Nr}x{grid.Nt} grid"
         )
-    vals = np.empty((grid.Nr, grid.Nt))
-    k = 0
-    for i in range(grid.Nr):
-        for j in range(grid.Nt):
-            r_s, t_s, u_s = body[k].split(",")
-            if abs(float(r_s) - grid.r_centers[i, j]) > 1e-9 * (1 + grid.r_centers[i, j]):
-                raise ConfigError(f"{path}: row {k + 2} radius does not match the grid spec")
-            if abs(float(t_s) - grid.theta_centers[j]) > 1e-9 * (1 + grid.theta_centers[j]):
-                raise ConfigError(f"{path}: row {k + 2} angle does not match the grid spec")
-            vals[i, j] = float(u_s)
-            k += 1
-    return ScalarField(grid, vals)
+    data = np.loadtxt(body, delimiter=",", ndmin=2, comments=None)
+    if data.shape != (grid.n_cells, 3):
+        raise ConfigError(f"{path}: expected {grid.n_cells} rows of three fields r,theta,u")
+    r_grid = grid.r_centers.ravel()
+    t_grid = np.broadcast_to(grid.theta_centers, grid.r_centers.shape).ravel()
+    # written as not (err <= tol) so that NaN coordinates fail the check
+    bad_r = ~(np.abs(data[:, 0] - r_grid) <= 1e-9 * (1 + r_grid))
+    bad_t = ~(np.abs(data[:, 1] - t_grid) <= 1e-9 * (1 + t_grid))
+    bad = bad_r | bad_t
+    if bad.any():
+        k = int(np.argmax(bad))
+        what = "radius" if bad_r[k] else "angle"
+        raise ConfigError(f"{path}: row {k + 2} {what} does not match the grid spec")
+    # contiguous, as a solved field is, so reductions over it sum in the same order
+    return ScalarField(grid, np.ascontiguousarray(data[:, 2]).reshape(grid.Nr, grid.Nt))
 
 
 def _cmd_oracle(args) -> int:

@@ -1,9 +1,12 @@
 """Closed-form radial solutions serving as exact ground truth.
 
 Euclidean branch: u(x) = int_{|x-x0|}^{R} g'(s/N) ds solves L_f u = -1 in a
-ball with u = 0 on the sphere.  Space-form branch: u = (H(R) - H(d))/(N h_dot(R))
-solves Delta u + N K u = -1 in a geodesic ball.  Both are evaluated with
-analytic derivatives so the auditors can test at 1e-10 level.
+ball with u = 0 on the sphere.  The integral has the closed form
+N (g(R/N) - g(|x-x0|/N)) through the profile's convex conjugate g; ``quad``
+integrates g' only for profiles built without g.  Space-form branch:
+u = (H(R) - H(d))/(N h_dot(R)) solves Delta u + N K u = -1 in a geodesic
+ball.  Both are evaluated with analytic derivatives so the auditors can test
+at 1e-10 level.
 """
 
 from __future__ import annotations
@@ -73,17 +76,20 @@ class RadialSolutionSpaceForm:
 
 
 def euclid_u(sol: RadialSolutionEuclidean, rho) -> float:
-    """Evaluate u at distance rho from the center.
+    """Evaluate u at distance rho from the center, elementwise over arrays.
 
-    Laplacian: closed form (R^2 - rho^2)/(2N).  Otherwise adaptive quadrature
-    of g'(s/N); adaptivity localizes the infinite slope of g' at 0 for p < 2.
+    Closed form N (g(R/N) - g(rho/N)) when the profile carries its conjugate
+    g (every built-in profile does; the Laplacian gives (R^2 - rho^2)/(2N)).
+    Otherwise adaptive quadrature of g'(s/N), one call per point; adaptivity
+    localizes the infinite slope of g' at 0 for p < 2.
     """
     rho_arr = np.asarray(rho, dtype=float)
     if np.any(rho_arr < 0) or np.any(rho_arr > sol.radius * (1 + 1e-12)):
         raise ValueError("rho must lie in [0, R]")
     N, R = sol.dimension, sol.radius
-    if sol.profile.is_laplacian:
-        return (R * R - rho_arr * rho_arr) / (2.0 * N)
+    g = sol.profile.g
+    if g is not None:
+        return N * (g(R / N) - g(np.minimum(rho_arr, R) / N))
 
     def one(r):
         if r >= R:

@@ -1,9 +1,10 @@
 """Convex scalar profiles generating the quasilinear operator family.
 
 A profile ``f`` names the operator ``L_f u = div(f'(|grad u|) grad u / |grad u|)``.
-Each built-in profile ships hand-derived ``f'``, ``f''`` and the inverse slope
-``g' = (f')^{-1}`` (the derivative of the convex conjugate); auditors need
-1e-10-level accuracy, so derivatives are never formed numerically.
+Each built-in profile ships hand-derived ``f'``, ``f''``, the inverse slope
+``g' = (f')^{-1}`` and the convex conjugate ``g = f*`` itself; auditors need
+1e-10-level accuracy, so derivatives and integrals are never formed
+numerically.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ class OperatorProfile:
     """Strictly convex profile with f(0) = f'(0) = 0 and its inverse slope.
 
     ``slope_sup`` is the supremum of ``f'``; ``g_prime`` rejects arguments at
-    or beyond it (the mean-curvature slope saturates at 1).
+    or beyond it (the mean-curvature slope saturates at 1).  ``g`` is the
+    convex conjugate f*, normalized by g(0) = 0 so that g' = ``g_prime``; a
+    profile built without it has its radial oracle integrated numerically.
     """
 
     name: str
@@ -41,6 +44,7 @@ class OperatorProfile:
     g_prime: Callable
     degeneracy_exponent: float | None = None
     slope_sup: float = math.inf
+    g: Callable | None = None
 
     def g_second(self, s):
         """Derivative of g', via the inverse-function rule g'' = 1/f''(g'(s))."""
@@ -103,6 +107,10 @@ def make_power_profile(p: float) -> OperatorProfile:
             raise ValueError("g' is defined on [0, inf)")
         return s**q
 
+    def g(s):
+        s = np.asarray(s, dtype=float)
+        return s ** (q + 1.0) / (q + 1.0)
+
     name = "laplacian" if p == 2.0 else f"p-laplacian:{p:g}"
     return OperatorProfile(
         name=name,
@@ -111,6 +119,7 @@ def make_power_profile(p: float) -> OperatorProfile:
         f_second=f_second,
         g_prime=g_prime,
         degeneracy_exponent=p,
+        g=g,
     )
 
 
@@ -140,6 +149,10 @@ def make_mean_curvature_profile() -> OperatorProfile:
         # (1-s)(1+s) keeps precision as s -> 1
         return s / np.sqrt((1.0 - s) * (1.0 + s))
 
+    def g(s):
+        s = np.asarray(s, dtype=float)
+        return 1.0 - np.sqrt((1.0 - s) * (1.0 + s))
+
     return OperatorProfile(
         name="mean-curvature",
         f=f,
@@ -148,6 +161,7 @@ def make_mean_curvature_profile() -> OperatorProfile:
         g_prime=g_prime,
         degeneracy_exponent=None,
         slope_sup=1.0,
+        g=g,
     )
 
 

@@ -80,15 +80,13 @@ def fmt_float(x) -> str:
         return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
-    xf = float(x)
-    if math.isnan(xf):
-        return "nan"
-    if math.isinf(xf):
-        return "inf" if xf > 0 else "-inf"
-    return f"{xf:.17g}"
+    # .17g already spells nan, inf, -inf and -0
+    return f"{float(x):.17g}"
 
 
 def _render(value) -> str:
+    if type(value) is float:
+        return f"{value:.17g}"
     if isinstance(value, str):
         return value
     if isinstance(value, bool):

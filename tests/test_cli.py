@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import serrinlab.cli as cli
+from serrinlab.rigidity import ExperimentConfig
 from serrinlab.solver import ScalarField, SolveReport
 
 
@@ -154,3 +155,72 @@ def test_flag_overrides(tmp_path):
     manifest = json.loads((out / "solve.manifest.json").read_text())
     assert manifest["config"]["grids"] == ["16x16"]
     assert manifest["grid_hash"]
+
+
+def _reference_fmt_float(x) -> str:
+    # per-value renderer with explicit nan/inf branches; the solution writer
+    # must reproduce its bytes
+    xf = float(x)
+    if math.isnan(xf):
+        return "nan"
+    if math.isinf(xf):
+        return "inf" if xf > 0 else "-inf"
+    return f"{xf:.17g}"
+
+
+def test_solution_csv_golden_bytes_and_round_trip(tmp_path):
+    cfg = ExperimentConfig.from_dict({"profile": "laplacian", "R0": 1.0, "grids": ["8x8"], "epsilons": [0.0]})
+    grid = cli._grid_from_config(cfg)
+    values = np.linspace(-1.0, 1.0, grid.n_cells).reshape(grid.Nr, grid.Nt)
+    values[0, :6] = [0.1, -0.0, np.nan, 1e-300, np.inf, -np.inf]
+    path = tmp_path / "solution.csv"
+    cli._write_solution_csv(path, grid, ScalarField(grid, values))
+    lines = ["r,theta,u"]
+    for i in range(grid.Nr):
+        for j in range(grid.Nt):
+            lines.append(",".join(_reference_fmt_float(v) for v in
+                                  (grid.r_centers[i, j], grid.theta_centers[j], values[i, j])))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    back = cli._read_solution_csv(path, grid).values
+    assert back.tobytes() == values.tobytes()  # bitwise: keeps -0.0 and the nan payload
+
+
+@pytest.fixture
+def solved_8x8(tmp_path):
+    cfg = write_config(tmp_path, grid="8x8", out_dir=str(tmp_path / "run"))
+    assert cli.main(["solve", "--config", str(cfg)]) == 0
+    return cfg, (tmp_path / "run" / "solution.csv").read_text().splitlines()
+
+
+def _set_field(lines, line_no, col, text):
+    fields = lines[line_no].split(",")
+    fields[col] = text
+    lines[line_no] = ",".join(fields)
+
+
+def _nan_coordinates(lines):
+    for n in range(1, len(lines)):
+        _set_field(lines, n, 0, "nan")
+        _set_field(lines, n, 1, "nan")
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda lines: lines.__setitem__(0, "r,t,u"), "expected header 'r,theta,u'"),
+        (lambda lines: lines.pop(), "63 rows do not match the 8x8 grid"),
+        (lambda lines: _set_field(lines, 5, 0, "0.5"), "row 6 radius does not match the grid spec"),
+        (lambda lines: _set_field(lines, 7, 1, "3.0"), "row 8 angle does not match the grid spec"),
+        (lambda lines: _set_field(lines, 9, 2, "abc"), "abc"),
+        (_nan_coordinates, "row 2 radius does not match the grid spec"),
+    ],
+    ids=["header", "row-count", "radius", "angle", "malformed", "nan-coordinates"],
+)
+def test_solution_csv_rejections(tmp_path, capsys, solved_8x8, corrupt, message):
+    cfg, lines = solved_8x8
+    corrupt(lines)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["audit", "--config", str(cfg), "--solution", str(bad)]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err

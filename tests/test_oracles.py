@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import serrinlab.oracles as oracles
 from serrinlab.mesh import build_grid
 from serrinlab.oracles import (
     RadialSolutionEuclidean,
@@ -46,14 +48,35 @@ def test_euclid_u_p3_matches_hand_integral():
 
 
 def test_euclid_u_quadrature_cross_check():
-    # independent quadrature of g'(s/N) against the package evaluation (the
-    # Laplacian row exercises the closed form against the integral route)
-    for profile, N, R in ((P2, 2, 1.0), (P3, 2, 1.0), (P3, 3, 2.0), (MC, 2, 1.0)):
+    # independent quadrature of g'(s/N) against the package's closed form
+    # through the conjugate g
+    cases = (
+        (P2, 2, 1.0), (P3, 2, 1.0), (P3, 3, 2.0), (MC, 2, 1.0),
+        (make_power_profile(1.5), 2, 1.0), (make_power_profile(6.0), 2, 1.0),
+        (MC, 2, 1.9),  # R/N = 0.95, near the slope bound
+    )
+    for profile, N, R in cases:
         sol = RadialSolutionEuclidean(profile, N, R)
         for rho in (0.0, 0.4 * R, 0.8 * R):
             ref, _ = quad(lambda s: float(profile.g_prime(s / N)), rho, R,
                           epsabs=1e-13, epsrel=1e-13, limit=300)
             assert euclid_u(sol, rho) == pytest.approx(ref, abs=1e-10)
+
+
+def test_euclid_u_quad_fallback_without_conjugate(monkeypatch):
+    calls = []
+
+    def counted_quad(*args, **kwargs):
+        calls.append(1)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "quad", counted_quad)
+    rho = np.linspace(0.0, 1.0, 9)
+    closed = euclid_u(RadialSolutionEuclidean(P3, 2, 1.0), rho)
+    assert not calls
+    fallback = euclid_u(RadialSolutionEuclidean(dataclasses.replace(P3, g=None), 2, 1.0), rho)
+    assert len(calls) == len(rho) - 1  # rho = R is 0 without integrating
+    assert np.max(np.abs(fallback - closed)) <= 1e-10
 
 
 def test_euclid_u_domain_validation():

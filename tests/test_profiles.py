@@ -70,6 +70,18 @@ def test_fenchel_value_identity(profile):
         assert abs(g_val - expected) <= 1e-10 * max(1.0, abs(expected))
 
 
+@pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: p.name)
+def test_conjugate_closed_form(profile):
+    # the hand-derived conjugate g: g(0) = 0 and the Fenchel equality
+    assert float(profile.g(0.0)) == 0.0
+    s_max = 1e2 if math.isinf(profile.slope_sup) else 10.0
+    t = np.logspace(-3, math.log10(s_max), 25)
+    slope = profile.f_prime(t)
+    expected = t * slope - profile.f(t)
+    # scaled by max(1, |value|) as above: f(t) = sqrt(1+t^2) - 1 cancels at small t
+    assert np.all(np.abs(profile.g(slope) - expected) <= 1e-10 * np.maximum(1.0, np.abs(expected)))
+
+
 def test_g_second_is_inverse_second_derivative():
     p3 = make_power_profile(3.0)
     # g'(s) = sqrt(s) so g''(s) = 1/(2 sqrt(s))
