@@ -88,7 +88,18 @@ def _read_solution_csv(path, grid) -> ScalarField:
         raise ConfigError(
             f"{path}: {len(body)} rows do not match the {grid.Nr}x{grid.Nt} grid"
         )
-    data = np.loadtxt(body, delimiter=",", ndmin=2, comments=None)
+    try:
+        data = np.loadtxt(body, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        # numpy numbers body rows from 0 or 1 by fault kind: name the file line instead
+        for k, line in enumerate(body):
+            try:
+                parsed = np.loadtxt([line], delimiter=",", ndmin=2, comments=None)
+            except ValueError:
+                parsed = None
+            if parsed is None or parsed.shape != (1, 3):
+                raise ConfigError(f"{path}: row {k + 2} is not three numbers r,theta,u") from None
+        raise
     if data.shape != (grid.n_cells, 3):
         raise ConfigError(f"{path}: expected {grid.n_cells} rows of three fields r,theta,u")
     r_grid = grid.r_centers.ravel()

@@ -11,27 +11,16 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import NamedTuple
-
 import numpy as np
 
 from .spaceforms import ConeSection
 
 __all__ = [
-    "BoundaryTag",
     "BoundaryRadius",
-    "GridFace",
     "SectorGrid",
     "build_grid",
     "boundary_measures",
-    "outward_normal",
 ]
-
-
-class BoundaryTag(Enum):
-    GAMMA0 = "gamma0"  # outer curve r = R(theta): Dirichlet
-    GAMMA1 = "gamma1"  # walls theta in {0, alpha}: Neumann
 
 
 @dataclass(frozen=True)
@@ -65,12 +54,6 @@ class BoundaryRadius:
     @property
     def max_radius(self) -> float:
         return self.R0 * (1.0 + self.epsilon)
-
-
-class GridFace(NamedTuple):
-    tag: BoundaryTag
-    index: int  # GAMMA0: angular column j; GAMMA1: radial cell i
-    side: int = 0  # GAMMA1 only: 0 = wall theta=0, 1 = wall theta=alpha
 
 
 @dataclass
@@ -125,21 +108,6 @@ class SectorGrid:
     def n_cells(self) -> int:
         return self.Nr * self.Nt
 
-    def gamma1_weights(self, side: int) -> np.ndarray:
-        """Per-cell wall face lengths along theta=0 (side 0) or theta=alpha."""
-        theta_wall = 0.0 if side == 0 else self.cone.alpha
-        return np.full(self.Nr, float(self.radius(theta_wall)) * self.ds)
-
-    def gamma0_faces(self):
-        return [GridFace(BoundaryTag.GAMMA0, j) for j in range(self.Nt)]
-
-    def gamma1_faces(self):
-        return [
-            GridFace(BoundaryTag.GAMMA1, i, side)
-            for side in (0, 1)
-            for i in range(self.Nr)
-        ]
-
     def grid_hash(self) -> str:
         payload = hashlib.sha256()
         payload.update(
@@ -176,18 +144,3 @@ def boundary_measures(grid: SectorGrid):
     sqrt(R'(theta)^2 + h(R(theta))^2) dtheta.
     """
     return float(np.sum(grid.area_weights)), float(np.sum(grid.gamma0_weights))
-
-
-def gamma1_total_length(grid: SectorGrid) -> float:
-    return float(np.sum(grid.gamma1_weights(0)) + np.sum(grid.gamma1_weights(1)))
-
-
-def outward_normal(grid: SectorGrid, face: GridFace) -> np.ndarray:
-    """Unit outward normal in the orthonormal (radial, angular) frame.
-
-    Walls are pure angular directions, so the radial position field X = h d_r
-    satisfies g(X, nu) = 0 there exactly.
-    """
-    if face.tag is BoundaryTag.GAMMA1:
-        return np.array([0.0, -1.0]) if face.side == 0 else np.array([0.0, 1.0])
-    return grid.gamma0_normals[face.index].copy()

@@ -193,8 +193,8 @@ def hessian_proportionality_defect(grid: SectorGrid, u, N: int = 2, K: int | Non
     ut = _d_dtheta(grid, vals, "solution")
     # second radial differences stay one-sided at the outer ring: the audited
     # field need not satisfy any particular discrete ghost relation there
-    uss = _d2_ds2(grid, vals, "generic")
-    utt = _d2_dtheta2(grid, vals, "solution")
+    uss = _d2_ds2(grid, vals)
+    utt = _d2_dtheta2(grid, vals)
     ust = _d_dtheta(grid, us, "solution")
 
     u_r = us / R

@@ -130,9 +130,11 @@ def make_mean_curvature_profile() -> OperatorProfile:
     slope f' is bounded by 1, so g' lives on [0, 1).
     """
 
+    # f and g in the forms t^2/(1 + sqrt(1+t^2)) and s^2/(1 + sqrt(1-s^2)),
+    # which do not cancel at small arguments
     def f(t):
         t = np.asarray(t, dtype=float)
-        return np.sqrt(1.0 + t * t) - 1.0
+        return t * t / (1.0 + np.sqrt(1.0 + t * t))
 
     def f_prime(t):
         t = np.asarray(t, dtype=float)
@@ -151,7 +153,7 @@ def make_mean_curvature_profile() -> OperatorProfile:
 
     def g(s):
         s = np.asarray(s, dtype=float)
-        return 1.0 - np.sqrt((1.0 - s) * (1.0 + s))
+        return s * s / (1.0 + np.sqrt((1.0 - s) * (1.0 + s)))
 
     return OperatorProfile(
         name="mean-curvature",

@@ -19,7 +19,6 @@ from .rigidity import ExperimentConfig
 __all__ = [
     "ConfigError",
     "parse_config",
-    "config_to_json",
     "fmt_float",
     "emit_csv",
     "emit_json",
@@ -68,10 +67,6 @@ def parse_config(text: str) -> ExperimentConfig:
         return ExperimentConfig.from_dict(data)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def config_to_json(config: ExperimentConfig) -> str:
-    return json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def fmt_float(x) -> str:

@@ -1,12 +1,15 @@
 """Mixed Dirichlet-Neumann solver on a sector grid.
 
-The discretization is a finite-volume scheme in the mapped rectangle
-(s, theta) = (r/R(theta), theta).  Fluxes through the mapped faces carry the
-full metric/mapping tensor, so the vertex face (h(0) = 0) and the Neumann
-walls contribute exactly zero flux and need no ghost values.  The outer
-Dirichlet curve is imposed through the half-cell mirror ghost at s = 1.  On
-an unperturbed sector the scheme reduces to the classic 5-point curvilinear
-stencil for u_rr + (h_dot/h) u_r + u_thth/h^2 + N K u = -1.
+The discretization is one finite-volume operator div(a grad u) in the mapped
+rectangle (s, theta) = (r/R(theta), theta), made of 1-D stencils (the face
+difference, the averaged cross derivative, the face average of a), metric
+weights that carry the full metric/mapping tensor, and the divergence over
+the cell volumes.  The vertex face (h(0) = 0) and the Neumann walls carry
+exactly zero flux; the outer Dirichlet curve is imposed through the half-cell
+mirror ghost at s = 1.  The solvers invert its sparse matrix A(a); the Laplace
+probe is the same operator at a = 1 on the interior cells.  On an unperturbed
+sector it reduces to the classic 5-point curvilinear stencil for
+u_rr + (h_dot/h) u_r + u_thth/h^2 + N K u = -1.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ __all__ = [
     "gradient_field",
     "hessian_W_field",
     "metric_gradient",
-    "apply_operator",
     "laplace_beltrami_probe",
     "cell_volumes",
     "grid_h",
@@ -127,28 +129,23 @@ def _d_dtheta(grid: SectorGrid, u: np.ndarray, kind: str) -> np.ndarray:
     return out
 
 
-def _d2_ds2(grid: SectorGrid, u: np.ndarray, kind: str) -> np.ndarray:
+def _d2_ds2(grid: SectorGrid, u: np.ndarray) -> np.ndarray:
+    """d2/ds2 at cell centers, one-sided at both ends (no boundary data)."""
     ds2 = grid.ds * grid.ds
     out = np.empty_like(u)
     out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / ds2
     out[0] = (u[0] - 2.0 * u[1] + u[2]) / ds2
-    if kind == "solution":
-        out[-1] = (-4.0 * u[-1] + (4.0 / 3.0) * u[-2]) / ds2
-    else:
-        out[-1] = (u[-1] - 2.0 * u[-2] + u[-3]) / ds2
+    out[-1] = (u[-1] - 2.0 * u[-2] + u[-3]) / ds2
     return out
 
 
-def _d2_dtheta2(grid: SectorGrid, u: np.ndarray, kind: str) -> np.ndarray:
+def _d2_dtheta2(grid: SectorGrid, u: np.ndarray) -> np.ndarray:
+    """d2/dtheta2 at cell centers, mirrored across the Neumann walls."""
     dt2 = grid.dtheta * grid.dtheta
     out = np.empty_like(u)
     out[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / dt2
-    if kind == "solution":
-        out[:, 0] = (u[:, 1] - u[:, 0]) / dt2
-        out[:, -1] = (u[:, -2] - u[:, -1]) / dt2
-    else:
-        out[:, 0] = (u[:, 0] - 2.0 * u[:, 1] + u[:, 2]) / dt2
-        out[:, -1] = (u[:, -1] - 2.0 * u[:, -2] + u[:, -3]) / dt2
+    out[:, 0] = (u[:, 1] - u[:, 0]) / dt2
+    out[:, -1] = (u[:, -2] - u[:, -1]) / dt2
     return out
 
 
@@ -182,7 +179,7 @@ def grid_h(grid: SectorGrid) -> float:
 
 
 # ---------------------------------------------------------------------------
-# finite-volume fluxes and operator application
+# the finite-volume operator: stencils, metric weights and divergence
 
 
 def _face_geometry_s(grid: SectorGrid):
@@ -215,151 +212,106 @@ def _face_geometry_t(grid: SectorGrid):
     return G, k_tt, k_ts
 
 
-def _fluxes(grid: SectorGrid, u: np.ndarray, a: np.ndarray, kind: str):
-    """Mapped-face fluxes: Fs (Nr+1, Nt) in +s direction, Ft (Nr, Nt+1) in +theta.
+def _finite_volume(grid: SectorGrid):
+    """The operator div(a grad u) of the scheme on one grid, as (inv_volume, families).
 
-    The vertex face (s = 0) and the wall faces carry exactly zero flux.  The
-    outer Dirichlet flux is filled only in 'solution' mode.
+    The face families are the s-faces fi = 1..Nr, the last one on Gamma_0,
+    and the interior theta-faces fj = 1..Nt-1; the vertex and the walls carry
+    no flux.  A family (face_avg, div, terms) has the flux
+    face_avg(a) * sum(weight * stencil(u) over terms), and the operator is
+    inv_volume * sum(div(flux) over families).  Every operator is a pair
+    (radial, angular) of 1-D sparse matrices, None for the identity, that
+    acts on (Nr, Nt) arrays as their Kronecker product.  Stencil entries are
+    small exact fractions and the spacings sit in the weights, so a
+    difference is taken before it is weighted and a constant field carries
+    exactly zero flux.
     """
     Nr, Nt = grid.Nr, grid.Nt
     ds, dt = grid.ds, grid.dtheta
-    cross = grid.radius.epsilon != 0.0
+    # the last s-face lies on Gamma_0: it differences against the half-cell
+    # mirror ghost -u[-1] and takes the coefficient a[-1]
+    diff_s = sp.diags([np.r_[-np.ones(Nr - 1), -2.0], 1.0], [0, 1], shape=(Nr, Nr))
+    avg_s = sp.diags([np.r_[np.full(Nr - 1, 0.5), 1.0], 0.5], [0, 1], shape=(Nr, Nr))
+    div_s = sp.diags([1.0, -1.0], [0, -1], shape=(Nr, Nr))
+    diff_t = sp.diags([-1.0, 1.0], [0, 1], shape=(Nt - 1, Nt))
+    avg_t = sp.diags([0.5, 0.5], [0, 1], shape=(Nt - 1, Nt))
+    div_t = sp.diags([1.0, -1.0], [0, -1], shape=(Nt, Nt - 1))
 
     Gs, k_ss, k_st = _face_geometry_s(grid)
-    Fs = np.zeros((Nr + 1, Nt))
-    a_face = 0.5 * (a[:-1] + a[1:])
-    dder = (u[1:] - u[:-1]) / ds
-    Fs[1:-1] = Gs[:-1] * a_face * k_ss[:-1] * dder
-    if cross:
-        ut = _d_dtheta(grid, u, kind)
-        ut_face = 0.5 * (ut[:-1] + ut[1:])
-        Fs[1:-1] += Gs[:-1] * a_face * k_st[:-1] * ut_face
-    if kind == "solution":
-        # half-cell mirror ghost against u = 0 on Gamma_0; U_theta vanishes there
-        dd_out = -2.0 * u[-1] / ds
-        Fs[-1] = Gs[-1] * a[-1] * k_ss[-1] * dd_out
-
     Gt, k_tt, k_ts = _face_geometry_t(grid)
-    Ft = np.zeros((Nr, Nt + 1))
-    a_face_t = 0.5 * (a[:, :-1] + a[:, 1:])
-    dder_t = (u[:, 1:] - u[:, :-1]) / dt
-    Ft[:, 1:-1] = Gt * a_face_t * k_tt * dder_t
-    if cross:
-        us = _d_ds(grid, u, kind)
-        us_face = 0.5 * (us[:, :-1] + us[:, 1:])
-        Ft[:, 1:-1] += Gt * a_face_t * k_ts * us_face
-    return Fs, Ft
+    s_terms = [(Gs * k_ss * (dt / ds), (diff_s, None))]
+    t_terms = [(Gt * k_tt * (ds / dt), (None, diff_t))]
+    if grid.radius.epsilon != 0.0:
+        # the 'solution'-kind cell derivatives of _d_ds and _d_dtheta, times ds and dtheta
+        der_s = sp.diags(
+            [np.r_[np.full(Nr - 2, -0.5), -1.0 / 3.0], np.r_[-1.5, np.zeros(Nr - 2), -1.0],
+             np.r_[2.0, np.full(Nr - 2, 0.5)], np.r_[-0.5, np.zeros(Nr - 3)]],
+            [-1, 0, 1, 2],
+        )
+        der_t = sp.diags([-0.5, np.r_[-0.5, np.zeros(Nt - 2), 0.5], 0.5], [-1, 0, 1], (Nt, Nt))
+        w_st = Gs * k_st
+        w_st[-1] = 0.0  # u_theta vanishes along Gamma_0
+        s_terms.append((w_st, (avg_s, der_t)))
+        t_terms.append((Gt * k_ts, (der_s, avg_t)))
+    families = [
+        ((avg_s, None), (div_s, None), s_terms),
+        ((None, avg_t), (None, div_t), t_terms),
+    ]
+    return 1.0 / cell_volumes(grid), families
 
 
-def apply_operator(grid: SectorGrid, u: np.ndarray, a: np.ndarray, N: int, K: int):
-    """Pointwise value of div(a grad u) + N K u at every cell."""
-    Fs, Ft = _fluxes(grid, u, a, kind="solution")
-    V = cell_volumes(grid)
-    div = ((Fs[1:] - Fs[:-1]) * grid.dtheta + (Ft[:, 1:] - Ft[:, :-1]) * grid.ds) / V
-    return div + N * K * u
+def _along(pair, x: np.ndarray) -> np.ndarray:
+    """Apply the Kronecker product of a (radial, angular) pair to a 2-D array."""
+    radial, angular = pair
+    x = x if radial is None else radial @ x
+    return x if angular is None else (angular @ x.T).T
+
+
+def _operator_matrix(grid: SectorGrid, N: int, K: int):
+    """Return a -> A(a), the sparse matrix of div(a grad u) + N K u on the grid.
+
+    The Kronecker products are expanded once; each call weights the faces of
+    every flux term by face_avg(a) * weight and takes one sparse product.
+    """
+    inv_volume, families = _finite_volume(grid)
+    eye = (sp.identity(grid.Nr), sp.identity(grid.Nt))
+
+    def kron(pair):
+        return sp.kron(*(e if m is None else m for m, e in zip(pair, eye)), format="csr")
+
+    div = sp.diags(inv_volume.ravel()) @ sp.hstack(
+        [kron(d) for _, d, terms in families for _ in terms], format="csr"
+    )
+    grad = sp.vstack([kron(st) for _, _, terms in families for _, st in terms], format="csr")
+    shift = (N * K) * sp.identity(grid.n_cells, format="csr")
+
+    def matrix(a: np.ndarray):
+        c = np.concatenate(
+            [(w * _along(avg, a)).ravel() for avg, _, terms in families for w, _ in terms]
+        )
+        # div @ diag(c): scale the stored entries of each face column
+        weighted = sp.csr_matrix((div.data * c[div.indices], div.indices, div.indptr), div.shape)
+        A = weighted @ grad
+        return A + shift if N * K != 0 else A
+
+    return matrix
 
 
 def laplace_beltrami_probe(grid: SectorGrid, q: np.ndarray):
     """Discrete Laplace-Beltrami of an arbitrary cell field.
 
-    Evaluated with the solver's own flux stencil, restricted to cells whose
-    stencil uses interior faces only (no boundary data is assumed for q).
-    Returns (values, valid) where valid marks the evaluated cells.
+    The solver's operator with a = 1, applied along the array axes and kept
+    only on cells whose stencil reaches neither the Gamma_0 ghost nor the
+    wall mirror (no boundary data is assumed for q).  Returns (values, valid)
+    where valid marks the evaluated cells.
     """
-    Fs, Ft = _fluxes(grid, q, np.ones_like(q), kind="probe")
-    V = cell_volumes(grid)
-    div = ((Fs[1:] - Fs[:-1]) * grid.dtheta + (Ft[:, 1:] - Ft[:, :-1]) * grid.ds) / V
+    inv_volume, families = _finite_volume(grid)
+    lap = inv_volume * sum(
+        _along(div, sum(w * _along(st, q) for w, st in terms)) for _, div, terms in families
+    )
     valid = np.zeros(q.shape, dtype=bool)
     valid[: grid.Nr - 1, 1 : grid.Nt - 1] = True
-    out = np.where(valid, div, np.nan)
-    return out, valid
-
-
-# ---------------------------------------------------------------------------
-# matrix assembly (mirrors _fluxes term by term)
-
-
-def _assemble(grid: SectorGrid, N: int, K: int, a: np.ndarray):
-    """Sparse matrix of the divided flux balance (mirrors _fluxes term by term)."""
-    Nr, Nt = grid.Nr, grid.Nt
-    ds, dt = grid.ds, grid.dtheta
-    cross = grid.radius.epsilon != 0.0
-    scl = (1.0 / cell_volumes(grid)).ravel()
-    idx = np.arange(Nr * Nt).reshape(Nr, Nt)
-
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(np.asarray(r).ravel())
-        cols.append(np.asarray(c).ravel())
-        vals.append(np.asarray(v).ravel())
-
-    # angular derivative stencil at cells: mirror-clamped two-point form
-    jj = np.arange(Nt)
-    jp = np.minimum(jj + 1, Nt - 1)
-    jm = np.maximum(jj - 1, 0)
-
-    # radial derivative stencil at cells (3 slots), solution kind
-    us_idx = np.zeros((Nr, 3), dtype=int)
-    us_cf = np.zeros((Nr, 3))
-    us_idx[0], us_cf[0] = (0, 1, 2), (-3.0, 4.0, -1.0)
-    ii = np.arange(1, Nr - 1)
-    us_idx[1:-1, 0], us_cf[1:-1, 0] = ii - 1, -1.0
-    us_idx[1:-1, 1], us_cf[1:-1, 1] = ii + 1, 1.0
-    us_idx[1:-1, 2], us_cf[1:-1, 2] = ii, 0.0
-    us_idx[-1], us_cf[-1] = (Nr - 1, Nr - 2, Nr - 1), (-2.0, -2.0 / 3.0, 0.0)
-    us_cf = us_cf / (2.0 * ds)
-
-    Gs, k_ss, k_st = _face_geometry_s(grid)
-    lo, hi = idx[:-1, :], idx[1:, :]
-
-    # interior s-faces fi = 1..Nr-1 between cells (fi-1, j) and (fi, j)
-    C = (Gs[:-1] * 0.5 * (a[:-1] + a[1:]) * k_ss[:-1]) / ds  # (Nr-1, Nt)
-    for row_idx, sgn in ((lo, 1.0), (hi, -1.0)):
-        w = sgn * dt * C * scl[row_idx]
-        add(row_idx, hi, w)
-        add(row_idx, lo, -w)
-    if cross:
-        X = Gs[:-1] * 0.5 * (a[:-1] + a[1:]) * k_st[:-1]  # (Nr-1, Nt)
-        colp, colm = idx[:, jp], idx[:, jm]
-        wth = 1.0 / (2.0 * dt)
-        for row_idx, sgn in ((lo, 1.0), (hi, -1.0)):
-            w = sgn * dt * 0.5 * X * scl[row_idx] * wth
-            add(row_idx, colp[:-1], w)
-            add(row_idx, colm[:-1], -w)
-            add(row_idx, colp[1:], w)
-            add(row_idx, colm[1:], -w)
-
-    # outer Dirichlet face fi = Nr (half-cell mirror ghost against u = 0)
-    w_out = dt * Gs[-1] * a[-1] * k_ss[-1] * scl[idx[-1]] / ds
-    add(idx[-1], idx[-1], w_out * (-2.0))
-
-    # interior theta-faces fj = 1..Nt-1 between cells (i, fj-1) and (i, fj)
-    Gt, k_tt, k_ts = _face_geometry_t(grid)
-    lo_t, hi_t = idx[:, :-1], idx[:, 1:]
-    D = (Gt * 0.5 * (a[:, :-1] + a[:, 1:]) * k_tt) / dt  # (Nr, Nt-1)
-    for row_idx, sgn in ((lo_t, 1.0), (hi_t, -1.0)):
-        w = sgn * ds * D * scl[row_idx]
-        add(row_idx, hi_t, w)
-        add(row_idx, lo_t, -w)
-    if cross:
-        Y = Gt * 0.5 * (a[:, :-1] + a[:, 1:]) * k_ts  # (Nr, Nt-1)
-        for row_idx, sgn in ((lo_t, 1.0), (hi_t, -1.0)):
-            w = sgn * ds * 0.5 * Y * scl[row_idx]
-            for m in range(3):
-                stencil_rows = idx[us_idx[:, m]]  # (Nr, Nt) reindexed in i
-                cf = us_cf[:, m][:, None]
-                add(row_idx, stencil_rows[:, :-1], w * cf)
-                add(row_idx, stencil_rows[:, 1:], w * cf)
-
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(Nr * Nt, Nr * Nt),
-    ).tocsr()
-    if N * K != 0:
-        A = A + (N * K) * sp.identity(Nr * Nt, format="csr")
-    b = -np.ones(Nr * Nt)
-    return A, b
+    return np.where(valid, lap, np.nan), valid
 
 
 def _solve_sparse(A, b):
@@ -399,8 +351,8 @@ def solve_linear_spaceform(grid: SectorGrid, N: int = 2, K: int | None = None, t
         K = sf_K
     if K != sf_K:
         raise ValueError(f"K={K} does not match the grid space form (K={sf_K})")
-    a = np.ones((grid.Nr, grid.Nt))
-    A, b = _assemble(grid, N, K, a)
+    A = _operator_matrix(grid, N, K)(np.ones((grid.Nr, grid.Nt)))
+    b = -np.ones(grid.n_cells)
     x = _solve_sparse(A, b)
     if not np.all(np.isfinite(x)):
         report = SolveReport(
@@ -474,6 +426,8 @@ def solve_Lf(
         rep.epsilon_schedule = schedule
         return field_, rep
 
+    matrix = _operator_matrix(grid, N, K)
+    b = -np.ones(grid.n_cells)
     total_iters = 0
     halved = False
     res = float("inf")
@@ -487,8 +441,7 @@ def solve_Lf(
         hist_f = deque(maxlen=ANDERSON_WINDOW + 1)
         hist_g = deque(maxlen=ANDERSON_WINDOW + 1)
         for _ in range(max_iters):
-            a = reg.coefficient(speed(u))
-            A, b = _assemble(grid, N, K, a)
+            A = matrix(reg.coefficient(speed(u)))
             res = _scaled_residual(A, u.ravel(), b)
             if res <= stage_tol:
                 stage_done = True
@@ -577,20 +530,12 @@ def gradient_field(grid: SectorGrid, u) -> VectorField:
     if grid.cone.space_form.curvature != 0:
         raise ValueError("Cartesian gradient components require the Euclidean space form")
     vals = u.values if isinstance(u, ScalarField) else np.asarray(u)
-    u_r, u_tan = metric_gradient(grid, vals, kind="solution")
-    theta = grid.theta_centers[None, :]
-    ct, st = np.cos(theta), np.sin(theta)
-    gx = u_r * ct - u_tan * st
-    gy = u_r * st + u_tan * ct
-    return VectorField(grid, np.stack([gx, gy], axis=-1))
+    return VectorField(grid, np.stack(_cartesian_derivatives(grid, vals, "solution"), axis=-1))
 
 
-def _cartesian_cell_derivatives(grid: SectorGrid, q: np.ndarray):
-    """(d/dx, d/dy) of a generic cell field via mapped differences."""
-    us = _d_ds(grid, q, kind="generic")
-    ut = _d_dtheta(grid, q, kind="generic")
-    q_r = us / grid.R_centers[None, :]
-    q_tan = (ut - _beta_centers(grid) * us) / grid.h_centers
+def _cartesian_derivatives(grid: SectorGrid, q: np.ndarray, kind: str):
+    """(d/dx, d/dy) of a cell field: the metric gradient rotated to Cartesian axes."""
+    q_r, q_tan = metric_gradient(grid, q, kind)
     theta = grid.theta_centers[None, :]
     ct, st = np.cos(theta), np.sin(theta)
     return q_r * ct - q_tan * st, q_r * st + q_tan * ct
@@ -618,8 +563,8 @@ def hessian_W_field(
     V1, V2 = coef * gx, coef * gy
 
     W = np.empty((grid.Nr, grid.Nt, 2, 2))
-    W[..., 0, 0], W[..., 0, 1] = _cartesian_cell_derivatives(grid, V1)
-    W[..., 1, 0], W[..., 1, 1] = _cartesian_cell_derivatives(grid, V2)
+    W[..., 0, 0], W[..., 0, 1] = _cartesian_derivatives(grid, V1, "generic")
+    W[..., 1, 0], W[..., 1, 1] = _cartesian_derivatives(grid, V2, "generic")
     # one-sided edge stencils reach two cells inward
     mask = binary_dilation(degenerate, structure=np.ones((5, 5), dtype=bool))
     return MatrixField(grid, W, mask)

@@ -18,9 +18,7 @@ __all__ = [
     "EUCLIDEAN",
     "HYPERBOLIC",
     "SPHERE",
-    "warping_eval",
     "first_integral_check",
-    "cone_convexity",
     "geodesic_distance",
     "space_form_from_id",
 ]
@@ -90,12 +88,6 @@ def space_form_from_id(spec: str) -> SpaceForm:
         ) from None
 
 
-def warping_eval(sf: SpaceForm, r: float, inclusive: bool = False):
-    """Return (h, h_dot, H) at radius r, enforcing the radial interval."""
-    r = sf.check_radius(r, inclusive=inclusive)
-    return sf.h(r), sf.h_dot(r), sf.H(r)
-
-
 def first_integral_check(sf: SpaceForm, r_samples) -> float:
     """Max deviation of h_dot + K*H from 1 over the samples (exact identity)."""
     r = sf.check_radius(np.asarray(r_samples, dtype=float), inclusive=True)
@@ -124,13 +116,6 @@ class ConeSection:
     @property
     def convex(self) -> bool:
         return self.alpha <= math.pi
-
-
-def cone_convexity(cs: ConeSection) -> bool:
-    """Angle test for convexity; only realized for planar sections."""
-    if cs.dimension != 2:
-        raise ValueError("convexity test implemented for dimension 2 only")
-    return cs.convex
 
 
 def geodesic_distance(sf: SpaceForm, a, b):

@@ -211,10 +211,11 @@ def _nan_coordinates(lines):
         (lambda lines: lines.pop(), "63 rows do not match the 8x8 grid"),
         (lambda lines: _set_field(lines, 5, 0, "0.5"), "row 6 radius does not match the grid spec"),
         (lambda lines: _set_field(lines, 7, 1, "3.0"), "row 8 angle does not match the grid spec"),
-        (lambda lines: _set_field(lines, 9, 2, "abc"), "abc"),
+        (lambda lines: _set_field(lines, 9, 2, "abc"), "row 10 is not three numbers r,theta,u"),
         (_nan_coordinates, "row 2 radius does not match the grid spec"),
+        (lambda lines: lines.__setitem__(11, lines[11].rsplit(",", 1)[0]), "row 12 is not three numbers"),
     ],
-    ids=["header", "row-count", "radius", "angle", "malformed", "nan-coordinates"],
+    ids=["header", "row-count", "radius", "angle", "malformed", "nan-coordinates", "short-row"],
 )
 def test_solution_csv_rejections(tmp_path, capsys, solved_8x8, corrupt, message):
     cfg, lines = solved_8x8

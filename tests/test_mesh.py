@@ -3,15 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from serrinlab.mesh import (
-    BoundaryRadius,
-    BoundaryTag,
-    GridFace,
-    build_grid,
-    boundary_measures,
-    gamma1_total_length,
-    outward_normal,
-)
+from serrinlab.mesh import BoundaryRadius, build_grid, boundary_measures
 from serrinlab.spaceforms import EUCLIDEAN, HYPERBOLIC, SPHERE, ConeSection
 
 
@@ -22,8 +14,8 @@ def quarter(sf=EUCLIDEAN):
 def test_cell_and_face_counts():
     g = build_grid(quarter(), 16, 16)
     assert g.n_cells == 256
-    assert len(g.gamma0_faces()) == 16
-    assert len(g.gamma1_faces()) == 32
+    assert g.gamma0_weights.shape == (16,)
+    assert g.gamma0_normals.shape == (16, 2)
 
 
 def test_zero_perturbation_bitwise_equal():
@@ -40,7 +32,6 @@ def test_euclid_measures_exact():
     area, length = boundary_measures(g)
     assert area == pytest.approx(math.pi / 4, rel=1e-14)
     assert length == pytest.approx(math.pi / 2, rel=1e-14)
-    assert gamma1_total_length(g) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_hyperbolic_measures():
@@ -80,22 +71,12 @@ def test_perturbed_measures_match_quadrature_oracle():
     assert length == pytest.approx(float(arc_ref), rel=1e-4)
 
 
-def test_wall_normals_and_position_orthogonality():
-    g = build_grid(quarter(), 16, 16)
-    n0 = outward_normal(g, GridFace(BoundaryTag.GAMMA1, 3, 0))
-    n1 = outward_normal(g, GridFace(BoundaryTag.GAMMA1, 3, 1))
-    assert np.array_equal(n0, [0.0, -1.0])
-    assert np.array_equal(n1, [0.0, 1.0])
-    # radial position vector has zero angular component: x . nu = 0 exactly
-    assert n0[0] == 0.0 and n1[0] == 0.0
-
-
 def test_outer_normals():
     g = build_grid(quarter(), 16, 16)
-    assert np.allclose(outward_normal(g, GridFace(BoundaryTag.GAMMA0, 5)), [1.0, 0.0])
+    assert np.allclose(g.gamma0_normals[5], [1.0, 0.0])
     gp = build_grid(quarter(), 64, 64, BoundaryRadius(1.0, 0.1, 2))
     j = int(np.argmin(np.abs(gp.theta_centers - math.pi / 8)))
-    n = outward_normal(gp, GridFace(BoundaryTag.GAMMA0, j))
+    n = gp.gamma0_normals[j]
     assert n[1] != 0.0
     assert np.sign(n[1]) == -np.sign(gp.Rp_centers[j])
     assert np.hypot(*n) == pytest.approx(1.0, rel=1e-14)

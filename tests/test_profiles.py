@@ -78,8 +78,7 @@ def test_conjugate_closed_form(profile):
     t = np.logspace(-3, math.log10(s_max), 25)
     slope = profile.f_prime(t)
     expected = t * slope - profile.f(t)
-    # scaled by max(1, |value|) as above: f(t) = sqrt(1+t^2) - 1 cancels at small t
-    assert np.all(np.abs(profile.g(slope) - expected) <= 1e-10 * np.maximum(1.0, np.abs(expected)))
+    assert np.all(np.abs(profile.g(slope) - expected) <= 1e-12 * np.abs(expected))
 
 
 def test_g_second_is_inverse_second_derivative():

@@ -6,7 +6,6 @@ import pytest
 from serrinlab.reports import (
     ConfigError,
     RunManifest,
-    config_to_json,
     emit_csv,
     emit_json,
     fmt_float,
@@ -73,7 +72,7 @@ def test_parse_config_nr_nt_keys():
 
 def test_config_json_round_trip():
     cfg = ExperimentConfig(space_form="sphere", R0=0.7, epsilons=[0.0, 0.1], grids=["16x16", "32x32"])
-    assert parse_config(config_to_json(cfg)) == cfg
+    assert parse_config(json.dumps(cfg.to_dict())) == cfg
 
 
 def test_emit_csv_byte_identical(tmp_path):

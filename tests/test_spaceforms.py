@@ -8,34 +8,30 @@ from serrinlab.spaceforms import (
     HYPERBOLIC,
     SPHERE,
     ConeSection,
-    cone_convexity,
     first_integral_check,
     geodesic_distance,
     space_form_from_id,
-    warping_eval,
 )
 
 ALL_FORMS = [EUCLIDEAN, HYPERBOLIC, SPHERE]
 
 
 def test_warping_triples():
-    h, hd, H = warping_eval(EUCLIDEAN, 2.0)
-    assert (h, hd, H) == (2.0, 1.0, 2.0)
-    h, hd, H = warping_eval(HYPERBOLIC, 1.0)
-    assert h == pytest.approx(math.sinh(1.0), rel=1e-15)
-    assert hd == pytest.approx(math.cosh(1.0), rel=1e-15)
-    assert H == pytest.approx(math.cosh(1.0) - 1.0, rel=1e-15)
+    assert (EUCLIDEAN.h(2.0), EUCLIDEAN.h_dot(2.0), EUCLIDEAN.H(2.0)) == (2.0, 1.0, 2.0)
+    assert HYPERBOLIC.h(1.0) == pytest.approx(math.sinh(1.0), rel=1e-15)
+    assert HYPERBOLIC.h_dot(1.0) == pytest.approx(math.cosh(1.0), rel=1e-15)
+    assert HYPERBOLIC.H(1.0) == pytest.approx(math.cosh(1.0) - 1.0, rel=1e-15)
 
 
 def test_hemisphere_boundary_handling():
     with pytest.raises(ValueError):
-        warping_eval(SPHERE, math.pi / 2)
-    h, hd, H = warping_eval(SPHERE, math.pi / 2, inclusive=True)
-    assert h == pytest.approx(1.0, rel=1e-15)
-    assert abs(hd) <= 1e-15
-    assert H == pytest.approx(1.0, rel=1e-14)
+        SPHERE.check_radius(math.pi / 2)
+    r = SPHERE.check_radius(math.pi / 2, inclusive=True)
+    assert SPHERE.h(r) == pytest.approx(1.0, rel=1e-15)
+    assert abs(SPHERE.h_dot(r)) <= 1e-15
+    assert SPHERE.H(r) == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(ValueError):
-        warping_eval(SPHERE, math.pi / 2 + 1e-6, inclusive=True)
+        SPHERE.check_radius(math.pi / 2 + 1e-6, inclusive=True)
 
 
 @pytest.mark.parametrize("sf", ALL_FORMS, ids=lambda s: s.name)
@@ -63,11 +59,9 @@ def test_h_ddot_is_minus_K_h(sf):
 
 
 def test_cone_convexity_angle_test():
-    assert cone_convexity(ConeSection(EUCLIDEAN, math.pi / 2)) is True
-    assert cone_convexity(ConeSection(EUCLIDEAN, math.pi)) is True
-    assert cone_convexity(ConeSection(EUCLIDEAN, 3 * math.pi / 2)) is False
-    with pytest.raises(ValueError):
-        cone_convexity(ConeSection(EUCLIDEAN, math.pi / 2, dimension=3))
+    assert ConeSection(EUCLIDEAN, math.pi / 2).convex is True
+    assert ConeSection(EUCLIDEAN, math.pi).convex is True
+    assert ConeSection(EUCLIDEAN, 3 * math.pi / 2).convex is False
 
 
 def test_cone_angle_validation():
