@@ -21,6 +21,7 @@ from .solver import (
     grid_h,
     hessian_W_field,
     interior_cell_mask,
+    neumann_statistics,
     normal_derivative_gamma0,
 )
 
@@ -274,13 +275,9 @@ def integral_inequality_gap(grid: SectorGrid, u, W: MatrixField, profile: Operat
 
 def c_consistency(grid: SectorGrid, u, profile: OperatorProfile):
     """(length-weighted mean of -du/dnu on Gamma_0, g'(|Omega|/|Gamma_0|), spread)."""
-    vals = u.values if isinstance(u, ScalarField) else np.asarray(u)
-    dn = -normal_derivative_gamma0(grid, vals)
-    w = grid.gamma0_weights
-    mean = float(np.sum(w * dn) / np.sum(w))
-    spread = float(np.sqrt(np.sum(w * (dn - mean) ** 2) / np.sum(w)))
+    mean, spread, _ = neumann_statistics(grid, u)
     area = float(np.sum(grid.area_weights))
-    length = float(np.sum(w))
+    length = float(np.sum(grid.gamma0_weights))
     formula = float(profile.g_prime(area / length))
     return mean, formula, spread
 

@@ -27,6 +27,7 @@ from .solver import (
     grid_h,
     laplace_beltrami_probe,
     metric_gradient,
+    neumann_statistics,
     normal_derivative_gamma0,
 )
 
@@ -43,14 +44,6 @@ __all__ = [
 ]
 
 _QUAD_KW = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
-
-
-def measured_c(grid: SectorGrid, u) -> float:
-    """Length-weighted mean of -du/dnu over Gamma_0 (the discrete c)."""
-    vals = u.values if isinstance(u, ScalarField) else np.asarray(u)
-    dn = -normal_derivative_gamma0(grid, vals)
-    w = grid.gamma0_weights
-    return float(np.sum(w * dn) / np.sum(w))
 
 
 def p_field(grid: SectorGrid, u, N: int = 2, K: int | None = None) -> ScalarField:
@@ -105,7 +98,7 @@ def max_principle_check(grid: SectorGrid, u, P, c: float | None = None):
     u_vals = u.values if isinstance(u, ScalarField) else np.asarray(u)
     vals = P.values if isinstance(P, ScalarField) else np.asarray(P)
     if c is None:
-        c = measured_c(grid, u)
+        c = neumann_statistics(grid, u)[0]
     c2 = c * c
     tol = 5.0 * grid_h(grid) * max(c2, 1e-30)
     max_p = float(np.max(vals))
@@ -131,7 +124,7 @@ def step3_identity(grid: SectorGrid, u, N: int = 2, K: int | None = None, c: flo
         K = grid.cone.space_form.curvature
     vals = u.values if isinstance(u, ScalarField) else np.asarray(u)
     if c is None:
-        c = measured_c(grid, u)
+        c = neumann_statistics(grid, u)[0]
     sf = grid.cone.space_form
     w = grid.area_weights
     hdot = sf.h_dot(grid.r_centers)

@@ -28,7 +28,7 @@ from .profiles import profile_from_id
 from .solver import (
     hessian_W_field,
     interior_cell_mask,
-    normal_derivative_gamma0,
+    neumann_statistics,
     solve_Lf,
     solve_linear_spaceform,
 )
@@ -190,15 +190,6 @@ def _solve_on(grid, config: ExperimentConfig):
     return solve_Lf(grid, profile, tol=config.tol, omega=config.omega)
 
 
-def _sigma_stats(grid, u):
-    dn = -normal_derivative_gamma0(grid, u.values)
-    w = grid.gamma0_weights
-    mean = float(np.sum(w * dn) / np.sum(w))
-    sigma = float(np.sqrt(np.sum(w * (dn - mean) ** 2) / np.sum(w)))
-    sigma_max = float(np.max(np.abs(dn - mean)))
-    return mean, sigma, sigma_max
-
-
 def _scan_one(config: ExperimentConfig, size, eps: float) -> RigidityRow:
     sf = space_form_from_id(config.space_form)
     cone = ConeSection(sf, config.alpha)
@@ -208,7 +199,7 @@ def _scan_one(config: ExperimentConfig, size, eps: float) -> RigidityRow:
         return RigidityRow(eps, float("nan"), float("nan"), float("nan"), float("nan"),
                            float("nan"), 0.0, False)
     profile = profile_from_id(config.profile)
-    c_mean, sigma, sigma_max = _sigma_stats(grid, u)
+    c_mean, sigma, sigma_max = neumann_statistics(grid, u)
     if sf.curvature == 0:
         area = float(np.sum(grid.area_weights))
         length = float(np.sum(grid.gamma0_weights))
