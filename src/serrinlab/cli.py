@@ -31,7 +31,7 @@ from .oracles import (
 )
 from .pfunction import pfunction_suite
 from .profiles import profile_from_id
-from .reports import ConfigError, RunManifest, emit_csv, emit_json, parse_config
+from .reports import ConfigError, RunManifest, _render, emit_csv, emit_json, parse_config
 from .rigidity import (
     ExperimentConfig,
     convergence_study,
@@ -140,8 +140,6 @@ def _cmd_oracle(args) -> int:
         rows.append((dk, u, up, res, c))
     header = ["d", "u", "u_prime", "residual", "c"]
     if args.out_dir is None:
-        from .reports import _render
-
         print(",".join(header))
         for row in rows:
             print(",".join(_render(v) for v in row))

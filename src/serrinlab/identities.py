@@ -16,11 +16,11 @@ from .mesh import SectorGrid
 from .profiles import OperatorProfile
 from .solver import (
     MatrixField,
-    ScalarField,
     gradient_field,
     grid_h,
     hessian_W_field,
     interior_cell_mask,
+    mapped_gradient,
     neumann_statistics,
     normal_derivative_gamma0,
 )
@@ -44,45 +44,57 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# matrix algebra
+# matrix algebra: each function takes one matrix or a stack of them (matrix
+# axes last) and returns one value per matrix
 
 
-def s2_of_matrix(A) -> float:
+def _trace(A: np.ndarray) -> np.ndarray:
+    return np.trace(A, axis1=-2, axis2=-1)
+
+
+def s2_of_matrix(A):
     """Second elementary symmetric function via the trace formula."""
     A = np.asarray(A, dtype=float)
-    return 0.5 * (np.trace(A) ** 2 - np.trace(A @ A))
+    tr = _trace(A)
+    return 0.5 * (tr * tr - _trace(np.einsum("...ij,...jk->...ik", A, A)))
 
 
 def s2_minor_form(A) -> np.ndarray:
     """Cofactor-style form S2_ij(A) = -a_ji + delta_ij Tr(A)."""
     A = np.asarray(A, dtype=float)
-    return -A.T + np.trace(A) * np.eye(A.shape[0])
+    return -np.swapaxes(A, -1, -2) + _trace(A)[..., None, None] * np.eye(A.shape[-1])
 
 
-def s2_consistency_gap(A) -> float:
+def s2_consistency_gap(A):
     """|(1/2) sum_ij S2_ij a_ij - S2(A)|, an exact algebraic identity."""
     A = np.asarray(A, dtype=float)
-    return abs(0.5 * float(np.sum(s2_minor_form(A) * A)) - s2_of_matrix(A))
+    return np.abs(0.5 * np.einsum("...ij,...ij->...", s2_minor_form(A), A) - s2_of_matrix(A))
 
 
-def newton_gap(A, B_C_witness=None) -> float:
+def newton_gap(A, B_C_witness=None):
     """Gap (N-1)/(2N) Tr(A)^2 - S2(A); nonnegative for A = BC, B sym PSD, C sym.
 
     A witness pair is validated (symmetry, positive semidefiniteness, product
     consistency) before the gap is trusted as a contract.
     """
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
+    n = A.shape[-1]
     if B_C_witness is not None:
         B, C = (np.asarray(M, dtype=float) for M in B_C_witness)
         scale = max(1.0, float(np.abs(B).max()), float(np.abs(C).max()))
-        if np.max(np.abs(B - B.T)) > 1e-12 * scale or np.max(np.abs(C - C.T)) > 1e-12 * scale:
+        if (np.max(np.abs(B - np.swapaxes(B, -1, -2))) > 1e-12 * scale
+                or np.max(np.abs(C - np.swapaxes(C, -1, -2))) > 1e-12 * scale):
             raise ValueError("witness matrices must be symmetric")
         if np.min(np.linalg.eigvalsh(B)) < -1e-12 * scale:
             raise ValueError("witness B must be positive semidefinite")
         if np.max(np.abs(A - B @ C)) > 1e-10 * scale * scale:
             raise ValueError("witness product does not reproduce A")
-    return (n - 1) / (2.0 * n) * np.trace(A) ** 2 - s2_of_matrix(A)
+    tr = _trace(A)
+    return (n - 1) / (2.0 * n) * tr * tr - s2_of_matrix(A)
+
+
+# the acceptance suite's name for the per-cell gap
+_newton_gap_cells = newton_gap
 
 
 def proportionality_defect(A) -> float:
@@ -90,18 +102,6 @@ def proportionality_defect(A) -> float:
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     return float(np.max(np.abs(A - (np.trace(A) / n) * np.eye(n))))
-
-
-def _s2_cells(W: np.ndarray) -> np.ndarray:
-    tr = np.trace(W, axis1=-2, axis2=-1)
-    tr2 = np.trace(np.einsum("...ij,...jk->...ik", W, W), axis1=-2, axis2=-1)
-    return 0.5 * (tr * tr - tr2)
-
-
-def _newton_gap_cells(W: np.ndarray) -> np.ndarray:
-    n = W.shape[-1]
-    tr = np.trace(W, axis1=-2, axis2=-1)
-    return (n - 1) / (2.0 * n) * tr * tr - _s2_cells(W)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +182,7 @@ def audit_W(grid: SectorGrid, W: MatrixField, report: AuditReport | None = None)
     report.masked_cells = W.masked_count
     report.total_cells = int(W.mask.size)
 
-    tr = np.trace(W.values, axis1=-2, axis2=-1)
+    tr = _trace(W.values)
     tol_tr = tol_discrete(grid, 1.0)
     dev_int = float(np.max(np.abs(tr[interior] + 1.0))) if interior.any() else float("nan")
     report.add(AuditCheck("trace_W_plus_one_interior", dev_int, None, None,
@@ -199,7 +199,7 @@ def audit_W(grid: SectorGrid, W: MatrixField, report: AuditReport | None = None)
         )
     )
 
-    gaps = _newton_gap_cells(W.values)
+    gaps = newton_gap(W.values)
     tol_gap = tol_discrete(grid, 1.0)
     min_gap = float(np.min(gaps[unmasked])) if unmasked.any() else float("nan")
     report.add(
@@ -227,7 +227,7 @@ def pohozaev_residual(grid: SectorGrid, u, profile: OperatorProfile):
     """
     if grid.cone.space_form.curvature != 0:
         raise ValueError("the Pohozaev balance is Euclidean-specific")
-    vals = u.values if isinstance(u, ScalarField) else np.asarray(u)
+    vals = np.asarray(u)
     N = 2
     gf = gradient_field(grid, vals)
     speed = np.hypot(gf.values[..., 0], gf.values[..., 1])
@@ -247,23 +247,10 @@ def integral_inequality_gap(grid: SectorGrid, u, W: MatrixField, profile: Operat
     convex section (alpha <= pi), equality when the walls carry no curvature
     (automatic for straight planar walls).
     """
-    vals = u.values if isinstance(u, ScalarField) else np.asarray(u)
-    gf = gradient_field(grid, vals)
-    gx, gy = gf.values[..., 0], gf.values[..., 1]
-    speed = np.hypot(gx, gy)
-    floor = 1e-8 * float(speed.max() if speed.size else 0.0)
-    degenerate = speed <= floor
-    safe = np.where(degenerate, 1.0, speed)
-    coef = np.where(degenerate, 0.0, profile.f_prime(safe) / safe)
-    V1, V2 = coef * gx, coef * gy
-
-    s2 = _s2_cells(W.values)
-    minor = -np.swapaxes(W.values, -1, -2) + np.trace(W.values, axis1=-2, axis2=-1)[
-        ..., None, None
-    ] * np.eye(2)
-    Vvec = np.stack([V1, V2], axis=-1)
-    grad = np.stack([gx, gy], axis=-1)
-    second = np.einsum("...ij,...i,...j->...", minor, Vvec, grad)
+    vals = np.asarray(u)
+    grad, V, degenerate = mapped_gradient(grid, vals, profile)
+    s2 = s2_of_matrix(W.values)
+    second = np.einsum("...ij,...i,...j->...", s2_minor_form(W.values), V, grad)
 
     keep = ~(W.mask | degenerate)
     w = grid.area_weights
@@ -300,19 +287,13 @@ def identity_suite(
     W defaults to the differenced field of the mapped gradient; a caller can
     pass an analytically built W (e.g. from a radial oracle) instead.
     """
-    vals = u.values if isinstance(u, ScalarField) else np.asarray(u)
     if W is None:
-        W = hessian_W_field(grid, vals, profile)
+        W = hessian_W_field(grid, u, profile)
     report = AuditReport()
     audit_W(grid, W, report)
 
     kept = ~W.mask
-    minor = -np.swapaxes(W.values, -1, -2) + np.trace(W.values, axis1=-2, axis2=-1)[
-        ..., None, None
-    ] * np.eye(2)
-    pairing = 0.5 * np.einsum("...ij,...ij->...", minor, W.values)
-    cons = np.abs(pairing - _s2_cells(W.values))
-    worst = float(np.max(cons[kept])) if kept.any() else 0.0
+    worst = float(np.max(s2_consistency_gap(W.values)[kept])) if kept.any() else 0.0
     report.add(AuditCheck("s2_trace_vs_minor_form", worst, 1e-12, bool(worst <= 1e-12)))
 
     lhs, rhs, resid = pohozaev_residual(grid, u, profile)

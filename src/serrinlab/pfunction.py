@@ -20,8 +20,7 @@ from .oracles import RadialSolutionSpaceForm, overdetermined_constant
 from .solver import (
     ScalarField,
     _beta_centers,
-    _d2_ds2,
-    _d2_dtheta2,
+    _cell_difference,
     _d_ds,
     _d_dtheta,
     grid_h,
@@ -50,7 +49,7 @@ def p_field(grid: SectorGrid, u, N: int = 2, K: int | None = None) -> ScalarFiel
     """P = |grad u|^2 + (2/N) u + K u^2 with the metric gradient."""
     if K is None:
         K = grid.cone.space_form.curvature
-    vals = u.values if isinstance(u, ScalarField) else np.asarray(u)
+    vals = np.asarray(u)
     u_r, u_tan = metric_gradient(grid, vals, kind="solution")
     P = u_r**2 + u_tan**2 + (2.0 / N) * vals + K * vals * vals
     return ScalarField(grid, P)
@@ -63,7 +62,7 @@ def subharmonicity_probe(grid: SectorGrid, P):
     tested in the scheme's own discrete sense; only full-stencil cells are
     probed.  A violation is Delta P < -tol with tol = 5 h scale(P).
     """
-    vals = P.values if isinstance(P, ScalarField) else np.asarray(P)
+    vals = np.asarray(P)
     lap, valid = laplace_beltrami_probe(grid, vals)
     probed = lap[valid]
     scale = max(float(np.max(np.abs(vals))), 1e-30)
@@ -75,7 +74,7 @@ def subharmonicity_probe(grid: SectorGrid, P):
 
 def wall_normal_derivative(grid: SectorGrid, P) -> np.ndarray:
     """One-sided d P/d nu on both walls, stacked (2, Nr)."""
-    vals = P.values if isinstance(P, ScalarField) else np.asarray(P)
+    vals = np.asarray(P)
     dt = grid.dtheta
     sf = grid.cone.space_form
     p_theta_0 = (-2.0 * vals[:, 0] + 3.0 * vals[:, 1] - vals[:, 2]) / dt
@@ -95,14 +94,13 @@ def max_principle_check(grid: SectorGrid, u, P, c: float | None = None):
     data is constant and turns positive on perturbed domains (the boundary
     maximum exceeds the mean).  c defaults to the measured Gamma_0 mean.
     """
-    u_vals = u.values if isinstance(u, ScalarField) else np.asarray(u)
-    vals = P.values if isinstance(P, ScalarField) else np.asarray(P)
+    vals = np.asarray(P)
     if c is None:
         c = neumann_statistics(grid, u)[0]
     c2 = c * c
     tol = 5.0 * grid_h(grid) * max(c2, 1e-30)
     max_p = float(np.max(vals))
-    boundary_p_max = float(np.max(normal_derivative_gamma0(grid, u_vals) ** 2))
+    boundary_p_max = float(np.max(normal_derivative_gamma0(grid, u) ** 2))
     wall = wall_normal_derivative(grid, P)
     wall_max = float(np.max(wall))
     return {
@@ -122,7 +120,7 @@ def step3_identity(grid: SectorGrid, u, N: int = 2, K: int | None = None, c: flo
     """Grid quadrature of c^2 int h_dot versus (1+2/N)(int h_dot u - K int h u u_r)."""
     if K is None:
         K = grid.cone.space_form.curvature
-    vals = u.values if isinstance(u, ScalarField) else np.asarray(u)
+    vals = np.asarray(u)
     if c is None:
         c = neumann_statistics(grid, u)[0]
     sf = grid.cone.space_form
@@ -172,7 +170,7 @@ def hessian_proportionality_defect(grid: SectorGrid, u, N: int = 2, K: int | Non
     """
     if K is None:
         K = grid.cone.space_form.curvature
-    vals = u.values if isinstance(u, ScalarField) else np.asarray(u)
+    vals = np.asarray(u)
     sf = grid.cone.space_form
     R = grid.R_centers[None, :]
     Rp = grid.Rp_centers[None, :]
@@ -186,8 +184,8 @@ def hessian_proportionality_defect(grid: SectorGrid, u, N: int = 2, K: int | Non
     ut = _d_dtheta(grid, vals, "solution")
     # second radial differences stay one-sided at the outer ring: the audited
     # field need not satisfy any particular discrete ghost relation there
-    uss = _d2_ds2(grid, vals)
-    utt = _d2_dtheta2(grid, vals)
+    uss = _cell_difference(vals, 0, "one-sided", "one-sided", second=True) / (grid.ds * grid.ds)
+    utt = _cell_difference(vals, 1, "mirror", "mirror", second=True) / (grid.dtheta * grid.dtheta)
     ust = _d_dtheta(grid, us, "solution")
 
     u_r = us / R

@@ -80,15 +80,7 @@ def fmt_float(x) -> str:
 
 
 def _render(value) -> str:
-    if type(value) is float:
-        return f"{value:.17g}"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    return fmt_float(value)
+    return value if isinstance(value, str) else fmt_float(value)
 
 
 def emit_csv(path, header, rows) -> Path:

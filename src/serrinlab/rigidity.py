@@ -23,15 +23,9 @@ from .oracles import (
     overdetermined_constant,
     sample_values,
 )
-from .pfunction import hessian_proportionality_defect, pfunction_suite
+from .pfunction import pfunction_suite
 from .profiles import profile_from_id
-from .solver import (
-    hessian_W_field,
-    interior_cell_mask,
-    neumann_statistics,
-    solve_Lf,
-    solve_linear_spaceform,
-)
+from .solver import hessian_W_field, neumann_statistics, solve_Lf, solve_linear_spaceform
 from .spaceforms import ConeSection, space_form_from_id
 
 __all__ = [
@@ -98,6 +92,8 @@ class ExperimentConfig:
             raise ValueError("space-form runs use the linear operator; profile must be 'laplacian'")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if self.omega is not None and not (math.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"omega must be finite and positive, got {self.omega}")
 
     @property
     def grid_sizes(self) -> list:
@@ -198,22 +194,19 @@ def _scan_one(config: ExperimentConfig, size, eps: float) -> RigidityRow:
     if not rep.converged:
         return RigidityRow(eps, float("nan"), float("nan"), float("nan"), float("nan"),
                            float("nan"), 0.0, False)
-    profile = profile_from_id(config.profile)
     c_mean, sigma, sigma_max = neumann_statistics(grid, u)
     if sf.curvature == 0:
-        area = float(np.sum(grid.area_weights))
-        length = float(np.sum(grid.gamma0_weights))
-        c_formula = float(profile.g_prime(area / length))
+        profile = profile_from_id(config.profile)
         W = hessian_W_field(grid, u.values, profile)
-        keep = interior_cell_mask(grid) & ~W.mask
-        defect = float(np.max(np.abs((W.values + np.eye(2) / 2.0)[keep])))
         audit = identity_suite(grid, u, profile, W=W)
+        checks = {c.name: c for c in audit.checks}
+        defect = checks["W_plus_id_over_N_sup_interior"].value
+        c_formula = checks["c_measured_vs_formula"].extras["c_formula"]
         rate = audit.pass_rate
     else:
-        ref = RadialSolutionSpaceForm(sf, 2, config.R0)
-        c_formula = overdetermined_constant(ref)
-        defect = hessian_proportionality_defect(grid, u)
+        c_formula = overdetermined_constant(RadialSolutionSpaceForm(sf, 2, config.R0))
         pf = pfunction_suite(grid, u)
+        defect = pf.hessian_defect
         verdicts = list(pf.verdicts.values())
         rate = sum(verdicts) / len(verdicts)
     return RigidityRow(eps, sigma, sigma_max, c_mean, c_formula, defect, rate, True)

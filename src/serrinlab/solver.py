@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,6 +36,7 @@ __all__ = [
     "normal_derivative_gamma0",
     "neumann_statistics",
     "gradient_field",
+    "mapped_gradient",
     "hessian_W_field",
     "metric_gradient",
     "laplace_beltrami_probe",
@@ -59,6 +61,10 @@ class ScalarField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.Nr, self.grid.Nt):
             raise ValueError("field shape does not match the grid")
+
+    def __array__(self, dtype=None, copy=None):
+        a = np.asarray(self.values, dtype=dtype)
+        return a.copy() if copy else a
 
 
 @dataclass
@@ -100,57 +106,63 @@ class SolveReport:
 # difference stencils on the cell-centered grid
 
 
-def _d_ds(grid: SectorGrid, u: np.ndarray, kind: str) -> np.ndarray:
-    """d/ds at cell centers; 'solution' assumes Dirichlet data u(1) = 0.
+# End closures of the cell stencils.  Each maps an end cell u0 and its inward
+# neighbours u1, u2 to the stencil's value at u0.  'one-sided' assumes no
+# boundary data (the vertex, or an arbitrary field); 'mirror' is the even ghost
+# u0 of a Neumann wall; 'dirichlet' is the quadratic ghost -2 u0 + u1/3 of a
+# field vanishing on Gamma_0, the high s end.  A first difference changes sign
+# between the ends, a second difference does not.
+_FIRST_LOW = {
+    "one-sided": lambda u0, u1, u2: -3.0 * u0 + 4.0 * u1 - u2,
+    "mirror": lambda u0, u1, u2: u1 - u0,
+}
+_FIRST_HIGH = {
+    "one-sided": lambda u0, u1, u2: 3.0 * u0 - 4.0 * u1 + u2,
+    "mirror": lambda u0, u1, u2: u0 - u1,
+    "dirichlet": lambda u0, u1, u2: -2.0 * u0 - (2.0 / 3.0) * u1,
+}
+_SECOND = {
+    "one-sided": lambda u0, u1, u2: u0 - 2.0 * u1 + u2,
+    "mirror": lambda u0, u1, u2: u1 - u0,
+}
 
-    The derivative helper keeps the quadratic extrapolation ghost at the
-    outer ring (ghost = -2 u[-1] + u[-2]/3), which is one order better than
-    the operator's half-cell flux ghost and valid for any field vanishing on
-    the outer curve.
+
+def _cell_difference(u: np.ndarray, axis: int, low: str, high: str, second: bool = False):
+    """Twice the first difference (2h u'), or the second difference (h^2 u''), at cell centers.
+
+    Taken along `axis` and closed by the named end closures; a second
+    difference closes only by 'one-sided' or 'mirror'.  Applied to an
+    identity matrix it gives the stencil's own matrix.
     """
-    ds = grid.ds
-    out = np.empty_like(u)
-    out[1:-1] = (u[2:] - u[:-2]) / (2.0 * ds)
-    out[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * ds)
-    if kind == "solution":
-        out[-1] = (-2.0 * u[-1] - (2.0 / 3.0) * u[-2]) / (2.0 * ds)
+    v = np.moveaxis(u, axis, 0)
+    out = np.empty_like(v)
+    if second:
+        out[1:-1] = v[2:] - 2.0 * v[1:-1] + v[:-2]
+        at_low, at_high = _SECOND[low], _SECOND[high]
     else:
-        out[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * ds)
-    return out
+        out[1:-1] = v[2:] - v[:-2]
+        at_low, at_high = _FIRST_LOW[low], _FIRST_HIGH[high]
+    out[0] = at_low(v[0], v[1], v[2])
+    out[-1] = at_high(v[-1], v[-2], v[-3])
+    return np.moveaxis(out, 0, axis)
+
+
+@lru_cache(maxsize=None)
+def _half_difference_matrix(n: int, low: str, high: str) -> sp.csr_matrix:
+    """The first difference of `_cell_difference` on n cells, halved, as a CSR matrix."""
+    return sp.csr_matrix(0.5 * _cell_difference(np.eye(n), 0, low, high))
+
+
+def _d_ds(grid: SectorGrid, u: np.ndarray, kind: str) -> np.ndarray:
+    """d/ds at cell centers; 'solution' closes Gamma_0 by the quadratic Dirichlet ghost."""
+    high = "dirichlet" if kind == "solution" else "one-sided"
+    return _cell_difference(u, 0, "one-sided", high) / (2.0 * grid.ds)
 
 
 def _d_dtheta(grid: SectorGrid, u: np.ndarray, kind: str) -> np.ndarray:
     """d/dtheta at cell centers; 'solution' mirrors across the Neumann walls."""
-    dt = grid.dtheta
-    out = np.empty_like(u)
-    out[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * dt)
-    if kind == "solution":
-        out[:, 0] = (u[:, 1] - u[:, 0]) / (2.0 * dt)
-        out[:, -1] = (u[:, -1] - u[:, -2]) / (2.0 * dt)
-    else:
-        out[:, 0] = (-3.0 * u[:, 0] + 4.0 * u[:, 1] - u[:, 2]) / (2.0 * dt)
-        out[:, -1] = (3.0 * u[:, -1] - 4.0 * u[:, -2] + u[:, -3]) / (2.0 * dt)
-    return out
-
-
-def _d2_ds2(grid: SectorGrid, u: np.ndarray) -> np.ndarray:
-    """d2/ds2 at cell centers, one-sided at both ends (no boundary data)."""
-    ds2 = grid.ds * grid.ds
-    out = np.empty_like(u)
-    out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / ds2
-    out[0] = (u[0] - 2.0 * u[1] + u[2]) / ds2
-    out[-1] = (u[-1] - 2.0 * u[-2] + u[-3]) / ds2
-    return out
-
-
-def _d2_dtheta2(grid: SectorGrid, u: np.ndarray) -> np.ndarray:
-    """d2/dtheta2 at cell centers, mirrored across the Neumann walls."""
-    dt2 = grid.dtheta * grid.dtheta
-    out = np.empty_like(u)
-    out[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / dt2
-    out[:, 0] = (u[:, 1] - u[:, 0]) / dt2
-    out[:, -1] = (u[:, -2] - u[:, -1]) / dt2
-    return out
+    end = "mirror" if kind == "solution" else "one-sided"
+    return _cell_difference(u, 1, end, end) / (2.0 * grid.dtheta)
 
 
 def _beta_centers(grid: SectorGrid) -> np.ndarray:
@@ -186,34 +198,10 @@ def grid_h(grid: SectorGrid) -> float:
 # the finite-volume operator: stencils, metric weights and divergence
 
 
-def _face_geometry_s(grid: SectorGrid):
-    """Metric data at the interior + outer s-faces (fi = 1..Nr)."""
-    sf = grid.cone.space_form
-    s_f = (np.arange(1, grid.Nr + 1) * grid.ds)[:, None]
-    R = grid.R_centers[None, :]
-    Rp = grid.Rp_centers[None, :]
-    r_f = s_f * R
-    h_f = sf.h(r_f)
-    beta = s_f * Rp / R
-    G = h_f * R
-    k_ss = 1.0 / (R * R) + (beta / h_f) ** 2
-    k_st = -beta / (h_f * h_f)
-    return G, k_ss, k_st
-
-
-def _face_geometry_t(grid: SectorGrid):
-    """Metric data at the interior theta-faces (fj = 1..Nt-1)."""
-    sf = grid.cone.space_form
-    s_c = grid.s_centers[:, None]
-    R = grid.R_faces[None, 1:-1]
-    Rp = grid.Rp_faces[None, 1:-1]
-    r_f = s_c * R
-    h_f = sf.h(r_f)
-    beta = s_c * Rp / R
-    G = h_f * R
-    k_tt = 1.0 / (h_f * h_f)
-    k_ts = -beta / (h_f * h_f)
-    return G, k_tt, k_ts
+def _face_geometry(grid: SectorGrid, s: np.ndarray, R: np.ndarray, Rp: np.ndarray):
+    """Metric data (G, h, beta) at faces of scaled radius s on rays of boundary radius R, R'."""
+    h = grid.cone.space_form.h(s * R)
+    return h * R, h, s * Rp / R
 
 
 def _finite_volume(grid: SectorGrid):
@@ -241,22 +229,23 @@ def _finite_volume(grid: SectorGrid):
     avg_t = sp.diags([0.5, 0.5], [0, 1], shape=(Nt - 1, Nt))
     div_t = sp.diags([1.0, -1.0], [0, -1], shape=(Nt, Nt - 1))
 
-    Gs, k_ss, k_st = _face_geometry_s(grid)
-    Gt, k_tt, k_ts = _face_geometry_t(grid)
-    s_terms = [(Gs * k_ss * (dt / ds), (diff_s, None))]
-    t_terms = [(Gt * k_tt * (ds / dt), (None, diff_t))]
+    # metric data at the s-faces (fi = 1..Nr) and the interior theta-faces (fj = 1..Nt-1)
+    R = grid.R_centers[None, :]
+    s_f = (np.arange(1, Nr + 1) * ds)[:, None]
+    Gs, h_s, beta_s = _face_geometry(grid, s_f, R, grid.Rp_centers[None, :])
+    Gt, h_t, beta_t = _face_geometry(
+        grid, grid.s_centers[:, None], grid.R_faces[None, 1:-1], grid.Rp_faces[None, 1:-1]
+    )
+    s_terms = [(Gs * (1.0 / (R * R) + (beta_s / h_s) ** 2) * (dt / ds), (diff_s, None))]
+    t_terms = [(Gt * (1.0 / (h_t * h_t)) * (ds / dt), (None, diff_t))]
     if grid.radius.epsilon != 0.0:
         # the 'solution'-kind cell derivatives of _d_ds and _d_dtheta, times ds and dtheta
-        der_s = sp.diags(
-            [np.r_[np.full(Nr - 2, -0.5), -1.0 / 3.0], np.r_[-1.5, np.zeros(Nr - 2), -1.0],
-             np.r_[2.0, np.full(Nr - 2, 0.5)], np.r_[-0.5, np.zeros(Nr - 3)]],
-            [-1, 0, 1, 2],
-        )
-        der_t = sp.diags([-0.5, np.r_[-0.5, np.zeros(Nt - 2), 0.5], 0.5], [-1, 0, 1], (Nt, Nt))
-        w_st = Gs * k_st
+        der_s = _half_difference_matrix(Nr, "one-sided", "dirichlet")
+        der_t = _half_difference_matrix(Nt, "mirror", "mirror")
+        w_st = Gs * (-beta_s / (h_s * h_s))
         w_st[-1] = 0.0  # u_theta vanishes along Gamma_0
         s_terms.append((w_st, (avg_s, der_t)))
-        t_terms.append((Gt * k_ts, (der_s, avg_t)))
+        t_terms.append((Gt * (-beta_t / (h_t * h_t)), (der_s, avg_t)))
     families = [
         ((avg_s, None), (div_s, None), s_terms),
         ((None, avg_t), (None, div_t), t_terms),
@@ -559,7 +548,7 @@ def normal_derivative_gamma0(grid: SectorGrid, u) -> np.ndarray:
     that pure interior differencing cancels.  The tangential derivative of u
     vanishes along the outer curve, which supplies the normal-frame factor.
     """
-    vals = u.values if isinstance(u, ScalarField) else np.asarray(u)
+    vals = np.asarray(u)
     sf = grid.cone.space_form
     us_boundary = (2.0 * vals[-1] - 3.0 * vals[-2] + vals[-3]) / grid.ds
     u_r = us_boundary / grid.R_centers
@@ -584,8 +573,8 @@ def gradient_field(grid: SectorGrid, u) -> VectorField:
     """Cell-centered gradient in Cartesian components (Euclidean grids only)."""
     if grid.cone.space_form.curvature != 0:
         raise ValueError("Cartesian gradient components require the Euclidean space form")
-    vals = u.values if isinstance(u, ScalarField) else np.asarray(u)
-    return VectorField(grid, np.stack(_cartesian_derivatives(grid, vals, "solution"), axis=-1))
+    grad = _cartesian_derivatives(grid, np.asarray(u), "solution")
+    return VectorField(grid, np.stack(grad, axis=-1))
 
 
 def _cartesian_derivatives(grid: SectorGrid, q: np.ndarray, kind: str):
@@ -596,37 +585,39 @@ def _cartesian_derivatives(grid: SectorGrid, q: np.ndarray, kind: str):
     return q_r * ct - q_tan * st, q_r * st + q_tan * ct
 
 
-def hessian_W_field(
-    grid: SectorGrid, u, profile: OperatorProfile, gradient_floor: float | None = None
-) -> MatrixField:
+def mapped_gradient(grid: SectorGrid, u, profile: OperatorProfile):
+    """(grad u, V, degenerate) with V = f'(|grad u|) grad u / |grad u|, Cartesian components last.
+
+    Degenerate cells, where |grad u| <= 1e-8 max |grad u| (every cell of a
+    constant field), get V = 0.
+    """
+    grad = gradient_field(grid, u).values
+    speed = np.hypot(grad[..., 0], grad[..., 1])
+    degenerate = speed <= 1e-8 * float(speed.max())
+    safe = np.where(degenerate, 1.0, speed)
+    coef = np.where(degenerate, 0.0, profile.f_prime(safe) / safe)
+    return grad, coef[..., None] * grad, degenerate
+
+
+def hessian_W_field(grid: SectorGrid, u, profile: OperatorProfile) -> MatrixField:
     """W = Jacobian of the mapped gradient x -> f'(|grad u|) grad u / |grad u|.
 
-    Cells with |grad u| below the floor are masked together with every cell
-    whose difference stencil touches them; the masked count is reported, not
-    hidden.
+    Degenerate cells are masked together with every cell whose difference
+    stencil touches them; the masked count is reported, not hidden.
     """
     if grid.cone.space_form.curvature != 0:
         raise ValueError("W is Euclidean-specific; space forms audit the Hessian instead")
-    vals = u.values if isinstance(u, ScalarField) else np.asarray(u)
-    gf = gradient_field(grid, vals)
-    gx, gy = gf.values[..., 0], gf.values[..., 1]
-    speed = np.hypot(gx, gy)
-    floor = 1e-8 * float(speed.max()) if gradient_floor is None else gradient_floor
-    degenerate = speed <= floor  # inclusive: a constant field masks every cell
-    safe = np.where(degenerate, 1.0, speed)
-    coef = np.where(degenerate, 0.0, profile.f_prime(safe) / safe)
-    V1, V2 = coef * gx, coef * gy
-
+    _, V, degenerate = mapped_gradient(grid, u, profile)
     W = np.empty((grid.Nr, grid.Nt, 2, 2))
-    W[..., 0, 0], W[..., 0, 1] = _cartesian_derivatives(grid, V1, "generic")
-    W[..., 1, 0], W[..., 1, 1] = _cartesian_derivatives(grid, V2, "generic")
+    W[..., 0, 0], W[..., 0, 1] = _cartesian_derivatives(grid, V[..., 0], "generic")
+    W[..., 1, 0], W[..., 1, 1] = _cartesian_derivatives(grid, V[..., 1], "generic")
     # one-sided edge stencils reach two cells inward
     mask = binary_dilation(degenerate, structure=np.ones((5, 5), dtype=bool))
     return MatrixField(grid, W, mask)
 
 
-def interior_cell_mask(grid: SectorGrid, margin: int = 1) -> np.ndarray:
-    """Cells at least `margin` cells away from every grid edge."""
+def interior_cell_mask(grid: SectorGrid) -> np.ndarray:
+    """Cells off every grid edge."""
     m = np.zeros((grid.Nr, grid.Nt), dtype=bool)
-    m[margin : grid.Nr - margin, margin : grid.Nt - margin] = True
+    m[1:-1, 1:-1] = True
     return m

@@ -225,3 +225,17 @@ def test_solution_csv_rejections(tmp_path, capsys, solved_8x8, corrupt, message)
     capsys.readouterr()
     assert cli.main(["audit", "--config", str(cfg), "--solution", str(bad)]) == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "omega, code",
+    [("0", cli.EXIT_CONFIG), ("-1", cli.EXIT_CONFIG), ("nan", cli.EXIT_CONFIG),
+     ("inf", cli.EXIT_CONFIG), ("1.5", cli.EXIT_OK)],
+)
+def test_solve_omega_must_be_finite_and_positive(tmp_path, capsys, omega, code):
+    # a bad damping weight is a config error, not a stalled solve; over-relaxation stays allowed
+    cfg = write_config(tmp_path, profile="p-laplacian:3", out_dir=str(tmp_path / "run"))
+    assert cli.main(["solve", "--config", str(cfg), f"--omega={omega}"]) == code
+    if code == cli.EXIT_CONFIG:
+        assert "omega" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()

@@ -285,3 +285,32 @@ def test_mean_curvature_profile_through_suite():
     sol = RadialSolutionEuclidean(mc, 2, 1.0)
     rep = identity_suite(grid, ScalarField(grid, sample_values(sol, grid)), mc)
     assert rep.passed, rep.to_dict()
+
+
+@pytest.mark.parametrize("shape", [(5, 7, 2, 2), (4, 3, 3)])
+def test_s2_algebra_on_stacks_matches_per_matrix(shape):
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=shape)
+    n = shape[-1]
+    flat = A.reshape(-1, n, n)
+    # per-matrix references: S2 as the sum of the principal 2x2 minors
+    s2_ref = np.array([sum(M[i, i] * M[j, j] - M[i, j] * M[j, i]
+                           for i in range(n) for j in range(i + 1, n)) for M in flat])
+    tr = np.trace(flat, axis1=1, axis2=2)
+    expected = {
+        s2_of_matrix: s2_ref,
+        s2_minor_form: np.array([-M.T + np.trace(M) * np.eye(n) for M in flat]),
+        s2_consistency_gap: np.zeros(len(flat)),
+        newton_gap: (n - 1) / (2.0 * n) * tr * tr - s2_ref,
+    }
+    for fn, ref in expected.items():
+        stacked = fn(A)
+        per_matrix = np.array([fn(M) for M in flat])
+        assert stacked.shape == shape[:-2] + ref.shape[1:]
+        np.testing.assert_allclose(stacked.reshape(ref.shape), per_matrix, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(per_matrix, ref, rtol=0, atol=1e-12)
+    # a witnessed stack: A = B C with B symmetric PSD and C symmetric
+    X = rng.normal(size=shape)
+    B = X @ np.swapaxes(X, -1, -2)
+    C = X + np.swapaxes(X, -1, -2)
+    assert np.min(newton_gap(B @ C, (B, C))) >= -1e-12

@@ -3,6 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from serrinlab.identities import identity_suite
+from serrinlab.mesh import BoundaryRadius, build_grid
+from serrinlab.pfunction import pfunction_suite
+from serrinlab.profiles import profile_from_id
 from serrinlab.rigidity import (
     ExperimentConfig,
     convergence_study,
@@ -10,6 +14,8 @@ from serrinlab.rigidity import (
     deviation_scan,
     thread_budget,
 )
+from serrinlab.solver import solve_Lf, solve_linear_spaceform
+from serrinlab.spaceforms import EUCLIDEAN, HYPERBOLIC, ConeSection
 
 
 def test_config_defaults_and_validation():
@@ -127,3 +133,22 @@ def test_sigma_decreases_under_refinement():
         cfg = ExperimentConfig(epsilons=[0.0], grids=[grid])
         rep = deviation_scan(cfg)
         assert rep.rows[0].sigma <= 1e-10 * rep.rows[0].c_mean
+
+
+def test_rows_read_their_audits():
+    cfg = ExperimentConfig(profile="p-laplacian:3", epsilons=[0.1], grids=["16x16"])
+    row = deviation_scan(cfg).rows[0]
+    grid = build_grid(ConeSection(EUCLIDEAN, cfg.alpha), 16, 16, BoundaryRadius(1.0, 0.1, 2))
+    profile = profile_from_id(cfg.profile)
+    u, rep = solve_Lf(grid, profile, tol=cfg.tol)
+    assert rep.converged and row.converged
+    checks = {c.name: c for c in identity_suite(grid, u, profile).checks}
+    assert row.defect == checks["W_plus_id_over_N_sup_interior"].value
+    assert row.c_formula == checks["c_measured_vs_formula"].extras["c_formula"]
+
+    cfg = ExperimentConfig(space_form="hyperbolic", epsilons=[0.1], grids=["16x16"])
+    row = deviation_scan(cfg).rows[0]
+    grid = build_grid(ConeSection(HYPERBOLIC, cfg.alpha), 16, 16, BoundaryRadius(1.0, 0.1, 2))
+    u, rep = solve_linear_spaceform(grid, 2)
+    assert rep.converged and row.converged
+    assert row.defect == pfunction_suite(grid, u).hessian_defect

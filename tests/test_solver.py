@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -354,3 +355,43 @@ def test_solve_report_roundtrip_dict():
     d = rep.to_dict()
     assert d["converged"] is True
     assert set(d) == {"iterations", "final_residual", "epsilon_schedule", "converged", "message"}
+
+
+def test_derivative_closures_exact_on_quadratics():
+    # each end closure of _d_ds / _d_dtheta is exact on the quadratics it assumes
+    g = build_grid(quarter(), 16, 12, BoundaryRadius(1.0))
+    s = g.s_centers[:, None] + 0.0 * g.theta_centers[None, :]
+    t = 0.0 * s + g.theta_centers[None, :]
+
+    def exact(got, want):
+        return float(np.max(np.abs(got - want))) <= 1e-12
+
+    # one-sided rows (the vertex, and every end of the generic kind): any quadratic
+    q = 0.3 + 1.1 * s - 0.7 * s * s + 0.4 * t - 0.9 * t * t + 0.6 * s * t
+    q_s, q_t = 1.1 - 1.4 * s + 0.6 * t, 0.4 - 1.8 * t + 0.6 * s
+    assert exact(solver._d_ds(g, q, "generic"), q_s)
+    assert exact(solver._d_dtheta(g, q, "generic"), q_t)
+    assert exact(solver._d_ds(g, q, "solution")[:-1], q_s[:-1])
+    # the quadratic Gamma_0 ghost: quadratics in s with u(1) = 0
+    d = (1.0 - s) * (0.5 + 2.0 * s) * np.cos(t)
+    assert exact(solver._d_ds(g, d, "solution"), (1.5 - 4.0 * s) * np.cos(t))
+    # the wall mirror: quadratics in theta even about the wall
+    for wall, rows in ((0.0, slice(0, -1)), (g.cone.alpha, slice(1, None))):
+        e = (2.0 - s) * (t - wall) ** 2
+        got = solver._d_dtheta(g, e, "solution")
+        assert exact(got[:, rows], (2.0 * (2.0 - s) * (t - wall))[:, rows])
+
+
+def test_scalar_field_array_protocol():
+    g = build_grid(quarter(), 8, 8, BoundaryRadius(1.0))
+    f = ScalarField(g, np.arange(64.0).reshape(8, 8))
+    assert np.asarray(f) is f.values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy deprecates an __array__ without copy=
+        copied = np.array(f)
+        assert np.array(f, copy=False) is f.values
+    assert copied is not f.values and np.array_equal(copied, f.values)
+    assert np.asarray(f, dtype=np.float32).dtype == np.float32
+    # NumPy 1.x calls __array__ without the copy keyword
+    assert f.__array__() is f.values
+    assert f.__array__(copy=True) is not f.values
