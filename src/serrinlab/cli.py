@@ -73,10 +73,36 @@ def _grid_from_config(cfg: ExperimentConfig, size=None):
     return build_grid(cone, nr, nt, BoundaryRadius(cfg.R0, eps, cfg.k))
 
 
-def _write_solution_csv(path, grid, field):
+def _solution_table(grid, field):
     theta = np.broadcast_to(grid.theta_centers, grid.r_centers.shape)
     rows = zip(grid.r_centers.ravel().tolist(), theta.ravel().tolist(), field.values.ravel().tolist())
-    emit_csv(path, ["r", "theta", "u"], rows)
+    return "solution.csv", ["r", "theta", "u"], rows
+
+
+def _write_solution_csv(path, grid, field):
+    emit_csv(path, *_solution_table(grid, field)[1:])
+
+
+def _write_run(cfg: ExperimentConfig, subcommand: str, t0: float, report: dict, table=None, grid=None):
+    """Write one run's files into cfg.out_dir, then its manifest listing them.
+
+    The report goes to <subcommand>_report.json, naming its manifest; the
+    optional table = (name, header, rows) goes to a CSV.
+    """
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = f"{subcommand}.manifest.json"
+    outputs = [emit_json(out_dir / f"{subcommand}_report.json", {**report, "manifest": manifest}).name]
+    if table is not None:
+        name, header, rows = table
+        outputs.append(emit_csv(out_dir / name, header, rows).name)
+    RunManifest(
+        subcommand=subcommand,
+        config=cfg.to_dict(),
+        grid_hash="" if grid is None else grid.grid_hash(),
+        timing_seconds=time.perf_counter() - t0,
+        outputs=outputs,
+    ).write(out_dir / manifest)
 
 
 def _read_solution_csv(path, grid) -> ScalarField:
@@ -169,20 +195,10 @@ def _cmd_solve(args) -> int:
     grid = _grid_from_config(cfg)
     profile = profile_from_id(cfg.profile)
     if grid.cone.space_form.curvature != 0:
-        field, report = solve_linear_spaceform(grid, 2)
+        field, report = solve_linear_spaceform(grid, 2, tol=cfg.tol)
     else:
         field, report = solve_Lf(grid, profile, tol=cfg.tol, omega=cfg.omega)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_solution_csv(out_dir / "solution.csv", grid, field)
-    emit_json(out_dir / "solve_report.json", {**report.to_dict(), "manifest": "solve.manifest.json"})
-    RunManifest(
-        subcommand="solve",
-        config=cfg.to_dict(),
-        grid_hash=grid.grid_hash(),
-        timing_seconds=time.perf_counter() - t0,
-        outputs=["solution.csv", "solve_report.json"],
-    ).write(out_dir / "solve.manifest.json")
+    _write_run(cfg, "solve", t0, report.to_dict(), _solution_table(grid, field), grid)
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
@@ -194,22 +210,13 @@ def _cmd_audit(args) -> int:
     grid = _grid_from_config(cfg)
     field = _read_solution_csv(args.solution, grid)
     report = identity_suite(grid, field, profile_from_id(cfg.profile))
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    emit_json(out_dir / "audit_report.json", {**report.to_dict(), "manifest": "audit.manifest.json"})
     rows = [
         (c.name, c.value, "" if c.tolerance is None else c.tolerance,
          "" if c.passed is None else c.passed)
         for c in report.checks
     ]
-    emit_csv(out_dir / "audit_report.csv", ["name", "value", "tolerance", "passed"], rows)
-    RunManifest(
-        subcommand="audit",
-        config=cfg.to_dict(),
-        grid_hash=grid.grid_hash(),
-        timing_seconds=time.perf_counter() - t0,
-        outputs=["audit_report.json", "audit_report.csv"],
-    ).write(out_dir / "audit.manifest.json")
+    table = ("audit_report.csv", ["name", "value", "tolerance", "passed"], rows)
+    _write_run(cfg, "audit", t0, report.to_dict(), table, grid)
     return EXIT_OK if report.passed else EXIT_AUDIT_FAIL
 
 
@@ -219,16 +226,7 @@ def _cmd_pfunction(args) -> int:
     grid = _grid_from_config(cfg)
     field = _read_solution_csv(args.solution, grid)
     report = pfunction_suite(grid, field)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    emit_json(out_dir / "pfunction_report.json", {**report.to_dict(), "manifest": "pfunction.manifest.json"})
-    RunManifest(
-        subcommand="pfunction",
-        config=cfg.to_dict(),
-        grid_hash=grid.grid_hash(),
-        timing_seconds=time.perf_counter() - t0,
-        outputs=["pfunction_report.json"],
-    ).write(out_dir / "pfunction.manifest.json")
+    _write_run(cfg, "pfunction", t0, report.to_dict(), grid=grid)
     return EXIT_OK if report.passed else EXIT_AUDIT_FAIL
 
 
@@ -239,24 +237,12 @@ def _cmd_rigidity(args) -> int:
         report = convexity_contrast(cfg)
     else:
         report = deviation_scan(cfg)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    emit_json(out_dir / "rigidity_report.json", {**report.to_dict(), "manifest": "rigidity.manifest.json"})
     rows = [
         (r.epsilon, r.sigma, r.c_mean, r.c_formula, r.defect, r.audit_pass_rate == 1.0 and r.converged)
         for r in report.rows
     ]
-    emit_csv(
-        out_dir / "rigidity_report.csv",
-        ["epsilon", "sigma", "c_mean", "c_formula", "defect", "pass"],
-        rows,
-    )
-    RunManifest(
-        subcommand="rigidity",
-        config=cfg.to_dict(),
-        timing_seconds=time.perf_counter() - t0,
-        outputs=["rigidity_report.json", "rigidity_report.csv"],
-    ).write(out_dir / "rigidity.manifest.json")
+    table = ("rigidity_report.csv", ["epsilon", "sigma", "c_mean", "c_formula", "defect", "pass"], rows)
+    _write_run(cfg, "rigidity", t0, report.to_dict(), table)
     if any(not r.converged for r in report.rows):
         return EXIT_NO_CONVERGENCE
     return EXIT_OK if report.passed else EXIT_AUDIT_FAIL
@@ -266,20 +252,9 @@ def _cmd_convergence(args) -> int:
     cfg = _load_config(args)
     t0 = time.perf_counter()
     rows = convergence_study(cfg)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    emit_json(out_dir / "convergence_report.json", {"rows": rows, "manifest": "convergence.manifest.json"})
-    emit_csv(
-        out_dir / "convergence_report.csv",
-        ["grid", "h", "err_inf", "err_l2", "order_inf", "order_l2"],
-        [(r["grid"], r["h"], r["err_inf"], r["err_l2"], r["order_inf"], r["order_l2"]) for r in rows],
-    )
-    RunManifest(
-        subcommand="convergence",
-        config=cfg.to_dict(),
-        timing_seconds=time.perf_counter() - t0,
-        outputs=["convergence_report.json", "convergence_report.csv"],
-    ).write(out_dir / "convergence.manifest.json")
+    header = ["grid", "h", "err_inf", "err_l2", "order_inf", "order_l2"]
+    table = ("convergence_report.csv", header, [[r[key] for key in header] for r in rows])
+    _write_run(cfg, "convergence", t0, {"rows": rows}, table)
     if any(not r["converged"] for r in rows):
         return EXIT_NO_CONVERGENCE
     return EXIT_OK

@@ -8,7 +8,7 @@ inequality and the Neumann-data consistency of the constant c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -147,13 +147,9 @@ class AuditReport:
         return sum(1 for c in judged if c.passed) / len(judged)
 
     def to_dict(self) -> dict:
-        return {
-            "checks": [c.to_dict() for c in self.checks],
-            "masked_cells": self.masked_cells,
-            "total_cells": self.total_cells,
-            "passed": self.passed,
-            "pass_rate": self.pass_rate,
-        }
+        # each check renders through AuditCheck.to_dict, which leaves out an empty extras
+        checks = [c.to_dict() for c in self.checks]
+        return {**asdict(self), "checks": checks, "passed": self.passed, "pass_rate": self.pass_rate}
 
 
 def tol_discrete(grid: SectorGrid, scale: float, factor: float = 5.0) -> float:

@@ -34,7 +34,7 @@ class BoundaryRadius:
     def __post_init__(self):
         if not self.R0 > 0:
             raise ValueError("R0 must be positive")
-        if self.epsilon < 0 or self.epsilon >= 1.0:
+        if not (0 <= self.epsilon < 1.0):
             raise ValueError("perturbation amplitude must lie in [0, 1)")
         if self.k < 1:
             raise ValueError("perturbation mode k must be a positive integer")

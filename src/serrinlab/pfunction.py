@@ -10,7 +10,7 @@ radial ODE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
@@ -260,22 +260,7 @@ class PFieldReport:
         return all(self.verdicts.values())
 
     def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "c_squared": self.c_squared,
-            "max_P": self.max_P,
-            "min_P": self.min_P,
-            "max_P_minus_c2": self.max_P_minus_c2,
-            "delta_P_min": self.delta_P_min,
-            "delta_P_violation_fraction": self.delta_P_violation_fraction,
-            "wall_dP_dnu_max": self.wall_dP_dnu_max,
-            "hessian_defect": self.hessian_defect,
-            "step3_lhs": self.step3_lhs,
-            "step3_rhs": self.step3_rhs,
-            "step3_residual": self.step3_residual,
-            "verdicts": dict(self.verdicts),
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def pfunction_suite(grid: SectorGrid, u, N: int = 2, K: int | None = None) -> PFieldReport:

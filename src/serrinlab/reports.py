@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -121,14 +121,4 @@ class RunManifest:
     version: str = __version__
 
     def write(self, path) -> Path:
-        return emit_json(
-            path,
-            {
-                "subcommand": self.subcommand,
-                "config": self.config,
-                "grid_hash": self.grid_hash,
-                "timing_seconds": self.timing_seconds,
-                "outputs": list(self.outputs),
-                "version": self.version,
-            },
-        )
+        return emit_json(path, asdict(self))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -80,7 +80,7 @@ class ExperimentConfig:
         if not self.R0 > 0:
             raise ValueError("R0 must be positive")
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        if any(e < 0 or e >= 1 for e in self.epsilons):
+        if any(not (0 <= e < 1) for e in self.epsilons):
             raise ValueError("epsilon values must lie in [0, 1)")
         if self.k < 1:
             raise ValueError("perturbation mode k must be positive")
@@ -90,8 +90,8 @@ class ExperimentConfig:
             raise ValueError("grid list must be strictly increasing")
         if self.space_form != "euclidean" and self.profile != "laplacian":
             raise ValueError("space-form runs use the linear operator; profile must be 'laplacian'")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.omega is not None and not (math.isfinite(self.omega) and self.omega > 0):
             raise ValueError(f"omega must be finite and positive, got {self.omega}")
 
@@ -100,18 +100,7 @@ class ExperimentConfig:
         return [_parse_grid(g) for g in self.grids]
 
     def to_dict(self) -> dict:
-        return {
-            "space_form": self.space_form,
-            "profile": self.profile,
-            "alpha": self.alpha,
-            "R0": self.R0,
-            "epsilons": list(self.epsilons),
-            "k": self.k,
-            "grids": list(self.grids),
-            "tol": self.tol,
-            "omega": self.omega,
-            "out_dir": self.out_dir,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -134,16 +123,7 @@ class RigidityRow:
     converged: bool
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "sigma": self.sigma,
-            "sigma_max": self.sigma_max,
-            "c_mean": self.c_mean,
-            "c_formula": self.c_formula,
-            "defect": self.defect,
-            "audit_pass_rate": self.audit_pass_rate,
-            "converged": self.converged,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -169,20 +149,14 @@ class RigidityReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "grid": self.grid,
-            "rows": [r.to_dict() for r in self.rows],
-            "judged": self.judged,
-            "sigma_strictly_increasing": self.sigma_strictly_increasing,
-            "passed": self.passed,
-        }
+        verdicts = {"sigma_strictly_increasing": self.sigma_strictly_increasing, "passed": self.passed}
+        return {**asdict(self), **verdicts}
 
 
 def _solve_on(grid, config: ExperimentConfig):
     profile = profile_from_id(config.profile)
     if grid.cone.space_form.curvature != 0:
-        return solve_linear_spaceform(grid, 2)
+        return solve_linear_spaceform(grid, 2, tol=config.tol)
     return solve_Lf(grid, profile, tol=config.tol, omega=config.omega)
 
 

@@ -15,7 +15,7 @@ u_rr + (h_dot/h) u_r + u_thth/h^2 + N K u = -1.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -93,13 +93,7 @@ class SolveReport:
     message: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "final_residual": self.final_residual,
-            "epsilon_schedule": list(self.epsilon_schedule),
-            "converged": self.converged,
-            "message": self.message,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -366,20 +360,12 @@ def solve_linear_spaceform(grid: SectorGrid, N: int = 2, K: int | None = None, t
     lu = _factor(A)
     x = None if lu is None else lu.solve(b)
     if x is None or not np.all(np.isfinite(x)):
-        report = SolveReport(
-            iterations=1,
-            final_residual=float("inf"),
-            converged=False,
-            message="linear solve produced non-finite values (operator indefinite or singular)",
-        )
-        return ScalarField(grid, np.zeros((grid.Nr, grid.Nt))), report
-    res = _scaled_residual(A, x, b)
-    report = SolveReport(
-        iterations=1,
-        final_residual=res,
-        converged=res <= tol,
-        message="" if res <= tol else f"residual {res:.3e} above tolerance {tol:.1e}",
-    )
+        x, res = np.zeros(grid.n_cells), float("inf")
+        message = "linear solve produced non-finite values (operator indefinite or singular)"
+    else:
+        res = _scaled_residual(A, x, b)
+        message = "" if res <= tol else f"residual {res:.3e} above tolerance {tol:.1e}"
+    report = SolveReport(iterations=1, final_residual=res, converged=not message, message=message)
     return ScalarField(grid, x.reshape(grid.Nr, grid.Nt)), report
 
 
@@ -450,6 +436,11 @@ def solve_Lf(
     b = -np.ones(grid.n_cells)
     lu = a_lu = None  # the last factor and the coefficient it was built from
     total_iters = 0
+
+    def result(res, message=""):
+        report = SolveReport(total_iters, res, schedule, converged=not message, message=message)
+        return ScalarField(grid, u), report
+
     halved = False
     res = float("inf")
     for stage, eps in enumerate(schedule):
@@ -484,13 +475,7 @@ def solve_Lf(
                     hist_f.clear()
                     hist_g.clear()
                 else:
-                    return ScalarField(grid, u), SolveReport(
-                        iterations=total_iters,
-                        final_residual=res,
-                        epsilon_schedule=schedule,
-                        converged=False,
-                        message=f"Picard stalled at epsilon={eps} (omega={omega})",
-                    )
+                    return result(res, f"Picard stalled at epsilon={eps} (omega={omega})")
             total_iters += 1
             # lu is only set once a step has solved, so x holds the last solution
             x = None if lu is None else _stale_solve(lu, A, b, x.ravel())
@@ -499,13 +484,7 @@ def solve_Lf(
                 lu, a_lu = _factor(A), a
                 x = None if lu is None else lu.solve(b)
             if x is None or not np.all(np.isfinite(x)):
-                return ScalarField(grid, u), SolveReport(
-                    iterations=total_iters,
-                    final_residual=float("inf"),
-                    epsilon_schedule=schedule,
-                    converged=False,
-                    message=f"linear stage solve failed at epsilon={eps}",
-                )
+                return result(float("inf"), f"linear stage solve failed at epsilon={eps}")
             x = x.reshape(grid.Nr, grid.Nt)
             g = (1.0 - omega) * u + omega * x
             if stage > 0:
@@ -518,22 +497,8 @@ def solve_Lf(
                     g = g - (dG @ gamma).reshape(grid.Nr, grid.Nt)
             u = g
         if not stage_done and stage == len(schedule) - 1:
-            return ScalarField(grid, u), SolveReport(
-                iterations=total_iters,
-                final_residual=res,
-                epsilon_schedule=schedule,
-                converged=False,
-                message=f"iteration cap {max_iters} hit at epsilon={eps}",
-            )
-
-    converged = res <= tol
-    return ScalarField(grid, u), SolveReport(
-        iterations=total_iters,
-        final_residual=res,
-        epsilon_schedule=schedule,
-        converged=converged,
-        message="" if converged else f"final residual {res:.3e} above {tol:.1e}",
-    )
+            return result(res, f"iteration cap {max_iters} hit at epsilon={eps}")
+    return result(res, "" if res <= tol else f"final residual {res:.3e} above {tol:.1e}")
 
 
 # ---------------------------------------------------------------------------

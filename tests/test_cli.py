@@ -228,14 +228,75 @@ def test_solution_csv_rejections(tmp_path, capsys, solved_8x8, corrupt, message)
 
 
 @pytest.mark.parametrize(
-    "omega, code",
+    "option, code",
     [("0", cli.EXIT_CONFIG), ("-1", cli.EXIT_CONFIG), ("nan", cli.EXIT_CONFIG),
-     ("inf", cli.EXIT_CONFIG), ("1.5", cli.EXIT_OK)],
+     ("inf", cli.EXIT_CONFIG), ("1.5", cli.EXIT_OK),
+     ("--tol=inf", cli.EXIT_CONFIG), ("--tol=nan", cli.EXIT_CONFIG), ("--eps=nan", cli.EXIT_CONFIG)],
 )
-def test_solve_omega_must_be_finite_and_positive(tmp_path, capsys, omega, code):
-    # a bad damping weight is a config error, not a stalled solve; over-relaxation stays allowed
+def test_solve_omega_must_be_finite_and_positive(tmp_path, capsys, option, code):
+    # a bad damping weight, tolerance or epsilon is a config error, not a stalled or
+    # trivially converged solve; over-relaxation stays allowed.  A bare value is an omega.
+    flag = option if option.startswith("--") else f"--omega={option}"
     cfg = write_config(tmp_path, profile="p-laplacian:3", out_dir=str(tmp_path / "run"))
-    assert cli.main(["solve", "--config", str(cfg), f"--omega={omega}"]) == code
+    assert cli.main(["solve", "--config", str(cfg), flag]) == code
     if code == cli.EXIT_CONFIG:
-        assert "omega" in capsys.readouterr().err
+        assert flag[2:flag.index("=")] in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "rigidity"])
+def test_tol_applies_to_space_form_solves(tmp_path, command):
+    # the linear space-form solve meets the requested tolerance or reports non-convergence
+    args = [command, "--space-form", "hyperbolic", "--grid", "16x16", "--out-dir", str(tmp_path / "run")]
+    assert cli.main(args + ["--tol", "1e-20"]) == cli.EXIT_NO_CONVERGENCE
+    assert cli.main(args + ["--tol", "1e-8"]) == cli.EXIT_OK
+
+
+CONFIG_KEYS = {"space_form", "profile", "alpha", "R0", "epsilons", "k", "grids", "tol", "omega", "out_dir"}
+MANIFEST_KEYS = {"subcommand", "config", "grid_hash", "timing_seconds", "outputs", "version"}
+REPORT_KEYS = {
+    "solve": {"iterations", "final_residual", "epsilon_schedule", "converged", "message"},
+    "audit": {"checks", "masked_cells", "total_cells", "passed", "pass_rate"},
+    "pfunction": {
+        "c", "c_squared", "max_P", "min_P", "max_P_minus_c2", "delta_P_min",
+        "delta_P_violation_fraction", "wall_dP_dnu_max", "hessian_defect",
+        "step3_lhs", "step3_rhs", "step3_residual", "verdicts", "passed",
+    },
+    "rigidity": {"config", "grid", "rows", "judged", "sigma_strictly_increasing", "passed"},
+    "convergence": {"rows"},
+}
+RIGIDITY_ROW_KEYS = {
+    "epsilon", "sigma", "sigma_max", "c_mean", "c_formula", "defect", "audit_pass_rate", "converged",
+}
+AUDIT_CHECK_KEYS = {"name", "value", "tolerance", "passed"}
+
+
+def test_report_schemas_and_manifest_outputs(tmp_path):
+    # a field added to a report dataclass changes these key sets on purpose
+    base = ["--grid", "16x16", "--R0", "1.0"]
+    conv = tmp_path / "convergence.json"
+    conv.write_text(json.dumps({"grids": ["16x16", "32x32", "64x64"], "epsilons": [0.0]}))
+    runs = [
+        ("solve", "solve", base),
+        ("solve", "solve_h", base + ["--space-form", "hyperbolic"]),
+        ("audit", "audit", base + ["--solution", str(tmp_path / "solve" / "solution.csv")]),
+        ("pfunction", "pfunction",
+         base + ["--space-form", "hyperbolic", "--solution", str(tmp_path / "solve_h" / "solution.csv")]),
+        ("rigidity", "rigidity", base),
+        ("convergence", "convergence", ["--config", str(conv)]),
+    ]
+    for command, name, args in runs:
+        out = tmp_path / name
+        assert cli.main([command, *args, "--out-dir", str(out)]) == cli.EXIT_OK, name
+        report = json.loads((out / f"{command}_report.json").read_text())
+        assert set(report) == REPORT_KEYS[command] | {"manifest"}, name
+        manifest = json.loads((out / report["manifest"]).read_text())
+        assert set(manifest) == MANIFEST_KEYS
+        assert set(manifest["config"]) == CONFIG_KEYS
+        assert {p.name for p in out.iterdir()} == {*manifest["outputs"], report["manifest"]}, name
+        if command == "audit":
+            keys = {frozenset(c) for c in report["checks"]}
+            assert keys == {frozenset(AUDIT_CHECK_KEYS), frozenset(AUDIT_CHECK_KEYS | {"extras"})}
+        if command == "rigidity":
+            assert set(report["config"]) == CONFIG_KEYS
+            assert all(set(row) == RIGIDITY_ROW_KEYS for row in report["rows"])
