@@ -143,6 +143,7 @@ def _read_solution_csv(path, grid) -> ScalarField:
 
 
 def _cmd_oracle(args) -> int:
+    t0 = time.perf_counter()
     sf = space_form_from_id(args.space_form)
     profile = profile_from_id(args.profile)
     if sf.curvature == 0:
@@ -172,7 +173,6 @@ def _cmd_oracle(args) -> int:
         return EXIT_OK
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
     csv_path = emit_csv(out_dir / "oracle.csv", header, rows)
     RunManifest(
         subcommand="oracle",

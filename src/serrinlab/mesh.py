@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -17,10 +18,17 @@ from .spaceforms import ConeSection
 
 __all__ = [
     "BoundaryRadius",
+    "require_mode",
     "SectorGrid",
     "build_grid",
     "boundary_measures",
 ]
+
+
+def require_mode(k) -> None:
+    """Reject a perturbation mode k that is not an integer >= 1 (a bool is not one)."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"perturbation mode k must be a positive integer, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -36,8 +44,7 @@ class BoundaryRadius:
             raise ValueError("R0 must be positive")
         if not (0 <= self.epsilon < 1.0):
             raise ValueError("perturbation amplitude must lie in [0, 1)")
-        if self.k < 1:
-            raise ValueError("perturbation mode k must be a positive integer")
+        require_mode(self.k)
 
     def __call__(self, theta):
         theta = np.asarray(theta, dtype=float)

@@ -9,6 +9,7 @@ perturbations, together with the matrix/Hessian defects the proofs pivot on.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -16,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .identities import identity_suite
-from .mesh import BoundaryRadius, build_grid
+from .mesh import BoundaryRadius, build_grid, require_mode
 from .oracles import (
     RadialSolutionEuclidean,
     RadialSolutionSpaceForm,
@@ -59,6 +60,11 @@ def _parse_grid(spec) -> tuple:
     return int(parts[0]), int(parts[1])
 
 
+def _require_real(key: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     space_form: str = "euclidean"
@@ -75,6 +81,10 @@ class ExperimentConfig:
     def __post_init__(self):
         space_form_from_id(self.space_form)  # validates
         profile_from_id(self.profile)
+        for key in ("alpha", "R0", "tol") + (("omega",) if self.omega is not None else ()):
+            _require_real(key, getattr(self, key))
+        for i, e in enumerate(self.epsilons):
+            _require_real(f"epsilons[{i}]", e)
         if not 0.0 < self.alpha <= 2.0 * math.pi:
             raise ValueError(f"alpha must lie in (0, 2*pi], got {self.alpha}")
         if not self.R0 > 0:
@@ -82,8 +92,7 @@ class ExperimentConfig:
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         if any(not (0 <= e < 1) for e in self.epsilons):
             raise ValueError("epsilon values must lie in [0, 1)")
-        if self.k < 1:
-            raise ValueError("perturbation mode k must be positive")
+        require_mode(self.k)
         object.__setattr__(self, "grids", tuple(f"{a}x{b}" for a, b in map(_parse_grid, self.grids)))
         sizes = [_parse_grid(g) for g in self.grids]
         if any(s2 <= s1 for (s1, _), (s2, _) in zip(sizes, sizes[1:])):

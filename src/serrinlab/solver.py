@@ -384,15 +384,20 @@ def solve_Lf(
     epsilon regularization) and solves the linear anisotropic problem for
     x = A(a)^{-1} b.  Stages walk down the epsilon schedule with warm starts.
 
-    The first stage starts cold from u = 0 and takes the damped Picard step
-    u_{k+1} = g_k = u_k + omega (x - u_k).  Every later, warm-started stage
-    mixes the damped steps by type-II Anderson acceleration (Walker & Ni 2011)
-    over the last ANDERSON_WINDOW iterations: with f_k = x - u_k,
-    u_{k+1} = g_k - dG gamma, where gamma minimizes ||f_k - dF gamma||_2 over
-    the differences dF, dG of successive f and g.  omega is the damping weight
-    of both kinds of update.  If the scaled residual stops improving, omega
-    is halved once and the mixing history is cleared; a second stall ends the
-    solve with converged=False.
+    The first stage starts from the closed form of the unperturbed sector,
+    u0 = N (g(R(theta)/N) - g(s R(theta)/N)) on the cell centers, each column
+    at its own radius, which vanishes on Gamma_0.  That start needs the
+    profile's conjugate g and max R(theta)/N below profile.slope_sup, where g
+    is finite; otherwise the first stage starts cold from u = 0 and takes the
+    damped Picard step u_{k+1} = g_k = u_k + omega (x - u_k).  Every
+    warm-started stage (every later stage, and the first when it starts from
+    the radial profile) mixes the damped steps by type-II Anderson
+    acceleration (Walker & Ni 2011) over the last ANDERSON_WINDOW iterations:
+    with f_k = x - u_k, u_{k+1} = g_k - dG gamma, where gamma minimizes
+    ||f_k - dF gamma||_2 over the differences dF, dG of successive f and g.
+    omega is the damping weight of both kinds of update.  If the scaled
+    residual stops improving, omega is halved once and the mixing history is
+    cleared; a second stall ends the solve with converged=False.
 
     The linear solves reuse the last SuperLU factor lu, built from the
     coefficient a_lu.  While the ratio r = a / a_lu over the cells has
@@ -420,7 +425,14 @@ def solve_Lf(
         omega = 1.0 if (p is not None and 2.0 <= p <= 3.0) else 0.5
 
     N, K = 2, 0
-    u = np.zeros((grid.Nr, grid.Nt))
+    # the radial start is defined only below the profile's slope bound, where g is finite
+    warm = profile.g is not None and grid.radius.max_radius / N < profile.slope_sup
+    if warm:
+        # the unperturbed sector's closed form, each column at its own radius R(theta)
+        R = grid.R_centers[None, :] / N
+        u = N * (profile.g(R) - profile.g(grid.s_centers[:, None] * R))
+    else:
+        u = np.zeros((grid.Nr, grid.Nt))
 
     def speed(v):
         vr, vt = metric_gradient(grid, v, kind="solution")
@@ -487,7 +499,7 @@ def solve_Lf(
                 return result(float("inf"), f"linear stage solve failed at epsilon={eps}")
             x = x.reshape(grid.Nr, grid.Nt)
             g = (1.0 - omega) * u + omega * x
-            if stage > 0:
+            if warm or stage > 0:
                 hist_f.append((x - u).ravel())
                 hist_g.append(g.ravel())
                 if len(hist_f) > 1:

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -89,6 +90,21 @@ def test_oracle_subcommand(tmp_path):
     assert abs(float(last[4]) - math.tanh(1.0) / 2.0) <= 1e-12
 
 
+def test_oracle_manifest_times_the_whole_run(tmp_path, monkeypatch):
+    real = cli.euclid_u
+
+    def slow_u(sol, rho):
+        time.sleep(0.05)
+        return real(sol, rho)
+
+    monkeypatch.setattr(cli, "euclid_u", slow_u)
+    assert cli.main([
+        "oracle", "--profile", "p-laplacian:3", "--samples", "4", "--out-dir", str(tmp_path),
+    ]) == 0
+    manifest = json.loads((tmp_path / "oracle.manifest.json").read_text())
+    assert manifest["timing_seconds"] >= 0.2, manifest["timing_seconds"]
+
+
 def test_oracle_prints_to_stdout(capsys):
     assert cli.main(["oracle", "--profile", "p-laplacian:3", "--samples", "4"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -132,6 +148,19 @@ def test_config_error_exit(tmp_path):
     assert cli.main(["solve", "--config", str(bad)]) == cli.EXIT_CONFIG
     missing_cmd = cli.main([])
     assert missing_cmd == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("k", 2.5), ("k", True), ("tol", "1e-8"), ("omega", "1"), ("alpha", "1.5"), ("epsilon", "0.1")],
+)
+def test_config_rejects_mistyped_values(tmp_path, capsys, key, value):
+    # a JSON config is checked for types before it is compared, and the error names the key
+    cfg = write_config(tmp_path, **{key: value}, out_dir=str(tmp_path / "run"))
+    assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert {"k": "mode k", "epsilon": "epsilons[0]"}.get(key, key) in err, err
+    assert not (tmp_path / "run").exists()
 
 
 def test_solver_nonconvergence_exit(tmp_path, monkeypatch):
