@@ -79,10 +79,6 @@ def _solution_table(grid, field):
     return "solution.csv", ["r", "theta", "u"], rows
 
 
-def _write_solution_csv(path, grid, field):
-    emit_csv(path, *_solution_table(grid, field)[1:])
-
-
 def _write_run(cfg: ExperimentConfig, subcommand: str, t0: float, report: dict, table=None, grid=None):
     """Write one run's files into cfg.out_dir, then its manifest listing them.
 
@@ -144,6 +140,8 @@ def _read_solution_csv(path, grid) -> ScalarField:
 
 def _cmd_oracle(args) -> int:
     t0 = time.perf_counter()
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     sf = space_form_from_id(args.space_form)
     profile = profile_from_id(args.profile)
     if sf.curvature == 0:

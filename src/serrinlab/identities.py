@@ -152,9 +152,9 @@ class AuditReport:
         return {**asdict(self), "checks": checks, "passed": self.passed, "pass_rate": self.pass_rate}
 
 
-def tol_discrete(grid: SectorGrid, scale: float, factor: float = 5.0) -> float:
-    """Default discrete tolerance 5 * (grid h) * (field scale), reported openly."""
-    return factor * grid_h(grid) * max(abs(scale), 1e-300)
+def tol_discrete(grid: SectorGrid, scale: float) -> float:
+    """Discrete tolerance 5 * (grid h) * (field scale), reported openly."""
+    return 5.0 * grid_h(grid) * max(abs(scale), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +225,8 @@ def pohozaev_residual(grid: SectorGrid, u, profile: OperatorProfile):
         raise ValueError("the Pohozaev balance is Euclidean-specific")
     vals = np.asarray(u)
     N = 2
-    gf = gradient_field(grid, vals)
-    speed = np.hypot(gf.values[..., 0], gf.values[..., 1])
+    grad = gradient_field(grid, vals)
+    speed = np.hypot(grad[..., 0], grad[..., 1])
     lhs = float(np.sum(((N + 1) * vals - N * profile.f(speed)) * grid.area_weights))
 
     bnd_speed = np.abs(normal_derivative_gamma0(grid, vals))

@@ -9,7 +9,6 @@ passes exactly through the last cell face.
 from __future__ import annotations
 
 import hashlib
-import math
 import numbers
 from dataclasses import dataclass, field
 import numpy as np
@@ -21,7 +20,6 @@ __all__ = [
     "require_mode",
     "SectorGrid",
     "build_grid",
-    "boundary_measures",
 ]
 
 
@@ -126,28 +124,15 @@ class SectorGrid:
 
 
 def build_grid(
-    cone: ConeSection,
-    Nr: int,
-    Nt: int,
-    boundary_radius: BoundaryRadius | None = None,
-    R0: float = 1.0,
+    cone: ConeSection, Nr: int, Nt: int, boundary_radius: BoundaryRadius | None = None
 ) -> SectorGrid:
-    """Build a sector grid; the default boundary is the constant radius R0."""
+    """Build a sector grid; the default boundary is the unit circle R = 1."""
     if Nr < 8 or Nt < 8:
         raise ValueError("grid needs at least 8 cells per direction")
-    radius = boundary_radius if boundary_radius is not None else BoundaryRadius(R0)
+    radius = boundary_radius if boundary_radius is not None else BoundaryRadius(1.0)
     if radius.max_radius >= cone.space_form.r_max:
         raise ValueError(
             f"boundary radius {radius.max_radius} exceeds the radial interval "
             f"of {cone.space_form.name}"
         )
     return SectorGrid(cone=cone, Nr=Nr, Nt=Nt, radius=radius)
-
-
-def boundary_measures(grid: SectorGrid):
-    """Quadrature of the domain area and the Gamma_0 arc length.
-
-    The arc element for r = R(theta) in the metric dr^2 + h^2 dtheta^2 is
-    sqrt(R'(theta)^2 + h(R(theta))^2) dtheta.
-    """
-    return float(np.sum(grid.area_weights)), float(np.sum(grid.gamma0_weights))

@@ -62,10 +62,11 @@ class RadialSolutionEuclidean:
 
 @dataclass(frozen=True)
 class RadialSolutionSpaceForm:
+    """The geodesic ball of radius R about the pole of the model space."""
+
     space_form: SpaceForm
     dimension: int
     radius: float
-    center: tuple = (0.0, 0.0)  # polar (r0, theta0); default pole
 
     def __post_init__(self):
         if self.dimension < 2:
@@ -199,8 +200,8 @@ def overdetermined_constant(sol) -> float:
 def distance_field(sol, grid):
     """Geodesic distances from the solution center to the grid cell centers.
 
-    Euclidean centers are Cartesian pairs; space-form centers are polar pairs
-    relative to the pole of the model.
+    Euclidean centers are Cartesian pairs; a space-form solution is centered
+    at the pole of the model.
     """
     r = grid.r_centers
     theta = np.broadcast_to(grid.theta_centers[None, :], r.shape)
@@ -208,7 +209,7 @@ def distance_field(sol, grid):
         x0, y0 = float(sol.center[0]), float(sol.center[1])
         center = (float(np.hypot(x0, y0)), float(np.arctan2(y0, x0)))
         return geodesic_distance(grid.cone.space_form, (r, theta), center)
-    return geodesic_distance(sol.space_form, (r, theta), sol.center)
+    return geodesic_distance(sol.space_form, (r, theta), (0.0, 0.0))
 
 
 def sample_values(sol, grid):

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
+from .identities import tol_discrete
 from .mesh import SectorGrid
 from .oracles import RadialSolutionSpaceForm, overdetermined_constant
 from .solver import (
@@ -23,7 +24,6 @@ from .solver import (
     _cell_difference,
     _d_ds,
     _d_dtheta,
-    grid_h,
     laplace_beltrami_probe,
     metric_gradient,
     neumann_statistics,
@@ -45,10 +45,9 @@ __all__ = [
 _QUAD_KW = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
 
 
-def p_field(grid: SectorGrid, u, N: int = 2, K: int | None = None) -> ScalarField:
-    """P = |grad u|^2 + (2/N) u + K u^2 with the metric gradient."""
-    if K is None:
-        K = grid.cone.space_form.curvature
+def p_field(grid: SectorGrid, u) -> ScalarField:
+    """P = |grad u|^2 + (2/N) u + K u^2 with the metric gradient, N = 2 and K the grid's."""
+    N, K = 2, grid.cone.space_form.curvature
     vals = np.asarray(u)
     u_r, u_tan = metric_gradient(grid, vals, kind="solution")
     P = u_r**2 + u_tan**2 + (2.0 / N) * vals + K * vals * vals
@@ -66,7 +65,7 @@ def subharmonicity_probe(grid: SectorGrid, P):
     lap, valid = laplace_beltrami_probe(grid, vals)
     probed = lap[valid]
     scale = max(float(np.max(np.abs(vals))), 1e-30)
-    tol = 5.0 * grid_h(grid) * scale
+    tol = tol_discrete(grid, scale)
     min_lap = float(np.min(probed))
     frac = float(np.mean(probed < -tol))
     return min_lap, frac, tol
@@ -84,7 +83,7 @@ def wall_normal_derivative(grid: SectorGrid, P) -> np.ndarray:
     return np.stack([-p_theta_0 / h_w0, p_theta_a / h_wa])
 
 
-def max_principle_check(grid: SectorGrid, u, P, c: float | None = None):
+def max_principle_check(grid: SectorGrid, u, P):
     """Discrete maximum principle for P plus the wall sign condition.
 
     The judged bound is max_Omega P <= max_Gamma0 (du/dnu)^2: P is subharmonic
@@ -92,13 +91,12 @@ def max_principle_check(grid: SectorGrid, u, P, c: float | None = None):
     where P reduces to the squared Neumann data.  The rigid-reference gap
     max P - c^2 is recorded as data; it hugs zero exactly when the Neumann
     data is constant and turns positive on perturbed domains (the boundary
-    maximum exceeds the mean).  c defaults to the measured Gamma_0 mean.
+    maximum exceeds the mean).  c is the measured Gamma_0 mean.
     """
     vals = np.asarray(P)
-    if c is None:
-        c = neumann_statistics(grid, u)[0]
+    c = neumann_statistics(grid, u)[0]
     c2 = c * c
-    tol = 5.0 * grid_h(grid) * max(c2, 1e-30)
+    tol = tol_discrete(grid, max(c2, 1e-30))
     max_p = float(np.max(vals))
     boundary_p_max = float(np.max(normal_derivative_gamma0(grid, u) ** 2))
     wall = wall_normal_derivative(grid, P)
@@ -116,10 +114,12 @@ def max_principle_check(grid: SectorGrid, u, P, c: float | None = None):
     }
 
 
-def step3_identity(grid: SectorGrid, u, N: int = 2, K: int | None = None, c: float | None = None):
-    """Grid quadrature of c^2 int h_dot versus (1+2/N)(int h_dot u - K int h u u_r)."""
-    if K is None:
-        K = grid.cone.space_form.curvature
+def step3_identity(grid: SectorGrid, u, c: float | None = None):
+    """Grid quadrature of c^2 int h_dot versus (1+2/N)(int h_dot u - K int h u u_r).
+
+    N = 2 and K is the grid's; c defaults to the measured Gamma_0 mean.
+    """
+    N, K = 2, grid.cone.space_form.curvature
     vals = np.asarray(u)
     if c is None:
         c = neumann_statistics(grid, u)[0]
@@ -161,15 +161,14 @@ def step3_identity_analytic(sol: RadialSolutionSpaceForm):
     return lhs, rhs, lhs - rhs
 
 
-def hessian_proportionality_defect(grid: SectorGrid, u, N: int = 2, K: int | None = None) -> float:
+def hessian_proportionality_defect(grid: SectorGrid, u) -> float:
     """Max metric-normalized deviation of the covariant Hessian from (-1/N - K u) g.
 
-    Coordinate second derivatives are corrected by the warped-product
-    Christoffel terms; raw second differences would fail the check even for
-    radial oracles.
+    N = 2 and K is the grid's.  Coordinate second derivatives are corrected
+    by the warped-product Christoffel terms; raw second differences would
+    fail the check even for radial oracles.
     """
-    if K is None:
-        K = grid.cone.space_form.curvature
+    N, K = 2, grid.cone.space_form.curvature
     vals = np.asarray(u)
     sf = grid.cone.space_form
     R = grid.R_centers[None, :]
@@ -263,17 +262,15 @@ class PFieldReport:
         return {**asdict(self), "passed": self.passed}
 
 
-def pfunction_suite(grid: SectorGrid, u, N: int = 2, K: int | None = None) -> PFieldReport:
+def pfunction_suite(grid: SectorGrid, u) -> PFieldReport:
     """Full P-function audit of one field on a space-form grid."""
-    if K is None:
-        K = grid.cone.space_form.curvature
-    P = p_field(grid, u, N, K)
+    P = p_field(grid, u)
     mp = max_principle_check(grid, u, P)
     dp_min, frac, _dp_tol = subharmonicity_probe(grid, P)
     wall_max = mp["wall_dP_dnu_max"]
-    defect = hessian_proportionality_defect(grid, u, N, K)
-    lhs, rhs, resid = step3_identity(grid, u, N, K, c=mp["c"])
-    tol_step3 = 5.0 * grid_h(grid) * max(abs(lhs), abs(rhs), 1e-30)
+    defect = hessian_proportionality_defect(grid, u)
+    lhs, rhs, resid = step3_identity(grid, u, c=mp["c"])
+    tol_step3 = tol_discrete(grid, max(abs(lhs), abs(rhs), 1e-30))
     verdicts = {
         "max_principle": mp["interior_bound_ok"],
         "wall_sign": mp["wall_sign_ok"],

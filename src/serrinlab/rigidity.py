@@ -94,6 +94,8 @@ class ExperimentConfig:
             raise ValueError("epsilon values must lie in [0, 1)")
         require_mode(self.k)
         object.__setattr__(self, "grids", tuple(f"{a}x{b}" for a, b in map(_parse_grid, self.grids)))
+        if not self.grids:
+            raise ValueError("grids must name at least one grid")
         sizes = [_parse_grid(g) for g in self.grids]
         if any(s2 <= s1 for (s1, _), (s2, _) in zip(sizes, sizes[1:])):
             raise ValueError("grid list must be strictly increasing")
@@ -200,8 +202,11 @@ def deviation_scan(config: ExperimentConfig, judged: bool = True) -> RigidityRep
 
     Solver non-convergence is recorded per row without aborting the scan.
     Independent epsilon cases may run on a small thread pool (SERRIN_THREADS);
-    rows are assembled in ladder order either way.
+    rows are assembled in ladder order either way.  An empty ladder checks
+    nothing and is rejected.
     """
+    if not config.epsilons:
+        raise ValueError("the deviation scan needs at least one value in epsilons")
     size = config.grid_sizes[0]
     workers = min(thread_budget(), max(1, len(config.epsilons)))
     if workers > 1:

@@ -28,7 +28,6 @@ from .profiles import OperatorProfile, regularize
 
 __all__ = [
     "ScalarField",
-    "VectorField",
     "MatrixField",
     "SolveReport",
     "solve_linear_spaceform",
@@ -44,7 +43,9 @@ __all__ = [
     "grid_h",
 ]
 
-DEFAULT_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
+# the regularization epsilons of the Picard stages, and the step cap of each stage
+SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
+MAX_ITERS = 80
 ANDERSON_WINDOW = 5
 # a Picard step reuses the last factor while max(a / a_lu) <= REUSE_SPREAD * min(a / a_lu)
 REUSE_SPREAD = 1.5
@@ -65,12 +66,6 @@ class ScalarField:
     def __array__(self, dtype=None, copy=None):
         a = np.asarray(self.values, dtype=dtype)
         return a.copy() if copy else a
-
-
-@dataclass
-class VectorField:
-    grid: SectorGrid
-    values: np.ndarray  # (Nr, Nt, 2), Cartesian components
 
 
 @dataclass
@@ -343,18 +338,14 @@ def _scaled_residual(A, x, b) -> float:
     return float(np.max(r / scale))
 
 
-def solve_linear_spaceform(grid: SectorGrid, N: int = 2, K: int | None = None, tol: float = 1e-9):
+def solve_linear_spaceform(grid: SectorGrid, N: int = 2, tol: float = 1e-9):
     """Solve Delta u + N K u = -1 with u = 0 on Gamma_0, du/dnu = 0 on walls.
 
-    K defaults to the grid's space-form curvature.  Failure to meet the
-    residual tolerance (singular or indefinite operator, e.g. large spherical
-    caps) is reported, not raised.
+    K is the grid's space-form curvature.  Failure to meet the residual
+    tolerance (singular or indefinite operator, e.g. large spherical caps) is
+    reported, not raised.
     """
-    sf_K = grid.cone.space_form.curvature
-    if K is None:
-        K = sf_K
-    if K != sf_K:
-        raise ValueError(f"K={K} does not match the grid space form (K={sf_K})")
+    K = grid.cone.space_form.curvature
     A = _operator_matrix(grid, N, K)(np.ones((grid.Nr, grid.Nt)))
     b = -np.ones(grid.n_cells)
     lu = _factor(A)
@@ -369,20 +360,14 @@ def solve_linear_spaceform(grid: SectorGrid, N: int = 2, K: int | None = None, t
     return ScalarField(grid, x.reshape(grid.Nr, grid.Nt)), report
 
 
-def solve_Lf(
-    grid: SectorGrid,
-    profile: OperatorProfile,
-    schedule=None,
-    tol: float = 1e-8,
-    omega: float | None = None,
-    max_iters: int = 80,
-):
+def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, omega: float | None = None):
     """Picard continuation for L_f u = -1 on a Euclidean sector grid.
 
     Each iteration freezes the coefficient a(x) = f_eps'(|grad u|)/|grad u| of
     the current iterate u_k (continuous at critical points thanks to the
     epsilon regularization) and solves the linear anisotropic problem for
-    x = A(a)^{-1} b.  Stages walk down the epsilon schedule with warm starts.
+    x = A(a)^{-1} b.  Stages walk down the epsilon SCHEDULE with warm starts,
+    each capped at MAX_ITERS steps.
 
     The first stage starts from the closed form of the unperturbed sector,
     u0 = N (g(R(theta)/N) - g(s R(theta)/N)) on the cell centers, each column
@@ -410,15 +395,6 @@ def solve_Lf(
     """
     if grid.cone.space_form.curvature != 0:
         raise ValueError("the quasilinear solver is Euclidean-only; use solve_linear_spaceform")
-    if schedule is None:
-        schedule = list(DEFAULT_SCHEDULE)
-    schedule = [float(e) for e in schedule]
-    if any(e <= 0 for e in schedule) or any(
-        b >= a for a, b in zip(schedule, schedule[1:])
-    ):
-        raise ValueError("epsilon schedule must be positive and strictly decreasing")
-    if schedule[-1] < 1e-6:
-        raise ValueError("last epsilon must stay at or above 1e-6")
 
     p = profile.degeneracy_exponent
     if omega is None:
@@ -440,8 +416,8 @@ def solve_Lf(
 
     if profile.is_laplacian:
         # a is identically 1: a single linear solve is exact
-        field_, rep = solve_linear_spaceform(grid, N=2, K=0, tol=tol)
-        rep.epsilon_schedule = schedule
+        field_, rep = solve_linear_spaceform(grid, N, tol=tol)
+        rep.epsilon_schedule = list(SCHEDULE)
         return field_, rep
 
     matrix = _operator_matrix(grid, N, K)
@@ -450,21 +426,21 @@ def solve_Lf(
     total_iters = 0
 
     def result(res, message=""):
-        report = SolveReport(total_iters, res, schedule, converged=not message, message=message)
+        report = SolveReport(total_iters, res, list(SCHEDULE), converged=not message, message=message)
         return ScalarField(grid, u), report
 
     halved = False
     res = float("inf")
-    for stage, eps in enumerate(schedule):
+    for stage, eps in enumerate(SCHEDULE):
         reg = regularize(profile, eps)
-        stage_tol = tol if stage == len(schedule) - 1 else max(tol, 1e-2 * eps)
+        stage_tol = tol if stage == len(SCHEDULE) - 1 else max(tol, 1e-2 * eps)
         best = float("inf")
         no_improvement = 0
         stage_done = False
         # Anderson history: the last ANDERSON_WINDOW + 1 residuals f and damped steps g
         hist_f = deque(maxlen=ANDERSON_WINDOW + 1)
         hist_g = deque(maxlen=ANDERSON_WINDOW + 1)
-        for _ in range(max_iters):
+        for _ in range(MAX_ITERS):
             a = reg.coefficient(speed(u))
             if lu is not None:
                 ratio = a / a_lu
@@ -508,9 +484,9 @@ def solve_Lf(
                     gamma = np.linalg.lstsq(dF, hist_f[-1], rcond=None)[0]
                     g = g - (dG @ gamma).reshape(grid.Nr, grid.Nt)
             u = g
-        if not stage_done and stage == len(schedule) - 1:
-            return result(res, f"iteration cap {max_iters} hit at epsilon={eps}")
-    return result(res, "" if res <= tol else f"final residual {res:.3e} above {tol:.1e}")
+        if not stage_done and stage == len(SCHEDULE) - 1:
+            return result(res, f"iteration cap {MAX_ITERS} hit at epsilon={eps}")
+    return result(res)
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +522,11 @@ def neumann_statistics(grid: SectorGrid, u):
     return mean, spread, float(np.max(np.abs(dn - mean)))
 
 
-def gradient_field(grid: SectorGrid, u) -> VectorField:
-    """Cell-centered gradient in Cartesian components (Euclidean grids only)."""
+def gradient_field(grid: SectorGrid, u) -> np.ndarray:
+    """Cell-centered gradient, Cartesian components last (Euclidean grids only)."""
     if grid.cone.space_form.curvature != 0:
         raise ValueError("Cartesian gradient components require the Euclidean space form")
-    grad = _cartesian_derivatives(grid, np.asarray(u), "solution")
-    return VectorField(grid, np.stack(grad, axis=-1))
+    return np.stack(_cartesian_derivatives(grid, np.asarray(u), "solution"), axis=-1)
 
 
 def _cartesian_derivatives(grid: SectorGrid, q: np.ndarray, kind: str):
@@ -568,7 +543,7 @@ def mapped_gradient(grid: SectorGrid, u, profile: OperatorProfile):
     Degenerate cells, where |grad u| <= 1e-8 max |grad u| (every cell of a
     constant field), get V = 0.
     """
-    grad = gradient_field(grid, u).values
+    grad = gradient_field(grid, u)
     speed = np.hypot(grad[..., 0], grad[..., 1])
     degenerate = speed <= 1e-8 * float(speed.max())
     safe = np.where(degenerate, 1.0, speed)

@@ -105,13 +105,10 @@ class ConeSection:
 
     space_form: SpaceForm
     alpha: float
-    dimension: int = 2
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0 * math.pi:
             raise ValueError(f"opening angle must lie in (0, 2*pi], got {self.alpha}")
-        if self.dimension < 2:
-            raise ValueError("dimension must be at least 2")
 
     @property
     def convex(self) -> bool:

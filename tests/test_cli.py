@@ -19,6 +19,9 @@ def write_config(tmp_path, **overrides):
         "epsilon": 0.0,
     }
     base.update(overrides)
+    for plural in ("grids", "epsilons"):
+        if plural in overrides:
+            del base[plural[:-1]]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(base))
     return path
@@ -113,6 +116,24 @@ def test_oracle_prints_to_stdout(capsys):
     assert abs(float(out[1].split(",")[4]) - math.sqrt(0.5)) <= 1e-12
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_oracle_rejects_sample_count_below_one(tmp_path, capsys, samples):
+    # a header-only table is not a table of the oracle
+    argv = ["oracle", "--samples", samples, "--out-dir", str(tmp_path / "run")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "--samples" in captured.err and captured.out == ""
+    assert not (tmp_path / "run").exists()
+
+
+def test_rigidity_rejects_empty_epsilon_ladder(tmp_path, capsys):
+    # a scan with no rows would pass without checking anything
+    cfg = write_config(tmp_path, epsilons=[], out_dir=str(tmp_path / "rig"))
+    assert cli.main(["rigidity", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert "epsilons" in capsys.readouterr().err
+    assert not (tmp_path / "rig").exists()
+
+
 def test_rigidity_subcommand_and_determinism(tmp_path):
     cfg = write_config(tmp_path, out_dir=str(tmp_path / "rig"))
     cfg_data = json.loads(cfg.read_text())
@@ -152,7 +173,8 @@ def test_config_error_exit(tmp_path):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("k", 2.5), ("k", True), ("tol", "1e-8"), ("omega", "1"), ("alpha", "1.5"), ("epsilon", "0.1")],
+    [("k", 2.5), ("k", True), ("tol", "1e-8"), ("omega", "1"), ("alpha", "1.5"), ("epsilon", "0.1"),
+     ("grids", [])],
 )
 def test_config_rejects_mistyped_values(tmp_path, capsys, key, value):
     # a JSON config is checked for types before it is compared, and the error names the key
@@ -164,7 +186,7 @@ def test_config_rejects_mistyped_values(tmp_path, capsys, key, value):
 
 
 def test_solver_nonconvergence_exit(tmp_path, monkeypatch):
-    def fake_solve(grid, profile, tol=1e-8, omega=None, schedule=None, max_iters=80):
+    def fake_solve(grid, profile, tol=1e-8, omega=None):
         rep = SolveReport(iterations=1, final_residual=1.0, converged=False, message="stalled")
         return ScalarField(grid, np.zeros((grid.Nr, grid.Nt))), rep
 
@@ -203,7 +225,8 @@ def test_solution_csv_golden_bytes_and_round_trip(tmp_path):
     values = np.linspace(-1.0, 1.0, grid.n_cells).reshape(grid.Nr, grid.Nt)
     values[0, :6] = [0.1, -0.0, np.nan, 1e-300, np.inf, -np.inf]
     path = tmp_path / "solution.csv"
-    cli._write_solution_csv(path, grid, ScalarField(grid, values))
+    _, header, rows = cli._solution_table(grid, ScalarField(grid, values))
+    cli.emit_csv(path, header, rows)
     lines = ["r,theta,u"]
     for i in range(grid.Nr):
         for j in range(grid.Nt):

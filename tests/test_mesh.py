@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from serrinlab.mesh import BoundaryRadius, build_grid, boundary_measures
+from serrinlab.mesh import BoundaryRadius, build_grid
 from serrinlab.spaceforms import EUCLIDEAN, HYPERBOLIC, SPHERE, ConeSection
 
 
@@ -29,14 +29,14 @@ def test_zero_perturbation_bitwise_equal():
 def test_euclid_measures_exact():
     # midpoint quadrature integrates r dr exactly, so the planar sector is exact
     g = build_grid(quarter(), 16, 16)
-    area, length = boundary_measures(g)
+    area, length = g.area_weights.sum(), g.gamma0_weights.sum()
     assert area == pytest.approx(math.pi / 4, rel=1e-14)
     assert length == pytest.approx(math.pi / 2, rel=1e-14)
 
 
 def test_hyperbolic_measures():
     g = build_grid(quarter(HYPERBOLIC), 64, 64)
-    area, length = boundary_measures(g)
+    area, length = g.area_weights.sum(), g.gamma0_weights.sum()
     assert area == pytest.approx(math.pi / 2 * (math.cosh(1.0) - 1.0), rel=5e-3)
     # the constant-radius arc is a single latitude circle arc: quadrature exact
     assert length == pytest.approx(math.pi / 2 * math.sinh(1.0), rel=1e-14)
@@ -47,7 +47,7 @@ def test_refinement_order_of_measures():
     errs = []
     exact = math.pi / 2 * (math.cosh(1.0) - 1.0)
     for n in (16, 32, 64):
-        area, _ = boundary_measures(build_grid(quarter(HYPERBOLIC), n, n))
+        area = build_grid(quarter(HYPERBOLIC), n, n).area_weights.sum()
         errs.append(abs(area - exact))
     orders = [math.log2(errs[k] / errs[k + 1]) for k in range(2)]
     assert all(o >= 1.8 for o in orders), orders
@@ -56,7 +56,7 @@ def test_refinement_order_of_measures():
 def test_perturbed_boundary_is_longer():
     base = build_grid(quarter(), 64, 64)
     pert = build_grid(quarter(), 64, 64, BoundaryRadius(1.0, 0.1, 2))
-    assert boundary_measures(pert)[1] > boundary_measures(base)[1]
+    assert pert.gamma0_weights.sum() > base.gamma0_weights.sum()
 
 
 def test_perturbed_measures_match_quadrature_oracle():
@@ -66,7 +66,7 @@ def test_perturbed_measures_match_quadrature_oracle():
     theta = (np.arange(200000) + 0.5) * (math.pi / 2) / 200000
     area_ref = np.mean(radius(theta) ** 2 / 2) * (math.pi / 2)
     arc_ref = np.mean(np.sqrt(radius.derivative(theta) ** 2 + radius(theta) ** 2)) * (math.pi / 2)
-    area, length = boundary_measures(g)
+    area, length = g.area_weights.sum(), g.gamma0_weights.sum()
     assert area == pytest.approx(float(area_ref), rel=1e-4)
     assert length == pytest.approx(float(arc_ref), rel=1e-4)
 
@@ -86,7 +86,7 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         build_grid(quarter(), 4, 16)
     with pytest.raises(ValueError):
-        build_grid(quarter(SPHERE), 16, 16, R0=1.6)  # beyond the hemisphere interval
+        build_grid(quarter(SPHERE), 16, 16, BoundaryRadius(1.6))  # beyond the hemisphere interval
     with pytest.raises(ValueError):
         BoundaryRadius(1.0, -0.1, 2)
     with pytest.raises(ValueError):

@@ -73,18 +73,12 @@ def test_linear_solver_second_order(sf):
 
 
 def test_sphere_cap_solve_positive():
-    grid = build_grid(quarter(SPHERE), 64, 64, R0=math.pi / 4)
+    grid = build_grid(quarter(SPHERE), 64, 64, BoundaryRadius(math.pi / 4))
     u, rep = solve_linear_spaceform(grid, 2)
     assert rep.converged
     assert np.min(u.values) > 0
     oracle = RadialSolutionSpaceForm(SPHERE, 2, math.pi / 4)
     assert np.max(np.abs(u.values - sample_values(oracle, grid))) <= 1e-4
-
-
-def test_linear_solver_K_mismatch_rejected():
-    grid = build_grid(quarter(), 16, 16)
-    with pytest.raises(ValueError):
-        solve_linear_spaceform(grid, 2, K=-1)
 
 
 @pytest.mark.parametrize("sf", [EUCLIDEAN, HYPERBOLIC], ids=lambda s: s.name)
@@ -109,7 +103,7 @@ def test_flux_balance_discrete():
 
 def test_laplacian_profile_single_linear_solve():
     grid = build_grid(quarter(), 32, 32)
-    u_lin, rep_lin = solve_linear_spaceform(grid, 2, K=0)
+    u_lin, rep_lin = solve_linear_spaceform(grid, 2)
     u_lf, rep_lf = solve_Lf(grid, P2)
     assert rep_lf.iterations == 1
     assert np.array_equal(u_lin.values, u_lf.values)
@@ -175,7 +169,7 @@ def test_picard_iteration_budget(profile, budget):
     ids=["p=4", "mean-curvature-R1.5", "p=1.1", "p=6", "p=3-R1e3"],
 )
 def test_solver_envelope_converges_or_says_why(profile, R0, converges):
-    grid = build_grid(quarter(), 32, 32, R0=R0)
+    grid = build_grid(quarter(), 32, 32, BoundaryRadius(R0))
     u, rep = solve_Lf(grid, profile, tol=1e-8)
     assert rep.converged is converges, rep.message
     if converges:
@@ -233,7 +227,7 @@ def test_solver_envelope_sweep(profile):
 def test_p15_small_sector_converged_means_accurate(R0):
     # converged=True must not hide a solution far from the radial oracle
     p15 = make_power_profile(1.5)
-    grid = build_grid(quarter(), 32, 32, R0=R0)
+    grid = build_grid(quarter(), 32, 32, BoundaryRadius(R0))
     u, rep = solve_Lf(grid, p15, tol=1e-8)
     exact = sample_values(RadialSolutionEuclidean(p15, 2, R0), grid)
     err = np.max(np.abs(u.values - exact)) / np.max(np.abs(exact))
@@ -310,12 +304,7 @@ def test_singular_factor_reported_not_converged(solve, message, monkeypatch):
     assert message in rep.message, rep.message
 
 
-def test_solve_Lf_schedule_validation():
-    grid = build_grid(quarter(), 16, 16)
-    with pytest.raises(ValueError):
-        solve_Lf(grid, P3, schedule=[1e-2, 1e-1])
-    with pytest.raises(ValueError):
-        solve_Lf(grid, P3, schedule=[1e-1, 1e-8])
+def test_solve_Lf_rejects_curved_space_form():
     with pytest.raises(ValueError):
         solve_Lf(build_grid(quarter(HYPERBOLIC), 16, 16), P3)
 
@@ -338,12 +327,12 @@ def test_normal_derivative_on_oracle_field():
 def test_gradient_field_matches_oracle():
     grid = build_grid(quarter(), 64, 64)
     sol = RadialSolutionEuclidean(P2, 2, 1.0)
-    gf = gradient_field(grid, sample_values(sol, grid))
+    grad = gradient_field(grid, sample_values(sol, grid))
     theta = grid.theta_centers[None, :]
     gx_exact = -grid.r_centers * np.cos(theta) / 2.0
     gy_exact = -grid.r_centers * np.sin(theta) / 2.0
-    assert np.max(np.abs(gf.values[..., 0] - gx_exact)) <= 1e-10
-    assert np.max(np.abs(gf.values[..., 1] - gy_exact)) <= 1e-10
+    assert np.max(np.abs(grad[..., 0] - gx_exact)) <= 1e-10
+    assert np.max(np.abs(grad[..., 1] - gy_exact)) <= 1e-10
     with pytest.raises(ValueError):
         gradient_field(build_grid(quarter(HYPERBOLIC), 16, 16), np.zeros((16, 16)))
 
