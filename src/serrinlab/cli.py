@@ -75,8 +75,8 @@ def _grid_from_config(cfg: ExperimentConfig, size=None):
 
 def _solution_table(grid, field):
     theta = np.broadcast_to(grid.theta_centers, grid.r_centers.shape)
-    rows = zip(grid.r_centers.ravel().tolist(), theta.ravel().tolist(), field.values.ravel().tolist())
-    return "solution.csv", ["r", "theta", "u"], rows
+    table = np.column_stack((grid.r_centers.ravel(), theta.ravel(), field.values.ravel()))
+    return "solution.csv", ["r", "theta", "u"], table
 
 
 def _write_run(cfg: ExperimentConfig, subcommand: str, t0: float, report: dict, table=None, grid=None):

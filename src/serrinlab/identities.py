@@ -49,14 +49,20 @@ __all__ = [
 
 
 def _trace(A: np.ndarray) -> np.ndarray:
-    return np.trace(A, axis1=-2, axis2=-1)
+    return np.einsum("...ii->...", A)
 
 
 def s2_of_matrix(A):
-    """Second elementary symmetric function via the trace formula."""
-    A = np.asarray(A, dtype=float)
+    """Second elementary symmetric function via the trace formula.
+
+    tr(A^2) is contracted directly, without forming A^2.  On a C-ordered
+    stack einsum sums each diagonal entry of A^2 and then the diagonal in the
+    order trace(einsum("...ij,...jk->...ik", A, A)) does, so the value is
+    bitwise the same; other layouts sum in another order, hence the copy.
+    """
+    A = np.ascontiguousarray(A, dtype=float)
     tr = _trace(A)
-    return 0.5 * (tr * tr - _trace(np.einsum("...ij,...jk->...ik", A, A)))
+    return 0.5 * (tr * tr - np.einsum("...ij,...ji->...", A, A))
 
 
 def s2_minor_form(A) -> np.ndarray:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .profiles import OperatorProfile
 from .spaceforms import SpaceForm, geodesic_distance
@@ -35,6 +34,14 @@ __all__ = [
 ]
 
 _QUAD_KW = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
+
+
+def quad(func, a, b, **kwargs):
+    """scipy.integrate.quad, imported on the first call: only profiles built
+    without g integrate, and the import costs a fresh process about 0.3 s."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(func, a, b, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .identities import tol_discrete
 from .mesh import SectorGrid
@@ -140,6 +139,8 @@ def step3_identity_analytic(sol: RadialSolutionSpaceForm):
     The angular factor cancels between the two sides, so the reduction uses
     the 1-D weight h^{N-1} directly.
     """
+    from scipy.integrate import quad  # imported on the first call, as in oracles.quad
+
     sf, N, R = sol.space_form, sol.dimension, sol.radius
     c = overdetermined_constant(sol)
     denom = N * float(sf.h_dot(R))

@@ -1,6 +1,9 @@
 import json
 import math
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +166,34 @@ def test_convergence_subcommand(tmp_path):
     assert len(lines) == 4
 
 
+def test_epsilon_rules(tmp_path):
+    # convergence always studies the unperturbed sector, and solve takes the
+    # first epsilon of the list; the manifest records the list as given
+    def run(subcommand, name, epsilons, grids):
+        cfg = write_config(tmp_path, epsilons=epsilons, grids=grids, out_dir=str(tmp_path / name))
+        assert cli.main([subcommand, "--config", str(cfg)]) == 0
+        manifest = json.loads((tmp_path / name / f"{subcommand}.manifest.json").read_text())
+        assert manifest["config"]["epsilons"] == epsilons
+        return tmp_path / name
+
+    grids = ["8x8", "16x16", "32x32"]
+    conv_01, conv_0 = (run("convergence", f"conv{e}", [e], grids) / "convergence_report.csv" for e in (0.1, 0.0))
+    assert conv_01.read_bytes() == conv_0.read_bytes()
+    sol_pair, sol_first = (run("solve", name, e, ["8x8"]) / "solution.csv"
+                           for name, e in (("pair", [0.1, 0.2]), ("first", [0.1])))
+    assert sol_pair.read_bytes() == sol_first.read_bytes()
+    sol_0 = run("solve", "zero", [0.0], ["8x8"]) / "solution.csv"
+    assert sol_pair.read_bytes() != sol_0.read_bytes()
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # quadrature imports scipy.integrate on its first call, so the CLI starts without it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); import serrinlab.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
+
+
 def test_config_error_exit(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"alpha": 9.9}')
@@ -219,22 +250,40 @@ def _reference_fmt_float(x) -> str:
     return f"{xf:.17g}"
 
 
+def _special_u_column(n):
+    # 0.0, -0.0, two nan payloads (one with the sign bit), +-inf, and few distinct values
+    payloads = np.array([0x7FF8000000000001, -0x0007FFFFFFFFFFFF], dtype=np.int64).view(np.float64)
+    special = np.concatenate(([0.0, -0.0], payloads, [np.inf, -np.inf]))
+    return np.resize(np.concatenate((special, [0.25, -0.25, 0.25, 1 / 3])), n)
+
+
 def test_solution_csv_golden_bytes_and_round_trip(tmp_path):
-    cfg = ExperimentConfig.from_dict({"profile": "laplacian", "R0": 1.0, "grids": ["8x8"], "epsilons": [0.0]})
-    grid = cli._grid_from_config(cfg)
-    values = np.linspace(-1.0, 1.0, grid.n_cells).reshape(grid.Nr, grid.Nt)
-    values[0, :6] = [0.1, -0.0, np.nan, 1e-300, np.inf, -np.inf]
-    path = tmp_path / "solution.csv"
-    _, header, rows = cli._solution_table(grid, ScalarField(grid, values))
-    cli.emit_csv(path, header, rows)
-    lines = ["r,theta,u"]
-    for i in range(grid.Nr):
-        for j in range(grid.Nt):
-            lines.append(",".join(_reference_fmt_float(v) for v in
-                                  (grid.r_centers[i, j], grid.theta_centers[j], values[i, j])))
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
-    back = cli._read_solution_csv(path, grid).values
-    assert back.tobytes() == values.tobytes()  # bitwise: keeps -0.0 and the nan payload
+    # the solution table is rendered column by column; its bytes must be the
+    # per-value reference's on a plain, a perturbed and a special-values field
+    cases = []
+    for eps in (0.0, 0.1):
+        cfg = ExperimentConfig.from_dict({"profile": "laplacian", "R0": 1.0, "grids": ["8x8"],
+                                          "epsilons": [eps], "k": 2})
+        grid = cli._grid_from_config(cfg)
+        values = np.linspace(-1.0, 1.0, grid.n_cells).reshape(grid.Nr, grid.Nt)
+        values[0, :6] = [0.1, -0.0, np.nan, 1e-300, np.inf, -np.inf]
+        cases.append((grid, values))
+    perturbed = cases[-1][0]
+    assert len(set(perturbed.r_centers.ravel().tolist())) == perturbed.n_cells  # every r distinct
+    cases.append((perturbed, _special_u_column(perturbed.n_cells).reshape(perturbed.Nr, perturbed.Nt)))
+    for n, (grid, values) in enumerate(cases):
+        path = tmp_path / f"solution{n}.csv"
+        _, header, table = cli._solution_table(grid, ScalarField(grid, values))
+        cli.emit_csv(path, header, table)
+        lines = ["r,theta,u"]
+        for i in range(grid.Nr):
+            for j in range(grid.Nt):
+                lines.append(",".join(_reference_fmt_float(v) for v in
+                                      (grid.r_centers[i, j], grid.theta_centers[j], values[i, j])))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        back = cli._read_solution_csv(path, grid).values
+        # bitwise, -0.0 included; every nan payload is written, and read back, as the one "nan"
+        assert back.tobytes() == np.where(np.isnan(values), np.nan, values).tobytes()
 
 
 @pytest.fixture

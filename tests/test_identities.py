@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from serrinlab.identities import (
+    _trace,
     audit_W,
     c_consistency,
     identity_suite,
@@ -285,6 +286,19 @@ def test_mean_curvature_profile_through_suite():
     sol = RadialSolutionEuclidean(mc, 2, 1.0)
     rep = identity_suite(grid, ScalarField(grid, sample_values(sol, grid)), mc)
     assert rep.passed, rep.to_dict()
+
+
+@pytest.mark.parametrize("shape", [(40, 30, 2, 2), (1200, 3, 3), (2, 2), (3, 3)])
+def test_s2_contractions_bitwise_equal_matrix_product_traces(shape):
+    # tr(A) and tr(A^2) are contracted directly; they must equal the trace of
+    # the matrix product bit for bit, on C-ordered, transposed and Fortran stacks
+    rng = np.random.default_rng(7)
+    A = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+    for M in (A, np.swapaxes(A, -1, -2), np.asfortranarray(A)):
+        tr = np.trace(M, axis1=-2, axis2=-1)
+        tr_sq = np.trace(np.einsum("...ij,...jk->...ik", M, M), axis1=-2, axis2=-1)
+        assert np.asarray(_trace(M)).tobytes() == np.asarray(tr).tobytes()
+        assert np.asarray(s2_of_matrix(M)).tobytes() == np.asarray(0.5 * (tr * tr - tr_sq)).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(5, 7, 2, 2), (4, 3, 3)])
