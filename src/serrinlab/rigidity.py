@@ -43,12 +43,15 @@ DEFAULT_EPSILONS = (0.0, 0.05, 0.1, 0.2)
 
 
 def thread_budget() -> int:
-    """Parallelism cap from SERRIN_THREADS (default 1: fully serial runs)."""
+    """Parallelism cap from SERRIN_THREADS (default 1: fully serial runs).
+
+    Any value that is not a positive integer (written in ASCII digits) is a
+    config error.
+    """
     raw = os.environ.get("SERRIN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    if not (raw.isascii() and raw.isdigit() and int(raw) > 0):
+        raise ValueError(f"SERRIN_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _parse_grid(spec) -> tuple:

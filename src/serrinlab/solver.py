@@ -17,11 +17,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.ndimage import binary_dilation
 
 from .mesh import SectorGrid
 from .profiles import OperatorProfile, regularize
@@ -249,32 +249,244 @@ def _along(pair, x: np.ndarray) -> np.ndarray:
     return x if angular is None else (angular @ x.T).T
 
 
-def _operator_matrix(grid: SectorGrid, N: int, K: int):
-    """Return a -> A(a), the sparse matrix of div(a grad u) + N K u on the grid.
+def _diagonals(m) -> dict:
+    """The diagonals {k: values} of a 1-D operator, values[r] = m[r, r + k], 0 where m stores nothing.
 
-    The Kronecker products are expanded once; each call weights the faces of
-    every flux term by face_avg(a) * weight and takes one sparse product.
+    None is an identity; its one diagonal is None, a factor 1 that is left out.
+    """
+    if m is None:
+        return {0: None}
+    m = m.todia()
+    bands = {}
+    for k, values in zip(m.offsets.tolist(), m.data):
+        rows = np.arange(max(0, -k), min(m.shape[0], m.shape[1] - k))
+        band = bands.setdefault(k, np.zeros(m.shape[0]))
+        band[rows] += values[rows + k]
+    return bands
+
+
+def _reach(div_band, e: int, grad_band, n: int):
+    """Along one axis of n cells, chain div's diagonal e with a diagonal of grad.
+
+    Returns the runs of cells i (as slices) where div stores (i, i + e) and
+    grad stores the row of face i + e, and grad's value there for each cell
+    (None for an identity).
+    """
+    stored = np.zeros(n + 2, dtype=bool)
+    stored[1:-1] = True if div_band is None else div_band != 0
+    g = None
+    if grad_band is not None:
+        face = np.arange(n) + e
+        inside = (face >= 0) & (face < grad_band.size)
+        g = np.zeros(n)
+        g[inside] = grad_band[face[inside]]
+        stored[1:-1] &= g != 0
+    edges = np.flatnonzero(stored[1:] != stored[:-1])
+    return [slice(int(s), int(t)) for s, t in zip(edges[::2], edges[1::2])], g
+
+
+def _support(band, n: int) -> slice:
+    """The cells from the first to the last stored entry of a diagonal (all n for an identity)."""
+    if band is None:
+        return slice(0, n)
+    on = np.flatnonzero(band)
+    return slice(int(on[0]), int(on[-1]) + 1) if on.size else slice(0, 0)
+
+
+def _kron_entries(r, t):
+    """The Kronecker entries r[i] * t[j] on a rectangle, as an array that broadcasts over it.
+
+    An identity side (None) is a factor 1.  A side that is constant on the
+    rectangle folds into the other, which gives the same products; only two
+    varying sides need the full outer product.
+    """
+    if r is None or t is None:
+        return 1.0 if r is None and t is None else t if r is None else r[:, None]
+    if (t == t[0]).all():
+        return (r * t[0])[:, None]
+    if (r == r[0]).all():
+        return r[0] * t
+    return np.multiply.outer(r, t)
+
+
+def _within(inner: tuple, outer: tuple) -> tuple:
+    """The rectangle `inner` (a pair of slices) in the coordinates of the rectangle `outer` that holds it."""
+    return tuple(slice(i.start - o.start, i.stop - o.start) for i, o in zip(inner, outer))
+
+
+def _contributions(grid: SectorGrid, inv_volume: np.ndarray, families) -> tuple:
+    """The operator's contributions to A(a), expanded from the diagonals of its 1-D operators.
+
+    A flux term with div pair (D_r, D_t), face coefficient c and stencil pair
+    (G_r, G_t) adds to row (i, j) at stencil offset (p, q)
+    ((inv_volume D_r[i, i+e] D_t[j, j+f]) c[i+e, j+f]) (G_r[i+e, i+p] G_t[j+f, j+q])
+    for each div diagonal (e, f).  Returns (groups, events) in the order of
+    summation: the last flux term first, its div diagonals by decreasing
+    offset (the faces by decreasing index), their stencil diagonals by
+    increasing offset.  A group (term, inv_volume times the div entries on
+    the group's rectangle of cells, the matching rectangle of faces) is one
+    term and div diagonal; an event (group, (p, q), cells, the cells within
+    the group's rectangle, stencil entries) is one stencil diagonal on a
+    rectangle of cells where every factor is stored.
+    """
+    Nr, Nt = grid.Nr, grid.Nt
+    terms = [(k, div, st) for k, (_, div, ts) in enumerate(families) for _, st in ts]
+    groups, events, scaled, bands = [], [], {}, {}
+
+    def diagonals(m):  # each 1-D operator is read once; terms share them
+        if id(m) not in bands:
+            bands[id(m)] = _diagonals(m)
+        return bands[id(m)]
+
+    for b in reversed(range(len(terms))):
+        family, div, st = terms[b]
+        (dR, dT), (gR, gT) = [[diagonals(m) for m in pair] for pair in (div, st)]
+        reach_r = {(e, g): _reach(dR[e], e, gR[g], Nr) for e in dR for g in gR}
+        reach_t = {(f, h): _reach(dT[f], f, gT[h], Nt) for f in dT for h in gT}
+        for e, f in product(sorted(dR, reverse=True), sorted(dT, reverse=True)):
+            rect = (_support(dR[e], Nr), _support(dT[f], Nt))
+            if (family, e, f) not in scaled:
+                d_r, d_t = (d if d is None else d[axis] for d, axis in zip((dR[e], dT[f]), rect))
+                scaled[family, e, f] = inv_volume[rect] * _kron_entries(d_r, d_t)
+            faces = tuple(slice(axis.start + k, axis.stop + k) for axis, k in zip(rect, (e, f)))
+            groups.append((b, scaled[family, e, f], faces))
+            for g, h in product(sorted(gR), sorted(gT)):
+                (runs_r, g_r), (runs_t, g_t) = reach_r[e, g], reach_t[f, h]
+                for cells in product(runs_r, runs_t):
+                    r, t = (v if v is None else v[axis] for v, axis in zip((g_r, g_t), cells))
+                    events.append((len(groups) - 1, (e + g, f + h), cells, _within(cells, rect), _kron_entries(r, t)))
+    return groups, events
+
+
+def _csr_layout(grid: SectorGrid, events: list, rects: dict, shifted: bool) -> tuple:
+    """Where each offset's sums land in the CSR arrays of A(a).
+
+    The sums of offset (p, q) fill, on the rows of its rectangle rects[p, q],
+    a block of columns of one buffer; the blocks follow each other in the
+    order of `rects`.  A row lists its columns in the order the sparse product
+    left them: by first contribution, reversed unless the shift N K was then
+    added.  Cells that the same events reach share that order, so in a band
+    of rows with one layout every row gathers its entries from the same
+    buffer columns.  Returns (indptr, indices, blocks, gathers): the buffer
+    block (rows, columns) of each offset, and per band of rows a gather
+    (rows, first CSR position, buffer column of each entry of a row).
+    """
+    Nr, Nt = grid.Nr, grid.Nt
+    offsets = list(rects)
+    edges = np.cumsum([0] + [rect[1].stop - rect[1].start for rect in rects.values()])
+    blocks = [(rect[0], slice(c0, c1)) for rect, c0, c1 in zip(rects.values(), edges, edges[1:])]
+    source = edges[:-1] - [rect[1].start for rect in rects.values()]  # the buffer column of cell column 0
+    delta = np.array([p * Nt + q for p, q in offsets])
+    spans = np.array([[r.start, r.stop, t.start, t.stop] for _, _, (r, t), *_ in events]).T
+    which = np.array([offsets.index(o) for _, o, *_ in events])
+    cuts_r = sorted({0, Nr, *spans[0], *spans[1]})
+    cuts_t = sorted({0, Nt, *spans[2], *spans[3]})
+    layouts = []
+    for rows in map(slice, cuts_r, cuts_r[1:]):
+        columns, slots = [], []
+        for c0, c1 in zip(cuts_t, cuts_t[1:]):
+            here = (spans[0] <= rows.start) & (rows.start < spans[1]) & (spans[2] <= c0) & (c0 < spans[3])
+            order = list(dict.fromkeys(which[here]))
+            if shifted and offsets.index((0, 0)) not in order:
+                order.append(offsets.index((0, 0)))
+            if not shifted:
+                order.reverse()
+            columns.append(np.repeat(np.arange(c0, c1), len(order)))
+            slots.append(np.tile(np.array(order, dtype=np.intp), c1 - c0))
+        layouts.append((rows, np.concatenate(columns), np.concatenate(slots)))
+    count = np.concatenate([np.tile(np.bincount(j, minlength=Nt), rows.stop - rows.start) for rows, j, _ in layouts])
+    indptr = np.zeros(grid.n_cells + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(count)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    gathers = []
+    for rows, j, k in layouts:
+        at = indptr[rows.start * Nt]
+        row_cell = np.arange(rows.start, rows.stop, dtype=np.int32)[:, None] * Nt
+        np.add(row_cell, (j + delta[k]).astype(np.int32), out=indices[at : at + row_cell.size * j.size].reshape(-1, j.size))
+        gathers.append((rows, at, source[k] + j))
+    return indptr, indices, blocks, gathers
+
+
+def _operator_matrix(grid: SectorGrid, N: int, K: int):
+    """Return a -> A(a), the CSR matrix of div(a grad u) + N K u on the grid.
+
+    The grid fixes the contributions (`_contributions`) and where each entry
+    lands in the CSR arrays (`_csr_layout`); a call sums the contributions of
+    each stencil offset over its rectangle of cells (the 9-point stencil,
+    plus two rows more at the vertex) and gathers the sums into CSR order.
+
+    This keeps every bit of the sparse product the operator defines,
+    diag(inv_volume) [D_1 .. D_m] diag(c) [G_1; ..; G_m] (+ N K I) over its
+    stacked flux terms: each entry adds its contributions in the product's
+    order, each row lists its columns in the product's order (which a
+    matrix-vector product's rounding follows), and exact zeros are dropped,
+    as the product drops them.
     """
     inv_volume, families = _finite_volume(grid)
-    eye = (sp.identity(grid.Nr), sp.identity(grid.Nt))
+    groups, events = _contributions(grid, inv_volume, families)
+    shift = N * K
+    rects = {}  # the bounding rectangle of each offset's events
+    for _, o, cells, *_ in events:
+        seen = rects.get(o, cells)
+        rects[o] = tuple(slice(min(x.start, y.start), max(x.stop, y.stop)) for x, y in zip(seen, cells))
+    if shift:
+        rects[0, 0] = (slice(0, grid.Nr), slice(0, grid.Nt))  # the shift lands on every diagonal entry
+    rects = dict(sorted(rects.items()))
+    indptr, indices, blocks, gathers = _csr_layout(grid, events, rects, bool(shift))
+    offsets = list(rects)
 
-    def kron(pair):
-        return sp.kron(*(e if m is None else m for m, e in zip(pair, eye)), format="csr")
-
-    div = sp.diags(inv_volume.ravel()) @ sp.hstack(
-        [kron(d) for _, d, terms in families for _ in terms], format="csr"
-    )
-    grad = sp.vstack([kron(st) for _, _, terms in families for _, st in terms], format="csr")
-    shift = (N * K) * sp.identity(grid.n_cells, format="csr")
+    # an offset's first event writes its sums if it covers the offset's rectangle; else they start at 0
+    opening = {}
+    for k, (_, o, cells, *_) in enumerate(events):
+        opening.setdefault(o, k if cells == rects[o] else None)
+    zeroed = [k for k, o in enumerate(offsets) if opening[o] is None]
+    groups = [
+        (b, scaled_inv, faces,
+         [(offsets.index(o), _within(cells, rects[o]), sub, entries, opening[o] == k)
+          for k, (n, o, cells, sub, entries) in enumerate(events) if n == i])
+        for i, (b, scaled_inv, faces) in enumerate(groups)
+    ]
+    coefficient = [(w, avg) for avg, _, terms in families for w, _ in terms]
+    centre = offsets.index((0, 0)) if shift else None
 
     def matrix(a: np.ndarray):
-        c = np.concatenate(
-            [(w * _along(avg, a)).ravel() for avg, _, terms in families for w, _ in terms]
-        )
-        # div @ diag(c): scale the stored entries of each face column
-        weighted = sp.csr_matrix((div.data * c[div.indices], div.indices, div.indptr), div.shape)
-        A = weighted @ grad
-        return A + shift if N * K != 0 else A
+        c = [w * _along(avg, a) for w, avg in coefficient]
+        buffer = np.empty((grid.Nr, blocks[-1][1].stop))
+        sums = [buffer[block] for block in blocks]
+        for k in zeroed:
+            sums[k].fill(0.0)
+        scratch = np.empty(grid.n_cells)
+        for b, scaled_inv, faces, contributions in groups:
+            flux = scaled_inv * c[b][faces]
+            for k, at, sub, entries, opens in contributions:
+                x = flux[sub]
+                if opens:
+                    np.multiply(x, entries, out=sums[k][at])
+                else:
+                    sums[k][at] += np.multiply(x, entries, out=scratch[: x.size].reshape(x.shape))
+        del c
+        leads = None
+        if shift:
+            leads = sums[centre] == 0  # an exactly cancelled diagonal: the product lists the shift first
+            sums[centre] += shift
+        data = np.empty(indices.size)
+        for rows, at, source in gathers:
+            out = data[at : at + (rows.stop - rows.start) * source.size].reshape(-1, source.size)
+            np.take(buffer[rows], source, axis=1, out=out, mode="clip")  # 'raise' would copy `out` first
+        del buffer, sums
+        if data.all() and (leads is None or not leads.any()):
+            # each matrix owns its index arrays: scipy sorts them in place (np.abs(A) does)
+            return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(grid.n_cells,) * 2)
+        # rare: drop exact zeros and move the shift-only diagonals to the front of their rows
+        row = np.repeat(np.arange(grid.n_cells), np.diff(indptr))
+        later = np.ones(data.size, dtype=bool)
+        if leads is not None:
+            later[(indices == row) & leads.ravel()[row]] = False
+        kept = np.lexsort((later, row))
+        kept = kept[data[kept] != 0]
+        counts = np.bincount(row[kept], minlength=grid.n_cells)
+        return sp.csr_matrix((data[kept], indices[kept], np.r_[0, np.cumsum(counts)].astype(np.int32)),
+                             shape=(grid.n_cells,) * 2)
 
     return matrix
 
@@ -564,8 +776,24 @@ def hessian_W_field(grid: SectorGrid, u, profile: OperatorProfile) -> MatrixFiel
     W[..., 0, 0], W[..., 0, 1] = _cartesian_derivatives(grid, V[..., 0], "generic")
     W[..., 1, 0], W[..., 1, 1] = _cartesian_derivatives(grid, V[..., 1], "generic")
     # one-sided edge stencils reach two cells inward
-    mask = binary_dilation(degenerate, structure=np.ones((5, 5), dtype=bool))
-    return MatrixField(grid, W, mask)
+    return MatrixField(grid, W, _dilate(degenerate, 2))
+
+
+def _dilate(mask: np.ndarray, reach: int) -> np.ndarray:
+    """Cells within `reach` cells of a True cell in both directions (a square dilation).
+
+    The square is separable: a running maximum along each axis in turn, with
+    False beyond the grid.
+    """
+    for axis in (0, 1):
+        m = np.moveaxis(mask, axis, 0)
+        padded = np.zeros((m.shape[0] + 2 * reach,) + m.shape[1:], dtype=bool)
+        padded[reach:-reach] = m
+        out = np.zeros_like(m)
+        for k in range(2 * reach + 1):
+            out |= padded[k : k + m.shape[0]]
+        mask = np.moveaxis(out, 0, axis)
+    return mask
 
 
 def interior_cell_mask(grid: SectorGrid) -> np.ndarray:

@@ -137,6 +137,16 @@ def test_rigidity_rejects_empty_epsilon_ladder(tmp_path, capsys):
     assert not (tmp_path / "rig").exists()
 
 
+@pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5", ""])
+def test_rigidity_rejects_bad_thread_budget(tmp_path, capsys, monkeypatch, threads):
+    # SERRIN_THREADS is a positive integer or a config error that names it
+    monkeypatch.setenv("SERRIN_THREADS", threads)
+    cfg = write_config(tmp_path, epsilons=[0.0, 0.1], out_dir=str(tmp_path / "rig"))
+    assert cli.main(["rigidity", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert "SERRIN_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "rig").exists()
+
+
 def test_rigidity_subcommand_and_determinism(tmp_path):
     cfg = write_config(tmp_path, out_dir=str(tmp_path / "rig"))
     cfg_data = json.loads(cfg.read_text())
@@ -190,6 +200,14 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     # quadrature imports scipy.integrate on its first call, so the CLI starts without it
     src = Path(__file__).resolve().parents[1] / "src"
     code = f"import sys; sys.path.insert(0, {str(src)!r}); import serrinlab.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_scipy_ndimage_unloaded():
+    # the W mask dilates without scipy.ndimage, which would also load scipy.special
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); import serrinlab.cli; print('scipy.ndimage' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.strip() == "False"
 

@@ -99,6 +99,13 @@ def test_deviation_scan_threaded_matches_serial(monkeypatch):
     assert serial.to_dict() == threaded.to_dict()
 
 
+@pytest.mark.parametrize("threads", ["abc", "0", "-2", "+3", " 2", "\u0663"])
+def test_thread_budget_rejects_what_is_not_a_positive_integer(monkeypatch, threads):
+    monkeypatch.setenv("SERRIN_THREADS", threads)
+    with pytest.raises(ValueError, match="SERRIN_THREADS"):
+        thread_budget()
+
+
 def test_convexity_contrast_runs_reflex_sector():
     cfg = ExperimentConfig(alpha=3 * math.pi / 2, epsilons=[0.0, 0.1], grids=["16x16"])
     rep = convexity_contrast(cfg)

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +20,10 @@ from serrinlab.profiles import make_mean_curvature_profile, make_power_profile
 from serrinlab.solver import (
     LINEAR_TOL,
     ScalarField,
+    _along,
+    _dilate,
     _factor,
+    _finite_volume,
     _operator_matrix,
     _scaled_residual,
     _stale_solve,
@@ -53,6 +58,103 @@ def test_assembly_matches_operator_application(sf, eps):
     rhs, valid = laplace_beltrami_probe(grid, u)
     assert valid.sum() == 11 * 8
     assert np.max(np.abs(lhs - rhs)[valid]) <= 1e-12 * float(np.max(np.abs(lhs[valid])))
+
+
+def kronecker_product_matrix(grid, N, K, a):
+    """The operator's matrix as the sparse product of its stacked Kronecker factors.
+
+    diag(inv_volume) [D_1 .. D_m] diag(c) [G_1; ..; G_m] (+ N K I): the
+    assembly the band expansion of `_operator_matrix` must reproduce bit for
+    bit, including the column order of each row and the dropped exact zeros.
+    """
+    inv_volume, families = _finite_volume(grid)
+    eye = (sp.identity(grid.Nr), sp.identity(grid.Nt))
+
+    def kron(pair):
+        return sp.kron(*(e if m is None else m for m, e in zip(pair, eye)), format="csr")
+
+    div = sp.diags(inv_volume.ravel()) @ sp.hstack(
+        [kron(d) for _, d, terms in families for _ in terms], format="csr"
+    )
+    grad = sp.vstack([kron(st) for _, _, terms in families for _, st in terms], format="csr")
+    c = np.concatenate([(w * _along(avg, a)).ravel() for avg, _, terms in families for w, _ in terms])
+    weighted = sp.csr_matrix((div.data * c[div.indices], div.indices, div.indptr), div.shape)
+    A = weighted @ grad
+    return A + (N * K) * sp.identity(grid.n_cells, format="csr") if N * K != 0 else A
+
+
+def coefficient_fields(shape, rng):
+    """a = 1, U(0.01, 50), U(1e-6, 1e6), log-uniform over 1e-6..1e6, and a field that vanishes on a block."""
+    patchy = rng.uniform(0.5, 2.0, shape)
+    patchy[2:5, 3:6] = 0.0  # rows around it lose entries to exact zeros
+    return {
+        "one": np.ones(shape),
+        "U(0.01,50)": rng.uniform(0.01, 50.0, shape),
+        "U(1e-6,1e6)": rng.uniform(1e-6, 1e6, shape),
+        "log-uniform": 10.0 ** rng.uniform(-6.0, 6.0, shape),
+        "zero-block": patchy,
+    }
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (24, 20), (16, 40)], ids=lambda s: "%dx%d" % s)
+@pytest.mark.parametrize("eps", [0.0, 0.1, 0.3])
+@pytest.mark.parametrize("alpha", [math.pi / 3, math.pi / 2, 4.5, 2 * math.pi], ids=["pi/3", "pi/2", "4.5", "2pi"])
+@pytest.mark.parametrize("sf", [EUCLIDEAN, HYPERBOLIC, SPHERE], ids=lambda s: s.name)
+def test_band_expansion_is_the_kronecker_product_bit_for_bit(sf, alpha, eps, shape):
+    # same CSR arrays, column order within each row included: a matrix-vector
+    # product sums a row in stored order, so residuals and reports keep their bits
+    grid = build_grid(ConeSection(sf, alpha), *shape, BoundaryRadius(1.0, eps, 2))
+    K = sf.curvature
+    matrix = _operator_matrix(grid, 2, K)
+    seed = [EUCLIDEAN, HYPERBOLIC, SPHERE].index(sf) * 1000 + int(100 * alpha) + int(10 * eps) + shape[1]
+    for name, a in coefficient_fields(shape, np.random.default_rng(seed)).items():
+        want, got = kronecker_product_matrix(grid, 2, K, a), matrix(a)
+        assert np.array_equal(got.indptr, want.indptr), name
+        assert np.array_equal(got.indices, want.indices), name
+        assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64)), name
+
+
+def test_band_expansion_drops_zeros_and_keeps_the_shift_first():
+    # a vanishing coefficient leaves rows whose product entries are all exact
+    # zeros: they are dropped, and with N K != 0 the shift alone is left on the diagonal
+    grid = build_grid(ConeSection(HYPERBOLIC, math.pi / 2), 12, 10, BoundaryRadius(1.0, 0.1, 2))
+    a = np.ones((12, 10))
+    a[:, 4:7] = 0.0
+    for K in (0, -1):
+        want, got = kronecker_product_matrix(grid, 2, K, a), _operator_matrix(grid, 2, K)(a)
+        assert got.nnz < 12 * 10 * 9
+        assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+    assert np.array_equal(_operator_matrix(grid, 2, -1)(np.zeros((12, 10))).toarray(), -2.0 * np.eye(120))
+
+
+def test_band_expansion_memory_peak():
+    # building and filling the hyperbolic 256^2 matrix at eps = 0.1 holds at
+    # most 3.5x the matrix's own bytes at its peak (the Kronecker product held 5.7x)
+    grid = build_grid(ConeSection(HYPERBOLIC, math.pi / 2), 256, 256, BoundaryRadius(1.0, 0.1, 2))
+    a = np.ones((256, 256))
+    tracemalloc.start()
+    try:
+        A = _operator_matrix(grid, 2, -1)(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    assert peak <= 3.5 * size, (peak, size)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (16, 40), (40, 16), (1, 1), (3, 7)], ids=lambda s: "%dx%d" % s)
+def test_dilation_matches_binary_dilation(shape):
+    from scipy.ndimage import binary_dilation  # the oracle only; the package does without scipy.ndimage
+
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    corner = np.zeros(shape, dtype=bool)
+    corner[-1, -1] = True
+    masks = [rng.random(shape) < p for p in (0.02, 0.1, 0.5)]
+    masks += [np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool), corner]
+    square = np.ones((5, 5), dtype=bool)
+    for mask in masks:
+        assert np.array_equal(_dilate(mask, 2), binary_dilation(mask, structure=square))
 
 
 @pytest.mark.parametrize("sf", [EUCLIDEAN, HYPERBOLIC], ids=lambda s: s.name)

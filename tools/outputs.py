@@ -22,7 +22,8 @@ reflex p = 3 at alpha = 4.5, and p = 6 at 16x16), convergence 16-32-64 for
 p = 3 and hyperbolic, solve plus audit at 48x48 and eps = 0.1 for p = 1.5,
 p = 3 and mean-curvature, solve plus pfunction at eps = 0.1 for hyperbolic
 64x64 and sphere 48x48, solve p = 6 at 16x16, the Laplacian solve at 256x256
-with eps = 0 and eps = 0.1, and `oracle --out-dir`.
+with eps = 0 and eps = 0.1, the hyperbolic solve at 256x256 with eps = 0.1
+(the largest matrix, 9-point with the N K shift), and `oracle --out-dir`.
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ def commands() -> list:
         ("solve_p6", "solve", _config("p-laplacian:6", ["16x16"], [0.0]), []),
         ("solve_laplacian_256", "solve", _config(grids=["256x256"], epsilons=[0.0]), []),
         ("solve_laplacian_256_eps0.1", "solve", _config(grids=["256x256"], epsilons=[0.1]), []),
+        ("solve_hyperbolic_256_eps0.1", "solve",
+         _config(grids=["256x256"], epsilons=[0.1], space_form="hyperbolic"), []),
         ("oracle", "oracle", None, ["--out-dir", "out"]),
     ]
     return runs
