@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .rigidity import ExperimentConfig
+from .rigidity import ExperimentConfig, _require_integer
 
 __all__ = [
     "ConfigError",
@@ -60,7 +60,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("config must set both 'Nr' and 'Nt' (or use 'grid')")
         if "grid" in raw or "grids" in raw:
             raise ConfigError("config sets both 'Nr'/'Nt' and 'grid(s)'")
-        raw["grid"] = f"{int(raw.pop('Nr'))}x{int(raw.pop('Nt'))}"
+        try:
+            raw["grid"] = [_require_integer(key, raw.pop(key)) for key in ("Nr", "Nt")]
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     data = {}
     for key, value in raw.items():
         target = _SINGULAR_ALIASES.get(key, key)

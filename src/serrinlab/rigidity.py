@@ -54,13 +54,21 @@ def thread_budget() -> int:
     return int(raw)
 
 
-def _parse_grid(spec) -> tuple:
+def _parse_grid(spec, key: str = "grid") -> tuple:
+    """(Nr, Nt) from a spec 'NrxNt' or a pair of integers; anything else is an error naming key."""
     if isinstance(spec, (tuple, list)) and len(spec) == 2:
-        return int(spec[0]), int(spec[1])
+        return tuple(_require_integer(f"{key}[{i}]", size) for i, size in enumerate(spec))
     parts = str(spec).lower().split("x")
-    if len(parts) != 2:
-        raise ValueError(f"grid spec must look like '64x64', got {spec!r}")
+    if len(parts) != 2 or not all(part.strip().isdecimal() for part in parts):
+        raise ValueError(f"{key} must look like '64x64', got {spec!r}")
     return int(parts[0]), int(parts[1])
+
+
+def _require_integer(key: str, value) -> int:
+    """Return value if it is an integer (a bool, float or None is not one), else raise naming key."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _require_real(key: str, value) -> None:
@@ -86,6 +94,10 @@ class ExperimentConfig:
         profile_from_id(self.profile)
         for key in ("alpha", "R0", "tol") + (("omega",) if self.omega is not None else ()):
             _require_real(key, getattr(self, key))
+        for key in ("grids", "epsilons"):
+            value = getattr(self, key)
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{key} takes a JSON list, got {value!r}; use '{key[:-1]}' for one value")
         for i, e in enumerate(self.epsilons):
             _require_real(f"epsilons[{i}]", e)
         if not 0.0 < self.alpha <= 2.0 * math.pi:
@@ -96,10 +108,10 @@ class ExperimentConfig:
         if any(not (0 <= e < 1) for e in self.epsilons):
             raise ValueError("epsilon values must lie in [0, 1)")
         require_mode(self.k)
-        object.__setattr__(self, "grids", tuple(f"{a}x{b}" for a, b in map(_parse_grid, self.grids)))
+        sizes = [_parse_grid(g, f"grids[{i}]") for i, g in enumerate(self.grids)]
+        object.__setattr__(self, "grids", tuple(f"{a}x{b}" for a, b in sizes))
         if not self.grids:
             raise ValueError("grids must name at least one grid")
-        sizes = [_parse_grid(g) for g in self.grids]
         if any(s2 <= s1 for (s1, _), (s2, _) in zip(sizes, sizes[1:])):
             raise ValueError("grid list must be strictly increasing")
         if self.space_form != "euclidean" and self.profile != "laplacian":

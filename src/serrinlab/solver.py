@@ -314,24 +314,25 @@ def _within(inner: tuple, outer: tuple) -> tuple:
     return tuple(slice(i.start - o.start, i.stop - o.start) for i, o in zip(inner, outer))
 
 
-def _contributions(grid: SectorGrid, inv_volume: np.ndarray, families) -> tuple:
+def _contributions(grid: SectorGrid, inv_volume: np.ndarray, families) -> list:
     """The operator's contributions to A(a), expanded from the diagonals of its 1-D operators.
 
     A flux term with div pair (D_r, D_t), face coefficient c and stencil pair
     (G_r, G_t) adds to row (i, j) at stencil offset (p, q)
     ((inv_volume D_r[i, i+e] D_t[j, j+f]) c[i+e, j+f]) (G_r[i+e, i+p] G_t[j+f, j+q])
-    for each div diagonal (e, f).  Returns (groups, events) in the order of
-    summation: the last flux term first, its div diagonals by decreasing
-    offset (the faces by decreasing index), their stencil diagonals by
-    increasing offset.  A group (term, inv_volume times the div entries on
-    the group's rectangle of cells, the matching rectangle of faces) is one
-    term and div diagonal; an event (group, (p, q), cells, the cells within
-    the group's rectangle, stencil entries) is one stencil diagonal on a
-    rectangle of cells where every factor is stored.
+    for each div diagonal (e, f).  Returns groups in the order of the sparse
+    product's summation: the last flux term first, its div diagonals by
+    decreasing offset (the faces by decreasing index), their stencil
+    diagonals by increasing offset.  A group (term, inv_volume times the div
+    entries on the group's rectangle of cells, the matching rectangle of
+    faces, events) is one term and div diagonal; an event ((p, q), cells, the
+    cells within the group's rectangle, stencil entries) is one stencil
+    diagonal on a rectangle of cells where every factor is stored.  Summing
+    each entry's contributions in this order gives the product's bits.
     """
     Nr, Nt = grid.Nr, grid.Nt
     terms = [(k, div, st) for k, (_, div, ts) in enumerate(families) for _, st in ts]
-    groups, events, scaled, bands = [], [], {}, {}
+    groups, scaled, bands = [], {}, {}
 
     def diagonals(m):  # each 1-D operator is read once; terms share them
         if id(m) not in bands:
@@ -349,144 +350,59 @@ def _contributions(grid: SectorGrid, inv_volume: np.ndarray, families) -> tuple:
                 d_r, d_t = (d if d is None else d[axis] for d, axis in zip((dR[e], dT[f]), rect))
                 scaled[family, e, f] = inv_volume[rect] * _kron_entries(d_r, d_t)
             faces = tuple(slice(axis.start + k, axis.stop + k) for axis, k in zip(rect, (e, f)))
-            groups.append((b, scaled[family, e, f], faces))
+            events = []
             for g, h in product(sorted(gR), sorted(gT)):
                 (runs_r, g_r), (runs_t, g_t) = reach_r[e, g], reach_t[f, h]
                 for cells in product(runs_r, runs_t):
                     r, t = (v if v is None else v[axis] for v, axis in zip((g_r, g_t), cells))
-                    events.append((len(groups) - 1, (e + g, f + h), cells, _within(cells, rect), _kron_entries(r, t)))
-    return groups, events
-
-
-def _csr_layout(grid: SectorGrid, events: list, rects: dict, shifted: bool) -> tuple:
-    """Where each offset's sums land in the CSR arrays of A(a).
-
-    The sums of offset (p, q) fill, on the rows of its rectangle rects[p, q],
-    a block of columns of one buffer; the blocks follow each other in the
-    order of `rects`.  A row lists its columns in the order the sparse product
-    left them: by first contribution, reversed unless the shift N K was then
-    added.  Cells that the same events reach share that order, so in a band
-    of rows with one layout every row gathers its entries from the same
-    buffer columns.  Returns (indptr, indices, blocks, gathers): the buffer
-    block (rows, columns) of each offset, and per band of rows a gather
-    (rows, first CSR position, buffer column of each entry of a row).
-    """
-    Nr, Nt = grid.Nr, grid.Nt
-    offsets = list(rects)
-    edges = np.cumsum([0] + [rect[1].stop - rect[1].start for rect in rects.values()])
-    blocks = [(rect[0], slice(c0, c1)) for rect, c0, c1 in zip(rects.values(), edges, edges[1:])]
-    source = edges[:-1] - [rect[1].start for rect in rects.values()]  # the buffer column of cell column 0
-    delta = np.array([p * Nt + q for p, q in offsets])
-    spans = np.array([[r.start, r.stop, t.start, t.stop] for _, _, (r, t), *_ in events]).T
-    which = np.array([offsets.index(o) for _, o, *_ in events])
-    cuts_r = sorted({0, Nr, *spans[0], *spans[1]})
-    cuts_t = sorted({0, Nt, *spans[2], *spans[3]})
-    layouts = []
-    for rows in map(slice, cuts_r, cuts_r[1:]):
-        columns, slots = [], []
-        for c0, c1 in zip(cuts_t, cuts_t[1:]):
-            here = (spans[0] <= rows.start) & (rows.start < spans[1]) & (spans[2] <= c0) & (c0 < spans[3])
-            order = list(dict.fromkeys(which[here]))
-            if shifted and offsets.index((0, 0)) not in order:
-                order.append(offsets.index((0, 0)))
-            if not shifted:
-                order.reverse()
-            columns.append(np.repeat(np.arange(c0, c1), len(order)))
-            slots.append(np.tile(np.array(order, dtype=np.intp), c1 - c0))
-        layouts.append((rows, np.concatenate(columns), np.concatenate(slots)))
-    count = np.concatenate([np.tile(np.bincount(j, minlength=Nt), rows.stop - rows.start) for rows, j, _ in layouts])
-    indptr = np.zeros(grid.n_cells + 1, dtype=np.int32)
-    indptr[1:] = np.cumsum(count)
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    gathers = []
-    for rows, j, k in layouts:
-        at = indptr[rows.start * Nt]
-        row_cell = np.arange(rows.start, rows.stop, dtype=np.int32)[:, None] * Nt
-        np.add(row_cell, (j + delta[k]).astype(np.int32), out=indices[at : at + row_cell.size * j.size].reshape(-1, j.size))
-        gathers.append((rows, at, source[k] + j))
-    return indptr, indices, blocks, gathers
+                    events.append(((e + g, f + h), cells, _within(cells, rect), _kron_entries(r, t)))
+            groups.append((b, scaled[family, e, f], faces, events))
+    return groups
 
 
 def _operator_matrix(grid: SectorGrid, N: int, K: int):
     """Return a -> A(a), the CSR matrix of div(a grad u) + N K u on the grid.
 
-    The grid fixes the contributions (`_contributions`) and where each entry
-    lands in the CSR arrays (`_csr_layout`); a call sums the contributions of
-    each stencil offset over its rectangle of cells (the 9-point stencil,
-    plus two rows more at the vertex) and gathers the sums into CSR order.
+    The grid fixes the contributions (`_contributions`).  A call sums the
+    contributions of each stencil offset (p, q) (the 9-point stencil, plus
+    two rows more at the vertex) in its own row of one zeroed array of
+    diagonals, and adds N K on the centre offset.  Matrix row i of offset
+    d = p Nt + q lands in column i + d, so that column j holds A[j - d, j];
+    scipy converts these diagonals to CSR, lists each row's columns in
+    ascending order and drops exact zeros.
 
-    This keeps every bit of the sparse product the operator defines,
-    diag(inv_volume) [D_1 .. D_m] diag(c) [G_1; ..; G_m] (+ N K I) over its
-    stacked flux terms: each entry adds its contributions in the product's
-    order, each row lists its columns in the product's order (which a
-    matrix-vector product's rounding follows), and exact zeros are dropped,
-    as the product drops them.
+    Each entry adds its contributions in the order of the sparse product the
+    operator defines, diag(inv_volume) [D_1 .. D_m] diag(c) [G_1; ..; G_m]
+    (+ N K I) over its stacked flux terms.  So A(a) is that product bit for
+    bit, entries and dropped zeros alike, once the product's rows are sorted.
     """
     inv_volume, families = _finite_volume(grid)
-    groups, events = _contributions(grid, inv_volume, families)
-    shift = N * K
-    rects = {}  # the bounding rectangle of each offset's events
-    for _, o, cells, *_ in events:
-        seen = rects.get(o, cells)
-        rects[o] = tuple(slice(min(x.start, y.start), max(x.stop, y.stop)) for x, y in zip(seen, cells))
-    if shift:
-        rects[0, 0] = (slice(0, grid.Nr), slice(0, grid.Nt))  # the shift lands on every diagonal entry
-    rects = dict(sorted(rects.items()))
-    indptr, indices, blocks, gathers = _csr_layout(grid, events, rects, bool(shift))
-    offsets = list(rects)
-
-    # an offset's first event writes its sums if it covers the offset's rectangle; else they start at 0
-    opening = {}
-    for k, (_, o, cells, *_) in enumerate(events):
-        opening.setdefault(o, k if cells == rects[o] else None)
-    zeroed = [k for k, o in enumerate(offsets) if opening[o] is None]
-    groups = [
-        (b, scaled_inv, faces,
-         [(offsets.index(o), _within(cells, rects[o]), sub, entries, opening[o] == k)
-          for k, (n, o, cells, sub, entries) in enumerate(events) if n == i])
-        for i, (b, scaled_inv, faces) in enumerate(groups)
-    ]
+    groups = _contributions(grid, inv_volume, families)
+    n, shift = grid.n_cells, N * K
+    offsets = sorted({o for *_, events in groups for o, *_ in events} | {(0, 0)})
+    delta = np.array([p * grid.Nt + q for p, q in offsets])
     coefficient = [(w, avg) for avg, _, terms in families for w, _ in terms]
-    centre = offsets.index((0, 0)) if shift else None
+
+    # the diagonals are rows of `width` in a flat array that starts `pad` early,
+    # so that offset k's matrix rows i = 0..n-1 sit at pad + k width + d + i:
+    # never before the start, and apart from every other offset's rows
+    pad = -delta.min()
+    width = n + delta.max() + pad
+    starts = [(o, pad + k * width + d) for k, (o, d) in enumerate(zip(offsets, delta.tolist()))]
 
     def matrix(a: np.ndarray):
         c = [w * _along(avg, a) for w, avg in coefficient]
-        buffer = np.empty((grid.Nr, blocks[-1][1].stop))
-        sums = [buffer[block] for block in blocks]
-        for k in zeroed:
-            sums[k].fill(0.0)
-        scratch = np.empty(grid.n_cells)
-        for b, scaled_inv, faces, contributions in groups:
+        flat = np.zeros(pad + len(offsets) * width)
+        sums = {o: flat[at : at + n].reshape(grid.Nr, grid.Nt) for o, at in starts}
+        for b, scaled_inv, faces, events in groups:
             flux = scaled_inv * c[b][faces]
-            for k, at, sub, entries, opens in contributions:
-                x = flux[sub]
-                if opens:
-                    np.multiply(x, entries, out=sums[k][at])
-                else:
-                    sums[k][at] += np.multiply(x, entries, out=scratch[: x.size].reshape(x.shape))
+            for o, cells, sub, entries in events:
+                sums[o][cells] += flux[sub] * entries
         del c
-        leads = None
         if shift:
-            leads = sums[centre] == 0  # an exactly cancelled diagonal: the product lists the shift first
-            sums[centre] += shift
-        data = np.empty(indices.size)
-        for rows, at, source in gathers:
-            out = data[at : at + (rows.stop - rows.start) * source.size].reshape(-1, source.size)
-            np.take(buffer[rows], source, axis=1, out=out, mode="clip")  # 'raise' would copy `out` first
-        del buffer, sums
-        if data.all() and (leads is None or not leads.any()):
-            # each matrix owns its index arrays: scipy sorts them in place (np.abs(A) does)
-            return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(grid.n_cells,) * 2)
-        # rare: drop exact zeros and move the shift-only diagonals to the front of their rows
-        row = np.repeat(np.arange(grid.n_cells), np.diff(indptr))
-        later = np.ones(data.size, dtype=bool)
-        if leads is not None:
-            later[(indices == row) & leads.ravel()[row]] = False
-        kept = np.lexsort((later, row))
-        kept = kept[data[kept] != 0]
-        counts = np.bincount(row[kept], minlength=grid.n_cells)
-        return sp.csr_matrix((data[kept], indices[kept], np.r_[0, np.cumsum(counts)].astype(np.int32)),
-                             shape=(grid.n_cells,) * 2)
+            sums[0, 0] += shift
+        diagonals = flat[pad:].reshape(len(offsets), width)
+        return sp.dia_matrix((diagonals, delta), shape=(n, n)).tocsr()
 
     return matrix
 

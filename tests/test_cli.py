@@ -22,9 +22,9 @@ def write_config(tmp_path, **overrides):
         "epsilon": 0.0,
     }
     base.update(overrides)
-    for plural in ("grids", "epsilons"):
-        if plural in overrides:
-            del base[plural[:-1]]
+    for key, replaced in (("grids", "grid"), ("epsilons", "epsilon"), ("Nr", "grid")):
+        if key in overrides:
+            del base[replaced]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(base))
     return path
@@ -223,14 +223,19 @@ def test_config_error_exit(tmp_path):
 @pytest.mark.parametrize(
     "key, value",
     [("k", 2.5), ("k", True), ("tol", "1e-8"), ("omega", "1"), ("alpha", "1.5"), ("epsilon", "0.1"),
-     ("grids", [])],
+     ("grids", []), ("Nr", None), ("Nr", 8.7), ("Nr", True), ("Nr", [8]), ("Nt", 8.0),
+     ("grids", [[8.9, 8]]), ("grids", "16x16"), ("epsilons", 0.1), ("epsilons", "0.1")],
 )
 def test_config_rejects_mistyped_values(tmp_path, capsys, key, value):
     # a JSON config is checked for types before it is compared, and the error names the key
-    cfg = write_config(tmp_path, **{key: value}, out_dir=str(tmp_path / "run"))
+    sizes = {"Nr": {"Nr": value, "Nt": 8}, "Nt": {"Nr": 8, "Nt": value}}.get(key, {key: value})
+    cfg = write_config(tmp_path, **sizes, out_dir=str(tmp_path / "run"))
     assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert {"k": "mode k", "epsilon": "epsilons[0]"}.get(key, key) in err, err
+    if key in ("grids", "epsilons") and not isinstance(value, list):
+        # a plural key given one value points to its singular form
+        assert "JSON list" in err and f"'{key[:-1]}'" in err, err
     assert not (tmp_path / "run").exists()
 
 
