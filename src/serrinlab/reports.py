@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .rigidity import ExperimentConfig, _require_integer
+from .rigidity import ExperimentConfig, _parse_grid, _require_integer, _require_real
 
 __all__ = [
     "ConfigError",
@@ -38,7 +38,11 @@ class ConfigError(ValueError):
     pass
 
 
-_SINGULAR_ALIASES = {"grid": "grids", "epsilon": "epsilons"}
+# singular key -> (plural key, the check of one value, whose error names the singular key)
+_SINGULAR_ALIASES = {
+    "grid": ("grids", lambda value: _parse_grid(value, "grid")),
+    "epsilon": ("epsilons", lambda value: _require_real("epsilon", value)),
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -66,10 +70,15 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(str(exc)) from exc
     data = {}
     for key, value in raw.items():
-        target = _SINGULAR_ALIASES.get(key, key)
-        if target != key:
+        target = key
+        if key in _SINGULAR_ALIASES:
+            target, check = _SINGULAR_ALIASES[key]
             if target in raw:
                 raise ConfigError(f"config sets both '{key}' and '{target}'")
+            try:
+                check(value)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
             value = [value]
         if target in data:
             raise ConfigError(f"duplicate config key '{target}'")

@@ -179,18 +179,23 @@ class RigidityReport:
         return {**asdict(self), **verdicts}
 
 
-def _solve_on(grid, config: ExperimentConfig):
-    profile = profile_from_id(config.profile)
-    if grid.cone.space_form.curvature != 0:
-        return solve_linear_spaceform(grid, 2, tol=config.tol)
-    return solve_Lf(grid, profile, tol=config.tol, omega=config.omega)
+def _is_linear(config: ExperimentConfig) -> bool:
+    """A curved space form or the Laplacian: one linear solve per grid."""
+    return space_form_from_id(config.space_form).curvature != 0 or profile_from_id(config.profile).is_laplacian
 
 
-def _scan_one(config: ExperimentConfig, size, eps: float) -> RigidityRow:
+def _solve_on(grid, config: ExperimentConfig, factor: list | None = None):
+    """Solve on grid; a linear problem may share the factor slot (`solve_linear_spaceform`)."""
+    if _is_linear(config):
+        return solve_linear_spaceform(grid, 2, tol=config.tol, factor=factor)
+    return solve_Lf(grid, profile_from_id(config.profile), tol=config.tol, omega=config.omega)
+
+
+def _scan_one(config: ExperimentConfig, size, eps: float, factor: list | None = None) -> RigidityRow:
     sf = space_form_from_id(config.space_form)
     cone = ConeSection(sf, config.alpha)
     grid = build_grid(cone, size[0], size[1], BoundaryRadius(config.R0, eps, config.k))
-    u, rep = _solve_on(grid, config)
+    u, rep = _solve_on(grid, config, factor)
     if not rep.converged:
         return RigidityRow(eps, float("nan"), float("nan"), float("nan"), float("nan"),
                            float("nan"), 0.0, False)
@@ -216,19 +221,24 @@ def deviation_scan(config: ExperimentConfig, judged: bool = True) -> RigidityRep
     """Solve/audit across the epsilon ladder on the primary grid.
 
     Solver non-convergence is recorded per row without aborting the scan.
-    Independent epsilon cases may run on a small thread pool (SERRIN_THREADS);
-    rows are assembled in ladder order either way.  An empty ladder checks
-    nothing and is rejected.
+    A linear ladder runs in rung order and keeps one SuperLU factor: the
+    first rung is factored, and each later rung is solved by GMRES on the
+    held factor, or factors anew (freeing the held one first) when that
+    misses the linear tolerance, so at most one factor is alive.  The rungs
+    of a quasilinear ladder are independent and may run on a small thread
+    pool (SERRIN_THREADS); rows are assembled in ladder order either way.
+    An empty ladder checks nothing and is rejected.
     """
     if not config.epsilons:
         raise ValueError("the deviation scan needs at least one value in epsilons")
     size = config.grid_sizes[0]
-    workers = min(thread_budget(), max(1, len(config.epsilons)))
-    if workers > 1:
+    workers = min(thread_budget(), len(config.epsilons))
+    if workers > 1 and not _is_linear(config):
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(lambda e: _scan_one(config, size, e), config.epsilons))
     else:
-        rows = [_scan_one(config, size, e) for e in config.epsilons]
+        factor = []  # the one factor slot a linear ladder's rungs share
+        rows = [_scan_one(config, size, e, factor) for e in config.epsilons]
     return RigidityReport(config=config, grid=config.grids[0], rows=rows, judged=judged)
 
 

@@ -51,6 +51,10 @@ ANDERSON_WINDOW = 5
 REUSE_SPREAD = 1.5
 # scaled residual a preconditioned (stale-factor) linear solve must reach
 LINEAR_TOL = 1e-13
+# GMRES steps of one stale-factor cycle, and the correction cycles allowed after
+# a cycle that stopped early above LINEAR_TOL
+STALE_RESTART = 30
+REFINE_CYCLES = 2
 
 
 @dataclass
@@ -401,8 +405,13 @@ def _operator_matrix(grid: SectorGrid, N: int, K: int):
         del c
         if shift:
             sums[0, 0] += shift
-        diagonals = flat[pad:].reshape(len(offsets), width)
-        return sp.dia_matrix((diagonals, delta), shape=(n, n)).tocsr()
+        A = sp.dia_matrix((flat[pad:].reshape(len(offsets), width), delta), shape=(n, n)).tocsr()
+        del flat, sums
+        if A.data.base is not None and A.data.base.size > A.nnz:
+            # the conversion's buffers hold a slot for every stored diagonal entry:
+            # copy the entries down to nnz, once the diagonals are freed
+            A.data, A.indices = A.data.copy(), A.indices.copy()
+        return A
 
     return matrix
 
@@ -442,15 +451,35 @@ def _factor(A):
 
 
 def _stale_solve(lu, A, b, x0):
-    """Solve A x = b by one GMRES cycle preconditioned by the factor lu of a nearby matrix.
+    """Solve A x = b by GMRES preconditioned by the factor lu of a nearby matrix.
 
+    One cycle of at most STALE_RESTART steps starts from x0.  GMRES stops on
+    the 2-norm of the preconditioned residual, which bounds the componentwise
+    scaled residual only loosely: the vertex rows are about (h dtheta)^-2
+    larger than the Gamma_0 rows, so that norm bottoms out near 1e-9 and a
+    cycle may stop on its own while the scaled residual still misses
+    LINEAR_TOL.  Such a cycle is refined: at most REFINE_CYCLES more cycles
+    solve A dx = b - A x (rtol 1e-3) with the same factor.  A cycle that uses
+    all its steps means the factor is too far off, and ends the attempt.
     Returns x only if its scaled residual meets LINEAR_TOL, else None.
     """
     M = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)  # a dtype spares a probe solve
-    # GMRES stops on the 2-norm of the preconditioned residual, which bounds the
-    # componentwise scaled residual only loosely: aim two orders below LINEAR_TOL
-    x, _ = spla.gmres(A, b, x0=x0, rtol=1e-2 * LINEAR_TOL, restart=20, maxiter=1, M=M)
-    return x if _scaled_residual(A, x, b) <= LINEAR_TOL else None
+
+    def cycle(rhs, start, rtol):
+        steps = []
+        y, _ = spla.gmres(A, rhs, x0=start, rtol=rtol, restart=STALE_RESTART, maxiter=1, M=M,
+                          callback=steps.append, callback_type="pr_norm")
+        return y, len(steps) < STALE_RESTART
+
+    # aim two orders below LINEAR_TOL, then refine what stopped early above it
+    x, early = cycle(b, x0, 1e-2 * LINEAR_TOL)
+    refined = 0
+    while _scaled_residual(A, x, b) > LINEAR_TOL:
+        if not early or refined == REFINE_CYCLES:
+            return None
+        dx, early = cycle(b - A @ x, None, 1e-3)
+        x, refined = x + dx, refined + 1
+    return x
 
 
 def _scaled_residual(A, x, b) -> float:
@@ -466,18 +495,32 @@ def _scaled_residual(A, x, b) -> float:
     return float(np.max(r / scale))
 
 
-def solve_linear_spaceform(grid: SectorGrid, N: int = 2, tol: float = 1e-9):
+def solve_linear_spaceform(grid: SectorGrid, N: int = 2, tol: float = 1e-9, *, factor: list | None = None):
     """Solve Delta u + N K u = -1 with u = 0 on Gamma_0, du/dnu = 0 on walls.
 
     K is the grid's space-form curvature.  Failure to meet the residual
     tolerance (singular or indefinite operator, e.g. large spherical caps) is
     reported, not raised.
+
+    factor, when given, is a caller-owned slot: a list holding at most one
+    SuperLU factor, from an earlier solve on a grid of the same size.  A held
+    factor first serves as the preconditioner of `_stale_solve`, started from
+    its own solution lu.solve(b).  If that misses LINEAR_TOL, the slot is
+    emptied, freeing the factor, before A is factored; the new factor is left
+    in the slot.  Without a slot A is always factored, and the factor dies
+    with the call.
     """
     K = grid.cone.space_form.curvature
     A = _operator_matrix(grid, N, K)(np.ones((grid.Nr, grid.Nt)))
     b = -np.ones(grid.n_cells)
-    lu = _factor(A)
-    x = None if lu is None else lu.solve(b)
+    x = _stale_solve(factor[0], A, b, factor[0].solve(b)) if factor else None
+    if x is None:
+        if factor:
+            factor.clear()  # a rejected factor is freed before the new one is built
+        lu = _factor(A)
+        x = None if lu is None else lu.solve(b)
+        if factor is not None and lu is not None:
+            factor.append(lu)
     if x is None or not np.all(np.isfinite(x)):
         x, res = np.zeros(grid.n_cells), float("inf")
         message = "linear solve produced non-finite values (operator indefinite or singular)"
@@ -515,8 +558,10 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, omeg
     The linear solves reuse the last SuperLU factor lu, built from the
     coefficient a_lu.  While the ratio r = a / a_lu over the cells has
     max r <= REUSE_SPREAD * min r, a step solves A(a) x = b by one cycle of
-    GMRES (restart 20) preconditioned by lu and started from the previous x,
-    and accepts that x only if its scaled residual is at most LINEAR_TOL.
+    GMRES (restart STALE_RESTART = 30) preconditioned by lu and started from
+    the previous x; a cycle that stops early above LINEAR_TOL is refined by
+    at most REFINE_CYCLES correction cycles on the residual (`_stale_solve`).
+    The step accepts x only if its scaled residual is at most LINEAR_TOL.
     Otherwise the stale factor is dropped and A(a) is factored anew; a
     singular factor ends the solve with converged=False.  Convergence is
     always judged on the exact A(a).

@@ -1,14 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import serrinlab.solver as solver
 from serrinlab.identities import identity_suite
 from serrinlab.mesh import BoundaryRadius, build_grid
 from serrinlab.pfunction import pfunction_suite
 from serrinlab.profiles import profile_from_id
 from serrinlab.rigidity import (
     ExperimentConfig,
+    RigidityReport,
     convergence_study,
     convexity_contrast,
     deviation_scan,
@@ -97,6 +100,76 @@ def test_deviation_scan_threaded_matches_serial(monkeypatch):
     assert thread_budget() == 2
     threaded = deviation_scan(cfg)
     assert serial.to_dict() == threaded.to_dict()
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"space_form": "hyperbolic", "grids": ["32x32"]}, {"profile": "p-laplacian:3", "grids": ["16x16"]}],
+    ids=["hyperbolic", "p3"],
+)
+def test_threads_leave_rows_byte_identical(monkeypatch, kwargs):
+    # a linear ladder ignores the thread pool and runs in rung order; a
+    # quasilinear one spreads its rungs over it; the rows are the same bits
+    cfg = ExperimentConfig(epsilons=[0.0, 0.05, 0.1, 0.2], **kwargs)
+    serial = deviation_scan(cfg)
+    monkeypatch.setenv("SERRIN_THREADS", "2")
+    threaded = deviation_scan(cfg)
+    assert repr(serial.to_dict()) == repr(threaded.to_dict())
+
+
+def test_linear_scan_rejects_bad_thread_budget(monkeypatch):
+    monkeypatch.setenv("SERRIN_THREADS", "0")
+    with pytest.raises(ValueError, match="SERRIN_THREADS"):
+        deviation_scan(ExperimentConfig(space_form="hyperbolic", epsilons=[0.0, 0.1], grids=["16x16"]))
+
+
+def _count_factorizations(monkeypatch) -> list:
+    calls = []
+    factor = solver._factor
+
+    def counting(A):
+        calls.append(A.shape)
+        return factor(A)
+
+    monkeypatch.setattr(solver, "_factor", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "grid, ladder",
+    [("64x64", [0.0, 0.05, 0.1, 0.2]), ("32x32", [0.0, 0.06, 0.12, 0.24])],
+    ids=["64x64", "32x32-top-0.24"],
+)
+def test_linear_scan_factors_once(monkeypatch, grid, ladder):
+    # every later rung is solved by GMRES on the first rung's factor, and the
+    # rows match rungs each solved by its own factor; the top rung at 0.24
+    # takes 25 GMRES steps, more than a cycle of 20 holds
+    cfg = ExperimentConfig(space_form="hyperbolic", epsilons=ladder, grids=[grid])
+    calls = _count_factorizations(monkeypatch)
+    rep = deviation_scan(cfg)
+    assert len(calls) == 1
+    direct = [deviation_scan(dataclasses.replace(cfg, epsilons=(e,))).rows[0] for e in cfg.epsilons]
+    assert len(calls) == 5
+    for row, ref in zip(rep.rows, direct):
+        assert (row.epsilon, row.converged, row.audit_pass_rate) == (ref.epsilon, ref.converged, ref.audit_pass_rate)
+        for key in ("sigma", "sigma_max", "c_mean", "c_formula"):
+            assert getattr(row, key) == pytest.approx(getattr(ref, key), rel=1e-10, abs=1e-300), key
+        # the P-function defect takes second differences over (h dtheta)^2 next
+        # to the vertex, which magnify the solutions' ~1e-13 difference
+        assert row.defect == pytest.approx(ref.defect, rel=1e-6)
+    ref = RigidityReport(config=cfg, grid=rep.grid, rows=direct)
+    assert (rep.sigma_strictly_increasing, rep.passed) == (ref.sigma_strictly_increasing, ref.passed) == (True, True)
+
+
+def test_linear_scan_refactors_a_rung_the_held_factor_cannot_serve(monkeypatch):
+    # the eps = 0 factor is too far from eps = 0.5 for one GMRES cycle: that
+    # rung gets its own factor, bit for bit the direct solve
+    cfg = ExperimentConfig(space_form="hyperbolic", epsilons=[0.0, 0.5], grids=["32x32"])
+    calls = _count_factorizations(monkeypatch)
+    rep = deviation_scan(cfg)
+    assert len(calls) == 2
+    direct = deviation_scan(dataclasses.replace(cfg, epsilons=(0.5,))).rows[0]
+    assert repr(rep.rows[1]) == repr(direct)
 
 
 @pytest.mark.parametrize("threads", ["abc", "0", "-2", "+3", " 2", "\u0663"])

@@ -152,6 +152,9 @@ def test_band_expansion_memory_peak():
         tracemalloc.stop()
     size = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
     assert peak <= 3.5 * size, (peak, size)
+    # the matrix holds no slack: entries and column indices are sized to nnz
+    for part in (A.data, A.indices):
+        assert part.base is None or part.base.size == A.nnz, (part.base.size, A.nnz)
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (16, 40), (40, 16), (1, 1), (3, 7)], ids=lambda s: "%dx%d" % s)
@@ -396,6 +399,68 @@ def test_stale_solve_accepts_only_what_meets_linear_tol():
     assert x is not None and _scaled_residual(near, x, b) <= LINEAR_TOL
     far = matrix(1.0 + 99.0 * rng.random((32, 32)))
     assert _stale_solve(lu, far, b, x0) is None
+
+
+def _pi3_k2_matrix(eps: float):
+    grid = build_grid(ConeSection(EUCLIDEAN, math.pi / 3), 64, 64, BoundaryRadius(1.0, eps, 2))
+    return _operator_matrix(grid, 2, 0)(np.ones((64, 64)))
+
+
+def test_stale_solve_refines_a_cycle_that_stops_early(monkeypatch):
+    # from the eps = 0 factor, GMRES stops on its own normwise estimate after 11
+    # steps at a scaled residual of 1.8e-13; a correction cycle on the residual
+    # brings it under LINEAR_TOL instead of a new factorization
+    b = -np.ones(64 * 64)
+    lu = _factor(_pi3_k2_matrix(0.0))
+    A = _pi3_k2_matrix(0.059)
+    x = _stale_solve(lu, A, b, lu.solve(b))
+    assert x is not None and _scaled_residual(A, x, b) <= LINEAR_TOL
+    direct = _factor(A).solve(b)
+    assert np.max(np.abs(x - direct)) <= 1e-10 * np.max(np.abs(direct))
+    monkeypatch.setattr(solver, "REFINE_CYCLES", 0)
+    assert _stale_solve(lu, A, b, lu.solve(b)) is None
+
+
+def test_refined_stale_step_spares_a_picard_factorization(monkeypatch):
+    # mean-curvature at 128^2 and the first R0 that benchmark seed 1 draws: one
+    # stale Picard step stops early above LINEAR_TOL and is refined, not refactored
+    R0 = 0.8 + 0.45 * float(np.random.default_rng(1).random())
+    grid = build_grid(quarter(), 128, 128, BoundaryRadius(R0))
+    mc = make_mean_curvature_profile()
+    counting = _CountingSpla(solver.spla)
+    monkeypatch.setattr(solver, "spla", counting)
+    u, rep = solve_Lf(grid, mc, tol=1e-8)
+    assert rep.converged and counting.factorizations == 1
+    monkeypatch.setattr(solver, "REFINE_CYCLES", 0)
+    counting.factorizations = 0
+    u_ref, rep_ref = solve_Lf(grid, mc, tol=1e-8)
+    assert rep_ref.converged and counting.factorizations == 2
+    assert rep.iterations == rep_ref.iterations
+    assert np.max(np.abs(u.values - u_ref.values)) <= 1e-9 * np.max(np.abs(u_ref.values))
+
+
+def test_linear_solve_holds_one_factor(monkeypatch):
+    # a held factor serves a nearby grid; one it cannot serve is dropped from
+    # the slot before the new factor is built
+    grids = {eps: build_grid(quarter(HYPERBOLIC), 32, 32, BoundaryRadius(1.0, eps, 2)) for eps in (0.0, 0.1, 0.5)}
+    direct = {eps: solve_linear_spaceform(grid, 2)[0].values for eps, grid in grids.items()}
+    slot = []
+    held = []  # the slot's length at each factorization
+
+    def factor(A):
+        held.append(len(slot))
+        return _factor(A)
+
+    monkeypatch.setattr(solver, "_factor", factor)
+    solve_linear_spaceform(grids[0.0], 2, factor=slot)
+    assert held == [0] and len(slot) == 1
+    first = slot[0]
+    u, rep = solve_linear_spaceform(grids[0.1], 2, factor=slot)
+    assert rep.converged and held == [0] and slot == [first]
+    assert np.max(np.abs(u.values - direct[0.1])) <= 1e-10 * np.max(np.abs(direct[0.1]))
+    u, rep = solve_linear_spaceform(grids[0.5], 2, factor=slot)
+    assert rep.converged and held == [0, 0] and len(slot) == 1 and slot[0] is not first
+    assert np.array_equal(u.values, direct[0.5])
 
 
 def test_factor_of_singular_matrix_is_none():

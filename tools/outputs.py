@@ -17,8 +17,12 @@ manifests carry wall-clock time:
 
 The set covers every subcommand: rigidity scans over the ladder
 [0, 0.05, 0.1, 0.2] (p = 3, p = 1.5 and mean-curvature at 32x32, hyperbolic at
-64x64, sphere R0 = 0.7 at 48x48, the Laplacian at alpha = pi/3 with k = 2,
-reflex p = 3 at alpha = 4.5, and p = 6 at 16x16), convergence 16-32-64 for
+64x64 with k = 2 and with k = 3, whose walls have R' != 0, sphere R0 = 0.7 at
+48x48, the Laplacian at alpha = pi/3 with k = 2, reflex p = 3 at alpha = 4.5,
+and p = 6 at 16x16), the hyperbolic scan at 256x256 over
+[0, 0.06, 0.12, 0.24] (the linear ladders solve their later rungs by GMRES on
+the first rung's factor; these two reach its refinement and its longest
+cycle), convergence 16-32-64 for
 p = 3 and hyperbolic, solve plus audit at 48x48 and eps = 0.1 for p = 1.5,
 p = 3 and mean-curvature, solve plus pfunction at eps = 0.1 for hyperbolic
 64x64 and sphere 48x48, solve p = 6 at 16x16, the Laplacian solve at 256x256
@@ -53,6 +57,9 @@ def commands() -> list:
         ("rigidity_p1.5", "rigidity", _config("p-laplacian:1.5"), []),
         ("rigidity_mean_curvature", "rigidity", _config("mean-curvature"), []),
         ("rigidity_hyperbolic", "rigidity", _config(**hyperbolic), []),
+        ("rigidity_hyperbolic_k3", "rigidity", _config(**hyperbolic, k=3), []),
+        ("rigidity_hyperbolic_256", "rigidity",
+         _config(grids=["256x256"], epsilons=[0.0, 0.06, 0.12, 0.24], space_form="hyperbolic"), []),
         ("rigidity_sphere", "rigidity", _config(**sphere), []),
         ("rigidity_laplacian_k2", "rigidity", _config(alpha=math.pi / 3, k=2), []),
         ("rigidity_reflex_p3", "rigidity", _config("p-laplacian:3", alpha=4.5), []),
