@@ -23,7 +23,6 @@ __all__ = [
     "RadialSolutionSpaceForm",
     "euclid_u",
     "euclid_u_prime",
-    "euclid_gradient_hessian",
     "spaceform_u",
     "spaceform_u_prime",
     "pde_residual_euclid",
@@ -114,33 +113,6 @@ def euclid_u_prime(sol: RadialSolutionEuclidean, rho):
     """Radial derivative u'(rho) = -g'(rho/N)."""
     rho = np.asarray(rho, dtype=float)
     return -sol.profile.g_prime(rho / sol.dimension)
-
-
-def euclid_gradient_hessian(sol: RadialSolutionEuclidean, x):
-    """Analytic gradient and Hessian at a point x (any dimension-N vector).
-
-    grad u = -g'(rho/N)(x-x0)/rho; the Hessian follows from differentiating
-    the radial profile, with u'' = -1/(N f''(g'(rho/N))).
-    """
-    x = np.asarray(x, dtype=float)
-    x0 = np.asarray(sol.center, dtype=float)
-    d = x - x0
-    rho = float(np.linalg.norm(d))
-    N = sol.dimension
-    if rho == 0.0:
-        grad = np.zeros_like(d)
-        if sol.profile.is_laplacian:
-            return grad, -np.eye(len(d)) / N
-        raise ValueError("hessian at the center is defined by limit only for the Laplacian")
-    if rho > sol.radius * (1 + 1e-12):
-        raise ValueError("point outside the solution ball")
-    e = d / rho
-    up = -float(sol.profile.g_prime(rho / N))
-    upp = -1.0 / (N * float(sol.profile.f_second(sol.profile.g_prime(rho / N))))
-    grad = up * e
-    eye = np.eye(len(d))
-    hess = upp * np.outer(e, e) + (up / rho) * (eye - np.outer(e, e))
-    return grad, hess
 
 
 def pde_residual_euclid(sol: RadialSolutionEuclidean, x) -> float:

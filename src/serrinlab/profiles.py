@@ -10,7 +10,7 @@ numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -18,11 +18,9 @@ import numpy as np
 __all__ = [
     "OperatorProfile",
     "RegularizedProfile",
-    "AdmissibilityReport",
     "make_power_profile",
     "make_mean_curvature_profile",
     "regularize",
-    "check_admissibility",
     "profile_from_id",
 ]
 
@@ -171,80 +169,6 @@ def regularize(profile: OperatorProfile, epsilon: float) -> RegularizedProfile:
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     return RegularizedProfile(base=profile, epsilon=float(epsilon))
-
-
-@dataclass
-class AdmissibilityReport:
-    """Per-clause worst violations for the profile hypotheses.
-
-    Failures are warnings, not errors: rigidity needs superlinearity, but
-    oracles and solvers run on any strictly convex profile.
-    """
-
-    profile: str
-    clauses: dict = field(default_factory=dict)  # name -> (worst, tol, ok)
-
-    def record(self, name: str, worst: float, tol: float):
-        self.clauses[name] = (float(worst), float(tol), bool(worst <= tol))
-
-    def ok(self, name: str) -> bool:
-        return self.clauses[name][2]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(ok for _, _, ok in self.clauses.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "profile": self.profile,
-            "clauses": {
-                k: {"worst": v[0], "tolerance": v[1], "pass": v[2]}
-                for k, v in self.clauses.items()
-            },
-            "all_pass": self.all_pass,
-        }
-
-
-def check_admissibility(
-    profile: OperatorProfile, sample_count: int = 64, s_max: float | None = None
-) -> AdmissibilityReport:
-    """Evaluate the profile invariants on a logarithmic sample grid.
-
-    Clauses: vanishing value and slope at 0, strict convexity, inverse
-    round-trip at 1e-10 relative, and a superlinearity probe (f(s)/s must be
-    increasing with positive log-slope over the last decade).
-    """
-    if sample_count < 8:
-        raise ValueError("sample_count must be at least 8")
-    if s_max is None:
-        # bounded-slope profiles lose bits near the saturating slope
-        s_max = 1e3 if math.isinf(profile.slope_sup) else 1e2
-    s = np.logspace(-6, math.log10(s_max), sample_count)
-
-    rep = AdmissibilityReport(profile=profile.name)
-    origin = max(abs(float(profile.f(0.0))), abs(float(profile.f_prime(0.0))))
-    rep.record("origin_values", origin, 1e-12)
-
-    fpp = np.asarray(profile.f_second(s))
-    rep.record("strict_convexity", max(0.0, float(-(fpp.min()))), 0.0)
-
-    rt = np.abs(profile.g_prime(profile.f_prime(s)) - s) / np.maximum(1.0, s)
-    rep.record("round_trip", float(rt.max()), 1e-10)
-
-    phi = np.asarray(profile.f(s)) / s
-    increments = np.diff(phi)
-    rep.record("slope_ratio_increasing", max(0.0, float(-(increments.min()))), 1e-12)
-    # unboundedness probe: log-slope of f(s)/s over the top decade of a wide
-    # grid (f(s)/s itself stays well conditioned far beyond the round-trip cap)
-    s_wide = np.logspace(-6, 6, sample_count)
-    phi_wide = np.asarray(profile.f(s_wide)) / s_wide
-    tail = phi_wide[s_wide >= 1e5]
-    s_tail = s_wide[s_wide >= 1e5]
-    log_slope = (math.log(tail[-1]) - math.log(tail[0])) / (
-        math.log(s_tail[-1]) - math.log(s_tail[0])
-    )
-    rep.record("superlinearity", max(0.0, 0.01 - log_slope), 0.0)
-    return rep
 
 
 def profile_from_id(spec: str) -> OperatorProfile:

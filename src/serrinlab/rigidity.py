@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -36,22 +34,9 @@ __all__ = [
     "deviation_scan",
     "convexity_contrast",
     "convergence_study",
-    "thread_budget",
 ]
 
 DEFAULT_EPSILONS = (0.0, 0.05, 0.1, 0.2)
-
-
-def thread_budget() -> int:
-    """Parallelism cap from SERRIN_THREADS (default 1: fully serial runs).
-
-    Any value that is not a positive integer (written in ASCII digits) is a
-    config error.
-    """
-    raw = os.environ.get("SERRIN_THREADS", "1")
-    if not (raw.isascii() and raw.isdigit() and int(raw) > 0):
-        raise ValueError(f"SERRIN_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
 
 
 def _parse_grid(spec, key: str = "grid") -> tuple:
@@ -191,7 +176,7 @@ def _solve_on(grid, config: ExperimentConfig, factor: list | None = None):
     return solve_Lf(grid, profile_from_id(config.profile), tol=config.tol, omega=config.omega)
 
 
-def _scan_one(config: ExperimentConfig, size, eps: float, factor: list | None = None) -> RigidityRow:
+def _scan_one(config: ExperimentConfig, size, eps: float, factor: list) -> RigidityRow:
     sf = space_form_from_id(config.space_form)
     cone = ConeSection(sf, config.alpha)
     grid = build_grid(cone, size[0], size[1], BoundaryRadius(config.R0, eps, config.k))
@@ -221,24 +206,18 @@ def deviation_scan(config: ExperimentConfig, judged: bool = True) -> RigidityRep
     """Solve/audit across the epsilon ladder on the primary grid.
 
     Solver non-convergence is recorded per row without aborting the scan.
-    A linear ladder runs in rung order and keeps one SuperLU factor: the
-    first rung is factored, and each later rung is solved by GMRES on the
-    held factor, or factors anew (freeing the held one first) when that
-    misses the linear tolerance, so at most one factor is alive.  The rungs
-    of a quasilinear ladder are independent and may run on a small thread
-    pool (SERRIN_THREADS); rows are assembled in ladder order either way.
-    An empty ladder checks nothing and is rejected.
+    The rungs run in ladder order, one at a time, and share one factor slot.
+    A linear ladder keeps one SuperLU factor in it: the first rung is
+    factored, and each later rung is solved by GMRES on the held factor, or
+    factors anew (freeing the held one first) when that misses the linear
+    tolerance, so at most one factor is alive.  A quasilinear rung ignores
+    the slot.  An empty ladder checks nothing and is rejected.
     """
     if not config.epsilons:
         raise ValueError("the deviation scan needs at least one value in epsilons")
     size = config.grid_sizes[0]
-    workers = min(thread_budget(), len(config.epsilons))
-    if workers > 1 and not _is_linear(config):
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda e: _scan_one(config, size, e), config.epsilons))
-    else:
-        factor = []  # the one factor slot a linear ladder's rungs share
-        rows = [_scan_one(config, size, e, factor) for e in config.epsilons]
+    factor = []
+    rows = [_scan_one(config, size, e, factor) for e in config.epsilons]
     return RigidityReport(config=config, grid=config.grids[0], rows=rows, judged=judged)
 
 

@@ -565,9 +565,15 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, omeg
     Otherwise the stale factor is dropped and A(a) is factored anew; a
     singular factor ends the solve with converged=False.  Convergence is
     always judged on the exact A(a).
+
+    The Laplacian has a identically 1 and is one linear solve: the result is
+    `solve_linear_spaceform`'s, whose report has an empty epsilon_schedule.
     """
     if grid.cone.space_form.curvature != 0:
         raise ValueError("the quasilinear solver is Euclidean-only; use solve_linear_spaceform")
+    if profile.is_laplacian:
+        # a is identically 1: a single linear solve is exact
+        return solve_linear_spaceform(grid, 2, tol=tol)
 
     p = profile.degeneracy_exponent
     if omega is None:
@@ -586,12 +592,6 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, omeg
     def speed(v):
         vr, vt = metric_gradient(grid, v, kind="solution")
         return np.hypot(vr, vt)
-
-    if profile.is_laplacian:
-        # a is identically 1: a single linear solve is exact
-        field_, rep = solve_linear_spaceform(grid, N, tol=tol)
-        rep.epsilon_schedule = list(SCHEDULE)
-        return field_, rep
 
     matrix = _operator_matrix(grid, N, K)
     b = -np.ones(grid.n_cells)

@@ -2,7 +2,7 @@
 
 The metric is dr^2 + h(r)^2 g_{S^{N-1}} with h = r, sinh r or sin r, and
 H(r) = integral of h from 0.  The exact first integral h_dot + K*H = 1 does a
-lot of work in the radial identities, so it is exposed as a check.
+lot of work in the radial identities.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = [
     "EUCLIDEAN",
     "HYPERBOLIC",
     "SPHERE",
-    "first_integral_check",
     "geodesic_distance",
     "space_form_from_id",
 ]
@@ -86,13 +85,6 @@ def space_form_from_id(spec: str) -> SpaceForm:
         raise ValueError(
             f"unknown space form {spec!r}; expected one of {sorted(_BY_ID)}"
         ) from None
-
-
-def first_integral_check(sf: SpaceForm, r_samples) -> float:
-    """Max deviation of h_dot + K*H from 1 over the samples (exact identity)."""
-    r = sf.check_radius(np.asarray(r_samples, dtype=float), inclusive=True)
-    dev = sf.h_dot(r) + sf.curvature * sf.H(r) - 1.0
-    return float(np.max(np.abs(dev))) if dev.size else 0.0
 
 
 @dataclass(frozen=True)

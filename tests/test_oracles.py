@@ -10,7 +10,6 @@ from serrinlab.mesh import build_grid
 from serrinlab.oracles import (
     RadialSolutionEuclidean,
     RadialSolutionSpaceForm,
-    euclid_gradient_hessian,
     euclid_u,
     euclid_u_prime,
     overdetermined_constant,
@@ -94,40 +93,17 @@ def test_mean_curvature_radius_bound():
         RadialSolutionEuclidean(MC, 2, 2.0)
 
 
-def test_euclid_gradient_hessian_laplacian():
-    sol = RadialSolutionEuclidean(P2, 2, 1.0)
-    g, H = euclid_gradient_hessian(sol, (1.0, 0.0))
-    assert np.allclose(g, [-0.5, 0.0], atol=1e-15)
-    assert np.allclose(H, -0.5 * np.eye(2), atol=1e-15)
-    g, H = euclid_gradient_hessian(sol, (0.3, 0.4))
-    assert np.allclose(H, -0.5 * np.eye(2), atol=1e-14)
-    # at the center the gradient vanishes and the Hessian is the limit
-    g0, H0 = euclid_gradient_hessian(sol, (0.0, 0.0))
-    assert np.allclose(g0, 0.0)
-    assert np.allclose(H0, -0.5 * np.eye(2))
-
-
-def test_euclid_gradient_p3():
-    sol = RadialSolutionEuclidean(P3, 2, 1.0)
-    g, _ = euclid_gradient_hessian(sol, (0.5, 0.0))
-    assert np.hypot(*g) == pytest.approx(0.5, rel=1e-13)  # g'(0.25) = sqrt(1/4)
-    with pytest.raises(ValueError):
-        euclid_gradient_hessian(sol, (0.0, 0.0))  # non-Laplacian center Hessian
-
-
 def test_euclid_gradient_matches_finite_differences():
-    sol = RadialSolutionEuclidean(P3, 2, 1.0)
-    x = np.array([0.4, 0.2])
-    g, H = euclid_gradient_hessian(sol, x)
+    # u' = -g'(rho/N): the Laplacian slope at R = 1 and the p = 3 slope at 0.5
+    # are both -1/2, and central differences of u match u' at interior radii
+    assert float(euclid_u_prime(RadialSolutionEuclidean(P2, 2, 1.0), 1.0)) == pytest.approx(-0.5, rel=1e-15)
+    assert float(euclid_u_prime(RadialSolutionEuclidean(P3, 2, 1.0), 0.5)) == pytest.approx(-0.5, rel=1e-13)
+    rho = np.linspace(0.1, 0.9, 9)
     step = 1e-6
-    for k in range(2):
-        e = np.zeros(2)
-        e[k] = step
-        du = (euclid_u(sol, np.linalg.norm(x + e)) - euclid_u(sol, np.linalg.norm(x - e))) / (2 * step)
-        assert du == pytest.approx(g[k], rel=1e-6, abs=1e-8)
-        gp, _ = euclid_gradient_hessian(sol, x + e)
-        gm, _ = euclid_gradient_hessian(sol, x - e)
-        assert np.allclose((gp - gm) / (2 * step), H[:, k], rtol=1e-5, atol=1e-7)
+    for profile in (P2, P3, MC):
+        sol = RadialSolutionEuclidean(profile, 2, 1.0)
+        du = (euclid_u(sol, rho + step) - euclid_u(sol, rho - step)) / (2 * step)
+        assert np.allclose(du, euclid_u_prime(sol, rho), rtol=1e-6, atol=1e-8), profile.name
 
 
 @pytest.mark.parametrize("profile", [P2, P3, MC], ids=lambda p: p.name)
@@ -213,8 +189,8 @@ def test_wall_centered_solution():
     # center on a wall point (half-ball over a flat wall of the half-plane)
     sol = RadialSolutionEuclidean(P2, 2, 0.5, center=(0.3, 0.0))
     assert euclid_u(sol, 0.5) == pytest.approx(0.0, abs=1e-15)
-    g, _ = euclid_gradient_hessian(sol, (0.3 + 0.2, 0.0))
-    assert np.allclose(g, [-0.1, 0.0], atol=1e-15)  # -g'(rho/N) along the wall
+    # the slope along the wall, 0.2 from the center: -g'(rho/N) = -0.1
+    assert float(euclid_u_prime(sol, 0.2)) == pytest.approx(-0.1, abs=1e-15)
     assert abs(pde_residual_euclid(sol, (0.3, 0.25))) <= 1e-12
 
 

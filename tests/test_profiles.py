@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from serrinlab.profiles import (
-    check_admissibility,
     make_mean_curvature_profile,
     make_power_profile,
     profile_from_id,
@@ -56,6 +55,9 @@ def test_round_trip_log_grid(profile):
     s = np.logspace(-6, math.log10(s_max), 60)
     err = np.abs(profile.g_prime(profile.f_prime(s)) - s) / np.maximum(1.0, s)
     assert float(err.max()) <= 1e-9
+    # f(0) = f'(0) = 0 and strict convexity on the same grid
+    assert float(profile.f(0.0)) == 0.0 and float(profile.f_prime(0.0)) == 0.0
+    assert np.all(np.asarray(profile.f_second(s)) > 0.0)
 
 
 @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: p.name)
@@ -135,24 +137,6 @@ def test_regularization_monotone_in_epsilon():
 def test_regularize_requires_positive_epsilon():
     with pytest.raises(ValueError):
         regularize(make_power_profile(2.0), 0.0)
-
-
-def test_admissibility_power_profiles_pass():
-    for p in (2.0, 3.0):
-        rep = check_admissibility(make_power_profile(p), 64)
-        assert rep.all_pass, rep.to_dict()
-
-
-def test_admissibility_flags_mean_curvature_superlinearity():
-    rep = check_admissibility(make_mean_curvature_profile(), 64)
-    assert not rep.ok("superlinearity")
-    for clause in ("origin_values", "strict_convexity", "round_trip", "slope_ratio_increasing"):
-        assert rep.ok(clause)
-
-
-def test_admissibility_sample_count_validation():
-    with pytest.raises(ValueError):
-        check_admissibility(make_power_profile(2.0), 7)
 
 
 def test_profile_from_id():

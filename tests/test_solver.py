@@ -225,6 +225,27 @@ def test_laplacian_profile_single_linear_solve():
     assert np.array_equal(u_lin.values, u_lf.values)
 
 
+def test_laplacian_solve_Lf_is_the_linear_solve():
+    # no regularization is used, so the report is the linear solve's: an
+    # empty epsilon_schedule and the caller's tol
+    grid = build_grid(quarter(), 32, 32, BoundaryRadius(1.0, 0.1, 2))
+    u_lin, rep_lin = solve_linear_spaceform(grid, 2, tol=1e-8)
+    u_lf, rep_lf = solve_Lf(grid, P2, tol=1e-8)
+    assert u_lf.values.tobytes() == u_lin.values.tobytes()
+    assert repr(rep_lf) == repr(rep_lin)
+    assert rep_lf.epsilon_schedule == [] and rep_lf.converged
+
+
+def test_iteration_cap_reported_not_converged(monkeypatch):
+    # a cap too small for the last stage ends the solve with a message that
+    # names the cap and the stage's epsilon
+    monkeypatch.setattr(solver, "MAX_ITERS", 2)
+    grid = build_grid(quarter(), 16, 16, BoundaryRadius(1.0, 0.1, 2))
+    _, rep = solve_Lf(grid, P3)
+    assert rep.converged is False
+    assert rep.message == f"iteration cap 2 hit at epsilon={solver.SCHEDULE[-1]}"
+
+
 def test_p3_picard_monotone_convergence():
     oracle = RadialSolutionEuclidean(P3, 2, 1.0)
     errs = []
