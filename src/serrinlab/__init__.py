@@ -16,7 +16,7 @@ from .profiles import (
     regularize,
 )
 from .rigidity import ExperimentConfig, convergence_study, deviation_scan
-from .solver import ScalarField, solve_Lf, solve_linear_spaceform
+from .solver import solve_Lf, solve_linear_spaceform
 from .spaceforms import EUCLIDEAN, HYPERBOLIC, SPHERE, ConeSection, space_form_from_id
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "ExperimentConfig",
     "deviation_scan",
     "convergence_study",
-    "ScalarField",
     "solve_Lf",
     "solve_linear_spaceform",
     "EUCLIDEAN",

@@ -38,7 +38,7 @@ from .rigidity import (
     convexity_contrast,
     deviation_scan,
 )
-from .solver import ScalarField, solve_Lf, solve_linear_spaceform
+from .solver import solve_Lf, solve_linear_spaceform
 from .spaceforms import ConeSection, space_form_from_id
 
 EXIT_OK = 0
@@ -73,9 +73,9 @@ def _grid_from_config(cfg: ExperimentConfig, size=None):
     return build_grid(cone, nr, nt, BoundaryRadius(cfg.R0, eps, cfg.k))
 
 
-def _solution_table(grid, field):
+def _solution_table(grid, u):
     theta = np.broadcast_to(grid.theta_centers, grid.r_centers.shape)
-    table = np.column_stack((grid.r_centers.ravel(), theta.ravel(), field.values.ravel()))
+    table = np.column_stack((grid.r_centers.ravel(), theta.ravel(), u.ravel()))
     return "solution.csv", ["r", "theta", "u"], table
 
 
@@ -101,7 +101,13 @@ def _write_run(cfg: ExperimentConfig, subcommand: str, t0: float, report: dict, 
     ).write(out_dir / manifest)
 
 
-def _read_solution_csv(path, grid) -> ScalarField:
+def _read_solution_csv(path, grid) -> np.ndarray:
+    """The u column of a solution CSV as an (Nr, Nt) array.
+
+    Every row must hold three numbers whose r and theta match the grid's cell
+    and whose u is finite; the first row that does not is a ConfigError
+    naming its file line.
+    """
     lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     if not lines or lines[0].strip() != "r,theta,u":
         raise ConfigError(f"{path}: expected header 'r,theta,u'")
@@ -134,8 +140,11 @@ def _read_solution_csv(path, grid) -> ScalarField:
         k = int(np.argmax(bad))
         what = "radius" if bad_r[k] else "angle"
         raise ConfigError(f"{path}: row {k + 2} {what} does not match the grid spec")
+    bad_u = ~np.isfinite(data[:, 2])
+    if bad_u.any():
+        raise ConfigError(f"{path}: row {int(np.argmax(bad_u)) + 2} u is not finite")
     # contiguous, as a solved field is, so reductions over it sum in the same order
-    return ScalarField(grid, np.ascontiguousarray(data[:, 2]).reshape(grid.Nr, grid.Nt))
+    return np.ascontiguousarray(data[:, 2]).reshape(grid.Nr, grid.Nt)
 
 
 def _cmd_oracle(args) -> int:
@@ -157,7 +166,8 @@ def _cmd_oracle(args) -> int:
         if sf.curvature == 0:
             u = float(euclid_u(sol, dk))
             up = float(euclid_u_prime(sol, dk))
-            res = pde_residual_euclid(sol, (dk, 0.0))
+            # a point at distance dk from the center, which has N coordinates
+            res = pde_residual_euclid(sol, (dk,) + (0.0,) * (args.N - 1))
         else:
             u = float(spaceform_u(sol, dk))
             up = float(spaceform_u_prime(sol, dk))
@@ -193,10 +203,10 @@ def _cmd_solve(args) -> int:
     grid = _grid_from_config(cfg)
     profile = profile_from_id(cfg.profile)
     if grid.cone.space_form.curvature != 0:
-        field, report = solve_linear_spaceform(grid, 2, tol=cfg.tol)
+        u, report = solve_linear_spaceform(grid, 2, tol=cfg.tol)
     else:
-        field, report = solve_Lf(grid, profile, tol=cfg.tol, omega=cfg.omega)
-    _write_run(cfg, "solve", t0, report.to_dict(), _solution_table(grid, field), grid)
+        u, report = solve_Lf(grid, profile, tol=cfg.tol, omega=cfg.omega)
+    _write_run(cfg, "solve", t0, report.to_dict(), _solution_table(grid, u), grid)
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
@@ -206,8 +216,8 @@ def _cmd_audit(args) -> int:
         raise ConfigError("identity audits are Euclidean; use the pfunction subcommand for space forms")
     t0 = time.perf_counter()
     grid = _grid_from_config(cfg)
-    field = _read_solution_csv(args.solution, grid)
-    report = identity_suite(grid, field, profile_from_id(cfg.profile))
+    u = _read_solution_csv(args.solution, grid)
+    report = identity_suite(grid, u, profile_from_id(cfg.profile))
     rows = [
         (c.name, c.value, "" if c.tolerance is None else c.tolerance,
          "" if c.passed is None else c.passed)
@@ -222,8 +232,8 @@ def _cmd_pfunction(args) -> int:
     cfg = _load_config(args)
     t0 = time.perf_counter()
     grid = _grid_from_config(cfg)
-    field = _read_solution_csv(args.solution, grid)
-    report = pfunction_suite(grid, field)
+    u = _read_solution_csv(args.solution, grid)
+    report = pfunction_suite(grid, u)
     _write_run(cfg, "pfunction", t0, report.to_dict(), grid=grid)
     return EXIT_OK if report.passed else EXIT_AUDIT_FAIL
 

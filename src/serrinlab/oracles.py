@@ -77,7 +77,7 @@ class RadialSolutionSpaceForm:
     def __post_init__(self):
         if self.dimension < 2:
             raise ValueError("dimension must be at least 2")
-        self.space_form.check_radius(self.radius, inclusive=False)
+        self.space_form.check_radius(self.radius)
         if not self.radius > 0:
             raise ValueError("radius must be positive")
 
@@ -230,4 +230,4 @@ def oracle_W_field(sol: RadialSolutionEuclidean, grid):
     upp = -1.0 / (N * fpp)
     hess_u = upp[..., None, None] * ee + (-q / safe)[..., None, None] * (eye - ee)
     W = np.einsum("...ij,...jk->...ik", hess_V, hess_u)
-    return MatrixField(grid, W, mask)
+    return MatrixField(W, mask)

@@ -18,11 +18,11 @@ from .identities import tol_discrete
 from .mesh import SectorGrid
 from .oracles import RadialSolutionSpaceForm, overdetermined_constant
 from .solver import (
-    ScalarField,
     _beta_centers,
     _cell_difference,
     _d_ds,
     _d_dtheta,
+    _face_slope,
     laplace_beltrami_probe,
     metric_gradient,
     neumann_statistics,
@@ -44,45 +44,42 @@ __all__ = [
 _QUAD_KW = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
 
 
-def p_field(grid: SectorGrid, u) -> ScalarField:
+def p_field(grid: SectorGrid, u: np.ndarray) -> np.ndarray:
     """P = |grad u|^2 + (2/N) u + K u^2 with the metric gradient, N = 2 and K the grid's."""
     N, K = 2, grid.cone.space_form.curvature
-    vals = np.asarray(u)
-    u_r, u_tan = metric_gradient(grid, vals, kind="solution")
-    P = u_r**2 + u_tan**2 + (2.0 / N) * vals + K * vals * vals
-    return ScalarField(grid, P)
+    u_r, u_tan = metric_gradient(grid, u, kind="solution")
+    return u_r**2 + u_tan**2 + (2.0 / N) * u + K * u * u
 
 
-def subharmonicity_probe(grid: SectorGrid, P):
+def subharmonicity_probe(grid: SectorGrid, P: np.ndarray):
     """(min discrete Laplacian of P, violation fraction, tolerance).
 
     The Laplacian uses the solver's own flux stencil so "subharmonic" is
     tested in the scheme's own discrete sense; only full-stencil cells are
     probed.  A violation is Delta P < -tol with tol = 5 h scale(P).
     """
-    vals = np.asarray(P)
-    lap, valid = laplace_beltrami_probe(grid, vals)
+    lap, valid = laplace_beltrami_probe(grid, P)
     probed = lap[valid]
-    scale = max(float(np.max(np.abs(vals))), 1e-30)
+    scale = max(float(np.max(np.abs(P))), 1e-30)
     tol = tol_discrete(grid, scale)
     min_lap = float(np.min(probed))
     frac = float(np.mean(probed < -tol))
     return min_lap, frac, tol
 
 
-def wall_normal_derivative(grid: SectorGrid, P) -> np.ndarray:
-    """One-sided d P/d nu on both walls, stacked (2, Nr)."""
-    vals = np.asarray(P)
+def wall_normal_derivative(grid: SectorGrid, P: np.ndarray) -> np.ndarray:
+    """One-sided d P/d nu on both walls (`_face_slope` in theta), stacked (2, Nr)."""
     dt = grid.dtheta
     sf = grid.cone.space_form
-    p_theta_0 = (-2.0 * vals[:, 0] + 3.0 * vals[:, 1] - vals[:, 2]) / dt
-    p_theta_a = -(-2.0 * vals[:, -1] + 3.0 * vals[:, -2] - vals[:, -3]) / dt
     h_w0 = sf.h(grid.s_centers * float(grid.radius(0.0)))
     h_wa = sf.h(grid.s_centers * float(grid.radius(grid.cone.alpha)))
-    return np.stack([-p_theta_0 / h_w0, p_theta_a / h_wa])
+    return np.stack([
+        _face_slope(P[:, 0], P[:, 1], P[:, 2], dt) / h_w0,
+        _face_slope(P[:, -1], P[:, -2], P[:, -3], dt) / h_wa,
+    ])
 
 
-def max_principle_check(grid: SectorGrid, u, P):
+def max_principle_check(grid: SectorGrid, u: np.ndarray, P: np.ndarray):
     """Discrete maximum principle for P plus the wall sign condition.
 
     The judged bound is max_Omega P <= max_Gamma0 (du/dnu)^2: P is subharmonic
@@ -92,11 +89,10 @@ def max_principle_check(grid: SectorGrid, u, P):
     data is constant and turns positive on perturbed domains (the boundary
     maximum exceeds the mean).  c is the measured Gamma_0 mean.
     """
-    vals = np.asarray(P)
     c = neumann_statistics(grid, u)[0]
     c2 = c * c
     tol = tol_discrete(grid, max(c2, 1e-30))
-    max_p = float(np.max(vals))
+    max_p = float(np.max(P))
     boundary_p_max = float(np.max(normal_derivative_gamma0(grid, u) ** 2))
     wall = wall_normal_derivative(grid, P)
     wall_max = float(np.max(wall))
@@ -113,22 +109,21 @@ def max_principle_check(grid: SectorGrid, u, P):
     }
 
 
-def step3_identity(grid: SectorGrid, u, c: float | None = None):
+def step3_identity(grid: SectorGrid, u: np.ndarray, c: float | None = None):
     """Grid quadrature of c^2 int h_dot versus (1+2/N)(int h_dot u - K int h u u_r).
 
     N = 2 and K is the grid's; c defaults to the measured Gamma_0 mean.
     """
     N, K = 2, grid.cone.space_form.curvature
-    vals = np.asarray(u)
     if c is None:
         c = neumann_statistics(grid, u)[0]
     sf = grid.cone.space_form
     w = grid.area_weights
     hdot = sf.h_dot(grid.r_centers)
-    u_r, _ = metric_gradient(grid, vals, kind="solution")
+    u_r, _ = metric_gradient(grid, u, kind="solution")
     lhs = c * c * float(np.sum(hdot * w))
     rhs = (1.0 + 2.0 / N) * (
-        float(np.sum(hdot * vals * w)) - K * float(np.sum(grid.h_centers * vals * u_r * w))
+        float(np.sum(hdot * u * w)) - K * float(np.sum(grid.h_centers * u * u_r * w))
     )
     return lhs, rhs, lhs - rhs
 
@@ -162,7 +157,7 @@ def step3_identity_analytic(sol: RadialSolutionSpaceForm):
     return lhs, rhs, lhs - rhs
 
 
-def hessian_proportionality_defect(grid: SectorGrid, u) -> float:
+def hessian_proportionality_defect(grid: SectorGrid, u: np.ndarray) -> float:
     """Max metric-normalized deviation of the covariant Hessian from (-1/N - K u) g.
 
     N = 2 and K is the grid's.  Coordinate second derivatives are corrected
@@ -170,7 +165,6 @@ def hessian_proportionality_defect(grid: SectorGrid, u) -> float:
     fail the check even for radial oracles.
     """
     N, K = 2, grid.cone.space_form.curvature
-    vals = np.asarray(u)
     sf = grid.cone.space_form
     R = grid.R_centers[None, :]
     Rp = grid.Rp_centers[None, :]
@@ -180,12 +174,12 @@ def hessian_proportionality_defect(grid: SectorGrid, u) -> float:
     h = grid.h_centers
     hdot = sf.h_dot(grid.r_centers)
 
-    us = _d_ds(grid, vals, "solution")
-    ut = _d_dtheta(grid, vals, "solution")
+    us = _d_ds(grid, u, "solution")
+    ut = _d_dtheta(grid, u, "solution")
     # second radial differences stay one-sided at the outer ring: the audited
     # field need not satisfy any particular discrete ghost relation there
-    uss = _cell_difference(vals, 0, "one-sided", "one-sided", second=True) / (grid.ds * grid.ds)
-    utt = _cell_difference(vals, 1, "mirror", "mirror", second=True) / (grid.dtheta * grid.dtheta)
+    uss = _cell_difference(u, 0, "one-sided", "one-sided", second=True) / (grid.ds * grid.ds)
+    utt = _cell_difference(u, 1, "mirror", "mirror", second=True) / (grid.dtheta * grid.dtheta)
     ust = _d_dtheta(grid, us, "solution")
 
     u_r = us / R
@@ -194,7 +188,7 @@ def hessian_proportionality_defect(grid: SectorGrid, u) -> float:
     u_rt = ust / R - us * Rp / (R * R) - beta * uss / R
     u_tt = utt - 2.0 * beta * ust + beta * beta * uss - s * (Rpp / R - 2.0 * (Rp / R) ** 2) * us
 
-    phi = -1.0 / N - K * vals
+    phi = -1.0 / N - K * u
     d_rr = u_rr - phi
     d_rt = (u_rt - (hdot / h) * u_t) / h
     d_tt = (u_tt + h * hdot * u_r) / (h * h) - phi
@@ -263,7 +257,7 @@ class PFieldReport:
         return {**asdict(self), "passed": self.passed}
 
 
-def pfunction_suite(grid: SectorGrid, u) -> PFieldReport:
+def pfunction_suite(grid: SectorGrid, u: np.ndarray) -> PFieldReport:
     """Full P-function audit of one field on a space-form grid."""
     P = p_field(grid, u)
     mp = max_principle_check(grid, u, P)
@@ -282,9 +276,9 @@ def pfunction_suite(grid: SectorGrid, u) -> PFieldReport:
     return PFieldReport(
         c=mp["c"],
         c_squared=mp["c_squared"],
-        max_P=float(np.max(P.values)),
-        min_P=float(np.min(P.values)),
-        max_P_minus_c2=float(np.max(P.values) - mp["c_squared"]),
+        max_P=float(np.max(P)),
+        min_P=float(np.min(P)),
+        max_P_minus_c2=float(np.max(P) - mp["c_squared"]),
         delta_P_min=dp_min,
         delta_P_violation_fraction=frac,
         wall_dP_dnu_max=wall_max,

@@ -60,15 +60,6 @@ class RegularizedProfile:
     base: OperatorProfile
     epsilon: float
 
-    def f_eps(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.base.f(np.hypot(self.epsilon, t)) - self.base.f(self.epsilon)
-
-    def f_eps_prime(self, t):
-        t = np.asarray(t, dtype=float)
-        q = np.hypot(self.epsilon, t)
-        return self.base.f_prime(q) * t / q
-
     def coefficient(self, t):
         """Frozen Picard coefficient a_eps(t) = f_eps'(t)/t, continuous at t=0."""
         t = np.asarray(t, dtype=float)

@@ -187,7 +187,7 @@ def _scan_one(config: ExperimentConfig, size, eps: float, factor: list) -> Rigid
     c_mean, sigma, sigma_max = neumann_statistics(grid, u)
     if sf.curvature == 0:
         profile = profile_from_id(config.profile)
-        W = hessian_W_field(grid, u.values, profile)
+        W = hessian_W_field(grid, u, profile)
         audit = identity_suite(grid, u, profile, W=W)
         checks = {c.name: c for c in audit.checks}
         defect = checks["W_plus_id_over_N_sup_interior"].value
@@ -202,11 +202,14 @@ def _scan_one(config: ExperimentConfig, size, eps: float, factor: list) -> Rigid
     return RigidityRow(eps, sigma, sigma_max, c_mean, c_formula, defect, rate, True)
 
 
-def deviation_scan(config: ExperimentConfig, judged: bool = True) -> RigidityReport:
+def deviation_scan(config: ExperimentConfig) -> RigidityReport:
     """Solve/audit across the epsilon ladder on the primary grid.
 
-    Solver non-convergence is recorded per row without aborting the scan.
-    The rungs run in ladder order, one at a time, and share one factor slot.
+    The scan is judged only over a convex section (alpha <= pi), the
+    convexity the rigidity theorem needs; over a reflex one its report
+    records judged = False and passes.  Solver non-convergence is recorded
+    per row without aborting the scan.  The rungs run in ladder order, one
+    at a time, and share one factor slot.
     A linear ladder keeps one SuperLU factor in it: the first rung is
     factored, and each later rung is solved by GMRES on the held factor, or
     factors anew (freeing the held one first) when that misses the linear
@@ -218,6 +221,7 @@ def deviation_scan(config: ExperimentConfig, judged: bool = True) -> RigidityRep
     size = config.grid_sizes[0]
     factor = []
     rows = [_scan_one(config, size, e, factor) for e in config.epsilons]
+    judged = config.alpha <= math.pi
     return RigidityReport(config=config, grid=config.grids[0], rows=rows, judged=judged)
 
 
@@ -225,7 +229,7 @@ def convexity_contrast(config: ExperimentConfig) -> RigidityReport:
     """Same scan over a reflex (nonconvex) section; exploratory, no contracts."""
     if config.alpha <= math.pi:
         raise ValueError("convexity contrast needs alpha > pi")
-    return deviation_scan(config, judged=False)
+    return deviation_scan(config)
 
 
 def convergence_study(config: ExperimentConfig):
@@ -254,7 +258,7 @@ def convergence_study(config: ExperimentConfig):
         grid = build_grid(cone, size[0], size[1], BoundaryRadius(config.R0, 0.0, config.k))
         u, rep = _solve_on(grid, config)
         exact = sample_values(oracle, grid)
-        diff = u.values - exact
+        diff = u - exact
         err_inf = float(np.max(np.abs(diff)))
         w = grid.area_weights
         err_l2 = float(np.sqrt(np.sum(diff * diff * w) / np.sum(w)))

@@ -27,7 +27,6 @@ from .mesh import SectorGrid
 from .profiles import OperatorProfile, regularize
 
 __all__ = [
-    "ScalarField",
     "MatrixField",
     "SolveReport",
     "solve_linear_spaceform",
@@ -58,23 +57,7 @@ REFINE_CYCLES = 2
 
 
 @dataclass
-class ScalarField:
-    grid: SectorGrid
-    values: np.ndarray  # (Nr, Nt)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.Nr, self.grid.Nt):
-            raise ValueError("field shape does not match the grid")
-
-    def __array__(self, dtype=None, copy=None):
-        a = np.asarray(self.values, dtype=dtype)
-        return a.copy() if copy else a
-
-
-@dataclass
 class MatrixField:
-    grid: SectorGrid
     values: np.ndarray  # (Nr, Nt, 2, 2), w[i,j] = d_j V_i
     mask: np.ndarray  # True where the entry is excluded (degenerate gradient)
 
@@ -498,9 +481,10 @@ def _scaled_residual(A, x, b) -> float:
 def solve_linear_spaceform(grid: SectorGrid, N: int = 2, tol: float = 1e-9, *, factor: list | None = None):
     """Solve Delta u + N K u = -1 with u = 0 on Gamma_0, du/dnu = 0 on walls.
 
-    K is the grid's space-form curvature.  Failure to meet the residual
-    tolerance (singular or indefinite operator, e.g. large spherical caps) is
-    reported, not raised.
+    K is the grid's space-form curvature.  Returns (u, report), u the
+    (Nr, Nt) array of cell values.  Failure to meet the residual tolerance
+    (singular or indefinite operator, e.g. large spherical caps) is reported,
+    not raised.
 
     factor, when given, is a caller-owned slot: a list holding at most one
     SuperLU factor, from an earlier solve on a grid of the same size.  A held
@@ -528,7 +512,7 @@ def solve_linear_spaceform(grid: SectorGrid, N: int = 2, tol: float = 1e-9, *, f
         res = _scaled_residual(A, x, b)
         message = "" if res <= tol else f"residual {res:.3e} above tolerance {tol:.1e}"
     report = SolveReport(iterations=1, final_residual=res, converged=not message, message=message)
-    return ScalarField(grid, x.reshape(grid.Nr, grid.Nt)), report
+    return x.reshape(grid.Nr, grid.Nt), report
 
 
 def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, omega: float | None = None):
@@ -600,7 +584,7 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, omeg
 
     def result(res, message=""):
         report = SolveReport(total_iters, res, list(SCHEDULE), converged=not message, message=message)
-        return ScalarField(grid, u), report
+        return u, report
 
     halved = False
     res = float("inf")
@@ -666,17 +650,26 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, omeg
 # post-processing
 
 
-def normal_derivative_gamma0(grid: SectorGrid, u) -> np.ndarray:
+def _face_slope(u0, u1, u2, h: float):
+    """Outward slope at the face half a cell beyond the end cell u0.
+
+    The one-sided second-order difference (2 u0 - 3 u1 + u2) / h of u0 and
+    its inward neighbours u1, u2 on cells of width h, exact for quadratics;
+    it reads no boundary value.
+    """
+    return (2.0 * u0 - 3.0 * u1 + u2) / h
+
+
+def normal_derivative_gamma0(grid: SectorGrid, u: np.ndarray) -> np.ndarray:
     """One-sided second-order normal derivative on each Gamma_0 face.
 
-    Differences the last three interior cells only (no boundary value): the
+    Differences the last three interior cells only (`_face_slope`): the
     half-cell Dirichlet imposition shifts the discrete field by a constant
     that pure interior differencing cancels.  The tangential derivative of u
     vanishes along the outer curve, which supplies the normal-frame factor.
     """
-    vals = np.asarray(u)
     sf = grid.cone.space_form
-    us_boundary = (2.0 * vals[-1] - 3.0 * vals[-2] + vals[-3]) / grid.ds
+    us_boundary = _face_slope(u[-1], u[-2], u[-3], grid.ds)
     u_r = us_boundary / grid.R_centers
     hR = sf.h(grid.R_centers)
     return u_r * np.sqrt(hR**2 + grid.Rp_centers**2) / hR
@@ -695,11 +688,11 @@ def neumann_statistics(grid: SectorGrid, u):
     return mean, spread, float(np.max(np.abs(dn - mean)))
 
 
-def gradient_field(grid: SectorGrid, u) -> np.ndarray:
+def gradient_field(grid: SectorGrid, u: np.ndarray) -> np.ndarray:
     """Cell-centered gradient, Cartesian components last (Euclidean grids only)."""
     if grid.cone.space_form.curvature != 0:
         raise ValueError("Cartesian gradient components require the Euclidean space form")
-    return np.stack(_cartesian_derivatives(grid, np.asarray(u), "solution"), axis=-1)
+    return np.stack(_cartesian_derivatives(grid, u, "solution"), axis=-1)
 
 
 def _cartesian_derivatives(grid: SectorGrid, q: np.ndarray, kind: str):
@@ -737,7 +730,7 @@ def hessian_W_field(grid: SectorGrid, u, profile: OperatorProfile) -> MatrixFiel
     W[..., 0, 0], W[..., 0, 1] = _cartesian_derivatives(grid, V[..., 0], "generic")
     W[..., 1, 0], W[..., 1, 1] = _cartesian_derivatives(grid, V[..., 1], "generic")
     # one-sided edge stencils reach two cells inward
-    return MatrixField(grid, W, _dilate(degenerate, 2))
+    return MatrixField(W, _dilate(degenerate, 2))
 
 
 def _dilate(mask: np.ndarray, reach: int) -> np.ndarray:

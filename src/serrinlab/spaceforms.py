@@ -33,17 +33,12 @@ class SpaceForm:
         # hemisphere cap: radial interval [0, pi/2)
         return math.pi / 2 if self.curvature > 0 else math.inf
 
-    def check_radius(self, r, inclusive: bool = False):
+    def check_radius(self, r):
         r = np.asarray(r, dtype=float)
         if np.any(r < 0):
             raise ValueError("radius must be nonnegative")
-        if self.curvature > 0:
-            bound = self.r_max
-            bad = (r > bound) if inclusive else (r >= bound)
-            if np.any(bad):
-                raise ValueError(
-                    f"radius outside the admissible interval [0, pi/2{']' if inclusive else ')'}"
-                )
+        if self.curvature > 0 and np.any(r >= self.r_max):
+            raise ValueError("radius outside the admissible interval [0, pi/2)")
         return r
 
     def h(self, r):

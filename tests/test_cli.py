@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import serrinlab.cli as cli
 from serrinlab.rigidity import ExperimentConfig
-from serrinlab.solver import ScalarField, SolveReport
+from serrinlab.solver import SolveReport
 
 
 def write_config(tmp_path, **overrides):
@@ -94,6 +95,18 @@ def test_oracle_subcommand(tmp_path):
     assert len(lines) == 17
     last = lines[-1].split(",")
     assert abs(float(last[4]) - math.tanh(1.0) / 2.0) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_oracle_euclidean_in_higher_dimension(tmp_path, N):
+    # the residual is sampled at a point with one coordinate per dimension
+    for profile in ("laplacian", "p-laplacian:1.5", "p-laplacian:3", "mean-curvature"):
+        out = tmp_path / profile
+        argv = ["oracle", "--N", str(N), "--profile", profile, "--samples", "8", "--out-dir", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        rows = [line.split(",") for line in (out / "oracle.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 8
+        assert max(abs(float(row[3])) for row in rows) < 1e-12
 
 
 def test_oracle_manifest_times_the_whole_run(tmp_path, monkeypatch):
@@ -236,7 +249,7 @@ def test_config_rejects_mistyped_values(tmp_path, capsys, key, value):
 def test_solver_nonconvergence_exit(tmp_path, monkeypatch):
     def fake_solve(grid, profile, tol=1e-8, omega=None):
         rep = SolveReport(iterations=1, final_residual=1.0, converged=False, message="stalled")
-        return ScalarField(grid, np.zeros((grid.Nr, grid.Nt))), rep
+        return np.zeros((grid.Nr, grid.Nt)), rep
 
     monkeypatch.setattr(cli, "solve_Lf", fake_solve)
     cfg = write_config(tmp_path, out_dir=str(tmp_path / "run"))
@@ -288,9 +301,9 @@ def test_solution_csv_golden_bytes_and_round_trip(tmp_path):
     perturbed = cases[-1][0]
     assert len(set(perturbed.r_centers.ravel().tolist())) == perturbed.n_cells  # every r distinct
     cases.append((perturbed, _special_u_column(perturbed.n_cells).reshape(perturbed.Nr, perturbed.Nt)))
-    for n, (grid, values) in enumerate(cases):
-        path = tmp_path / f"solution{n}.csv"
-        _, header, table = cli._solution_table(grid, ScalarField(grid, values))
+
+    def write(path, grid, values):
+        _, header, table = cli._solution_table(grid, values)
         cli.emit_csv(path, header, table)
         lines = ["r,theta,u"]
         for i in range(grid.Nr):
@@ -298,9 +311,21 @@ def test_solution_csv_golden_bytes_and_round_trip(tmp_path):
                 lines.append(",".join(_reference_fmt_float(v) for v in
                                       (grid.r_centers[i, j], grid.theta_centers[j], values[i, j])))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
-        back = cli._read_solution_csv(path, grid).values
-        # bitwise, -0.0 included; every nan payload is written, and read back, as the one "nan"
-        assert back.tobytes() == np.where(np.isnan(values), np.nan, values).tobytes()
+
+    for n, (grid, values) in enumerate(cases):
+        # every nan payload is written as the one "nan"; a non-finite u is not read back
+        path = tmp_path / f"solution{n}.csv"
+        write(path, grid, values)
+        first = int(np.argmax(~np.isfinite(values.ravel())))
+        with pytest.raises(cli.ConfigError, match=f"row {first + 2} u is not finite"):
+            cli._read_solution_csv(path, grid)
+        # the finite values read back bitwise, -0.0 included, as an array of the grid's shape
+        finite = np.where(np.isfinite(values), values, 0.5)
+        path = tmp_path / f"finite{n}.csv"
+        write(path, grid, finite)
+        back = cli._read_solution_csv(path, grid)
+        assert type(back) is np.ndarray and back.shape == (grid.Nr, grid.Nt)
+        assert back.tobytes() == finite.tobytes()
 
 
 @pytest.fixture
@@ -343,6 +368,23 @@ def test_solution_csv_rejections(tmp_path, capsys, solved_8x8, corrupt, message)
     capsys.readouterr()
     assert cli.main(["audit", "--config", str(cfg), "--solution", str(bad)]) == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["audit", "pfunction"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_solution_csv_rejects_non_finite_u(tmp_path, capsys, solved_8x8, command, value):
+    # a non-finite u is a bad input, not a field to audit: a config error that
+    # names the file line, raised before any arithmetic could warn
+    cfg, lines = solved_8x8
+    _set_field(lines, 6, 2, value)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--config", str(cfg), "--solution", str(bad)]) == cli.EXIT_CONFIG
+    assert "row 7 u is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "run" / f"{command}_report.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -153,6 +153,11 @@ def test_convexity_contrast_runs_reflex_sector():
     assert all(r.converged for r in rep.rows)
     with pytest.raises(ValueError):
         convexity_contrast(ExperimentConfig(alpha=math.pi / 2))
+    # the rigidity theorem needs a convex section: deviation_scan called directly
+    # judges only alpha <= pi
+    direct = deviation_scan(cfg)
+    assert direct.to_dict()["judged"] is False and repr(direct) == repr(rep)
+    assert deviation_scan(dataclasses.replace(cfg, alpha=math.pi, epsilons=(0.0,))).judged
 
 
 def test_convergence_study_orders():

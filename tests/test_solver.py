@@ -19,7 +19,6 @@ from serrinlab.oracles import (
 from serrinlab.profiles import make_mean_curvature_profile, make_power_profile
 from serrinlab.solver import (
     LINEAR_TOL,
-    ScalarField,
     _along,
     _dilate,
     _factor,
@@ -182,7 +181,7 @@ def test_linear_solver_second_order(sf):
         grid = build_grid(quarter(sf), n, n)
         u, rep = solve_linear_spaceform(grid, 2)
         assert rep.converged and rep.final_residual <= 1e-9
-        errs.append(float(np.max(np.abs(u.values - sample_values(oracle, grid)))))
+        errs.append(float(np.max(np.abs(u - sample_values(oracle, grid)))))
     assert errs[2] < errs[1] < errs[0]
     orders = [math.log2(errs[k] / errs[k + 1]) for k in range(2)]
     assert all(1.7 <= o <= 2.3 for o in orders), orders
@@ -192,9 +191,9 @@ def test_sphere_cap_solve_positive():
     grid = build_grid(quarter(SPHERE), 64, 64, BoundaryRadius(math.pi / 4))
     u, rep = solve_linear_spaceform(grid, 2)
     assert rep.converged
-    assert np.min(u.values) > 0
+    assert np.min(u) > 0
     oracle = RadialSolutionSpaceForm(SPHERE, 2, math.pi / 4)
-    assert np.max(np.abs(u.values - sample_values(oracle, grid))) <= 1e-4
+    assert np.max(np.abs(u - sample_values(oracle, grid))) <= 1e-4
 
 
 @pytest.mark.parametrize("sf", [EUCLIDEAN, HYPERBOLIC], ids=lambda s: s.name)
@@ -202,7 +201,7 @@ def test_positivity_probe(sf):
     for eps in (0.0, 0.1):
         grid = build_grid(quarter(sf), 32, 32, BoundaryRadius(1.0, eps, 2))
         u, _ = solve_linear_spaceform(grid, 2)
-        assert np.min(u.values) > 0
+        assert np.min(u) > 0
 
 
 def test_flux_balance_discrete():
@@ -211,7 +210,7 @@ def test_flux_balance_discrete():
         grid = build_grid(quarter(), 64, 64)
         u, _ = solve_Lf(grid, profile)
         flux = float(
-            np.sum(profile.f_prime(np.abs(normal_derivative_gamma0(grid, u.values))) * grid.gamma0_weights)
+            np.sum(profile.f_prime(np.abs(normal_derivative_gamma0(grid, u))) * grid.gamma0_weights)
         )
         area = float(np.sum(grid.area_weights))
         assert abs(flux - area) <= 1e-2 * area
@@ -222,7 +221,7 @@ def test_laplacian_profile_single_linear_solve():
     u_lin, rep_lin = solve_linear_spaceform(grid, 2)
     u_lf, rep_lf = solve_Lf(grid, P2)
     assert rep_lf.iterations == 1
-    assert np.array_equal(u_lin.values, u_lf.values)
+    assert np.array_equal(u_lin, u_lf)
 
 
 def test_laplacian_solve_Lf_is_the_linear_solve():
@@ -231,7 +230,7 @@ def test_laplacian_solve_Lf_is_the_linear_solve():
     grid = build_grid(quarter(), 32, 32, BoundaryRadius(1.0, 0.1, 2))
     u_lin, rep_lin = solve_linear_spaceform(grid, 2, tol=1e-8)
     u_lf, rep_lf = solve_Lf(grid, P2, tol=1e-8)
-    assert u_lf.values.tobytes() == u_lin.values.tobytes()
+    assert u_lf.tobytes() == u_lin.tobytes()
     assert repr(rep_lf) == repr(rep_lin)
     assert rep_lf.epsilon_schedule == [] and rep_lf.converged
 
@@ -253,7 +252,7 @@ def test_p3_picard_monotone_convergence():
         grid = build_grid(quarter(), n, n)
         u, rep = solve_Lf(grid, P3, tol=1e-8)
         assert rep.converged and rep.final_residual <= 1e-8
-        errs.append(float(np.max(np.abs(u.values - sample_values(oracle, grid)))))
+        errs.append(float(np.max(np.abs(u - sample_values(oracle, grid)))))
     assert errs[2] < errs[1] < errs[0]
     order = math.log2(errs[1] / errs[2])
     assert order >= 1.0
@@ -265,7 +264,7 @@ def test_p15_converges_with_damping():
     u, rep = solve_Lf(grid, p15, tol=1e-8)
     assert rep.converged
     oracle = RadialSolutionEuclidean(p15, 2, 1.0)
-    assert np.max(np.abs(u.values - sample_values(oracle, grid))) <= 5e-4
+    assert np.max(np.abs(u - sample_values(oracle, grid))) <= 5e-4
 
 
 def test_mean_curvature_converges():
@@ -274,7 +273,7 @@ def test_mean_curvature_converges():
     u, rep = solve_Lf(grid, mc, tol=1e-8)
     assert rep.converged
     oracle = RadialSolutionEuclidean(mc, 2, 1.0)
-    assert np.max(np.abs(u.values - sample_values(oracle, grid))) <= 5e-4
+    assert np.max(np.abs(u - sample_values(oracle, grid))) <= 5e-4
 
 
 @pytest.mark.parametrize(
@@ -311,7 +310,7 @@ def test_solver_envelope_converges_or_says_why(profile, R0, converges):
     assert rep.converged is converges, rep.message
     if converges:
         exact = sample_values(RadialSolutionEuclidean(profile, 2, R0), grid)
-        rel = np.max(np.abs(u.values - exact)) / np.max(np.abs(exact))
+        rel = np.max(np.abs(u - exact)) / np.max(np.abs(exact))
         assert rel <= 2e-3, rel
     else:
         assert "epsilon=" in rep.message, rep.message
@@ -330,7 +329,7 @@ def test_radial_warm_start():
         assert rep.converged and rep_cold.converged
         assert rep_cold.iterations == cold_iters, (profile.name, rep_cold.iterations)
         assert rep.iterations < rep_cold.iterations, (profile.name, rep.iterations)
-        rel = np.max(np.abs(u.values - u_cold.values)) / np.max(np.abs(u_cold.values))
+        rel = np.max(np.abs(u - u_cold)) / np.max(np.abs(u_cold))
         assert rel <= 1e-5, (profile.name, rel)
     # R/N > 1 is past the mean-curvature slope bound: the cold path, with no warning
     past = build_grid(quarter(), 32, 32, BoundaryRadius(1.9, 0.1, 2))
@@ -355,7 +354,7 @@ def test_solver_envelope_sweep(profile):
             assert rep.converged, (alpha, eps, rep.message)
             if eps == 0.0:
                 exact = sample_values(RadialSolutionEuclidean(profile, 2, 1.0), grid)
-                rel = np.max(np.abs(u.values - exact)) / np.max(np.abs(exact))
+                rel = np.max(np.abs(u - exact)) / np.max(np.abs(exact))
                 assert rel <= 5e-3, (alpha, rel)
 
 
@@ -367,7 +366,7 @@ def test_p15_small_sector_converged_means_accurate(R0):
     grid = build_grid(quarter(), 32, 32, BoundaryRadius(R0))
     u, rep = solve_Lf(grid, p15, tol=1e-8)
     exact = sample_values(RadialSolutionEuclidean(p15, 2, R0), grid)
-    err = np.max(np.abs(u.values - exact)) / np.max(np.abs(exact))
+    err = np.max(np.abs(u - exact)) / np.max(np.abs(exact))
     assert not rep.converged or err <= 2e-3, err
 
 
@@ -404,7 +403,7 @@ def test_picard_reuses_factorization(profile, monkeypatch):
     u_ref, rep_ref = solve_Lf(grid, profile, tol=1e-8)
     assert rep_ref.converged and counting.factorizations == rep_ref.iterations
     assert rep.iterations == rep_ref.iterations
-    rel = np.max(np.abs(u.values - u_ref.values)) / np.max(np.abs(u_ref.values))
+    rel = np.max(np.abs(u - u_ref)) / np.max(np.abs(u_ref))
     assert rel <= 1e-8, rel
 
 
@@ -457,14 +456,14 @@ def test_refined_stale_step_spares_a_picard_factorization(monkeypatch):
     u_ref, rep_ref = solve_Lf(grid, mc, tol=1e-8)
     assert rep_ref.converged and counting.factorizations == 2
     assert rep.iterations == rep_ref.iterations
-    assert np.max(np.abs(u.values - u_ref.values)) <= 1e-9 * np.max(np.abs(u_ref.values))
+    assert np.max(np.abs(u - u_ref)) <= 1e-9 * np.max(np.abs(u_ref))
 
 
 def test_linear_solve_holds_one_factor(monkeypatch):
     # a held factor serves a nearby grid; one it cannot serve is dropped from
     # the slot before the new factor is built
     grids = {eps: build_grid(quarter(HYPERBOLIC), 32, 32, BoundaryRadius(1.0, eps, 2)) for eps in (0.0, 0.1, 0.5)}
-    direct = {eps: solve_linear_spaceform(grid, 2)[0].values for eps, grid in grids.items()}
+    direct = {eps: solve_linear_spaceform(grid, 2)[0] for eps, grid in grids.items()}
     slot = []
     held = []  # the slot's length at each factorization
 
@@ -478,10 +477,10 @@ def test_linear_solve_holds_one_factor(monkeypatch):
     first = slot[0]
     u, rep = solve_linear_spaceform(grids[0.1], 2, factor=slot)
     assert rep.converged and held == [0] and slot == [first]
-    assert np.max(np.abs(u.values - direct[0.1])) <= 1e-10 * np.max(np.abs(direct[0.1]))
+    assert np.max(np.abs(u - direct[0.1])) <= 1e-10 * np.max(np.abs(direct[0.1]))
     u, rep = solve_linear_spaceform(grids[0.5], 2, factor=slot)
     assert rep.converged and held == [0, 0] and len(slot) == 1 and slot[0] is not first
-    assert np.array_equal(u.values, direct[0.5])
+    assert np.array_equal(u, direct[0.5])
 
 
 def test_factor_of_singular_matrix_is_none():
@@ -519,7 +518,7 @@ def test_normal_derivative_on_oracle_field():
     assert np.array_equal(normal_derivative_gamma0(grid, np.zeros((64, 64))), np.zeros(64))
     pert = build_grid(quarter(), 32, 32, BoundaryRadius(1.0, 0.1, 2))
     u, _ = solve_linear_spaceform(pert, 2)
-    dn = normal_derivative_gamma0(pert, u.values)
+    dn = normal_derivative_gamma0(pert, u)
     assert np.max(dn) - np.min(dn) > 1e-2
 
 
@@ -613,16 +612,10 @@ def test_derivative_closures_exact_on_quadratics():
         assert exact(got[:, rows], (2.0 * (2.0 - s) * (t - wall))[:, rows])
 
 
-def test_scalar_field_array_protocol():
-    g = build_grid(quarter(), 8, 8, BoundaryRadius(1.0))
-    f = ScalarField(g, np.arange(64.0).reshape(8, 8))
-    assert np.asarray(f) is f.values
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # numpy deprecates an __array__ without copy=
-        copied = np.array(f)
-        assert np.array(f, copy=False) is f.values
-    assert copied is not f.values and np.array_equal(copied, f.values)
-    assert np.asarray(f, dtype=np.float32).dtype == np.float32
-    # NumPy 1.x calls __array__ without the copy keyword
-    assert f.__array__() is f.values
-    assert f.__array__(copy=True) is not f.values
+def test_solvers_return_arrays_of_the_grid_shape():
+    # a solution is a plain float array of one value per cell, whichever solver ran
+    grid = build_grid(quarter(), 12, 10, BoundaryRadius(1.0, 0.1, 2))
+    hyp = build_grid(quarter(HYPERBOLIC), 12, 10, BoundaryRadius(1.0, 0.1, 2))
+    for u, rep in (solve_Lf(grid, P3), solve_Lf(grid, P2), solve_linear_spaceform(hyp, 2)):
+        assert rep.converged
+        assert type(u) is np.ndarray and u.dtype == np.float64 and u.shape == (12, 10)

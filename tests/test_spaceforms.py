@@ -25,12 +25,12 @@ def test_warping_triples():
 def test_hemisphere_boundary_handling():
     with pytest.raises(ValueError):
         SPHERE.check_radius(math.pi / 2)
-    r = SPHERE.check_radius(math.pi / 2, inclusive=True)
+    r = math.pi / 2
     assert SPHERE.h(r) == pytest.approx(1.0, rel=1e-15)
     assert abs(SPHERE.h_dot(r)) <= 1e-15
     assert SPHERE.H(r) == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(ValueError):
-        SPHERE.check_radius(math.pi / 2 + 1e-6, inclusive=True)
+        SPHERE.check_radius(math.pi / 2 + 1e-6)
 
 
 @pytest.mark.parametrize("sf", ALL_FORMS, ids=lambda s: s.name)

@@ -27,7 +27,8 @@ p = 3 and hyperbolic, solve plus audit at 48x48 and eps = 0.1 for p = 1.5,
 p = 3 and mean-curvature, solve plus pfunction at eps = 0.1 for hyperbolic
 64x64 and sphere 48x48, solve p = 6 at 16x16, the Laplacian solve at 256x256
 with eps = 0 and eps = 0.1, the hyperbolic solve at 256x256 with eps = 0.1
-(the largest matrix, 9-point with the N K shift), and `oracle --out-dir`.
+(the largest matrix, 9-point with the N K shift), `oracle --out-dir`, and
+the Euclidean oracle in dimension 3, `oracle --N 3 --out-dir`.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ def commands() -> list:
         ("solve_hyperbolic_256_eps0.1", "solve",
          _config(grids=["256x256"], epsilons=[0.1], space_form="hyperbolic"), []),
         ("oracle", "oracle", None, ["--out-dir", "out"]),
+        ("oracle_N3", "oracle", None, ["--N", "3", "--out-dir", "out"]),
     ]
     return runs
 
