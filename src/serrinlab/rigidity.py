@@ -169,18 +169,21 @@ def _is_linear(config: ExperimentConfig) -> bool:
     return space_form_from_id(config.space_form).curvature != 0 or profile_from_id(config.profile).is_laplacian
 
 
-def _solve_on(grid, config: ExperimentConfig, factor: list | None = None):
-    """Solve on grid; a linear problem may share the factor slot (`solve_linear_spaceform`)."""
+def _solve_on(grid, config: ExperimentConfig):
+    """Solve on grid: a linear problem by `solve_linear_spaceform`, a quasilinear one by `solve_Lf`.
+
+    A linear rung is the separable solve at eps = 0 and GMRES on it at eps > 0, SuperLU only a miss.
+    """
     if _is_linear(config):
-        return solve_linear_spaceform(grid, 2, tol=config.tol, factor=factor)
+        return solve_linear_spaceform(grid, 2, tol=config.tol)
     return solve_Lf(grid, profile_from_id(config.profile), tol=config.tol, omega=config.omega)
 
 
-def _scan_one(config: ExperimentConfig, size, eps: float, factor: list) -> RigidityRow:
+def _scan_one(config: ExperimentConfig, size, eps: float) -> RigidityRow:
     sf = space_form_from_id(config.space_form)
     cone = ConeSection(sf, config.alpha)
     grid = build_grid(cone, size[0], size[1], BoundaryRadius(config.R0, eps, config.k))
-    u, rep = _solve_on(grid, config, factor)
+    u, rep = _solve_on(grid, config)
     if not rep.converged:
         return RigidityRow(eps, float("nan"), float("nan"), float("nan"), float("nan"),
                            float("nan"), 0.0, False)
@@ -208,19 +211,15 @@ def deviation_scan(config: ExperimentConfig) -> RigidityReport:
     The scan is judged only over a convex section (alpha <= pi), the
     convexity the rigidity theorem needs; over a reflex one its report
     records judged = False and passes.  Solver non-convergence is recorded
-    per row without aborting the scan.  The rungs run in ladder order, one
-    at a time, and share one factor slot.
-    A linear ladder keeps one SuperLU factor in it: the first rung is
-    factored, and each later rung is solved by GMRES on the held factor, or
-    factors anew (freeing the held one first) when that misses the linear
-    tolerance, so at most one factor is alive.  A quasilinear rung ignores
-    the slot.  An empty ladder checks nothing and is rejected.
+    per row without aborting the scan.  The rungs run in ladder order, each
+    solved on its own: a linear rung by the separable solve of the sector at
+    eps = 0 and by GMRES on it above (`solve_linear_spaceform`), with no
+    SuperLU factor unless that misses.  An empty ladder is rejected.
     """
     if not config.epsilons:
         raise ValueError("the deviation scan needs at least one value in epsilons")
     size = config.grid_sizes[0]
-    factor = []
-    rows = [_scan_one(config, size, e, factor) for e in config.epsilons]
+    rows = [_scan_one(config, size, e) for e in config.epsilons]
     judged = config.alpha <= math.pi
     return RigidityReport(config=config, grid=config.grids[0], rows=rows, judged=judged)
 

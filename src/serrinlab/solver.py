@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import SectorGrid
+from .mesh import BoundaryRadius, SectorGrid, build_grid
 from .profiles import OperatorProfile, regularize
 
 __all__ = [
@@ -433,17 +433,76 @@ def _factor(A):
         return None
 
 
-def _stale_solve(lu, A, b, x0):
-    """Solve A x = b by GMRES preconditioned by the factor lu of a nearby matrix.
+@dataclass(frozen=True)
+class _Separable:
+    """The fast Poisson solver of a separable matrix (`_separable`); solve(b) as on a SuperLU factor."""
 
-    One cycle of at most STALE_RESTART steps starts from x0.  GMRES stops on
-    the 2-norm of the preconditioned residual, which bounds the componentwise
-    scaled residual only loosely: the vertex rows are about (h dtheta)^-2
-    larger than the Gamma_0 rows, so that norm bottoms out near 1e-9 and a
-    cycle may stop on its own while the scaled residual still misses
-    LINEAR_TOL.  Such a cycle is refined: at most REFINE_CYCLES more cycles
-    solve A dx = b - A x (rtol 1e-3) with the same factor.  A cycle that uses
-    all its steps means the factor is too far off, and ends the attempt.
+    basis: np.ndarray  # column m: cos(pi m (j + 1/2) / Nt), normalized
+    ratio: np.ndarray  # the multiple of row i - 1 that elimination subtracts from row i
+    pivot: np.ndarray
+    upper: np.ndarray
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        y = np.reshape(b, self.pivot.shape) @ self.basis
+        for i in range(1, len(y)):
+            y[i] -= self.ratio[i] * y[i - 1]
+        y[-1] /= self.pivot[-1]
+        for i in range(len(y) - 2, -1, -1):
+            y[i] = (y[i] - self.upper[i] * y[i + 1]) / self.pivot[i]
+        return (y @ self.basis.T).ravel()
+
+
+def _separable(grid: SectorGrid, A0) -> _Separable | None:
+    """A0 = T_s (x) I + diag(t) (x) L_N + diag(c) (x) I as a `_Separable`, else None.
+
+    L_N, the Neumann second difference in theta, has the DCT-II cosines (a
+    dense basis: scipy.fft costs more to import) as eigenvectors; in their
+    basis A0 splits into Nt tridiagonal systems in s (Buzbee, Golub & Nielson
+    1970), kept as their Thomas elimination.  A0 must store only the
+    diagonals 0, +-1 and +-Nt, each the same in every column j to 1e-14 of
+    the row's diagonal entry, but for t[i] L_N[j, j]: true on an unperturbed
+    sector for a coefficient of s alone.  A zero or non-finite Thomas pivot
+    (a sphere cap near resonance) gives None too.
+    """
+    Nr, Nt = grid.Nr, grid.Nt
+    offsets = (-Nt, -1, 0, 1, Nt)
+    # band[k][i, j] = A0[(i, j), (i, j) + k], 0 beyond the matrix
+    band = {k: np.pad(A0.diagonal(k), (max(0, -k), max(0, k))).reshape(Nr, Nt) for k in offsets}
+    if sum(np.count_nonzero(v) for v in band.values()) != A0.nnz:
+        return None
+    t, j = band[1][:, :1], np.arange(Nt)
+    centre = band[0][:, :1] + t  # T_s[i, i] + c[i], as L_N[0, 0] = -1
+    model = {-Nt: band[-Nt][:, :1], -1: t * (j > 0), 1: t * (j < Nt - 1), Nt: band[Nt][:, :1],
+             0: centre - t * np.where((j == 0) | (j == Nt - 1), 1.0, 2.0)}
+    if any(np.any(np.abs(band[k] - model[k]) > 1e-14 * np.abs(band[0])) for k in offsets):
+        return None
+    pivot = centre - 4.0 * t * np.sin(0.5 * np.pi * j / Nt) ** 2
+    ratio = np.zeros((Nr, Nt))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(1, Nr):
+            ratio[i] = band[-Nt][i, 0] / pivot[i - 1]
+            pivot[i] -= ratio[i] * band[Nt][i - 1, 0]
+    if not (np.isfinite(ratio).all() and np.isfinite(pivot).all() and pivot.all()):
+        return None
+    basis = np.sqrt(2.0 / Nt) * np.cos(np.pi * np.outer(j + 0.5, j) / Nt)
+    basis[:, 0] = np.sqrt(1.0 / Nt)
+    return _Separable(basis, ratio, pivot, band[Nt][:, 0])
+
+
+def _stale_solve(lu, A, b, x0):
+    """Solve A x = b by GMRES preconditioned by lu, the SuperLU or `_Separable` factor of a nearby matrix.
+
+    A perturbed linear rung is preconditioned by the separable solve of its
+    unperturbed sector, a Picard step by the separable solve of its theta
+    means (at eps = 0) or by the last SuperLU factor.  One cycle of at most
+    STALE_RESTART steps starts from x0.  GMRES stops on the 2-norm of the
+    preconditioned residual, which bounds the componentwise scaled residual
+    only loosely: the vertex rows are about (h dtheta)^-2 larger than the
+    Gamma_0 rows, so that norm bottoms out near 1e-9 and a cycle may stop on
+    its own while the scaled residual still misses LINEAR_TOL.  Such a cycle
+    is refined: at most REFINE_CYCLES more cycles solve A dx = b - A x (rtol
+    1e-3) with the same factor.  A cycle that uses all its steps means the
+    factor is too far off, and ends the attempt.
     Returns x only if its scaled residual meets LINEAR_TOL, else None.
     """
     M = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)  # a dtype spares a probe solve
@@ -465,6 +524,18 @@ def _stale_solve(lu, A, b, x0):
     return x
 
 
+def _linear_solve(A, b, lu, x0=None):
+    """Every linear solve: x with a scaled residual of at most LINEAR_TOL, or None.
+
+    The start x0, lu.solve(b) by default, is kept if it meets LINEAR_TOL and
+    refined by `_stale_solve` if it is finite; no factor (None) solves nothing.
+    """
+    x = None if lu is None else lu.solve(b) if x0 is None else x0
+    if x is None or not np.isfinite(x).all():
+        return None
+    return x if _scaled_residual(A, x, b) <= LINEAR_TOL else _stale_solve(lu, A, b, x)
+
+
 def _scaled_residual(A, x, b) -> float:
     """Componentwise-relative residual max |Ax-b| / (|A||x| + |b|).
 
@@ -478,7 +549,7 @@ def _scaled_residual(A, x, b) -> float:
     return float(np.max(r / scale))
 
 
-def solve_linear_spaceform(grid: SectorGrid, N: int = 2, tol: float = 1e-9, *, factor: list | None = None):
+def solve_linear_spaceform(grid: SectorGrid, N: int = 2, tol: float = 1e-9):
     """Solve Delta u + N K u = -1 with u = 0 on Gamma_0, du/dnu = 0 on walls.
 
     K is the grid's space-form curvature.  Returns (u, report), u the
@@ -486,28 +557,26 @@ def solve_linear_spaceform(grid: SectorGrid, N: int = 2, tol: float = 1e-9, *, f
     (singular or indefinite operator, e.g. large spherical caps) is reported,
     not raised.
 
-    factor, when given, is a caller-owned slot: a list holding at most one
-    SuperLU factor, from an earlier solve on a grid of the same size.  A held
-    factor first serves as the preconditioner of `_stale_solve`, started from
-    its own solution lu.solve(b).  If that misses LINEAR_TOL, the slot is
-    emptied, freeing the factor, before A is factored; the new factor is left
-    in the slot.  Without a slot A is always factored, and the factor dies
-    with the call.
+    At eps = 0 the matrix is separable and solved directly (`_separable`).
+    At eps != 0 GMRES solves it, preconditioned by the separable solve of
+    the sector at eps = 0 (10-25 steps on the benchmark's ladders, eps up to
+    0.24).  SuperLU factors it only when that misses LINEAR_TOL.
     """
     K = grid.cone.space_form.curvature
-    A = _operator_matrix(grid, N, K)(np.ones((grid.Nr, grid.Nt)))
+    ones = np.ones((grid.Nr, grid.Nt))
+    A = _operator_matrix(grid, N, K)(ones)
     b = -np.ones(grid.n_cells)
-    x = _stale_solve(factor[0], A, b, factor[0].solve(b)) if factor else None
+    if grid.radius.epsilon == 0.0:
+        x = _linear_solve(A, b, _separable(grid, A))
+    else:
+        sector = build_grid(grid.cone, grid.Nr, grid.Nt, BoundaryRadius(grid.radius.R0, 0.0, grid.radius.k))
+        x = _linear_solve(A, b, _separable(sector, _operator_matrix(sector, N, K)(ones)))
     if x is None:
-        if factor:
-            factor.clear()  # a rejected factor is freed before the new one is built
-        lu = _factor(A)
-        x = None if lu is None else lu.solve(b)
-        if factor is not None and lu is not None:
-            factor.append(lu)
-    if x is None or not np.all(np.isfinite(x)):
+        x = _linear_solve(A, b, _factor(A))
+    if x is None:
         x, res = np.zeros(grid.n_cells), float("inf")
-        message = "linear solve produced non-finite values (operator indefinite or singular)"
+        message = (f"linear solve produced non-finite values or missed {LINEAR_TOL:.0e}"
+                   " (operator indefinite or singular)")
     else:
         res = _scaled_residual(A, x, b)
         message = "" if res <= tol else f"residual {res:.3e} above tolerance {tol:.1e}"
@@ -539,16 +608,14 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, omeg
     residual stops improving, omega is halved once and the mixing history is
     cleared; a second stall ends the solve with converged=False.
 
-    The linear solves reuse the last SuperLU factor lu, built from the
-    coefficient a_lu.  While the ratio r = a / a_lu over the cells has
-    max r <= REUSE_SPREAD * min r, a step solves A(a) x = b by one cycle of
-    GMRES (restart STALE_RESTART = 30) preconditioned by lu and started from
-    the previous x; a cycle that stops early above LINEAR_TOL is refined by
-    at most REFINE_CYCLES correction cycles on the residual (`_stale_solve`).
-    The step accepts x only if its scaled residual is at most LINEAR_TOL.
-    Otherwise the stale factor is dropped and A(a) is factored anew; a
-    singular factor ends the solve with converged=False.  Convergence is
-    always judged on the exact A(a).
+    Every linear solve must meet LINEAR_TOL (`_linear_solve`).  At eps = 0
+    a step solves A(a) x = b by the separable solve of A(a) with a replaced
+    by its theta means (`_separable`), refined by GMRES.  Otherwise, or when
+    that misses, it reuses the last SuperLU factor lu, built from a_lu, while
+    max(a / a_lu) <= REUSE_SPREAD * min(a / a_lu): GMRES preconditioned by lu
+    from the previous x (`_stale_solve`).  When that misses too, A(a) is
+    factored anew; a singular factor, or one whose solution still misses,
+    ends the solve with converged=False.  Convergence is judged on A(a).
 
     The Laplacian has a identically 1 and is one linear solve: the result is
     `solve_linear_spaceform`'s, whose report has an empty epsilon_schedule.
@@ -622,15 +689,21 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, omeg
                 else:
                     return result(res, f"Picard stalled at epsilon={eps} (omega={omega})")
             total_iters += 1
-            # lu is only set once a step has solved, so x holds the last solution
-            x = None if lu is None else _stale_solve(lu, A, b, x.ravel())
-            if x is None:
+            y = None
+            if grid.radius.epsilon == 0.0:
+                # a is theta-independent up to roundoff: its theta means give a separable matrix
+                a_bar = a.mean(axis=1, keepdims=True).repeat(grid.Nt, axis=1)
+                y = _linear_solve(A, b, _separable(grid, matrix(a_bar)))
+            if y is None and lu is not None:
+                # lu is only set once a step has solved, so x holds the last solution
+                y = _linear_solve(A, b, lu, x.ravel())
+            if y is None:
                 lu = None  # a rejected factor is freed before the new one is built
                 lu, a_lu = _factor(A), a
-                x = None if lu is None else lu.solve(b)
-            if x is None or not np.all(np.isfinite(x)):
+                y = _linear_solve(A, b, lu)
+            if y is None:
                 return result(float("inf"), f"linear stage solve failed at epsilon={eps}")
-            x = x.reshape(grid.Nr, grid.Nt)
+            x = y.reshape(grid.Nr, grid.Nt)
             g = (1.0 - omega) * u + omega * x
             if warm or stage > 0:
                 hist_f.append((x - u).ravel())

@@ -199,20 +199,28 @@ def test_epsilon_rules(tmp_path):
     assert sol_pair.read_bytes() != sol_0.read_bytes()
 
 
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether importing serrinlab.cli in a fresh interpreter loads module."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); import serrinlab.cli; print({module!r} in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
+    return done.stdout.strip() == "True"
+
+
 def test_cli_import_leaves_scipy_integrate_unloaded():
     # quadrature imports scipy.integrate on its first call, so the CLI starts without it
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = f"import sys; sys.path.insert(0, {str(src)!r}); import serrinlab.cli; print('scipy.integrate' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+    assert not _loaded_by_cli_import("scipy.integrate")
 
 
 def test_cli_import_leaves_scipy_ndimage_unloaded():
     # the W mask dilates without scipy.ndimage, which would also load scipy.special
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = f"import sys; sys.path.insert(0, {str(src)!r}); import serrinlab.cli; print('scipy.ndimage' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+    assert not _loaded_by_cli_import("scipy.ndimage")
+
+
+def test_cli_import_leaves_scipy_fft_unloaded():
+    # the separable solver transforms by a dense cosine basis: importing
+    # scipy.fft would add 75-90 ms to every command's start-up
+    assert not _loaded_by_cli_import("scipy.fft")
 
 
 def test_config_error_exit(tmp_path):

@@ -23,8 +23,10 @@ from serrinlab.solver import (
     _dilate,
     _factor,
     _finite_volume,
+    _linear_solve,
     _operator_matrix,
     _scaled_residual,
+    _separable,
     _stale_solve,
     gradient_field,
     hessian_W_field,
@@ -385,14 +387,20 @@ class _CountingSpla:
         return getattr(self._real, name)
 
 
+def _no_separable(monkeypatch):
+    """Make the separable solve unavailable, so that every solve takes the SuperLU path."""
+    monkeypatch.setattr(solver, "_separable", lambda grid, A0: None)
+
+
 @pytest.mark.parametrize(
     "profile",
     [make_power_profile(1.5), make_mean_curvature_profile()],
     ids=["p=1.5", "mean-curvature"],
 )
 def test_picard_reuses_factorization(profile, monkeypatch):
-    # fewer factorizations than Picard steps, and the iterates of refactoring every step
-    grid = build_grid(quarter(), 32, 32)
+    # on a perturbed sector, fewer factorizations than Picard steps, and the
+    # iterates of refactoring every step
+    grid = build_grid(quarter(), 32, 32, BoundaryRadius(1.0, 0.1, 2))
     counting = _CountingSpla(solver.spla)
     monkeypatch.setattr(solver, "spla", counting)
     u, rep = solve_Lf(grid, profile, tol=1e-8)
@@ -405,6 +413,83 @@ def test_picard_reuses_factorization(profile, monkeypatch):
     assert rep.iterations == rep_ref.iterations
     rel = np.max(np.abs(u - u_ref)) / np.max(np.abs(u_ref))
     assert rel <= 1e-8, rel
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [make_power_profile(1.5), make_mean_curvature_profile()],
+    ids=["p=1.5", "mean-curvature"],
+)
+def test_unperturbed_picard_factors_nothing(profile, monkeypatch):
+    # at 128^2 and the first R0 that benchmark seed 1 draws, every Picard step
+    # is the separable solve of the theta-mean coefficient, with no SuperLU
+    # factor; the steps and the solution are those of factored steps
+    R0 = 0.8 + 0.45 * float(np.random.default_rng(1).random())
+    grid = build_grid(quarter(), 128, 128, BoundaryRadius(R0))
+    counting = _CountingSpla(solver.spla)
+    monkeypatch.setattr(solver, "spla", counting)
+    u, rep = solve_Lf(grid, profile, tol=1e-8)
+    assert rep.converged and counting.factorizations == 0
+    _no_separable(monkeypatch)
+    u_ref, rep_ref = solve_Lf(grid, profile, tol=1e-8)
+    assert rep_ref.converged and counting.factorizations > 0
+    assert rep.iterations == rep_ref.iterations
+    assert np.max(np.abs(u - u_ref)) <= 1e-9 * np.max(np.abs(u_ref))
+
+
+@pytest.mark.parametrize("alpha", [math.pi / 3, math.pi / 2, 2 * math.pi], ids=["pi/3", "pi/2", "2pi"])
+@pytest.mark.parametrize("sf", [EUCLIDEAN, HYPERBOLIC, SPHERE], ids=lambda s: s.name)
+def test_separable_solve_matches_superlu(sf, alpha):
+    # Nr != Nt, so that a mixed-up axis cannot pass
+    grid = build_grid(ConeSection(sf, alpha), 48, 40, BoundaryRadius(0.9))
+    A = _operator_matrix(grid, 2, sf.curvature)(np.ones((48, 40)))
+    b = -np.ones(grid.n_cells)
+    x = _separable(grid, A).solve(b)
+    direct = _factor(A).solve(b)
+    assert _scaled_residual(A, x, b) <= LINEAR_TOL
+    assert np.max(np.abs(x - direct)) <= 1e-10 * np.max(np.abs(direct))
+
+
+def test_separable_needs_a_separable_matrix():
+    # a perturbed sector, or a coefficient that varies with theta, is not separable
+    rng = np.random.default_rng(5)
+    perturbed = build_grid(quarter(), 32, 32, BoundaryRadius(1.0, 0.1, 2))
+    assert _separable(perturbed, _operator_matrix(perturbed, 2, 0)(np.ones((32, 32)))) is None
+    sector = build_grid(quarter(), 32, 32)
+    matrix = _operator_matrix(sector, 2, 0)
+    assert _separable(sector, matrix(1.0 + rng.random((32, 32)))) is None
+    assert _separable(sector, matrix(np.repeat(1.0 + rng.random((32, 1)), 32, axis=1))) is not None
+
+
+@pytest.mark.parametrize("R0", [1.55, 1.57])
+def test_sphere_cap_near_the_equator(R0, monkeypatch):
+    # Delta + N K nears resonance as R0 -> pi/2; the separable solve still
+    # serves, and agrees with the factored solve as far as the conditioning
+    # allows (at 64^2 and R0 = 1.57 they differ by 1.2e-9, each with a scaled
+    # residual below 4e-16)
+    grid = build_grid(quarter(SPHERE), 48, 48, BoundaryRadius(R0))
+    counting = _CountingSpla(solver.spla)
+    monkeypatch.setattr(solver, "spla", counting)
+    u, rep = solve_linear_spaceform(grid, 2)
+    assert rep.converged and rep.final_residual <= LINEAR_TOL and counting.factorizations == 0
+    _no_separable(monkeypatch)
+    ref, rep_ref = solve_linear_spaceform(grid, 2)
+    assert rep_ref.converged and counting.factorizations == 1
+    assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_far_rung_falls_back_to_superlu(monkeypatch):
+    # GMRES on the separable solve of the sector cannot reach eps = 0.3 at
+    # 128^2 and alpha = pi/3 in one cycle: that rung is factored, bit for bit
+    # the factored solve
+    grid = build_grid(ConeSection(EUCLIDEAN, math.pi / 3), 128, 128, BoundaryRadius(1.0, 0.3, 2))
+    counting = _CountingSpla(solver.spla)
+    monkeypatch.setattr(solver, "spla", counting)
+    u, rep = solve_linear_spaceform(grid, 2)
+    assert rep.converged and counting.factorizations == 1
+    A = _operator_matrix(grid, 2, 0)(np.ones((128, 128)))
+    b = -np.ones(grid.n_cells)
+    assert np.array_equal(u.ravel(), _factor(A).solve(b))
 
 
 def test_stale_solve_accepts_only_what_meets_linear_tol():
@@ -441,46 +526,42 @@ def test_stale_solve_refines_a_cycle_that_stops_early(monkeypatch):
     assert _stale_solve(lu, A, b, lu.solve(b)) is None
 
 
-def test_refined_stale_step_spares_a_picard_factorization(monkeypatch):
-    # mean-curvature at 128^2 and the first R0 that benchmark seed 1 draws: one
-    # stale Picard step stops early above LINEAR_TOL and is refined, not refactored
-    R0 = 0.8 + 0.45 * float(np.random.default_rng(1).random())
-    grid = build_grid(quarter(), 128, 128, BoundaryRadius(R0))
-    mc = make_mean_curvature_profile()
-    counting = _CountingSpla(solver.spla)
-    monkeypatch.setattr(solver, "spla", counting)
-    u, rep = solve_Lf(grid, mc, tol=1e-8)
-    assert rep.converged and counting.factorizations == 1
-    monkeypatch.setattr(solver, "REFINE_CYCLES", 0)
-    counting.factorizations = 0
-    u_ref, rep_ref = solve_Lf(grid, mc, tol=1e-8)
-    assert rep_ref.converged and counting.factorizations == 2
-    assert rep.iterations == rep_ref.iterations
-    assert np.max(np.abs(u - u_ref)) <= 1e-9 * np.max(np.abs(u_ref))
+def test_linear_solve_refines_or_rejects_its_start():
+    # every solution is checked against LINEAR_TOL: an exact factor's start is
+    # kept bit for bit, a nearby factor's start is refined, and a start that
+    # cannot be refined is rejected
+    grid = build_grid(quarter(), 32, 32)
+    matrix = _operator_matrix(grid, 2, 0)
+    rng = np.random.default_rng(3)
+    b = -np.ones(grid.n_cells)
+    A = matrix(1.0 + 0.2 * rng.random((32, 32)))
+    lu = _factor(A)
+    assert np.array_equal(_linear_solve(A, b, lu), lu.solve(b))
+    near = _factor(matrix(np.ones((32, 32))))
+    assert _scaled_residual(A, near.solve(b), b) > LINEAR_TOL
+    x = _linear_solve(A, b, near)
+    assert x is not None and _scaled_residual(A, x, b) <= LINEAR_TOL
+    far = matrix(1.0 + 99.0 * rng.random((32, 32)))
+    assert _linear_solve(far, b, near) is None
 
 
-def test_linear_solve_holds_one_factor(monkeypatch):
-    # a held factor serves a nearby grid; one it cannot serve is dropped from
-    # the slot before the new factor is built
-    grids = {eps: build_grid(quarter(HYPERBOLIC), 32, 32, BoundaryRadius(1.0, eps, 2)) for eps in (0.0, 0.1, 0.5)}
-    direct = {eps: solve_linear_spaceform(grid, 2)[0] for eps, grid in grids.items()}
-    slot = []
-    held = []  # the slot's length at each factorization
-
-    def factor(A):
-        held.append(len(slot))
-        return _factor(A)
-
-    monkeypatch.setattr(solver, "_factor", factor)
-    solve_linear_spaceform(grids[0.0], 2, factor=slot)
-    assert held == [0] and len(slot) == 1
-    first = slot[0]
-    u, rep = solve_linear_spaceform(grids[0.1], 2, factor=slot)
-    assert rep.converged and held == [0] and slot == [first]
-    assert np.max(np.abs(u - direct[0.1])) <= 1e-10 * np.max(np.abs(direct[0.1]))
-    u, rep = solve_linear_spaceform(grids[0.5], 2, factor=slot)
-    assert rep.converged and held == [0, 0] and len(slot) == 1 and slot[0] is not first
-    assert np.array_equal(u, direct[0.5])
+@pytest.mark.parametrize(
+    "solve, message",
+    [
+        (lambda grid: solve_Lf(grid, P3), "linear stage solve failed at epsilon=0.1"),
+        (lambda grid: solve_linear_spaceform(grid, 2), "missed 1e-13"),
+    ],
+    ids=["solve_Lf", "solve_linear_spaceform"],
+)
+def test_fresh_factor_is_checked(solve, message, monkeypatch):
+    # a factor of the wrong matrix solves nothing here: its solution misses
+    # LINEAR_TOL and one GMRES cycle cannot refine it, so the solve fails on
+    # its first step instead of taking that solution
+    _no_separable(monkeypatch)
+    monkeypatch.setattr(solver, "_factor", lambda A: _factor(sp.identity(A.shape[0], format="csc")))
+    _, rep = solve(build_grid(quarter(), 16, 16))
+    assert rep.converged is False and rep.iterations == 1
+    assert message in rep.message, rep.message
 
 
 def test_factor_of_singular_matrix_is_none():
@@ -496,6 +577,7 @@ def test_factor_of_singular_matrix_is_none():
     ids=["solve_Lf", "solve_linear_spaceform"],
 )
 def test_singular_factor_reported_not_converged(solve, message, monkeypatch):
+    _no_separable(monkeypatch)
     monkeypatch.setattr(solver, "_factor", lambda A: None)
     _, rep = solve(build_grid(quarter(), 16, 16))
     assert rep.converged is False
