@@ -20,9 +20,9 @@ The set covers every subcommand: rigidity scans over the ladder
 64x64 with k = 2 and with k = 3, whose walls have R' != 0, sphere R0 = 0.7 at
 48x48, the Laplacian at alpha = pi/3 with k = 2, reflex p = 3 at alpha = 4.5,
 and p = 6 at 16x16), the hyperbolic scan at 256x256 over
-[0, 0.06, 0.12, 0.24] (the linear ladders solve their later rungs by GMRES on
-the first rung's factor; these two reach its refinement and its longest
-cycle), convergence 16-32-64 for
+[0, 0.06, 0.12, 0.24] (the linear ladders solve their perturbed rungs by
+GMRES on the separable solve of the unperturbed sector; these two reach its
+refinement and its longest cycle), convergence 16-32-64 for
 p = 3 and hyperbolic, solve plus audit at 48x48 and eps = 0.1 for p = 1.5,
 p = 3 and mean-curvature, solve plus pfunction at eps = 0.1 for hyperbolic
 64x64 and sphere 48x48, solve p = 6 at 16x16, the Laplacian solve at 256x256
