@@ -172,7 +172,7 @@ def _is_linear(config: ExperimentConfig) -> bool:
 def _solve_on(grid, config: ExperimentConfig):
     """Solve on grid: a linear problem by `solve_linear_spaceform`, a quasilinear one by `solve_Lf`.
 
-    A linear rung is the separable solve at eps = 0 and GMRES on it at eps > 0, SuperLU only a miss.
+    A linear rung is the separable solve of its matrix, GMRES on it at eps > 0, SuperLU only a miss.
     """
     if _is_linear(config):
         return solve_linear_spaceform(grid, 2, tol=config.tol)
@@ -212,7 +212,7 @@ def deviation_scan(config: ExperimentConfig) -> RigidityReport:
     convexity the rigidity theorem needs; over a reflex one its report
     records judged = False and passes.  Solver non-convergence is recorded
     per row without aborting the scan.  The rungs run in ladder order, each
-    solved on its own: a linear rung by the separable solve of the sector at
+    solved on its own: a linear rung by the separable part of its matrix at
     eps = 0 and by GMRES on it above (`solve_linear_spaceform`), with no
     SuperLU factor unless that misses.  An empty ladder is rejected.
     """

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import BoundaryRadius, SectorGrid, build_grid
+from .mesh import SectorGrid
 from .profiles import OperatorProfile, regularize
 
 __all__ = [
@@ -452,54 +452,56 @@ class _Separable:
         return (y @ self.basis.T).ravel()
 
 
-def _separable(grid: SectorGrid, A0) -> _Separable | None:
-    """A0 = T_s (x) I + diag(t) (x) L_N + diag(c) (x) I as a `_Separable`, else None.
+def _separable(grid: SectorGrid, A) -> _Separable | None:
+    """The separable part T_s (x) I + diag(t) (x) L_N + diag(c) (x) I of A, as a `_Separable`.
 
     L_N, the Neumann second difference in theta, has the DCT-II cosines (a
     dense basis: scipy.fft costs more to import) as eigenvectors; in their
-    basis A0 splits into Nt tridiagonal systems in s (Buzbee, Golub & Nielson
-    1970), kept as their Thomas elimination.  A0 must store only the
-    diagonals 0, +-1 and +-Nt, each the same in every column j to 1e-14 of
-    the row's diagonal entry, but for t[i] L_N[j, j]: true on an unperturbed
-    sector for a coefficient of s alone.  A zero or non-finite Thomas pivot
-    (a sphere cap near resonance) gives None too.
+    basis the part splits into Nt tridiagonal systems in s (Buzbee, Golub &
+    Nielson 1970), kept as their Thomas elimination.  It is read off A's
+    diagonals 0, +-1 and +-Nt, each row times its cell volume over column
+    0's (A divides its rows by the volumes), averaged over theta relative to
+    column 0, so that an exactly separable A keeps its entries; the other
+    diagonals are dropped.  A zero or non-finite Thomas pivot (a sphere cap
+    near resonance) gives None.
     """
     Nr, Nt = grid.Nr, grid.Nt
+    V = cell_volumes(grid)
+    w = V / V[:, :1]
+    # band[k][i, j] = w[i, j] A[(i, j), (i, j) + k], 0 beyond the matrix
     offsets = (-Nt, -1, 0, 1, Nt)
-    # band[k][i, j] = A0[(i, j), (i, j) + k], 0 beyond the matrix
-    band = {k: np.pad(A0.diagonal(k), (max(0, -k), max(0, k))).reshape(Nr, Nt) for k in offsets}
-    if sum(np.count_nonzero(v) for v in band.values()) != A0.nnz:
-        return None
-    t, j = band[1][:, :1], np.arange(Nt)
-    centre = band[0][:, :1] + t  # T_s[i, i] + c[i], as L_N[0, 0] = -1
-    model = {-Nt: band[-Nt][:, :1], -1: t * (j > 0), 1: t * (j < Nt - 1), Nt: band[Nt][:, :1],
-             0: centre - t * np.where((j == 0) | (j == Nt - 1), 1.0, 2.0)}
-    if any(np.any(np.abs(band[k] - model[k]) > 1e-14 * np.abs(band[0])) for k in offsets):
-        return None
-    pivot = centre - 4.0 * t * np.sin(0.5 * np.pi * j / Nt) ** 2
+    band = {k: w * np.pad(A.diagonal(k), (max(0, -k), max(0, k))).reshape(Nr, Nt) for k in offsets}
+
+    def mean(v):  # over theta, exact where v is the same in every column
+        return v[:, 0] + (v - v[:, :1]).mean(axis=1)
+
+    lower, t, upper = mean(band[-Nt]), mean(band[1][:, :-1]), mean(band[Nt])
+    centre = mean(band[0] + band[1] + band[-1])  # T_s[i, i] + c[i]
+    j = np.arange(Nt)
+    pivot = centre[:, None] - 4.0 * t[:, None] * np.sin(0.5 * np.pi * j / Nt) ** 2
     ratio = np.zeros((Nr, Nt))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(1, Nr):
-            ratio[i] = band[-Nt][i, 0] / pivot[i - 1]
-            pivot[i] -= ratio[i] * band[Nt][i - 1, 0]
+            ratio[i] = lower[i] / pivot[i - 1]
+            pivot[i] -= ratio[i] * upper[i - 1]
     if not (np.isfinite(ratio).all() and np.isfinite(pivot).all() and pivot.all()):
         return None
     basis = np.sqrt(2.0 / Nt) * np.cos(np.pi * np.outer(j + 0.5, j) / Nt)
     basis[:, 0] = np.sqrt(1.0 / Nt)
-    return _Separable(basis, ratio, pivot, band[Nt][:, 0])
+    return _Separable(basis, ratio, pivot, upper)
 
 
 def _stale_solve(lu, A, b, x0):
     """Solve A x = b by GMRES preconditioned by lu, the SuperLU or `_Separable` factor of a nearby matrix.
 
-    A perturbed linear rung is preconditioned by the separable solve of its
-    unperturbed sector, a Picard step by the separable solve of its theta
-    means (at eps = 0) or by the last SuperLU factor.  One cycle of at most
-    STALE_RESTART steps starts from x0.  GMRES stops on the 2-norm of the
-    preconditioned residual, which bounds the componentwise scaled residual
-    only loosely: the vertex rows are about (h dtheta)^-2 larger than the
-    Gamma_0 rows, so that norm bottoms out near 1e-9 and a cycle may stop on
-    its own while the scaled residual still misses LINEAR_TOL.  Such a cycle
+    A linear solve, and a Picard step at eps = 0, are preconditioned by the
+    separable part of A (`_separable`), any other Picard step by the last
+    SuperLU factor.  One cycle of at most STALE_RESTART steps starts from x0.
+    GMRES stops on the 2-norm of the preconditioned residual, which bounds
+    the componentwise scaled residual only loosely: the vertex rows are about
+    (h dtheta)^-2 larger than the Gamma_0 rows, so that norm bottoms out near
+    1e-9 and a cycle may stop on its own while the scaled residual still
+    misses LINEAR_TOL.  Such a cycle
     is refined: at most REFINE_CYCLES more cycles solve A dx = b - A x (rtol
     1e-3) with the same factor.  A cycle that uses all its steps means the
     factor is too far off, and ends the attempt.
@@ -557,20 +559,14 @@ def solve_linear_spaceform(grid: SectorGrid, N: int = 2, tol: float = 1e-9):
     (singular or indefinite operator, e.g. large spherical caps) is reported,
     not raised.
 
-    At eps = 0 the matrix is separable and solved directly (`_separable`).
-    At eps != 0 GMRES solves it, preconditioned by the separable solve of
-    the sector at eps = 0 (10-25 steps on the benchmark's ladders, eps up to
-    0.24).  SuperLU factors it only when that misses LINEAR_TOL.
+    The separable part of the matrix (`_separable`) solves it: exactly at
+    eps = 0, and as the preconditioner of GMRES at eps != 0 (9-27 steps on
+    the benchmark's ladders, eps up to 0.24).  SuperLU factors it only when
+    that misses LINEAR_TOL.
     """
-    K = grid.cone.space_form.curvature
-    ones = np.ones((grid.Nr, grid.Nt))
-    A = _operator_matrix(grid, N, K)(ones)
+    A = _operator_matrix(grid, N, grid.cone.space_form.curvature)(np.ones((grid.Nr, grid.Nt)))
     b = -np.ones(grid.n_cells)
-    if grid.radius.epsilon == 0.0:
-        x = _linear_solve(A, b, _separable(grid, A))
-    else:
-        sector = build_grid(grid.cone, grid.Nr, grid.Nt, BoundaryRadius(grid.radius.R0, 0.0, grid.radius.k))
-        x = _linear_solve(A, b, _separable(sector, _operator_matrix(sector, N, K)(ones)))
+    x = _linear_solve(A, b, _separable(grid, A))
     if x is None:
         x = _linear_solve(A, b, _factor(A))
     if x is None:
@@ -609,11 +605,11 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, omeg
     cleared; a second stall ends the solve with converged=False.
 
     Every linear solve must meet LINEAR_TOL (`_linear_solve`).  At eps = 0
-    a step solves A(a) x = b by the separable solve of A(a) with a replaced
-    by its theta means (`_separable`), refined by GMRES.  Otherwise, or when
-    that misses, it reuses the last SuperLU factor lu, built from a_lu, while
-    max(a / a_lu) <= REUSE_SPREAD * min(a / a_lu): GMRES preconditioned by lu
-    from the previous x (`_stale_solve`).  When that misses too, A(a) is
+    a step solves A(a) x = b by the separable part of A(a) (`_separable`),
+    refined by GMRES.  Otherwise, or when that misses, it reuses the last
+    SuperLU factor lu, built from a_lu, while max(a / a_lu) <= REUSE_SPREAD *
+    min(a / a_lu): GMRES preconditioned by lu from the previous x
+    (`_stale_solve`).  When that misses too, A(a) is
     factored anew; a singular factor, or one whose solution still misses,
     ends the solve with converged=False.  Convergence is judged on A(a).
 
@@ -691,9 +687,8 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, omeg
             total_iters += 1
             y = None
             if grid.radius.epsilon == 0.0:
-                # a is theta-independent up to roundoff: its theta means give a separable matrix
-                a_bar = a.mean(axis=1, keepdims=True).repeat(grid.Nt, axis=1)
-                y = _linear_solve(A, b, _separable(grid, matrix(a_bar)))
+                # a is theta-independent up to roundoff, so A(a) is separable up to roundoff
+                y = _linear_solve(A, b, _separable(grid, A))
             if y is None and lu is not None:
                 # lu is only set once a step has solved, so x holds the last solution
                 y = _linear_solve(A, b, lu, x.ravel())

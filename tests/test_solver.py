@@ -450,15 +450,55 @@ def test_separable_solve_matches_superlu(sf, alpha):
     assert np.max(np.abs(x - direct)) <= 1e-10 * np.max(np.abs(direct))
 
 
-def test_separable_needs_a_separable_matrix():
-    # a perturbed sector, or a coefficient that varies with theta, is not separable
-    rng = np.random.default_rng(5)
-    perturbed = build_grid(quarter(), 32, 32, BoundaryRadius(1.0, 0.1, 2))
-    assert _separable(perturbed, _operator_matrix(perturbed, 2, 0)(np.ones((32, 32)))) is None
-    sector = build_grid(quarter(), 32, 32)
-    matrix = _operator_matrix(sector, 2, 0)
-    assert _separable(sector, matrix(1.0 + rng.random((32, 32)))) is None
-    assert _separable(sector, matrix(np.repeat(1.0 + rng.random((32, 1)), 32, axis=1))) is not None
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
+@pytest.mark.parametrize(
+    "cone, n, R0",
+    [(quarter(HYPERBOLIC), 64, 1.0), (ConeSection(EUCLIDEAN, math.pi / 3), 64, 1.0), (quarter(SPHERE), 48, 0.7)],
+    ids=["hyperbolic", "pi/3", "sphere"],
+)
+def test_separable_part_preconditions_a_perturbed_matrix(cone, n, R0, eps, monkeypatch):
+    # the separable part of a perturbed sector's own matrix serves GMRES,
+    # with no SuperLU factor
+    grid = build_grid(cone, n, n, BoundaryRadius(R0, eps, 2))
+    A = _operator_matrix(grid, 2, cone.space_form.curvature)(np.ones((n, n)))
+    b = -np.ones(grid.n_cells)
+    counting = _CountingSpla(solver.spla)
+    monkeypatch.setattr(solver, "spla", counting)
+    x = _linear_solve(A, b, _separable(grid, A))
+    assert x is not None and _scaled_residual(A, x, b) <= LINEAR_TOL
+    assert counting.factorizations == 0
+
+
+def _counting_operator(monkeypatch) -> dict:
+    """Count the operators `_operator_matrix` builds inside serrinlab.solver, and their fills."""
+    counts = {"operators": 0, "fills": 0}
+    real = solver._operator_matrix
+
+    def operator(*args):
+        counts["operators"] += 1
+        matrix = real(*args)
+
+        def fill(a):
+            counts["fills"] += 1
+            return matrix(a)
+
+        return fill
+
+    monkeypatch.setattr(solver, "_operator_matrix", operator)
+    return counts
+
+
+def test_each_solve_builds_one_operator_and_fills_it_once_a_step(monkeypatch):
+    # a perturbed linear rung fills its own matrix only, with no second
+    # (unperturbed) sector; an eps = 0 Picard step fills A(a) once, plus one
+    # fill whose residual ends each stage
+    counts = _counting_operator(monkeypatch)
+    _, rep = solve_linear_spaceform(build_grid(quarter(HYPERBOLIC), 32, 32, BoundaryRadius(1.0, 0.1, 2)), 2)
+    assert rep.converged and counts == {"operators": 1, "fills": 1}
+    counts.update(operators=0, fills=0)
+    _, rep = solve_Lf(build_grid(quarter(), 32, 32), make_power_profile(1.5))
+    assert rep.converged
+    assert counts == {"operators": 1, "fills": rep.iterations + len(solver.SCHEDULE)}
 
 
 @pytest.mark.parametrize("R0", [1.55, 1.57])

@@ -4,6 +4,7 @@ Usage, from the root of a checkout:
 
     python3 tools/outputs.py OUT_DIR                 # this checkout's src/
     python3 tools/outputs.py OUT_DIR --src OTHER/src  # another checkout's sources
+    python3 tools/outputs.py OUT_DIR --against BEFORE  # then compare with BEFORE
 
 Each command runs in a fresh interpreter inside its own directory
 OUT_DIR/<name>, which keeps the command's config.json, the files it writes
@@ -12,8 +13,15 @@ command sees is relative, so two checkouts' outputs compare directly; only the
 manifests carry wall-clock time:
 
     python3 tools/outputs.py /tmp/before --src ../before/src
-    python3 tools/outputs.py /tmp/after
+    python3 tools/outputs.py /tmp/after --against /tmp/before
     diff -r -x '*.manifest.json' /tmp/before /tmp/after
+
+`--against` prints what moved: every command whose exit code differs, the
+largest relative and absolute change of each numeric field of every report
+JSON (list indices collapsed, so `rows[].sigma` covers every row; a changed
+string, boolean or structure counts as inf), and the largest change of `u`
+in each solution.csv, relative to the largest |u|.  Fields that did not move
+are not printed.
 
 The set covers every subcommand: rigidity scans over the ladder
 [0, 0.05, 0.1, 0.2] (p = 3, p = 1.5 and mean-curvature at 32x32, hyperbolic at
@@ -21,8 +29,8 @@ The set covers every subcommand: rigidity scans over the ladder
 48x48, the Laplacian at alpha = pi/3 with k = 2, reflex p = 3 at alpha = 4.5,
 and p = 6 at 16x16), the hyperbolic scan at 256x256 over
 [0, 0.06, 0.12, 0.24] (the linear ladders solve their perturbed rungs by
-GMRES on the separable solve of the unperturbed sector; these two reach its
-refinement and its longest cycle), convergence 16-32-64 for
+GMRES preconditioned by the separable part of the rung's own matrix; these
+two reach its refinement and its longest cycle), convergence 16-32-64 for
 p = 3 and hyperbolic, solve plus audit at 48x48 and eps = 0.1 for p = 1.5,
 p = 3 and mean-curvature, solve plus pfunction at eps = 0.1 for hyperbolic
 64x64 and sphere 48x48, solve p = 6 at 16x16, the Laplacian solve at 256x256
@@ -40,6 +48,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 LADDER = [0.0, 0.05, 0.1, 0.2]
@@ -109,17 +119,89 @@ def run_all(out_dir: Path, src: Path) -> int:
     return nonzero
 
 
+def _change(before, after) -> tuple:
+    """(relative, absolute) change, relative to the larger magnitude.
+
+    (0, 0) if equal (NaN equals NaN); (inf, inf) for any change that is not
+    between two finite numbers.
+    """
+    if before == after or before != before and after != after:  # only NaN differs from itself
+        return 0.0, 0.0
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (before, after))
+    if not numbers or not (math.isfinite(before) and math.isfinite(after)):
+        return math.inf, math.inf
+    return abs(after - before) / max(abs(before), abs(after)), abs(after - before)
+
+
+def _json_changes(before, after, path: str, out: dict) -> None:
+    """Keep in out[path] the largest changes of each leaf, list indices collapsed to []."""
+    if isinstance(before, dict) and isinstance(after, dict) and before.keys() == after.keys():
+        for key in before:
+            _json_changes(before[key], after[key], f"{path}.{key}" if path else key, out)
+    elif isinstance(before, list) and isinstance(after, list) and len(before) == len(after):
+        for b, a in zip(before, after):
+            _json_changes(b, a, f"{path}[]", out)
+    else:
+        out[path] = tuple(map(max, out.get(path, (0.0, 0.0)), _change(before, after)))
+
+
+def _file_changes(before: Path, after: Path) -> dict:
+    """{field: (relative, absolute)} of a report JSON, or of u in a solution CSV (relative to max |u|).
+
+    The columns of a solution CSV are r, theta, u; a nonzero change is
+    relative to the larger of the two files' max |u|.
+    """
+    if after.suffix == ".json":
+        changes = {}
+        _json_changes(*(json.loads(p.read_text(encoding="utf-8")) for p in (before, after)), "", changes)
+        return changes
+    u0, u1 = (np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)[:, -1] for p in (before, after))
+    if u0.shape != u1.shape:
+        return {"u": (math.inf, math.inf)}
+    du = float(np.max(np.abs(u1 - u0)))
+    return {"u": (du / float(max(np.max(np.abs(u0)), np.max(np.abs(u1)))) if du else 0.0, du)}
+
+
+def compare(before: Path, after: Path) -> list:
+    """The lines that say what moved from the outputs under before to those under after."""
+    lines = []
+    for work in sorted(p for p in after.iterdir() if p.is_dir()):
+        old = before / work.name
+        if not old.is_dir():
+            lines.append(f"{work.name}: not in {before}")
+            continue
+        codes = [(d / "exit_code.txt").read_text(encoding="utf-8").strip() for d in (old, work)]
+        if codes[0] != codes[1]:
+            lines.append(f"{work.name}: exit code {codes[0]} -> {codes[1]}")
+        reports = [p for p in sorted(work.glob("out/*.json")) if not p.name.endswith(".manifest.json")]
+        for new in reports + sorted(work.glob("out/solution.csv")):
+            name = f"{work.name}/out/{new.name}"
+            if not (old / "out" / new.name).is_file():
+                lines.append(f"{name}: not in {before}")
+                continue
+            for key, (rel, absolute) in _file_changes(old / "out" / new.name, new).items():
+                if absolute:
+                    lines.append(f"{name} {key}: {rel:.2g} relative, {absolute:.2g} absolute")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", type=Path, help="new or empty directory for the outputs")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the serrinlab package")
+    parser.add_argument("--against", type=Path, help="another run's OUT_DIR to compare with after the run")
     args = parser.parse_args(argv)
     if not (args.src / "serrinlab" / "__init__.py").is_file():
         parser.error(f"no serrinlab package under {args.src}")
     if args.out_dir.exists() and any(args.out_dir.iterdir()):
         parser.error(f"{args.out_dir} is not empty")
+    if args.against is not None and not args.against.is_dir():
+        parser.error(f"no directory {args.against}")
     nonzero = run_all(args.out_dir, args.src)
     print(f"{len(commands())} commands, {nonzero} with a nonzero exit code")
+    if args.against is not None:
+        moved = compare(args.against, args.out_dir)
+        print(f"against {args.against}: {len(moved)} moved", *moved, sep="\n")
     return 0
 
 
