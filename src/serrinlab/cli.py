@@ -49,7 +49,7 @@ EXIT_CONFIG = 4
 
 def _load_config(args) -> ExperimentConfig:
     overrides = {}
-    for key in ("space_form", "profile", "alpha", "R0", "k", "tol", "omega", "out_dir"):
+    for key in ("space_form", "profile", "alpha", "R0", "k", "tol", "out_dir"):
         val = getattr(args, key, None)
         if val is not None:
             overrides[key] = val
@@ -65,10 +65,10 @@ def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(overrides)
 
 
-def _grid_from_config(cfg: ExperimentConfig, size=None):
+def _grid_from_config(cfg: ExperimentConfig):
     sf = space_form_from_id(cfg.space_form)
     cone = ConeSection(sf, cfg.alpha)
-    nr, nt = size if size is not None else cfg.grid_sizes[0]
+    nr, nt = cfg.grid_sizes[0]
     eps = cfg.epsilons[0] if cfg.epsilons else 0.0
     return build_grid(cone, nr, nt, BoundaryRadius(cfg.R0, eps, cfg.k))
 
@@ -205,7 +205,7 @@ def _cmd_solve(args) -> int:
     if grid.cone.space_form.curvature != 0:
         u, report = solve_linear_spaceform(grid, 2, tol=cfg.tol)
     else:
-        u, report = solve_Lf(grid, profile, tol=cfg.tol, omega=cfg.omega)
+        u, report = solve_Lf(grid, profile, tol=cfg.tol)
     _write_run(cfg, "solve", t0, report.to_dict(), _solution_table(grid, u), grid)
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
@@ -275,7 +275,6 @@ def _add_config_flags(p, with_eps_grid=True):
     p.add_argument("--alpha", type=float)
     p.add_argument("--R0", type=float)
     p.add_argument("--tol", type=float)
-    p.add_argument("--omega", type=float)
     p.add_argument("--out-dir", dest="out_dir")
     if with_eps_grid:
         p.add_argument("--eps", type=float)

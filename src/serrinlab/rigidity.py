@@ -71,13 +71,12 @@ class ExperimentConfig:
     k: int = 2
     grids: tuple = ("64x64",)
     tol: float = 1e-8
-    omega: float | None = None
     out_dir: str = "."
 
     def __post_init__(self):
         space_form_from_id(self.space_form)  # validates
         profile_from_id(self.profile)
-        for key in ("alpha", "R0", "tol") + (("omega",) if self.omega is not None else ()):
+        for key in ("alpha", "R0", "tol"):
             _require_real(key, getattr(self, key))
         for key in ("grids", "epsilons"):
             value = getattr(self, key)
@@ -103,8 +102,6 @@ class ExperimentConfig:
             raise ValueError("space-form runs use the linear operator; profile must be 'laplacian'")
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
-        if self.omega is not None and not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be finite and positive, got {self.omega}")
 
     @property
     def grid_sizes(self) -> list:
@@ -176,7 +173,7 @@ def _solve_on(grid, config: ExperimentConfig):
     """
     if _is_linear(config):
         return solve_linear_spaceform(grid, 2, tol=config.tol)
-    return solve_Lf(grid, profile_from_id(config.profile), tol=config.tol, omega=config.omega)
+    return solve_Lf(grid, profile_from_id(config.profile), tol=config.tol)
 
 
 def _scan_one(config: ExperimentConfig, size, eps: float) -> RigidityRow:

@@ -22,6 +22,7 @@ from itertools import product
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .mesh import SectorGrid
 from .profiles import OperatorProfile, regularize
@@ -46,13 +47,11 @@ __all__ = [
 SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
 MAX_ITERS = 80
 ANDERSON_WINDOW = 5
-# a Picard step reuses the last factor while max(a / a_lu) <= REUSE_SPREAD * min(a / a_lu)
-REUSE_SPREAD = 1.5
-# scaled residual a preconditioned (stale-factor) linear solve must reach
+# scaled residual every linear solve must reach
 LINEAR_TOL = 1e-13
-# GMRES steps of one stale-factor cycle, and the correction cycles allowed after
-# a cycle that stopped early above LINEAR_TOL
-STALE_RESTART = 30
+# GMRES steps of one cycle, and the correction cycles allowed after a cycle
+# that stopped early above LINEAR_TOL
+GMRES_RESTART = 30
 REFINE_CYCLES = 2
 
 
@@ -422,8 +421,8 @@ def _factor(A):
     The finite-volume matrix is nearly symmetric in pattern, so the symmetric
     ordering fills in less than SuperLU's default COLAMD.  Column panels of
     width 1 factored these matrices 10-25% faster than SuperLU's default width
-    on a 2-core x86 VM (64^2 to 256^2), with less workspace, which matters
-    because a factor is kept alive across Picard steps.
+    on a 2-core x86 VM (64^2 to 256^2), with less workspace.  A factor
+    serves the one solve it was built for and is dropped with it.
     """
     try:
         return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1)
@@ -438,18 +437,14 @@ class _Separable:
     """The fast Poisson solver of a separable matrix (`_separable`); solve(b) as on a SuperLU factor."""
 
     basis: np.ndarray  # column m: cos(pi m (j + 1/2) / Nt), normalized
-    ratio: np.ndarray  # the multiple of row i - 1 that elimination subtracts from row i
-    pivot: np.ndarray
-    upper: np.ndarray
+    factor: tuple  # LAPACK gttrf's (dl, d, du, du2, ipiv) of the modes' systems, mode by mode
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        y = np.reshape(b, self.pivot.shape) @ self.basis
-        for i in range(1, len(y)):
-            y[i] -= self.ratio[i] * y[i - 1]
-        y[-1] /= self.pivot[-1]
-        for i in range(len(y) - 2, -1, -1):
-            y[i] = (y[i] - self.upper[i] * y[i + 1]) / self.pivot[i]
-        return (y @ self.basis.T).ravel()
+        Nt = len(self.basis)
+        y = np.reshape(b, (-1, Nt)) @ self.basis
+        y, _ = lapack.dgttrs(*self.factor, y.ravel(order="F")[:, None])  # mode after mode
+        # back in (Nr, Nt) C order: a transposed view changes the product's bits on some sizes
+        return (np.ascontiguousarray(y.reshape(Nt, -1).T) @ self.basis.T).ravel()
 
 
 def _separable(grid: SectorGrid, A) -> _Separable | None:
@@ -458,12 +453,13 @@ def _separable(grid: SectorGrid, A) -> _Separable | None:
     L_N, the Neumann second difference in theta, has the DCT-II cosines (a
     dense basis: scipy.fft costs more to import) as eigenvectors; in their
     basis the part splits into Nt tridiagonal systems in s (Buzbee, Golub &
-    Nielson 1970), kept as their Thomas elimination.  It is read off A's
-    diagonals 0, +-1 and +-Nt, each row times its cell volume over column
-    0's (A divides its rows by the volumes), averaged over theta relative to
-    column 0, so that an exactly separable A keeps its entries; the other
-    diagonals are dropped.  A zero or non-finite Thomas pivot (a sphere cap
-    near resonance) gives None.
+    Nielson 1970), factored together by LAPACK's gttrf as one block-diagonal
+    system, mode after mode.  It is read off A's diagonals 0, +-1 and +-Nt,
+    each row times its cell volume over column 0's (A divides its rows by the
+    volumes), averaged over theta relative to column 0, so that an exactly
+    separable A keeps its entries; the other diagonals are dropped.  A
+    non-finite band, or an exactly singular system (gttrf's info > 0; a
+    sphere cap at resonance), gives None.
     """
     Nr, Nt = grid.Nr, grid.Nt
     V = cell_volumes(grid)
@@ -475,48 +471,54 @@ def _separable(grid: SectorGrid, A) -> _Separable | None:
     def mean(v):  # over theta, exact where v is the same in every column
         return v[:, 0] + (v - v[:, :1]).mean(axis=1)
 
+    # lower[0] and upper[-1] are 0: the systems of successive modes do not couple
     lower, t, upper = mean(band[-Nt]), mean(band[1][:, :-1]), mean(band[Nt])
     centre = mean(band[0] + band[1] + band[-1])  # T_s[i, i] + c[i]
     j = np.arange(Nt)
-    pivot = centre[:, None] - 4.0 * t[:, None] * np.sin(0.5 * np.pi * j / Nt) ** 2
-    ratio = np.zeros((Nr, Nt))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(1, Nr):
-            ratio[i] = lower[i] / pivot[i - 1]
-            pivot[i] -= ratio[i] * upper[i - 1]
-    if not (np.isfinite(ratio).all() and np.isfinite(pivot).all() and pivot.all()):
+    diagonal = centre[:, None] - 4.0 * t[:, None] * np.sin(0.5 * np.pi * j / Nt) ** 2
+    dl, d, du = np.tile(lower, Nt)[1:], diagonal.ravel(order="F"), np.tile(upper, Nt)[:-1]
+    if not all(np.isfinite(v).all() for v in (dl, d, du)):
+        return None
+    *factor, info = lapack.dgttrf(dl, d, du)
+    if info != 0:
         return None
     basis = np.sqrt(2.0 / Nt) * np.cos(np.pi * np.outer(j + 0.5, j) / Nt)
     basis[:, 0] = np.sqrt(1.0 / Nt)
-    return _Separable(basis, ratio, pivot, upper)
+    return _Separable(basis, tuple(factor))
 
 
-def _stale_solve(lu, A, b, x0):
-    """Solve A x = b by GMRES preconditioned by lu, the SuperLU or `_Separable` factor of a nearby matrix.
+def _linear_solve(A, b, lu):
+    """Every linear solve: x with a scaled residual of at most LINEAR_TOL, or None.
 
-    A linear solve, and a Picard step at eps = 0, are preconditioned by the
-    separable part of A (`_separable`), any other Picard step by the last
-    SuperLU factor.  One cycle of at most STALE_RESTART steps starts from x0.
-    GMRES stops on the 2-norm of the preconditioned residual, which bounds
-    the componentwise scaled residual only loosely: the vertex rows are about
-    (h dtheta)^-2 larger than the Gamma_0 rows, so that norm bottoms out near
-    1e-9 and a cycle may stop on its own while the scaled residual still
-    misses LINEAR_TOL.  Such a cycle
-    is refined: at most REFINE_CYCLES more cycles solve A dx = b - A x (rtol
-    1e-3) with the same factor.  A cycle that uses all its steps means the
-    factor is too far off, and ends the attempt.
-    Returns x only if its scaled residual meets LINEAR_TOL, else None.
+    lu is the preconditioner, a SuperLU factor of A (`_factor`) or A's
+    separable part (`_separable`); None solves nothing.  Its solution
+    lu.solve(b) is kept if it meets LINEAR_TOL, rejected if it is not
+    finite, and otherwise starts one GMRES cycle of at most GMRES_RESTART
+    steps preconditioned by lu.  GMRES stops on the 2-norm of the
+    preconditioned residual, which bounds the componentwise scaled residual
+    only loosely: the vertex rows are about (h dtheta)^-2 larger than the
+    Gamma_0 rows, so that norm bottoms out near 1e-9 and a cycle may stop
+    on its own while the scaled residual still misses LINEAR_TOL.  Such a
+    cycle is refined: at most REFINE_CYCLES more cycles solve
+    A dx = b - A x (rtol 1e-3) with the same preconditioner.  A cycle that
+    uses all its steps means the preconditioner is too far off, and ends
+    the attempt.
     """
+    x = None if lu is None else lu.solve(b)
+    if x is None or not np.isfinite(x).all():
+        return None
+    if _scaled_residual(A, x, b) <= LINEAR_TOL:
+        return x
     M = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)  # a dtype spares a probe solve
 
     def cycle(rhs, start, rtol):
         steps = []
-        y, _ = spla.gmres(A, rhs, x0=start, rtol=rtol, restart=STALE_RESTART, maxiter=1, M=M,
+        y, _ = spla.gmres(A, rhs, x0=start, rtol=rtol, restart=GMRES_RESTART, maxiter=1, M=M,
                           callback=steps.append, callback_type="pr_norm")
-        return y, len(steps) < STALE_RESTART
+        return y, len(steps) < GMRES_RESTART
 
     # aim two orders below LINEAR_TOL, then refine what stopped early above it
-    x, early = cycle(b, x0, 1e-2 * LINEAR_TOL)
+    x, early = cycle(b, x, 1e-2 * LINEAR_TOL)
     refined = 0
     while _scaled_residual(A, x, b) > LINEAR_TOL:
         if not early or refined == REFINE_CYCLES:
@@ -524,18 +526,6 @@ def _stale_solve(lu, A, b, x0):
         dx, early = cycle(b - A @ x, None, 1e-3)
         x, refined = x + dx, refined + 1
     return x
-
-
-def _linear_solve(A, b, lu, x0=None):
-    """Every linear solve: x with a scaled residual of at most LINEAR_TOL, or None.
-
-    The start x0, lu.solve(b) by default, is kept if it meets LINEAR_TOL and
-    refined by `_stale_solve` if it is finite; no factor (None) solves nothing.
-    """
-    x = None if lu is None else lu.solve(b) if x0 is None else x0
-    if x is None or not np.isfinite(x).all():
-        return None
-    return x if _scaled_residual(A, x, b) <= LINEAR_TOL else _stale_solve(lu, A, b, x)
 
 
 def _scaled_residual(A, x, b) -> float:
@@ -580,7 +570,7 @@ def solve_linear_spaceform(grid: SectorGrid, N: int = 2, tol: float = 1e-9):
     return x.reshape(grid.Nr, grid.Nt), report
 
 
-def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, omega: float | None = None):
+def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8):
     """Picard continuation for L_f u = -1 on a Euclidean sector grid.
 
     Each iteration freezes the coefficient a(x) = f_eps'(|grad u|)/|grad u| of
@@ -600,18 +590,18 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, omeg
     acceleration (Walker & Ni 2011) over the last ANDERSON_WINDOW iterations:
     with f_k = x - u_k, u_{k+1} = g_k - dG gamma, where gamma minimizes
     ||f_k - dF gamma||_2 over the differences dF, dG of successive f and g.
-    omega is the damping weight of both kinds of update.  If the scaled
-    residual stops improving, omega is halved once and the mixing history is
-    cleared; a second stall ends the solve with converged=False.
+    omega, the damping weight of both kinds of update, is 1 for 2 <= p <= 3
+    and 0.5 otherwise.  If the scaled residual stops improving, omega is
+    halved once and the mixing history is cleared; a second stall ends the
+    solve with converged=False.
 
-    Every linear solve must meet LINEAR_TOL (`_linear_solve`).  At eps = 0
-    a step solves A(a) x = b by the separable part of A(a) (`_separable`),
-    refined by GMRES.  Otherwise, or when that misses, it reuses the last
-    SuperLU factor lu, built from a_lu, while max(a / a_lu) <= REUSE_SPREAD *
-    min(a / a_lu): GMRES preconditioned by lu from the previous x
-    (`_stale_solve`).  When that misses too, A(a) is
-    factored anew; a singular factor, or one whose solution still misses,
-    ends the solve with converged=False.  Convergence is judged on A(a).
+    Every linear solve must meet LINEAR_TOL (`_linear_solve`), and keeps no
+    state from one step to the next.  At eps = 0 a step solves A(a) x = b by
+    the separable part of A(a) (`_separable`), refined by GMRES.  Otherwise,
+    or when that misses, it solves by a SuperLU factor of A(a) (`_factor`),
+    dropped when the step ends; a singular factor, or one whose solution
+    still misses, ends the solve with converged=False.  Convergence is
+    judged on A(a).
 
     The Laplacian has a identically 1 and is one linear solve: the result is
     `solve_linear_spaceform`'s, whose report has an empty epsilon_schedule.
@@ -623,8 +613,7 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, omeg
         return solve_linear_spaceform(grid, 2, tol=tol)
 
     p = profile.degeneracy_exponent
-    if omega is None:
-        omega = 1.0 if (p is not None and 2.0 <= p <= 3.0) else 0.5
+    omega = 1.0 if (p is not None and 2.0 <= p <= 3.0) else 0.5
 
     N, K = 2, 0
     # the radial start is defined only below the profile's slope bound, where g is finite
@@ -642,7 +631,6 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, omeg
 
     matrix = _operator_matrix(grid, N, K)
     b = -np.ones(grid.n_cells)
-    lu = a_lu = None  # the last factor and the coefficient it was built from
     total_iters = 0
 
     def result(res, message=""):
@@ -661,12 +649,7 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, omeg
         hist_f = deque(maxlen=ANDERSON_WINDOW + 1)
         hist_g = deque(maxlen=ANDERSON_WINDOW + 1)
         for _ in range(MAX_ITERS):
-            a = reg.coefficient(speed(u))
-            if lu is not None:
-                ratio = a / a_lu
-                if ratio.max() > REUSE_SPREAD * ratio.min():
-                    lu = None  # freed before this step's matrix is built
-            A = matrix(a)
+            A = matrix(reg.coefficient(speed(u)))
             res = _scaled_residual(A, u.ravel(), b)
             if res <= stage_tol:
                 stage_done = True
@@ -689,13 +672,8 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, omeg
             if grid.radius.epsilon == 0.0:
                 # a is theta-independent up to roundoff, so A(a) is separable up to roundoff
                 y = _linear_solve(A, b, _separable(grid, A))
-            if y is None and lu is not None:
-                # lu is only set once a step has solved, so x holds the last solution
-                y = _linear_solve(A, b, lu, x.ravel())
             if y is None:
-                lu = None  # a rejected factor is freed before the new one is built
-                lu, a_lu = _factor(A), a
-                y = _linear_solve(A, b, lu)
+                y = _linear_solve(A, b, _factor(A))
             if y is None:
                 return result(float("inf"), f"linear stage solve failed at epsilon={eps}")
             x = y.reshape(grid.Nr, grid.Nt)

@@ -33,10 +33,12 @@ GMRES preconditioned by the separable part of the rung's own matrix; these
 two reach its refinement and its longest cycle), convergence 16-32-64 for
 p = 3 and hyperbolic, solve plus audit at 48x48 and eps = 0.1 for p = 1.5,
 p = 3 and mean-curvature, solve plus pfunction at eps = 0.1 for hyperbolic
-64x64 and sphere 48x48, solve p = 6 at 16x16, the Laplacian solve at 256x256
-with eps = 0 and eps = 0.1, the hyperbolic solve at 256x256 with eps = 0.1
-(the largest matrix, 9-point with the N K shift), `oracle --out-dir`, and
-the Euclidean oracle in dimension 3, `oracle --N 3 --out-dir`.
+64x64 and sphere 48x48, solve p = 6 at 16x16, solve p = 1.5 at 128x128 with
+eps = 0.1 (the largest perturbed Picard solve, a SuperLU factor on every
+step), the Laplacian solve at 256x256 with eps = 0 and eps = 0.1, the
+hyperbolic solve at 256x256 with eps = 0.1 (the largest matrix, 9-point with
+the N K shift), `oracle --out-dir`, and the Euclidean oracle in dimension 3,
+`oracle --N 3 --out-dir`.
 """
 
 from __future__ import annotations
@@ -89,6 +91,7 @@ def commands() -> list:
                  (f"pfunction_{tag}", "pfunction", config, ["--solution", f"../solve_{tag}/out/solution.csv"])]
     runs += [
         ("solve_p6", "solve", _config("p-laplacian:6", ["16x16"], [0.0]), []),
+        ("solve_p1.5_128_eps0.1", "solve", _config("p-laplacian:1.5", ["128x128"], [0.1]), []),
         ("solve_laplacian_256", "solve", _config(grids=["256x256"], epsilons=[0.0]), []),
         ("solve_laplacian_256_eps0.1", "solve", _config(grids=["256x256"], epsilons=[0.1]), []),
         ("solve_hyperbolic_256_eps0.1", "solve",
