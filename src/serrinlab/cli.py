@@ -12,6 +12,7 @@ import argparse
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -108,26 +109,35 @@ def _read_solution_csv(path, grid) -> np.ndarray:
     and whose u is finite; the first row that does not is a ConfigError
     naming its file line.
     """
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not lines or lines[0].strip() != "r,theta,u":
-        raise ConfigError(f"{path}: expected header 'r,theta,u'")
-    body = lines[1:]
-    if len(body) != grid.n_cells:
-        raise ConfigError(
-            f"{path}: {len(body)} rows do not match the {grid.Nr}x{grid.Nt} grid"
-        )
-    try:
-        data = np.loadtxt(body, delimiter=",", ndmin=2, comments=None)
-    except ValueError:
-        # numpy numbers body rows from 0 or 1 by fault kind: name the file line instead
-        for k, line in enumerate(body):
-            try:
-                parsed = np.loadtxt([line], delimiter=",", ndmin=2, comments=None)
-            except ValueError:
-                parsed = None
-            if parsed is None or parsed.shape != (1, 3):
-                raise ConfigError(f"{path}: row {k + 2} is not three numbers r,theta,u") from None
-        raise
+    def row_count(rows: int):
+        if rows != grid.n_cells:
+            raise ConfigError(f"{path}: {rows} rows do not match the {grid.Nr}x{grid.Nt} grid")
+
+    with open(path, encoding="utf-8") as f:
+        header = f.readline()
+        while header and not header.strip():  # blank lines before the header are skipped
+            header = f.readline()
+        if header.strip() != "r,theta,u":
+            raise ConfigError(f"{path}: expected header 'r,theta,u'")
+        try:
+            with warnings.catch_warnings():
+                # numpy warns on a file with no rows; the row count below reports it
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
+        except ValueError:
+            # read the stripped text line by line: numpy numbers body rows from 0
+            # or 1 by fault kind, so name the file line instead
+            body = Path(path).read_text(encoding="utf-8").strip().splitlines()[1:]
+            row_count(len(body))
+            for k, line in enumerate(body):
+                try:
+                    parsed = np.loadtxt([line], delimiter=",", ndmin=2, comments=None)
+                except ValueError:
+                    parsed = None
+                if parsed is None or parsed.shape != (1, 3):
+                    raise ConfigError(f"{path}: row {k + 2} is not three numbers r,theta,u") from None
+            data = np.loadtxt(body, delimiter=",", ndmin=2, comments=None)
+    row_count(len(data))
     if data.shape != (grid.n_cells, 3):
         raise ConfigError(f"{path}: expected {grid.n_cells} rows of three fields r,theta,u")
     r_grid = grid.r_centers.ravel()

@@ -61,11 +61,13 @@ class BoundaryRadius:
         return self.R0 * (1.0 + self.epsilon)
 
 
-@dataclass
+@dataclass(eq=False)
 class SectorGrid:
     """Cell-centered (s, theta) grid with metric factors and quadrature weights.
 
-    Immutable after build; all arrays are shaped (Nr, Nt) or per-column.
+    Immutable after build; all arrays are shaped (Nr, Nt) or per-column.  A
+    grid is equal only to itself and hashes by identity, so that data built
+    from it can be kept with it (the solver's operator).
     """
 
     cone: ConeSection

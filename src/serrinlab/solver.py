@@ -14,15 +14,17 @@ u_rr + (h_dot/h) u_r + u_thth/h^2 + N K u = -1.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import product
+from weakref import WeakKeyDictionary
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import lapack, solve_triangular
 
 from .mesh import SectorGrid
 from .profiles import OperatorProfile, regularize
@@ -179,8 +181,14 @@ def _face_geometry(grid: SectorGrid, s: np.ndarray, R: np.ndarray, Rp: np.ndarra
     return h * R, h, s * Rp / R
 
 
+# each grid's operator (`_finite_volume`), built once and dropped with the grid
+_FINITE_VOLUMES: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def _finite_volume(grid: SectorGrid):
     """The operator div(a grad u) of the scheme on one grid, as (inv_volume, families).
+
+    Built once per grid: the solver's matrices and the Laplace probe share it.
 
     The face families are the s-faces fi = 1..Nr, the last one on Gamma_0,
     and the interior theta-faces fj = 1..Nt-1; the vertex and the walls carry
@@ -193,6 +201,8 @@ def _finite_volume(grid: SectorGrid):
     difference is taken before it is weighted and a constant field carries
     exactly zero flux.
     """
+    if grid in _FINITE_VOLUMES:
+        return _FINITE_VOLUMES[grid]
     Nr, Nt = grid.Nr, grid.Nt
     ds, dt = grid.ds, grid.dtheta
     # the last s-face lies on Gamma_0: it differences against the half-cell
@@ -225,7 +235,8 @@ def _finite_volume(grid: SectorGrid):
         ((avg_s, None), (div_s, None), s_terms),
         ((None, avg_t), (None, div_t), t_terms),
     ]
-    return 1.0 / cell_volumes(grid), families
+    _FINITE_VOLUMES[grid] = 1.0 / cell_volumes(grid), families
+    return _FINITE_VOLUMES[grid]
 
 
 def _along(pair, x: np.ndarray) -> np.ndarray:
@@ -355,7 +366,9 @@ def _operator_matrix(grid: SectorGrid, N: int, K: int):
     diagonals, and adds N K on the centre offset.  Matrix row i of offset
     d = p Nt + q lands in column i + d, so that column j holds A[j - d, j];
     scipy converts these diagonals to CSR, lists each row's columns in
-    ascending order and drops exact zeros.
+    ascending order and drops exact zeros.  Before that, the separable
+    part's bands (`_Bands`, four arrays of Nr numbers) are read off the same
+    rows into A.bands, so that no step reads them back out of the CSR matrix.
 
     Each entry adds its contributions in the order of the sparse product the
     operator defines, diag(inv_volume) [D_1 .. D_m] diag(c) [G_1; ..; G_m]
@@ -375,6 +388,7 @@ def _operator_matrix(grid: SectorGrid, N: int, K: int):
     pad = -delta.min()
     width = n + delta.max() + pad
     starts = [(o, pad + k * width + d) for k, (o, d) in enumerate(zip(offsets, delta.tolist()))]
+    ratio = _volume_ratio(grid)
 
     def matrix(a: np.ndarray):
         c = [w * _along(avg, a) for w, avg in coefficient]
@@ -387,12 +401,14 @@ def _operator_matrix(grid: SectorGrid, N: int, K: int):
         del c
         if shift:
             sums[0, 0] += shift
+        bands = _Bands.of(ratio, lambda p, q: sums[p, q])
         A = sp.dia_matrix((flat[pad:].reshape(len(offsets), width), delta), shape=(n, n)).tocsr()
         del flat, sums
         if A.data.base is not None and A.data.base.size > A.nnz:
             # the conversion's buffers hold a slot for every stored diagonal entry:
             # copy the entries down to nnz, once the diagonals are freed
             A.data, A.indices = A.data.copy(), A.indices.copy()
+        A.bands = bands
         return A
 
     return matrix
@@ -432,98 +448,188 @@ def _factor(A):
         return None
 
 
+@lru_cache(maxsize=None)
+def _cosine_basis(Nt: int) -> np.ndarray:
+    """The orthonormal DCT-II basis of Nt cells, column m cos(pi m (j + 1/2) / Nt) normalized.
+
+    The eigenvectors of L_N, the Neumann second difference in theta; a dense
+    basis, since scipy.fft costs more to import.
+    """
+    j = np.arange(Nt)
+    basis = np.sqrt(2.0 / Nt) * np.cos(np.pi * np.outer(j + 0.5, j) / Nt)
+    basis[:, 0] = np.sqrt(1.0 / Nt)
+    basis.flags.writeable = False
+    return basis
+
+
+def _volume_ratio(grid: SectorGrid) -> np.ndarray:
+    """Each cell's volume over the volume of its ring's cell in column 0, V / V[:, :1]."""
+    V = cell_volumes(grid)
+    return V / V[:, :1]
+
+
+@dataclass(frozen=True)
+class _Bands:
+    """The bands of a matrix's separable part (`_separable`): Nr numbers each, and the volume ratio."""
+
+    ratio: np.ndarray  # `_volume_ratio` of the grid
+    lower: np.ndarray  # T_s[i, i - 1]; lower[0] is 0
+    t: np.ndarray  # the L_N coefficient of ring i
+    upper: np.ndarray  # T_s[i, i + 1]; upper[-1] is 0
+    centre: np.ndarray  # T_s[i, i] + c[i]
+
+    @classmethod
+    def of(cls, ratio: np.ndarray, diagonal) -> _Bands:
+        """Read the bands off a matrix's diagonals.
+
+        diagonal(p, q) is the (Nr, Nt) array of A[(i, j), (i + p, j + q)], 0
+        beyond the matrix, for the five offsets of the 5-point stencil.  Each
+        row is multiplied by the volume ratio (A divides its rows by the cell
+        volumes) and averaged over theta relative to column 0, so that an
+        exactly separable diag(ratio) A keeps its entries; the other
+        diagonals are dropped.
+        """
+
+        def mean(v):  # over theta, exact where v is the same in every column
+            return v[:, 0] + (v - v[:, :1]).mean(axis=1)
+
+        band = {o: ratio * diagonal(*o) for o in ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))}
+        return cls(ratio, mean(band[-1, 0]), mean(band[0, 1][:, :-1]), mean(band[1, 0]),
+                   mean(band[0, 0] + band[0, 1] + band[0, -1]))
+
+
 @dataclass(frozen=True)
 class _Separable:
-    """The fast Poisson solver of a separable matrix (`_separable`); solve(b) as on a SuperLU factor."""
+    """The fast Poisson solver of a separable part (`_separable`); solve(b) as on a SuperLU factor."""
 
-    basis: np.ndarray  # column m: cos(pi m (j + 1/2) / Nt), normalized
+    basis: np.ndarray  # `_cosine_basis(Nt)`
+    ratio: np.ndarray  # `_volume_ratio` of the grid
     factor: tuple  # LAPACK gttrf's (dl, d, du, du2, ipiv) of the modes' systems, mode by mode
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         Nt = len(self.basis)
-        y = np.reshape(b, (-1, Nt)) @ self.basis
+        y = (self.ratio * np.reshape(b, (-1, Nt))) @ self.basis
         y, _ = lapack.dgttrs(*self.factor, y.ravel(order="F")[:, None])  # mode after mode
         # back in (Nr, Nt) C order: a transposed view changes the product's bits on some sizes
         return (np.ascontiguousarray(y.reshape(Nt, -1).T) @ self.basis.T).ravel()
 
 
 def _separable(grid: SectorGrid, A) -> _Separable | None:
-    """The separable part T_s (x) I + diag(t) (x) L_N + diag(c) (x) I of A, as a `_Separable`.
+    """The separable part S = T_s (x) I + diag(t) (x) L_N + diag(c) (x) I of A, as a `_Separable`.
 
-    L_N, the Neumann second difference in theta, has the DCT-II cosines (a
-    dense basis: scipy.fft costs more to import) as eigenvectors; in their
-    basis the part splits into Nt tridiagonal systems in s (Buzbee, Golub &
-    Nielson 1970), factored together by LAPACK's gttrf as one block-diagonal
-    system, mode after mode.  It is read off A's diagonals 0, +-1 and +-Nt,
-    each row times its cell volume over column 0's (A divides its rows by the
-    volumes), averaged over theta relative to column 0, so that an exactly
-    separable A keeps its entries; the other diagonals are dropped.  A
-    non-finite band, or an exactly singular system (gttrf's info > 0; a
-    sphere cap at resonance), gives None.
+    A is a matrix, or the `_Bands` that its fill read off (`_operator_matrix`).
+    The rows of A are divided by their cell volumes V, so S approximates
+    diag(V / V[:, :1]) A (`_Bands.of`), and solve(b) is S^-1 diag(V / V[:, :1]) b:
+    it approximates A^-1 b, exactly so on an unperturbed sector, where the
+    ratio is 1.  L_N, the Neumann second difference in theta, has the
+    DCT-II cosines (`_cosine_basis`) as eigenvectors; in their basis S splits
+    into Nt tridiagonal systems in s (Buzbee, Golub & Nielson 1970), factored
+    together by LAPACK's gttrf as one block-diagonal system, mode after
+    mode.  A non-finite band, or an exactly singular system (gttrf's info > 0;
+    a sphere cap at resonance), gives None.
     """
     Nr, Nt = grid.Nr, grid.Nt
-    V = cell_volumes(grid)
-    w = V / V[:, :1]
-    # band[k][i, j] = w[i, j] A[(i, j), (i, j) + k], 0 beyond the matrix
-    offsets = (-Nt, -1, 0, 1, Nt)
-    band = {k: w * np.pad(A.diagonal(k), (max(0, -k), max(0, k))).reshape(Nr, Nt) for k in offsets}
 
-    def mean(v):  # over theta, exact where v is the same in every column
-        return v[:, 0] + (v - v[:, :1]).mean(axis=1)
+    def csr_diagonal(p, q):  # A[(i, j), (i + p, j + q)] is A.diagonal(p Nt + q)[i Nt + j]
+        k = p * Nt + q
+        return np.pad(A.diagonal(k), (max(0, -k), max(0, k))).reshape(Nr, Nt)
 
-    # lower[0] and upper[-1] are 0: the systems of successive modes do not couple
-    lower, t, upper = mean(band[-Nt]), mean(band[1][:, :-1]), mean(band[Nt])
-    centre = mean(band[0] + band[1] + band[-1])  # T_s[i, i] + c[i]
+    bands = A if isinstance(A, _Bands) else _Bands.of(_volume_ratio(grid), csr_diagonal)
     j = np.arange(Nt)
-    diagonal = centre[:, None] - 4.0 * t[:, None] * np.sin(0.5 * np.pi * j / Nt) ** 2
-    dl, d, du = np.tile(lower, Nt)[1:], diagonal.ravel(order="F"), np.tile(upper, Nt)[:-1]
+    diagonal = bands.centre[:, None] - 4.0 * bands.t[:, None] * np.sin(0.5 * np.pi * j / Nt) ** 2
+    # the systems of successive modes do not couple: lower[0] and upper[-1] are 0
+    dl, d, du = np.tile(bands.lower, Nt)[1:], diagonal.ravel(order="F"), np.tile(bands.upper, Nt)[:-1]
     if not all(np.isfinite(v).all() for v in (dl, d, du)):
         return None
     *factor, info = lapack.dgttrf(dl, d, du)
     if info != 0:
         return None
-    basis = np.sqrt(2.0 / Nt) * np.cos(np.pi * np.outer(j + 0.5, j) / Nt)
-    basis[:, 0] = np.sqrt(1.0 / Nt)
-    return _Separable(basis, tuple(factor))
+    return _Separable(_cosine_basis(Nt), bands.ratio, tuple(factor))
 
 
-def _linear_solve(A, b, lu):
+def _gmres(A, M, r, rtol: float, reference: float | None = None):
+    """One GMRES cycle on A dx = r, left-preconditioned by M (M.solve): (dx, whether it stopped early).
+
+    At most GMRES_RESTART steps; it stops early once the 2-norm of the
+    preconditioned residual is at most rtol times `reference` (by default
+    ||M r||), or on a breakdown (an exact solution).  Each new direction is
+    orthogonalized against the whole basis at once by two passes of
+    classical Gram-Schmidt (matrix-vector products; one pass lost enough
+    orthogonality to stall a 60-step cycle short of LINEAR_TOL), and the
+    least-squares problem is kept triangular by Givens rotations (Saad &
+    Schultz 1986).
+    """
+    v = M.solve(r)
+    beta = float(np.linalg.norm(v))
+    stop = rtol * (beta if reference is None else reference)
+    V = np.empty((GMRES_RESTART + 1, v.size))  # the basis, one direction a row
+    V[0] = v / beta
+    R = np.zeros((GMRES_RESTART, GMRES_RESTART))  # the rotated Hessenberg matrix
+    g = np.zeros(GMRES_RESTART + 1)  # the rotated right-hand side beta e_1
+    g[0] = beta
+    rotations = []
+    for j in range(GMRES_RESTART):
+        w = M.solve(A @ V[j])
+        basis = V[: j + 1]
+        before = np.linalg.norm(w)
+        h = basis @ w
+        w -= h @ basis
+        again = basis @ w
+        w -= again @ basis
+        h = (h + again).tolist()
+        after = float(np.linalg.norm(w))
+        breakdown = after <= np.finfo(float).eps * before
+        if not breakdown:
+            V[j + 1] = w / after
+        for k, (c, s) in enumerate(rotations):
+            h[k], h[k + 1] = c * h[k] + s * h[k + 1], c * h[k + 1] - s * h[k]
+        norm = math.hypot(h[j], after)
+        c, s = (h[j] / norm, after / norm) if norm else (1.0, 0.0)
+        rotations.append((c, s))
+        h[j] = norm
+        R[: j + 1, j] = h
+        g[j], g[j + 1] = c * g[j], -s * g[j]
+        if abs(g[j + 1]) <= stop or breakdown:
+            break
+    steps = j + 1
+    while steps and R[steps - 1, steps - 1] == 0.0:  # a direction A maps into the basis adds nothing
+        steps -= 1
+    y = solve_triangular(R[:steps, :steps], g[:steps], check_finite=False)
+    return y @ V[:steps], j + 1 < GMRES_RESTART
+
+
+def _linear_solve(A, b, lu, start=None):
     """Every linear solve: x with a scaled residual of at most LINEAR_TOL, or None.
 
     lu is the preconditioner, a SuperLU factor of A (`_factor`) or A's
     separable part (`_separable`); None solves nothing.  Its solution
-    lu.solve(b) is kept if it meets LINEAR_TOL, rejected if it is not
-    finite, and otherwise starts one GMRES cycle of at most GMRES_RESTART
-    steps preconditioned by lu.  GMRES stops on the 2-norm of the
-    preconditioned residual, which bounds the componentwise scaled residual
-    only loosely: the vertex rows are about (h dtheta)^-2 larger than the
-    Gamma_0 rows, so that norm bottoms out near 1e-9 and a cycle may stop
-    on its own while the scaled residual still misses LINEAR_TOL.  Such a
-    cycle is refined: at most REFINE_CYCLES more cycles solve
-    A dx = b - A x (rtol 1e-3) with the same preconditioner.  A cycle that
-    uses all its steps means the preconditioner is too far off, and ends
-    the attempt.
+    lu.solve(b) is kept if it meets LINEAR_TOL, and rejected if it is not
+    finite.  Otherwise one GMRES cycle (`_gmres`) preconditioned by lu
+    refines `start` if given (a Picard step passes its iterate, which its
+    solution nears as Picard converges), else lu.solve(b), and aims two
+    orders below LINEAR_TOL relative to ||lu.solve(b)||.  GMRES stops on
+    the 2-norm of the preconditioned residual, which bounds the
+    componentwise scaled residual only loosely: the vertex rows are about
+    (h dtheta)^-2 larger than the Gamma_0 rows, so that norm bottoms out
+    near 1e-9 and a cycle may stop on its own while the scaled residual
+    still misses LINEAR_TOL.  Such a cycle is refined: at most
+    REFINE_CYCLES more cycles solve A dx = b - A x (rtol 1e-3) with the
+    same preconditioner.  A cycle that uses all its steps means the
+    preconditioner is too far off, and ends the attempt.
     """
     x = None if lu is None else lu.solve(b)
     if x is None or not np.isfinite(x).all():
         return None
     if _scaled_residual(A, x, b) <= LINEAR_TOL:
         return x
-    M = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)  # a dtype spares a probe solve
-
-    def cycle(rhs, start, rtol):
-        steps = []
-        y, _ = spla.gmres(A, rhs, x0=start, rtol=rtol, restart=GMRES_RESTART, maxiter=1, M=M,
-                          callback=steps.append, callback_type="pr_norm")
-        return y, len(steps) < GMRES_RESTART
-
-    # aim two orders below LINEAR_TOL, then refine what stopped early above it
-    x, early = cycle(b, x, 1e-2 * LINEAR_TOL)
-    refined = 0
-    while _scaled_residual(A, x, b) > LINEAR_TOL:
+    reference = float(np.linalg.norm(x))
+    x = x if start is None else start
+    dx, early = _gmres(A, lu, b - A @ x, 1e-2 * LINEAR_TOL, reference)
+    x, refined = x + dx, 0
+    while not _scaled_residual(A, x, b) <= LINEAR_TOL:  # a NaN is refined, or rejected
         if not early or refined == REFINE_CYCLES:
             return None
-        dx, early = cycle(b - A @ x, None, 1e-3)
+        dx, early = _gmres(A, lu, b - A @ x, 1e-3)
         x, refined = x + dx, refined + 1
     return x
 
@@ -550,13 +656,13 @@ def solve_linear_spaceform(grid: SectorGrid, N: int = 2, tol: float = 1e-9):
     not raised.
 
     The separable part of the matrix (`_separable`) solves it: exactly at
-    eps = 0, and as the preconditioner of GMRES at eps != 0 (9-27 steps on
+    eps = 0, and as the preconditioner of GMRES at eps != 0 (9-26 steps on
     the benchmark's ladders, eps up to 0.24).  SuperLU factors it only when
     that misses LINEAR_TOL.
     """
     A = _operator_matrix(grid, N, grid.cone.space_form.curvature)(np.ones((grid.Nr, grid.Nt)))
     b = -np.ones(grid.n_cells)
-    x = _linear_solve(A, b, _separable(grid, A))
+    x = _linear_solve(A, b, _separable(grid, A.bands))
     if x is None:
         x = _linear_solve(A, b, _factor(A))
     if x is None:
@@ -596,12 +702,14 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8):
     solve with converged=False.
 
     Every linear solve must meet LINEAR_TOL (`_linear_solve`), and keeps no
-    state from one step to the next.  At eps = 0 a step solves A(a) x = b by
-    the separable part of A(a) (`_separable`), refined by GMRES.  Otherwise,
-    or when that misses, it solves by a SuperLU factor of A(a) (`_factor`),
-    dropped when the step ends; a singular factor, or one whose solution
-    still misses, ends the solve with converged=False.  Convergence is
-    judged on A(a).
+    state from one step to the next.  A step solves A(a) x = b by the
+    separable part of A(a) (`_separable`), refined by GMRES from the
+    iterate u; at eps = 0 that part is A(a) up to roundoff.  Once it misses, the step and the rest of
+    its stage solve by a SuperLU factor of A(a) (`_factor`), dropped when
+    the step ends, and the next stage tries the separable part again: a
+    miss wastes at most one GMRES cycle a stage.  A singular factor, or one
+    whose solution still misses, ends the solve with converged=False.
+    Convergence is judged on A(a).
 
     The Laplacian has a identically 1 and is one linear solve: the result is
     `solve_linear_spaceform`'s, whose report has an empty epsilon_schedule.
@@ -648,6 +756,7 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8):
         # Anderson history: the last ANDERSON_WINDOW + 1 residuals f and damped steps g
         hist_f = deque(maxlen=ANDERSON_WINDOW + 1)
         hist_g = deque(maxlen=ANDERSON_WINDOW + 1)
+        missed = False  # the separable part missed a step of this stage
         for _ in range(MAX_ITERS):
             A = matrix(reg.coefficient(speed(u)))
             res = _scaled_residual(A, u.ravel(), b)
@@ -668,11 +777,9 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8):
                 else:
                     return result(res, f"Picard stalled at epsilon={eps} (omega={omega})")
             total_iters += 1
-            y = None
-            if grid.radius.epsilon == 0.0:
-                # a is theta-independent up to roundoff, so A(a) is separable up to roundoff
-                y = _linear_solve(A, b, _separable(grid, A))
+            y = None if missed else _linear_solve(A, b, _separable(grid, A.bands), u.ravel())
             if y is None:
+                missed = True
                 y = _linear_solve(A, b, _factor(A))
             if y is None:
                 return result(float("inf"), f"linear stage solve failed at epsilon={eps}")

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import math
 import tracemalloc
@@ -24,6 +25,7 @@ from serrinlab.solver import (
     _dilate,
     _factor,
     _finite_volume,
+    _gmres,
     _linear_solve,
     _operator_matrix,
     _scaled_residual,
@@ -405,29 +407,96 @@ def _no_separable(monkeypatch):
     monkeypatch.setattr(solver, "_separable", lambda grid, A0: None)
 
 
+def _record(monkeypatch, events: list, **names) -> None:
+    """Append name to events on each call of serrinlab.solver's function `names[name]`."""
+    for name, attribute in names.items():
+        real = getattr(solver, attribute)
+        monkeypatch.setattr(solver, attribute, lambda *args, _name=name, _real=real: events.append(_name) or _real(*args))
+
+
+def _stages(events: list) -> list:
+    """The events of each Picard stage, split where a stage regularizes its profile."""
+    return " ".join(events).split("stage")[1:]
+
+
 @pytest.mark.parametrize(
     "profile",
     [make_power_profile(1.5), make_mean_curvature_profile()],
     ids=["p=1.5", "mean-curvature"],
 )
-def test_perturbed_picard_factors_each_step(profile, monkeypatch):
-    # on a perturbed sector every Picard step builds one SuperLU factor of its
-    # own matrix, and no factor is alive when the next step fills its matrix
+def test_perturbed_picard_factors_at_most_once_a_stage(profile, monkeypatch):
+    # on a perturbed sector every Picard step first tries the separable part
+    # of its own matrix, and only a stage where that missed factors: here at
+    # most one step a stage builds a SuperLU factor.  Without the separable
+    # part every step factors.  Either way no factor or separable part is
+    # alive when the next step fills its matrix
     grid = build_grid(quarter(), 32, 32, BoundaryRadius(1.0, 0.1, 2))
     counting = _CountingSpla(solver.spla)
     monkeypatch.setattr(solver, "spla", counting)
-    alive_at_fill = []
+    separable, parts = solver._separable, []
+
+    def watched_separable(grid, bands):
+        part = separable(grid, bands)
+        if part is not None:
+            parts.append(weakref.ref(part))
+        return part
+
+    monkeypatch.setattr(solver, "_separable", watched_separable)
+    alive_at_fill, events = [], []
     operator = solver._operator_matrix
+
+    def alive():
+        return len(counting.alive) + sum(part() is not None for part in parts)
 
     def watched(*args):
         matrix = operator(*args)
-        return lambda a: alive_at_fill.append(len(counting.alive)) or matrix(a)
+        return lambda a: alive_at_fill.append(alive()) or matrix(a)
 
     monkeypatch.setattr(solver, "_operator_matrix", watched)
+    _record(monkeypatch, events, stage="regularize", factor="_factor")
     _, rep = solve_Lf(grid, profile, tol=1e-8)
     assert rep.converged
-    assert counting.factorizations == rep.iterations, (counting.factorizations, rep.iterations)
+    factors = [stage.count("factor") for stage in _stages(events)]
+    assert len(factors) == len(solver.SCHEDULE) and max(factors) <= 1, factors
     assert len(alive_at_fill) == rep.iterations + len(solver.SCHEDULE) and not any(alive_at_fill)
+
+    _no_separable(monkeypatch)
+    alive_at_fill.clear()
+    _, rep_factored = solve_Lf(grid, profile, tol=1e-8)
+    assert rep_factored.converged and rep_factored.iterations == rep.iterations
+    assert counting.factorizations == rep.iterations + sum(factors)
+    assert len(alive_at_fill) == rep.iterations + len(solver.SCHEDULE) and not any(alive_at_fill)
+
+
+def test_picard_step_refines_its_iterate(monkeypatch):
+    # a Picard step's GMRES starts from the iterate, which the step's solution
+    # nears as Picard converges: on the benchmark's top p = 3 rung (64^2,
+    # eps 0.24) only the first stage, started from the radial profile,
+    # factors; from the iterate's start every later step is served
+    grid = build_grid(quarter(), 64, 64, BoundaryRadius(1.0, 0.24, 2))
+    events = []
+    _record(monkeypatch, events, stage="regularize", factor="_factor")
+    _, rep = solve_Lf(grid, P3, tol=1e-8)
+    assert rep.converged
+    factors = [stage.count("factor") for stage in _stages(events)]
+    assert factors[0] > 0 and not any(factors[1:]), factors
+
+
+def test_p6_misses_the_separable_part_at_most_once_a_stage(monkeypatch):
+    # p = 6 at 64^2, eps 0.05 is a solve whose separable parts often miss;
+    # each miss costs one GMRES cycle, after which the rest of its stage
+    # factors.  The iterations and the verdict are those of factored steps
+    grid = build_grid(quarter(), 64, 64, BoundaryRadius(1.0, 0.05, 2))
+    p6 = make_power_profile(6.0)
+    events = []
+    _record(monkeypatch, events, stage="regularize", separable="_separable", factor="_factor")
+    _, rep = solve_Lf(grid, p6, tol=1e-8)
+    misses = [stage.count("separable factor") for stage in _stages(events)]
+    assert sum(misses) > 0 and max(misses) <= 1, misses
+    _no_separable(monkeypatch)
+    _, rep_factored = solve_Lf(grid, p6, tol=1e-8)
+    assert (rep.iterations, rep.converged, rep.message) == (
+        rep_factored.iterations, rep_factored.converged, rep_factored.message)
 
 
 @pytest.mark.parametrize(
@@ -534,10 +603,10 @@ def test_sphere_cap_near_the_equator(R0, monkeypatch):
 
 
 def test_far_rung_falls_back_to_superlu(monkeypatch):
-    # GMRES on the separable solve of the sector cannot reach eps = 0.3 at
-    # 128^2 and alpha = pi/3 in one cycle: that rung is factored, bit for bit
-    # the factored solve
-    grid = build_grid(ConeSection(EUCLIDEAN, math.pi / 3), 128, 128, BoundaryRadius(1.0, 0.3, 2))
+    # GMRES on the separable part of the matrix cannot reach eps = 0.45 at
+    # 128^2 and alpha = pi/3 in one cycle (it serves eps = 0.35): that rung
+    # is factored, bit for bit the factored solve
+    grid = build_grid(ConeSection(EUCLIDEAN, math.pi / 3), 128, 128, BoundaryRadius(1.0, 0.45, 2))
     counting = _CountingSpla(solver.spla)
     monkeypatch.setattr(solver, "spla", counting)
     u, rep = solve_linear_spaceform(grid, 2)
@@ -584,6 +653,65 @@ def test_linear_solve_refines_or_rejects_its_start():
     assert x is not None and _scaled_residual(A, x, b) <= LINEAR_TOL
     far = matrix(1.0 + 99.0 * rng.random((32, 32)))
     assert _linear_solve(far, b, near) is None
+
+
+def test_gmres_meets_linear_tol_or_rejects(monkeypatch):
+    # the GMRES of `_linear_solve` on the near and far matrices of
+    # test_linear_solve_refines_or_rejects_its_start, preconditioned by the
+    # factor of the unperturbed coefficient.  A cycle stops once the
+    # preconditioned residual it tracks is rtol times its start's, and that
+    # is the true one.  The near matrix meets LINEAR_TOL in one cycle; the
+    # far one needs more steps than a cycle has, so its solve is rejected,
+    # and cycles twice as long take it to LINEAR_TOL too
+    grid = build_grid(quarter(), 32, 32)
+    matrix = _operator_matrix(grid, 2, 0)
+    rng = np.random.default_rng(3)
+    b = -np.ones(grid.n_cells)
+    near = matrix(1.0 + 0.2 * rng.random((32, 32)))
+    far = matrix(1.0 + 99.0 * rng.random((32, 32)))
+    lu = _factor(matrix(np.ones((32, 32))))
+    for A in (near, far):
+        r = b - A @ lu.solve(b)
+        dx, early = _gmres(A, lu, r, 1e-8)
+        assert early and np.linalg.norm(lu.solve(r - A @ dx)) <= 1.01e-8 * np.linalg.norm(lu.solve(r))
+
+    def meets_linear_tol(A):
+        x = _linear_solve(A, b, lu)
+        direct = _factor(A).solve(b)
+        return _scaled_residual(A, x, b) <= LINEAR_TOL and np.max(np.abs(x - direct)) <= 1e-10 * np.max(np.abs(direct))
+
+    assert meets_linear_tol(near)
+    assert _linear_solve(far, b, lu) is None
+    monkeypatch.setattr(solver, "GMRES_RESTART", 2 * solver.GMRES_RESTART)
+    assert meets_linear_tol(far)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.2])
+@pytest.mark.parametrize("sf", [EUCLIDEAN, HYPERBOLIC, SPHERE], ids=lambda s: s.name)
+def test_fill_reads_the_separable_bands_of_its_matrix(sf, eps):
+    # the bands a fill reads off its own diagonal rows (A.bands) are the
+    # ones `_separable` reads back out of the CSR matrix, bit for bit
+    rng = np.random.default_rng(5)
+    grid = build_grid(ConeSection(sf, math.pi / 3), 24, 20, BoundaryRadius(0.9, eps, 3))
+    A = _operator_matrix(grid, 2, sf.curvature)(0.5 + rng.random((24, 20)))
+    filled, read = _separable(grid, A.bands), _separable(grid, A)
+    for got, want in zip(filled.factor, read.factor):
+        assert np.array_equal(got, want)
+    b = rng.standard_normal(grid.n_cells)
+    assert np.array_equal(filled.solve(b), read.solve(b))
+
+
+def test_each_grid_builds_its_operator_once():
+    # the solver's matrices and the Laplace probe share one `_finite_volume`
+    # per grid, and it goes with the grid
+    grid = build_grid(quarter(), 16, 12, BoundaryRadius(1.0, 0.1, 2))
+    operator = _finite_volume(grid)
+    assert _finite_volume(grid) is operator
+    assert _finite_volume(build_grid(quarter(), 16, 12, BoundaryRadius(1.0, 0.1, 2))) is not operator
+    gone = weakref.ref(operator[0])
+    del grid, operator
+    gc.collect()
+    assert gone() is None
 
 
 @pytest.mark.parametrize(

@@ -30,12 +30,13 @@ The set covers every subcommand: rigidity scans over the ladder
 and p = 6 at 16x16), the hyperbolic scan at 256x256 over
 [0, 0.06, 0.12, 0.24] (the linear ladders solve their perturbed rungs by
 GMRES preconditioned by the separable part of the rung's own matrix; these
-two reach its refinement and its longest cycle), convergence 16-32-64 for
+two take its longest cycles, 19 steps), convergence 16-32-64 for
 p = 3 and hyperbolic, solve plus audit at 48x48 and eps = 0.1 for p = 1.5,
 p = 3 and mean-curvature, solve plus pfunction at eps = 0.1 for hyperbolic
 64x64 and sphere 48x48, solve p = 6 at 16x16, solve p = 1.5 at 128x128 with
-eps = 0.1 (the largest perturbed Picard solve, a SuperLU factor on every
-step), the Laplacian solve at 256x256 with eps = 0 and eps = 0.1, the
+eps = 0.1 (the largest perturbed Picard solve: GMRES on the separable part
+serves 9 of its 12 steps, SuperLU factors the other 3), the Laplacian solve
+at 256x256 with eps = 0 and eps = 0.1, the
 hyperbolic solve at 256x256 with eps = 0.1 (the largest matrix, 9-point with
 the N K shift), `oracle --out-dir`, and the Euclidean oracle in dimension 3,
 `oracle --N 3 --out-dir`.
