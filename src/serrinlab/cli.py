@@ -165,24 +165,15 @@ def _cmd_oracle(args) -> int:
     profile = profile_from_id(args.profile)
     if sf.curvature == 0:
         sol = RadialSolutionEuclidean(profile, args.N, args.R)
+        u, u_prime, residual = euclid_u, euclid_u_prime, pde_residual_euclid
     else:
         if not profile.is_laplacian:
             raise ConfigError("space-form oracles are linear; use --profile laplacian")
         sol = RadialSolutionSpaceForm(sf, args.N, args.R)
+        u, u_prime, residual = spaceform_u, spaceform_u_prime, pde_residual_spaceform
     c = overdetermined_constant(sol)
     d = (np.arange(args.samples) + 0.5) * args.R / args.samples
-    rows = []
-    for dk in d:
-        if sf.curvature == 0:
-            u = float(euclid_u(sol, dk))
-            up = float(euclid_u_prime(sol, dk))
-            # a point at distance dk from the center, which has N coordinates
-            res = pde_residual_euclid(sol, (dk,) + (0.0,) * (args.N - 1))
-        else:
-            u = float(spaceform_u(sol, dk))
-            up = float(spaceform_u_prime(sol, dk))
-            res = pde_residual_spaceform(sol, dk)
-        rows.append((dk, u, up, res, c))
+    rows = [(dk, float(u(sol, dk)), float(u_prime(sol, dk)), residual(sol, dk), c) for dk in d]
     header = ["d", "u", "u_prime", "residual", "c"]
     if args.out_dir is None:
         print(",".join(header))

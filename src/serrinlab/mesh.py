@@ -78,7 +78,6 @@ class SectorGrid:
     dtheta: float = field(init=False)
     s_centers: np.ndarray = field(init=False)
     theta_centers: np.ndarray = field(init=False)
-    theta_faces: np.ndarray = field(init=False)
     R_centers: np.ndarray = field(init=False)
     Rp_centers: np.ndarray = field(init=False)
     R_faces: np.ndarray = field(init=False)
@@ -97,11 +96,11 @@ class SectorGrid:
         self.dtheta = cone.alpha / Nt
         self.s_centers = (np.arange(Nr) + 0.5) * self.ds
         self.theta_centers = (np.arange(Nt) + 0.5) * self.dtheta
-        self.theta_faces = np.arange(Nt + 1) * self.dtheta
         self.R_centers = self.radius(self.theta_centers)
         self.Rp_centers = self.radius.derivative(self.theta_centers)
-        self.R_faces = self.radius(self.theta_faces)
-        self.Rp_faces = self.radius.derivative(self.theta_faces)
+        faces = np.arange(Nt + 1) * self.dtheta  # theta at the Nt + 1 cell faces
+        self.R_faces = self.radius(faces)
+        self.Rp_faces = self.radius.derivative(faces)
         self.dr = self.R_centers * self.ds
         self.r_centers = self.s_centers[:, None] * self.R_centers[None, :]
         self.h_centers = sf.h(self.r_centers)

@@ -1,12 +1,13 @@
 """Closed-form radial solutions serving as exact ground truth.
 
-Euclidean branch: u(x) = int_{|x-x0|}^{R} g'(s/N) ds solves L_f u = -1 in a
-ball with u = 0 on the sphere.  The integral has the closed form
-N (g(R/N) - g(|x-x0|/N)) through the profile's convex conjugate g; ``quad``
-integrates g' only for profiles built without g.  Space-form branch:
-u = (H(R) - H(d))/(N h_dot(R)) solves Delta u + N K u = -1 in a geodesic
-ball.  Both are evaluated with analytic derivatives so the auditors can test
-at 1e-10 level.
+Every oracle is centred at the cone's vertex, the pole of the model space,
+so the distance from the centre is the polar radius r.  Euclidean branch:
+u(r) = int_r^R g'(s/N) ds solves L_f u = -1 in a ball with u = 0 on the
+sphere.  The integral has the closed form N (g(R/N) - g(r/N)) through the
+profile's convex conjugate g; ``quad`` integrates g' only for profiles built
+without g.  Space-form branch: u = (H(R) - H(d))/(N h_dot(R)) solves
+Delta u + N K u = -1 in a geodesic ball.  Both are evaluated with analytic
+derivatives so the auditors can test at 1e-10 level.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profiles import OperatorProfile
-from .spaceforms import SpaceForm, geodesic_distance
+from .spaceforms import SpaceForm
 
 __all__ = [
     "RadialSolutionEuclidean",
@@ -28,7 +29,6 @@ __all__ = [
     "pde_residual_euclid",
     "pde_residual_spaceform",
     "overdetermined_constant",
-    "distance_field",
     "sample_values",
 ]
 
@@ -48,7 +48,6 @@ class RadialSolutionEuclidean:
     profile: OperatorProfile
     dimension: int
     radius: float
-    center: tuple | None = None
 
     def __post_init__(self):
         if self.dimension < 2:
@@ -60,10 +59,6 @@ class RadialSolutionEuclidean:
                 f"R/N = {self.radius / self.dimension} reaches the slope bound "
                 f"{self.profile.slope_sup} of profile {self.profile.name}"
             )
-        center = (0.0,) * self.dimension if self.center is None else tuple(self.center)
-        if len(center) != self.dimension:
-            raise ValueError("center must have one coordinate per dimension")
-        object.__setattr__(self, "center", center)
 
 
 @dataclass(frozen=True)
@@ -115,17 +110,16 @@ def euclid_u_prime(sol: RadialSolutionEuclidean, rho):
     return -sol.profile.g_prime(rho / sol.dimension)
 
 
-def pde_residual_euclid(sol: RadialSolutionEuclidean, x) -> float:
-    """Residual L_f u + 1 evaluated through the profile's analytic derivatives.
+def pde_residual_euclid(sol: RadialSolutionEuclidean, rho) -> float:
+    """Residual L_f u + 1 at distance rho from the center, from analytic derivatives.
 
     The radial divergence reduces to -f''(q) g''(rho/N)/N - (N-1) f'(q)/rho
     with q = g'(rho/N); the result vanishes exactly when the hand-derived
     derivative/inverse pairs are mutually consistent.
     """
-    x = np.asarray(x, dtype=float)
-    rho = float(np.linalg.norm(x - np.asarray(sol.center, dtype=float)))
+    rho = float(rho)
     if not 0.0 < rho < sol.radius:
-        raise ValueError("residual needs 0 < |x - x0| < R")
+        raise ValueError("residual needs 0 < rho < R")
     N = sol.dimension
     q = float(sol.profile.g_prime(rho / N))
     lf = -float(sol.profile.f_second(q)) * float(sol.profile.g_second(rho / N)) / N
@@ -176,27 +170,11 @@ def overdetermined_constant(sol) -> float:
     raise TypeError(f"not a radial solution: {type(sol)!r}")
 
 
-def distance_field(sol, grid):
-    """Geodesic distances from the solution center to the grid cell centers.
-
-    Euclidean centers are Cartesian pairs; a space-form solution is centered
-    at the pole of the model.
-    """
-    r = grid.r_centers
-    theta = np.broadcast_to(grid.theta_centers[None, :], r.shape)
-    if isinstance(sol, RadialSolutionEuclidean):
-        x0, y0 = float(sol.center[0]), float(sol.center[1])
-        center = (float(np.hypot(x0, y0)), float(np.arctan2(y0, x0)))
-        return geodesic_distance(grid.cone.space_form, (r, theta), center)
-    return geodesic_distance(sol.space_form, (r, theta), (0.0, 0.0))
-
-
 def sample_values(sol, grid):
-    """Oracle u sampled at the cell centers (array of shape (Nr, Nt))."""
-    d = distance_field(sol, grid)
+    """Oracle u sampled at the cell centers, at their distance r from the vertex (shape (Nr, Nt))."""
     if isinstance(sol, RadialSolutionEuclidean):
-        return np.asarray(euclid_u(sol, d), dtype=float)
-    return np.asarray(spaceform_u(sol, d), dtype=float)
+        return np.asarray(euclid_u(sol, grid.r_centers), dtype=float)
+    return np.asarray(spaceform_u(sol, grid.r_centers), dtype=float)
 
 
 def oracle_W_field(sol: RadialSolutionEuclidean, grid):
@@ -210,12 +188,7 @@ def oracle_W_field(sol: RadialSolutionEuclidean, grid):
 
     if grid.cone.space_form.curvature != 0:
         raise ValueError("W is Euclidean-specific")
-    theta = grid.theta_centers[None, :]
-    x = grid.r_centers * np.cos(theta)
-    y = grid.r_centers * np.sin(theta)
-    x0, y0 = float(sol.center[0]), float(sol.center[1])
-    dx, dy = x - x0, y - y0
-    rho = np.hypot(dx, dy)
+    rho = grid.r_centers
     mask = (rho < 1e-12 * sol.radius) | (rho > sol.radius * (1 + 1e-12))
     safe = np.where(mask, 1.0, rho)
     N = sol.dimension
@@ -223,7 +196,8 @@ def oracle_W_field(sol: RadialSolutionEuclidean, grid):
     fp = np.asarray(sol.profile.f_prime(q))
     fpp = np.asarray(sol.profile.f_second(q))
 
-    e = np.stack([dx / safe, dy / safe], axis=-1)
+    theta = np.broadcast_to(grid.theta_centers, rho.shape)
+    e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     ee = np.einsum("...i,...j->...ij", e, e)
     eye = np.broadcast_to(np.eye(2), ee.shape)
     hess_V = fpp[..., None, None] * ee + (fp / q)[..., None, None] * (eye - ee)

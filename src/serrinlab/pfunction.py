@@ -109,14 +109,13 @@ def max_principle_check(grid: SectorGrid, u: np.ndarray, P: np.ndarray):
     }
 
 
-def step3_identity(grid: SectorGrid, u: np.ndarray, c: float | None = None):
+def step3_identity(grid: SectorGrid, u: np.ndarray, c: float):
     """Grid quadrature of c^2 int h_dot versus (1+2/N)(int h_dot u - K int h u u_r).
 
-    N = 2 and K is the grid's; c defaults to the measured Gamma_0 mean.
+    N = 2 and K is the grid's; c is the Neumann constant, the measured
+    Gamma_0 mean in `pfunction_suite`.
     """
     N, K = 2, grid.cone.space_form.curvature
-    if c is None:
-        c = neumann_statistics(grid, u)[0]
     sf = grid.cone.space_form
     w = grid.area_weights
     hdot = sf.h_dot(grid.r_centers)

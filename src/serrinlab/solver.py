@@ -514,27 +514,22 @@ class _Separable:
         return (np.ascontiguousarray(y.reshape(Nt, -1).T) @ self.basis.T).ravel()
 
 
-def _separable(grid: SectorGrid, A) -> _Separable | None:
+def _separable(grid: SectorGrid, bands: _Bands) -> _Separable | None:
     """The separable part S = T_s (x) I + diag(t) (x) L_N + diag(c) (x) I of A, as a `_Separable`.
 
-    A is a matrix, or the `_Bands` that its fill read off (`_operator_matrix`).
-    The rows of A are divided by their cell volumes V, so S approximates
-    diag(V / V[:, :1]) A (`_Bands.of`), and solve(b) is S^-1 diag(V / V[:, :1]) b:
-    it approximates A^-1 b, exactly so on an unperturbed sector, where the
-    ratio is 1.  L_N, the Neumann second difference in theta, has the
-    DCT-II cosines (`_cosine_basis`) as eigenvectors; in their basis S splits
-    into Nt tridiagonal systems in s (Buzbee, Golub & Nielson 1970), factored
-    together by LAPACK's gttrf as one block-diagonal system, mode after
-    mode.  A non-finite band, or an exactly singular system (gttrf's info > 0;
-    a sphere cap at resonance), gives None.
+    bands are the `_Bands` that the fill of A read off its diagonal rows
+    (A.bands, `_operator_matrix`).  The rows of A are divided by their cell
+    volumes V, so S approximates diag(V / V[:, :1]) A (`_Bands.of`), and
+    solve(b) is S^-1 diag(V / V[:, :1]) b: it approximates A^-1 b, exactly
+    so on an unperturbed sector, where the ratio is 1.  L_N, the Neumann
+    second difference in theta, has the DCT-II cosines (`_cosine_basis`) as
+    eigenvectors; in their basis S splits into Nt tridiagonal systems in s
+    (Buzbee, Golub & Nielson 1970), factored together by LAPACK's gttrf as
+    one block-diagonal system, mode after mode.  A non-finite band, or an
+    exactly singular system (gttrf's info > 0; a sphere cap at resonance),
+    gives None.
     """
-    Nr, Nt = grid.Nr, grid.Nt
-
-    def csr_diagonal(p, q):  # A[(i, j), (i + p, j + q)] is A.diagonal(p Nt + q)[i Nt + j]
-        k = p * Nt + q
-        return np.pad(A.diagonal(k), (max(0, -k), max(0, k))).reshape(Nr, Nt)
-
-    bands = A if isinstance(A, _Bands) else _Bands.of(_volume_ratio(grid), csr_diagonal)
+    Nt = grid.Nt
     j = np.arange(Nt)
     diagonal = bands.centre[:, None] - 4.0 * bands.t[:, None] * np.sin(0.5 * np.pi * j / Nt) ** 2
     # the systems of successive modes do not couple: lower[0] and upper[-1] are 0

@@ -18,7 +18,6 @@ __all__ = [
     "EUCLIDEAN",
     "HYPERBOLIC",
     "SPHERE",
-    "geodesic_distance",
     "space_form_from_id",
 ]
 
@@ -101,16 +100,3 @@ class ConeSection:
     def convex(self) -> bool:
         return self.alpha <= math.pi
 
-
-def geodesic_distance(sf: SpaceForm, a, b):
-    """Geodesic distance between polar points a=(r,theta), b=(r0,theta0)."""
-    ra, ta = np.asarray(a[0], dtype=float), np.asarray(a[1], dtype=float)
-    rb, tb = float(b[0]), float(b[1])
-    dt = ta - tb
-    if sf.curvature == 0:
-        return np.sqrt(ra * ra + rb * rb - 2.0 * ra * rb * np.cos(dt))
-    if sf.curvature == -1:
-        arg = np.cosh(ra) * np.cosh(rb) - np.sinh(ra) * np.sinh(rb) * np.cos(dt)
-        return np.arccosh(np.maximum(arg, 1.0))
-    arg = np.cos(ra) * np.cos(rb) + np.sin(ra) * np.sin(rb) * np.cos(dt)
-    return np.arccos(np.clip(arg, -1.0, 1.0))

@@ -66,7 +66,7 @@ def test_criterion_1_oracle_exactness():
     for profile in (make_power_profile(2.0), make_power_profile(3.0), make_mean_curvature_profile()):
         sol = RadialSolutionEuclidean(profile, 2, 1.0)
         for rho in np.linspace(0.005, 0.995, 100):
-            worst_res = max(worst_res, abs(pde_residual_euclid(sol, (rho, 0.0))))
+            worst_res = max(worst_res, abs(pde_residual_euclid(sol, rho)))
         worst_c = max(worst_c, abs(-float(euclid_u_prime(sol, 1.0)) - overdetermined_constant(sol)))
     for sf, R in ((EUCLIDEAN, 1.0), (HYPERBOLIC, 1.0), (SPHERE, math.pi / 4)):
         sol = RadialSolutionSpaceForm(sf, 2, R)

@@ -110,13 +110,13 @@ def test_euclid_gradient_matches_finite_differences():
 def test_pde_residual_euclid_vanishes(profile):
     sol = RadialSolutionEuclidean(profile, 2, 1.0)
     for rho in np.linspace(0.01, 0.99, 100):
-        assert abs(pde_residual_euclid(sol, (rho, 0.0))) <= 1e-9
+        assert abs(pde_residual_euclid(sol, rho)) <= 1e-9
 
 
 def test_pde_residual_euclid_higher_dimension():
     sol = RadialSolutionEuclidean(P3, 4, 1.5)
     for rho in np.linspace(0.05, 1.45, 50):
-        assert abs(pde_residual_euclid(sol, (rho, 0.0, 0.0, 0.0))) <= 1e-10
+        assert abs(pde_residual_euclid(sol, rho)) <= 1e-10
 
 
 def test_spaceform_u_values():
@@ -186,17 +186,26 @@ def test_sector_measure_consistency_euclidean():
 
 
 def test_wall_centered_solution():
-    # center on a wall point (half-ball over a flat wall of the half-plane)
-    sol = RadialSolutionEuclidean(P2, 2, 0.5, center=(0.3, 0.0))
+    # a half-ball centred on a point of a flat wall is a translate of the
+    # vertex-centred ball: u, u' and the residual depend on the distance only
+    sol = RadialSolutionEuclidean(P2, 2, 0.5)
     assert euclid_u(sol, 0.5) == pytest.approx(0.0, abs=1e-15)
     # the slope along the wall, 0.2 from the center: -g'(rho/N) = -0.1
     assert float(euclid_u_prime(sol, 0.2)) == pytest.approx(-0.1, abs=1e-15)
-    assert abs(pde_residual_euclid(sol, (0.3, 0.25))) <= 1e-12
+    # the point 0.25 off the wall, straight above the center
+    assert abs(pde_residual_euclid(sol, 0.25)) <= 1e-12
 
 
 def test_sample_values_matches_pointwise():
-    cone = ConeSection(HYPERBOLIC, math.pi / 2)
-    grid = build_grid(cone, 12, 12)
-    sol = RadialSolutionSpaceForm(HYPERBOLIC, 2, 1.0)
-    vals = sample_values(sol, grid)
-    assert vals[3, 5] == pytest.approx(float(spaceform_u(sol, grid.r_centers[3, 5])), rel=1e-14)
+    # in every model, every cell is sampled at its distance r from the vertex, bit for bit
+    for sf in (EUCLIDEAN, HYPERBOLIC, SPHERE):
+        grid = build_grid(ConeSection(sf, math.pi / 2), 12, 16)
+        if sf.curvature == 0:
+            sol = RadialSolutionEuclidean(P3, 2, 1.0)
+            exact = euclid_u(sol, grid.r_centers)
+        else:
+            sol = RadialSolutionSpaceForm(sf, 2, 1.0)
+            exact = spaceform_u(sol, grid.r_centers)
+        vals = sample_values(sol, grid)
+        assert vals.shape == (grid.Nr, grid.Nt), sf.name
+        assert np.array_equal(vals, exact), sf.name

@@ -22,6 +22,7 @@ from serrinlab.profiles import make_mean_curvature_profile, make_power_profile
 from serrinlab.solver import (
     LINEAR_TOL,
     _along,
+    _Bands,
     _dilate,
     _factor,
     _finite_volume,
@@ -30,6 +31,7 @@ from serrinlab.solver import (
     _operator_matrix,
     _scaled_residual,
     _separable,
+    _volume_ratio,
     gradient_field,
     hessian_W_field,
     interior_cell_mask,
@@ -404,7 +406,18 @@ class _CountingSpla:
 
 def _no_separable(monkeypatch):
     """Make the separable solve unavailable, so that every solve takes the SuperLU path."""
-    monkeypatch.setattr(solver, "_separable", lambda grid, A0: None)
+    monkeypatch.setattr(solver, "_separable", lambda grid, bands: None)
+
+
+def _csr_bands(grid, A):
+    """The separable part's bands read back out of a CSR matrix's diagonals (`_Bands.of`)."""
+    Nr, Nt = grid.Nr, grid.Nt
+
+    def diagonal(p, q):  # A[(i, j), (i + p, j + q)] is A.diagonal(p Nt + q)[i Nt + j]
+        k = p * Nt + q
+        return np.pad(A.diagonal(k), (max(0, -k), max(0, k))).reshape(Nr, Nt)
+
+    return _Bands.of(_volume_ratio(grid), diagonal)
 
 
 def _record(monkeypatch, events: list, **names) -> None:
@@ -528,7 +541,7 @@ def test_separable_solve_matches_superlu(sf, alpha):
     grid = build_grid(ConeSection(sf, alpha), 48, 40, BoundaryRadius(0.9))
     A = _operator_matrix(grid, 2, sf.curvature)(np.ones((48, 40)))
     b = -np.ones(grid.n_cells)
-    x = _separable(grid, A).solve(b)
+    x = _separable(grid, A.bands).solve(b)
     direct = _factor(A).solve(b)
     assert _scaled_residual(A, x, b) <= LINEAR_TOL
     assert np.max(np.abs(x - direct)) <= 1e-10 * np.max(np.abs(direct))
@@ -548,7 +561,7 @@ def test_separable_part_preconditions_a_perturbed_matrix(cone, n, R0, eps, monke
     b = -np.ones(grid.n_cells)
     counting = _CountingSpla(solver.spla)
     monkeypatch.setattr(solver, "spla", counting)
-    x = _linear_solve(A, b, _separable(grid, A))
+    x = _linear_solve(A, b, _separable(grid, A.bands))
     assert x is not None and _scaled_residual(A, x, b) <= LINEAR_TOL
     assert counting.factorizations == 0
 
@@ -690,11 +703,11 @@ def test_gmres_meets_linear_tol_or_rejects(monkeypatch):
 @pytest.mark.parametrize("sf", [EUCLIDEAN, HYPERBOLIC, SPHERE], ids=lambda s: s.name)
 def test_fill_reads_the_separable_bands_of_its_matrix(sf, eps):
     # the bands a fill reads off its own diagonal rows (A.bands) are the
-    # ones `_separable` reads back out of the CSR matrix, bit for bit
+    # ones read back out of the CSR matrix, bit for bit
     rng = np.random.default_rng(5)
     grid = build_grid(ConeSection(sf, math.pi / 3), 24, 20, BoundaryRadius(0.9, eps, 3))
     A = _operator_matrix(grid, 2, sf.curvature)(0.5 + rng.random((24, 20)))
-    filled, read = _separable(grid, A.bands), _separable(grid, A)
+    filled, read = _separable(grid, A.bands), _separable(grid, _csr_bands(grid, A))
     for got, want in zip(filled.factor, read.factor):
         assert np.array_equal(got, want)
     b = rng.standard_normal(grid.n_cells)
@@ -743,10 +756,10 @@ def test_separable_part_singular_or_not_finite_is_none(bad):
     # pivot), or a non-finite entry on a band it reads, gives no solver
     grid = build_grid(quarter(), 16, 12)
     A = _operator_matrix(grid, 2, 0)(np.ones((16, 12)))
-    assert _separable(grid, A) is not None
-    assert _separable(grid, 0.0 * A) is None
+    assert _separable(grid, A.bands) is not None
+    assert _separable(grid, _csr_bands(grid, 0.0 * A)) is None
     A[5, 5 + 12] = bad
-    assert _separable(grid, A) is None
+    assert _separable(grid, _csr_bands(grid, A)) is None
 
 
 @pytest.mark.parametrize(

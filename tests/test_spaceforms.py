@@ -8,7 +8,6 @@ from serrinlab.spaceforms import (
     HYPERBOLIC,
     SPHERE,
     ConeSection,
-    geodesic_distance,
     space_form_from_id,
 )
 
@@ -69,22 +68,6 @@ def test_cone_angle_validation():
     with pytest.raises(ValueError):
         ConeSection(EUCLIDEAN, 2 * math.pi + 0.1)
     ConeSection(EUCLIDEAN, 2 * math.pi)  # slit disk is admissible
-
-
-@pytest.mark.parametrize("sf", ALL_FORMS, ids=lambda s: s.name)
-def test_geodesic_distance_degenerate_cases(sf):
-    # distance to the pole reduces to the radius
-    r = np.array([0.3, 0.7, 1.2]) if sf.curvature <= 0 else np.array([0.3, 0.7, 1.2])
-    r = np.minimum(r, sf.r_max * 0.9)
-    d = geodesic_distance(sf, (r, np.full_like(r, 0.4)), (0.0, 0.0))
-    assert np.allclose(d, r, rtol=1e-12, atol=1e-12)
-    # same point gives zero
-    assert geodesic_distance(sf, (0.5, 0.2), (0.5, 0.2)) == pytest.approx(0.0, abs=1e-7)
-
-
-def test_geodesic_distance_euclidean_law_of_cosines():
-    d = geodesic_distance(EUCLIDEAN, (1.0, math.pi / 3), (1.0, 0.0))
-    assert d == pytest.approx(1.0, rel=1e-12)  # equilateral triangle
 
 
 def test_space_form_from_id():
