@@ -242,9 +242,7 @@ def integral_inequality_gap(grid: SectorGrid, u: np.ndarray, W: MatrixField, pro
 def c_consistency(grid: SectorGrid, u: np.ndarray, profile: OperatorProfile):
     """(length-weighted mean of -du/dnu on Gamma_0, g'(|Omega|/|Gamma_0|), spread)."""
     mean, spread, _ = neumann_statistics(grid, u)
-    area = float(np.sum(grid.area_weights))
-    length = float(np.sum(grid.gamma0_weights))
-    formula = float(profile.g_prime(area / length))
+    formula = float(profile.g_prime(grid.area_over_gamma0))
     return mean, formula, spread
 
 

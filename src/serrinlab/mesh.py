@@ -114,6 +114,11 @@ class SectorGrid:
     def n_cells(self) -> int:
         return self.Nr * self.Nt
 
+    @property
+    def area_over_gamma0(self) -> float:
+        """|Omega| / |Gamma_0| by the quadrature weights: the mean of f'(-du/dnu) over Gamma_0 when L_f u = -1."""
+        return float(np.sum(self.area_weights)) / float(np.sum(self.gamma0_weights))
+
     def grid_hash(self) -> str:
         payload = hashlib.sha256()
         payload.update(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .identities import tol_discrete
 from .mesh import SectorGrid
-from .oracles import RadialSolutionSpaceForm, overdetermined_constant
+from .oracles import RadialSolutionSpaceForm, overdetermined_constant, quad
 from .solver import (
     _beta_centers,
     _cell_difference,
@@ -133,8 +133,6 @@ def step3_identity_analytic(sol: RadialSolutionSpaceForm):
     The angular factor cancels between the two sides, so the reduction uses
     the 1-D weight h^{N-1} directly.
     """
-    from scipy.integrate import quad  # imported on the first call, as in oracles.quad
-
     sf, N, R = sol.space_form, sol.dimension, sol.radius
     c = overdetermined_constant(sol)
     denom = N * float(sf.h_dot(R))

@@ -1,10 +1,11 @@
 """Convex scalar profiles generating the quasilinear operator family.
 
 A profile ``f`` names the operator ``L_f u = div(f'(|grad u|) grad u / |grad u|)``.
-Each built-in profile ships hand-derived ``f'``, ``f''``, the inverse slope
+Every profile carries hand-derived ``f'``, ``f''``, the inverse slope
 ``g' = (f')^{-1}`` and the convex conjugate ``g = f*`` itself; auditors need
 1e-10-level accuracy, so derivatives and integrals are never formed
-numerically.
+numerically.  The radial oracle and the solver's start are closed forms in
+``g``.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ class OperatorProfile:
 
     ``slope_sup`` is the supremum of ``f'``; ``g_prime`` rejects arguments at
     or beyond it (the mean-curvature slope saturates at 1).  ``g`` is the
-    convex conjugate f*, normalized by g(0) = 0 so that g' = ``g_prime``; a
-    profile built without it has its radial oracle integrated numerically.
+    convex conjugate f*, normalized by g(0) = 0 so that g' = ``g_prime``, and
+    finite at ``slope_sup`` when that is finite.
     """
 
     name: str
@@ -40,9 +41,9 @@ class OperatorProfile:
     f_prime: Callable
     f_second: Callable
     g_prime: Callable
+    g: Callable
     degeneracy_exponent: float | None = None
     slope_sup: float = math.inf
-    g: Callable | None = None
 
     def g_second(self, s):
         """Derivative of g', via the inverse-function rule g'' = 1/f''(g'(s))."""

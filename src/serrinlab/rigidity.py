@@ -161,17 +161,13 @@ class RigidityReport:
         return {**asdict(self), **verdicts}
 
 
-def _is_linear(config: ExperimentConfig) -> bool:
-    """A curved space form or the Laplacian: one linear solve per grid."""
-    return space_form_from_id(config.space_form).curvature != 0 or profile_from_id(config.profile).is_laplacian
-
-
 def _solve_on(grid, config: ExperimentConfig):
-    """Solve on grid: a linear problem by `solve_linear_spaceform`, a quasilinear one by `solve_Lf`.
+    """Solve on grid: a curved space form by `solve_linear_spaceform`, a Euclidean sector by `solve_Lf`.
 
-    A linear rung is the separable solve of its matrix, GMRES on it at eps > 0, SuperLU only a miss.
+    `solve_Lf` hands the Laplacian to `solve_linear_spaceform`.  A linear rung is the separable
+    solve of its matrix, GMRES on it at eps > 0, SuperLU only a miss.
     """
-    if _is_linear(config):
+    if grid.cone.space_form.curvature != 0:
         return solve_linear_spaceform(grid, 2, tol=config.tol)
     return solve_Lf(grid, profile_from_id(config.profile), tol=config.tol)
 

@@ -638,7 +638,8 @@ def _scaled_residual(A, x, b) -> float:
     linear algebra and the Picard lag actually control.
     """
     r = np.abs(A @ x - b)
-    scale = np.abs(A) @ np.abs(x) + np.abs(b)
+    abs_A = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)  # shares A's index arrays
+    scale = abs_A @ np.abs(x) + np.abs(b)
     return float(np.max(r / scale))
 
 
@@ -682,19 +683,20 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8):
 
     The first stage starts from the closed form of the unperturbed sector,
     u0 = N (g(R(theta)/N) - g(s R(theta)/N)) on the cell centers, each column
-    at its own radius, which vanishes on Gamma_0.  That start needs the
-    profile's conjugate g and max R(theta)/N below profile.slope_sup, where g
-    is finite; otherwise the first stage starts cold from u = 0 and takes the
-    damped Picard step u_{k+1} = g_k = u_k + omega (x - u_k).  Every
-    warm-started stage (every later stage, and the first when it starts from
-    the radial profile) mixes the damped steps by type-II Anderson
-    acceleration (Walker & Ni 2011) over the last ANDERSON_WINDOW iterations:
-    with f_k = x - u_k, u_{k+1} = g_k - dG gamma, where gamma minimizes
-    ||f_k - dF gamma||_2 over the differences dF, dG of successive f and g.
-    omega, the damping weight of both kinds of update, is 1 for 2 <= p <= 3
-    and 0.5 otherwise.  If the scaled residual stops improving, omega is
-    halved once and the mixing history is cleared; a second stall ends the
-    solve with converged=False.
+    at its own radius R(theta)/N capped at profile.slope_sup (g is finite
+    there: g(1) = 1 for mean-curvature), which vanishes on Gamma_0.  Every
+    stage mixes the damped Picard steps g_k = u_k + omega (x - u_k) by
+    type-II Anderson acceleration (Walker & Ni 2011) over the last
+    ANDERSON_WINDOW iterations: with f_k = x - u_k, u_{k+1} = g_k - dG gamma,
+    where gamma minimizes ||f_k - dF gamma||_2 over the differences dF, dG of
+    successive f and g.  omega is 1 for 2 <= p <= 3 and 0.5 otherwise.  If
+    the scaled residual stops improving, omega is halved once and the mixing
+    history is cleared; a second stall ends the solve with converged=False.
+
+    No solution exists once |Omega|/|Gamma_0| reaches profile.slope_sup:
+    the divergence theorem gives |Omega| = int_{Gamma_0} V.nu with
+    |V| = f'(|grad u|) < slope_sup.  Such a sector returns converged=False
+    after 0 iterations, its message naming the ratio.
 
     Every linear solve must meet LINEAR_TOL (`_linear_solve`), and keeps no
     state from one step to the next.  A step solves A(a) x = b by the
@@ -719,14 +721,9 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8):
     omega = 1.0 if (p is not None and 2.0 <= p <= 3.0) else 0.5
 
     N, K = 2, 0
-    # the radial start is defined only below the profile's slope bound, where g is finite
-    warm = profile.g is not None and grid.radius.max_radius / N < profile.slope_sup
-    if warm:
-        # the unperturbed sector's closed form, each column at its own radius R(theta)
-        R = grid.R_centers[None, :] / N
-        u = N * (profile.g(R) - profile.g(grid.s_centers[:, None] * R))
-    else:
-        u = np.zeros((grid.Nr, grid.Nt))
+    # the unperturbed sector's closed form, each column at its own R(theta)/N, capped where g' blows up
+    R = np.minimum(grid.R_centers / N, profile.slope_sup)[None, :]
+    u = N * (profile.g(R) - profile.g(grid.s_centers[:, None] * R))
 
     def speed(v):
         vr, vt = metric_gradient(grid, v, kind="solution")
@@ -740,6 +737,10 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8):
         report = SolveReport(total_iters, res, list(SCHEDULE), converged=not message, message=message)
         return u, report
 
+    ratio = grid.area_over_gamma0
+    if ratio >= profile.slope_sup:
+        return result(float("inf"), f"no solution: |Omega|/|Gamma_0| = {ratio:.6g} reaches the "
+                                    f"slope bound {profile.slope_sup:g} of {profile.name}")
     halved = False
     res = float("inf")
     for stage, eps in enumerate(SCHEDULE):
@@ -780,14 +781,13 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8):
                 return result(float("inf"), f"linear stage solve failed at epsilon={eps}")
             x = y.reshape(grid.Nr, grid.Nt)
             g = (1.0 - omega) * u + omega * x
-            if warm or stage > 0:
-                hist_f.append((x - u).ravel())
-                hist_g.append(g.ravel())
-                if len(hist_f) > 1:
-                    dF = np.diff(hist_f, axis=0).T
-                    dG = np.diff(hist_g, axis=0).T
-                    gamma = np.linalg.lstsq(dF, hist_f[-1], rcond=None)[0]
-                    g = g - (dG @ gamma).reshape(grid.Nr, grid.Nt)
+            hist_f.append((x - u).ravel())
+            hist_g.append(g.ravel())
+            if len(hist_f) > 1:
+                dF = np.diff(hist_f, axis=0).T
+                dG = np.diff(hist_g, axis=0).T
+                gamma = np.linalg.lstsq(dF, hist_f[-1], rcond=None)[0]
+                g = g - (dG @ gamma).reshape(grid.Nr, grid.Nt)
             u = g
         if not stage_done and stage == len(SCHEDULE) - 1:
             return result(res, f"iteration cap {MAX_ITERS} hit at epsilon={eps}")

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -46,9 +45,11 @@ def test_euclid_u_p3_matches_hand_integral():
     assert euclid_u(sol, 0.0) == pytest.approx(2.0 / (3.0 * math.sqrt(2.0)), abs=1e-12)
 
 
-def test_euclid_u_quadrature_cross_check():
+def test_euclid_u_quadrature_cross_check(monkeypatch):
     # independent quadrature of g'(s/N) against the package's closed form
-    # through the conjugate g
+    # through the conjugate g, which calls no quad
+    calls = []
+    monkeypatch.setattr(oracles, "quad", lambda *args, **kwargs: calls.append(1))
     cases = (
         (P2, 2, 1.0), (P3, 2, 1.0), (P3, 3, 2.0), (MC, 2, 1.0),
         (make_power_profile(1.5), 2, 1.0), (make_power_profile(6.0), 2, 1.0),
@@ -60,22 +61,8 @@ def test_euclid_u_quadrature_cross_check():
             ref, _ = quad(lambda s: float(profile.g_prime(s / N)), rho, R,
                           epsabs=1e-13, epsrel=1e-13, limit=300)
             assert euclid_u(sol, rho) == pytest.approx(ref, abs=1e-10)
-
-
-def test_euclid_u_quad_fallback_without_conjugate(monkeypatch):
-    calls = []
-
-    def counted_quad(*args, **kwargs):
-        calls.append(1)
-        return quad(*args, **kwargs)
-
-    monkeypatch.setattr(oracles, "quad", counted_quad)
-    rho = np.linspace(0.0, 1.0, 9)
-    closed = euclid_u(RadialSolutionEuclidean(P3, 2, 1.0), rho)
+        assert np.all(euclid_u(sol, np.linspace(0.0, R, 9)) >= 0.0)
     assert not calls
-    fallback = euclid_u(RadialSolutionEuclidean(dataclasses.replace(P3, g=None), 2, 1.0), rho)
-    assert len(calls) == len(rho) - 1  # rho = R is 0 without integrating
-    assert np.max(np.abs(fallback - closed)) <= 1e-10
 
 
 def test_euclid_u_domain_validation():

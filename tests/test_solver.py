@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import itertools
 import math
@@ -11,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 import serrinlab.solver as solver
+from serrinlab.identities import identity_suite
 from serrinlab.mesh import BoundaryRadius, build_grid
 from serrinlab.oracles import (
     RadialSolutionEuclidean,
@@ -323,27 +323,52 @@ def test_solver_envelope_converges_or_says_why(profile, R0, converges):
 
 
 def test_radial_warm_start():
-    # the closed-form start cuts iterations without moving the solution; g=None starts cold
+    # every solve starts from the closed-form radial profile (on the unperturbed
+    # sector, the oracle itself) and mixes every stage by Anderson; pinned counts
     grid = build_grid(quarter(), 32, 32)
-    for profile, cold_iters in [
-        (make_power_profile(1.5), 20),
-        (P3, 17),
-        (make_mean_curvature_profile(), 14),
+    for profile, iters in [
+        (make_power_profile(1.5), 11),
+        (P3, 10),
+        (make_mean_curvature_profile(), 8),
     ]:
         u, rep = solve_Lf(grid, profile, tol=1e-8)
-        u_cold, rep_cold = solve_Lf(grid, dataclasses.replace(profile, g=None), tol=1e-8)
-        assert rep.converged and rep_cold.converged
-        assert rep_cold.iterations == cold_iters, (profile.name, rep_cold.iterations)
-        assert rep.iterations < rep_cold.iterations, (profile.name, rep.iterations)
-        rel = np.max(np.abs(u - u_cold)) / np.max(np.abs(u_cold))
-        assert rel <= 1e-5, (profile.name, rel)
-    # R/N > 1 is past the mean-curvature slope bound: the cold path, with no warning
-    past = build_grid(quarter(), 32, 32, BoundaryRadius(1.9, 0.1, 2))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _, rep = solve_Lf(past, make_mean_curvature_profile(), tol=1e-8)
-    assert not rep.converged
-    assert "Picard stalled at epsilon=0.1" in rep.message, rep.message
+        assert rep.converged and rep.iterations == iters, (profile.name, rep.iterations, rep.message)
+        exact = sample_values(RadialSolutionEuclidean(profile, 2, 1.0), grid)
+        assert np.max(np.abs(u - exact)) / np.max(np.abs(exact)) <= 2e-3, profile.name
+
+
+@pytest.mark.parametrize("R0, eps", [(1.9, 0.1), (1.98, 0.2)])
+def test_mean_curvature_past_the_slope_bound_converges(R0, eps):
+    # max R/N > 1 but |Omega|/|Gamma_0| < 1: a solution exists.  The start caps
+    # each column's R/N at 1, where g is finite, the solve converges without a
+    # warning, and the measured c approaches g'(|Omega|/|Gamma_0|) as the grid refines
+    mc = make_mean_curvature_profile()
+    errors = []
+    for n in (32, 64):
+        grid = build_grid(quarter(), n, n, BoundaryRadius(R0, eps, 2))
+        assert grid.radius.max_radius / 2 > 1.0 > grid.area_over_gamma0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, rep = solve_Lf(grid, mc, tol=1e-8)
+        assert rep.converged, (n, rep.message)
+        checks = {c.name: c for c in identity_suite(grid, u, mc).checks}
+        errors.append(checks["c_measured_vs_formula"].value)
+    assert errors[1] <= errors[0] / 2, errors
+
+
+@pytest.mark.parametrize(
+    "alpha, R0, eps, ratio",
+    [(math.pi / 2, 2.05, 0.0, "1.025"), (math.pi / 3, 1.98, 0.2, "1.03655")],
+    ids=["pi/2-R2.05", "pi/3-R1.98-eps0.2"],
+)
+def test_mean_curvature_no_solution_at_the_slope_bound(alpha, R0, eps, ratio):
+    # |Omega|/|Gamma_0| >= sup f' = 1 rules out a solution (|V| < 1 on Gamma_0),
+    # so the solve reports that without a Picard step
+    grid = build_grid(ConeSection(EUCLIDEAN, alpha), 32, 32, BoundaryRadius(R0, eps, 2))
+    _, rep = solve_Lf(grid, make_mean_curvature_profile(), tol=1e-8)
+    assert not rep.converged and rep.iterations == 0
+    assert rep.message == (f"no solution: |Omega|/|Gamma_0| = {ratio} reaches the slope bound 1 "
+                           "of mean-curvature"), rep.message
 
 
 @pytest.mark.parametrize(

@@ -33,7 +33,11 @@ GMRES preconditioned by the separable part of the rung's own matrix; these
 two take its longest cycles, 19 steps), convergence 16-32-64 for
 p = 3 and hyperbolic, solve plus audit at 48x48 and eps = 0.1 for p = 1.5,
 p = 3 and mean-curvature, solve plus pfunction at eps = 0.1 for hyperbolic
-64x64 and sphere 48x48, solve p = 6 at 16x16, solve p = 1.5 at 128x128 with
+64x64 and sphere 48x48, solve p = 6 at 16x16, solve mean-curvature at 32x32
+past its slope bound sup f' = 1 (R0 = 1.9 with eps = 0.1, where max R/N > 1
+but |Omega|/|Gamma_0| < 1, so a solution exists and the solve converges; and
+R0 = 2.05 with eps = 0, where |Omega|/|Gamma_0| > 1 rules out a solution and
+the solve says so after no Picard step, exit 3), solve p = 1.5 at 128x128 with
 eps = 0.1 (the largest perturbed Picard solve: GMRES on the separable part
 serves 9 of its 12 steps, SuperLU factors the other 3), the Laplacian solve
 at 256x256 with eps = 0 and eps = 0.1, the
@@ -92,6 +96,8 @@ def commands() -> list:
                  (f"pfunction_{tag}", "pfunction", config, ["--solution", f"../solve_{tag}/out/solution.csv"])]
     runs += [
         ("solve_p6", "solve", _config("p-laplacian:6", ["16x16"], [0.0]), []),
+        ("solve_mean_curvature_past_bound", "solve", _config("mean-curvature", epsilons=[0.1], R0=1.9), []),
+        ("solve_mean_curvature_no_solution", "solve", _config("mean-curvature", epsilons=[0.0], R0=2.05), []),
         ("solve_p1.5_128_eps0.1", "solve", _config("p-laplacian:1.5", ["128x128"], [0.1]), []),
         ("solve_laplacian_256", "solve", _config(grids=["256x256"], epsilons=[0.0]), []),
         ("solve_laplacian_256_eps0.1", "solve", _config(grids=["256x256"], epsilons=[0.1]), []),
