@@ -49,10 +49,13 @@ __all__ = [
 SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
 MAX_ITERS = 80
 ANDERSON_WINDOW = 5
-# scaled residual every linear solve must reach
+# scaled residual every linear solve must reach; a Picard step's solve need
+# only reach FORCING times the step's own nonlinear residual, if that is larger
+# (at 1e-2 one p = 3 rigidity rung stopped an iteration early)
 LINEAR_TOL = 1e-13
+FORCING = 1e-3
 # GMRES steps of one cycle, and the correction cycles allowed after a cycle
-# that stopped early above LINEAR_TOL
+# that stopped early above its tolerance
 GMRES_RESTART = 30
 REFINE_CYCLES = 2
 
@@ -593,35 +596,36 @@ def _gmres(A, M, r, rtol: float, reference: float | None = None):
     return y @ V[:steps], j + 1 < GMRES_RESTART
 
 
-def _linear_solve(A, b, lu, start=None):
-    """Every linear solve: x with a scaled residual of at most LINEAR_TOL, or None.
+def _linear_solve(A, b, lu, start=None, tol=LINEAR_TOL):
+    """Every linear solve: x with a scaled residual of at most tol, or None.
 
-    lu is the preconditioner, a SuperLU factor of A (`_factor`) or A's
-    separable part (`_separable`); None solves nothing.  Its solution
-    lu.solve(b) is kept if it meets LINEAR_TOL, and rejected if it is not
-    finite.  Otherwise one GMRES cycle (`_gmres`) preconditioned by lu
+    tol is LINEAR_TOL but for a Picard step, which passes a looser one
+    (`solve_Lf`).  lu is the preconditioner, a SuperLU factor of A
+    (`_factor`) or A's separable part (`_separable`); None solves nothing.
+    Its solution lu.solve(b) is kept if it meets tol, and rejected if it is
+    not finite.  Otherwise one GMRES cycle (`_gmres`) preconditioned by lu
     refines `start` if given (a Picard step passes its iterate, which its
     solution nears as Picard converges), else lu.solve(b), and aims two
-    orders below LINEAR_TOL relative to ||lu.solve(b)||.  GMRES stops on
-    the 2-norm of the preconditioned residual, which bounds the
-    componentwise scaled residual only loosely: the vertex rows are about
-    (h dtheta)^-2 larger than the Gamma_0 rows, so that norm bottoms out
-    near 1e-9 and a cycle may stop on its own while the scaled residual
-    still misses LINEAR_TOL.  Such a cycle is refined: at most
-    REFINE_CYCLES more cycles solve A dx = b - A x (rtol 1e-3) with the
-    same preconditioner.  A cycle that uses all its steps means the
-    preconditioner is too far off, and ends the attempt.
+    orders below tol relative to ||lu.solve(b)||.  GMRES stops on the
+    2-norm of the preconditioned residual, which bounds the componentwise
+    scaled residual only loosely: the vertex rows are about (h dtheta)^-2
+    larger than the Gamma_0 rows, so that norm bottoms out near 1e-9 and a
+    cycle may stop on its own while the scaled residual still misses tol.
+    Such a cycle is refined: at most REFINE_CYCLES more cycles solve
+    A dx = b - A x (rtol 1e-3) with the same preconditioner.  A cycle that
+    uses all its steps means the preconditioner is too far off, and ends
+    the attempt.
     """
     x = None if lu is None else lu.solve(b)
     if x is None or not np.isfinite(x).all():
         return None
-    if _scaled_residual(A, x, b) <= LINEAR_TOL:
+    if _scaled_residual(A, x, b) <= tol:
         return x
     reference = float(np.linalg.norm(x))
     x = x if start is None else start
-    dx, early = _gmres(A, lu, b - A @ x, 1e-2 * LINEAR_TOL, reference)
+    dx, early = _gmres(A, lu, b - A @ x, 1e-2 * tol, reference)
     x, refined = x + dx, 0
-    while not _scaled_residual(A, x, b) <= LINEAR_TOL:  # a NaN is refined, or rejected
+    while not _scaled_residual(A, x, b) <= tol:  # a NaN is refined, or rejected
         if not early or refined == REFINE_CYCLES:
             return None
         dx, early = _gmres(A, lu, b - A @ x, 1e-3)
@@ -698,15 +702,19 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8):
     |V| = f'(|grad u|) < slope_sup.  Such a sector returns converged=False
     after 0 iterations, its message naming the ratio.
 
-    Every linear solve must meet LINEAR_TOL (`_linear_solve`), and keeps no
-    state from one step to the next.  A step solves A(a) x = b by the
-    separable part of A(a) (`_separable`), refined by GMRES from the
-    iterate u; at eps = 0 that part is A(a) up to roundoff.  Once it misses, the step and the rest of
-    its stage solve by a SuperLU factor of A(a) (`_factor`), dropped when
-    the step ends, and the next stage tries the separable part again: a
-    miss wastes at most one GMRES cycle a stage.  A singular factor, or one
-    whose solution still misses, ends the solve with converged=False.
-    Convergence is judged on A(a).
+    A step solves A(a) x = b only as accurately as its iterate needs: to a
+    scaled residual of max(LINEAR_TOL, FORCING res), res the scaled
+    residual of u itself (`_linear_solve`; an inexact Newton forcing term,
+    Dembo, Eisenstat & Steihaug 1982), and keeps no state from one step to
+    the next.  It solves by the separable part of A(a) (`_separable`),
+    refined by GMRES from the iterate u; at eps = 0 that part is A(a) up to
+    roundoff and meets LINEAR_TOL on its own.  Once it misses, the step and
+    the rest of its stage solve by a SuperLU factor of A(a) (`_factor`),
+    dropped when the step ends, and the next stage tries the separable part
+    again: a miss wastes at most one GMRES cycle a stage.  A singular
+    factor, or one whose solution still misses, ends the solve with
+    converged=False.  Convergence is judged on A(a) u - b at the stage's
+    tolerance, whatever the steps' accuracy.
 
     The Laplacian has a identically 1 and is one linear solve: the result is
     `solve_linear_spaceform`'s, whose report has an empty epsilon_schedule.
@@ -773,10 +781,11 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8):
                 else:
                     return result(res, f"Picard stalled at epsilon={eps} (omega={omega})")
             total_iters += 1
-            y = None if missed else _linear_solve(A, b, _separable(grid, A.bands), u.ravel())
+            step_tol = max(LINEAR_TOL, FORCING * res)
+            y = None if missed else _linear_solve(A, b, _separable(grid, A.bands), u.ravel(), tol=step_tol)
             if y is None:
                 missed = True
-                y = _linear_solve(A, b, _factor(A))
+                y = _linear_solve(A, b, _factor(A), tol=step_tol)
             if y is None:
                 return result(float("inf"), f"linear stage solve failed at epsilon={eps}")
             x = y.reshape(grid.Nr, grid.Nt)

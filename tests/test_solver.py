@@ -508,16 +508,54 @@ def test_perturbed_picard_factors_at_most_once_a_stage(profile, monkeypatch):
 
 def test_picard_step_refines_its_iterate(monkeypatch):
     # a Picard step's GMRES starts from the iterate, which the step's solution
-    # nears as Picard converges: on the benchmark's top p = 3 rung (64^2,
-    # eps 0.24) only the first stage, started from the radial profile,
-    # factors; from the iterate's start every later step is served
+    # nears as Picard converges, and aims only as low as the step needs
+    # (FORCING times its residual): on the benchmark's top p = 3 rung (64^2,
+    # eps 0.24) no stage factors, and the steps take 12 GMRES cycles in all
+    # (at LINEAR_TOL, 9 cycles and 3 SuperLU factors)
     grid = build_grid(quarter(), 64, 64, BoundaryRadius(1.0, 0.24, 2))
     events = []
-    _record(monkeypatch, events, stage="regularize", factor="_factor")
+    _record(monkeypatch, events, stage="regularize", factor="_factor", cycle="_gmres")
     _, rep = solve_Lf(grid, P3, tol=1e-8)
     assert rep.converged
     factors = [stage.count("factor") for stage in _stages(events)]
-    assert factors[0] > 0 and not any(factors[1:]), factors
+    assert len(factors) == len(solver.SCHEDULE) and not any(factors), factors
+    assert events.count("cycle") <= rep.iterations + len(solver.SCHEDULE), events.count("cycle")
+
+
+@pytest.mark.parametrize(
+    "profile, n, eps",
+    [(P3, 64, 0.24), (make_power_profile(1.5), 32, 0.1), (make_mean_curvature_profile(), 32, 0.1)],
+    ids=["p=3", "p=1.5", "mean-curvature"],
+)
+def test_inexact_steps_keep_the_picard_iterations(profile, n, eps, monkeypatch):
+    # steps solved to FORCING times their residual take the iterations, the
+    # verdict and, within 1e-9, the solution of steps solved to LINEAR_TOL
+    grid = build_grid(quarter(), n, n, BoundaryRadius(1.0, eps, 2))
+    u, rep = solve_Lf(grid, profile, tol=1e-8)
+    monkeypatch.setattr(solver, "FORCING", 0.0)
+    u_exact, rep_exact = solve_Lf(grid, profile, tol=1e-8)
+    assert rep.converged
+    assert (rep.iterations, rep.converged, rep.message) == (
+        rep_exact.iterations, rep_exact.converged, rep_exact.message)
+    assert np.max(np.abs(u - u_exact)) <= 1e-9 * np.max(np.abs(u_exact))
+
+
+def test_linear_solve_meets_the_tolerance_it_is_given(monkeypatch):
+    # a looser tolerance stops GMRES sooner, above LINEAR_TOL but within it;
+    # the default, and every linear rung whatever FORCING, meets LINEAR_TOL
+    grid = build_grid(quarter(), 32, 32, BoundaryRadius(1.0, 0.1, 2))
+    A = _operator_matrix(grid, 2, 0)(1.0 + 0.3 * np.random.default_rng(2).random((32, 32)))
+    b = -np.ones(grid.n_cells)
+    separable = _separable(grid, A.bands)
+    assert _scaled_residual(A, separable.solve(b), b) > 1e-4
+    for tol in (1e-4, 1e-8):
+        x = _linear_solve(A, b, separable, tol=tol)
+        assert x is not None and LINEAR_TOL < _scaled_residual(A, x, b) <= tol
+    x = _linear_solve(A, b, separable)
+    assert x is not None and _scaled_residual(A, x, b) <= LINEAR_TOL
+    monkeypatch.setattr(solver, "FORCING", 1.0)
+    _, rep = solve_linear_spaceform(grid, 2)
+    assert rep.converged and rep.final_residual <= LINEAR_TOL
 
 
 def test_p6_misses_the_separable_part_at_most_once_a_stage(monkeypatch):

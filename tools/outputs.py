@@ -39,10 +39,10 @@ but |Omega|/|Gamma_0| < 1, so a solution exists and the solve converges; and
 R0 = 2.05 with eps = 0, where |Omega|/|Gamma_0| > 1 rules out a solution and
 the solve says so after no Picard step, exit 3), solve p = 1.5 at 128x128 with
 eps = 0.1 (the largest perturbed Picard solve: GMRES on the separable part
-serves 9 of its 12 steps, SuperLU factors the other 3), the Laplacian solve
-at 256x256 with eps = 0 and eps = 0.1, the
-hyperbolic solve at 256x256 with eps = 0.1 (the largest matrix, 9-point with
-the N K shift), `oracle --out-dir`, and the Euclidean oracle in dimension 3,
+serves all 12 of its steps, in 12 cycles, with no SuperLU factor), the
+Laplacian solve at 256x256 with eps = 0 and eps = 0.1, the hyperbolic solve
+at 256x256 with eps = 0.1 (the largest matrix, 9-point with the N K shift),
+`oracle --out-dir`, and the Euclidean oracle in dimension 3,
 `oracle --N 3 --out-dir`.
 """
 
