@@ -597,7 +597,7 @@ def _gmres(A, M, r, rtol: float, reference: float | None = None):
 
 
 def _linear_solve(A, b, lu, start=None, tol=LINEAR_TOL):
-    """Every linear solve: x with a scaled residual of at most tol, or None.
+    """Every linear solve: (x, res), x with a scaled residual res of at most tol, or None.
 
     tol is LINEAR_TOL but for a Picard step, which passes a looser one
     (`solve_Lf`).  lu is the preconditioner, a SuperLU factor of A
@@ -619,18 +619,19 @@ def _linear_solve(A, b, lu, start=None, tol=LINEAR_TOL):
     x = None if lu is None else lu.solve(b)
     if x is None or not np.isfinite(x).all():
         return None
-    if _scaled_residual(A, x, b) <= tol:
-        return x
+    res = _scaled_residual(A, x, b)
+    if res <= tol:
+        return x, res
     reference = float(np.linalg.norm(x))
     x = x if start is None else start
     dx, early = _gmres(A, lu, b - A @ x, 1e-2 * tol, reference)
     x, refined = x + dx, 0
-    while not _scaled_residual(A, x, b) <= tol:  # a NaN is refined, or rejected
+    while not (res := _scaled_residual(A, x, b)) <= tol:  # a NaN is refined, or rejected
         if not early or refined == REFINE_CYCLES:
             return None
         dx, early = _gmres(A, lu, b - A @ x, 1e-3)
         x, refined = x + dx, refined + 1
-    return x
+    return x, res
 
 
 def _scaled_residual(A, x, b) -> float:
@@ -662,21 +663,19 @@ def solve_linear_spaceform(grid: SectorGrid, N: int = 2, tol: float = 1e-9):
     """
     A = _operator_matrix(grid, N, grid.cone.space_form.curvature)(np.ones((grid.Nr, grid.Nt)))
     b = -np.ones(grid.n_cells)
-    x = _linear_solve(A, b, _separable(grid, A.bands))
-    if x is None:
-        x = _linear_solve(A, b, _factor(A))
-    if x is None:
+    solved = _linear_solve(A, b, _separable(grid, A.bands)) or _linear_solve(A, b, _factor(A))
+    if solved is None:
         x, res = np.zeros(grid.n_cells), float("inf")
         message = (f"linear solve produced non-finite values or missed {LINEAR_TOL:.0e}"
                    " (operator indefinite or singular)")
     else:
-        res = _scaled_residual(A, x, b)
+        x, res = solved
         message = "" if res <= tol else f"residual {res:.3e} above tolerance {tol:.1e}"
     report = SolveReport(iterations=1, final_residual=res, converged=not message, message=message)
     return x.reshape(grid.Nr, grid.Nt), report
 
 
-def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8):
+def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, start=None):
     """Picard continuation for L_f u = -1 on a Euclidean sector grid.
 
     Each iteration freezes the coefficient a(x) = f_eps'(|grad u|)/|grad u| of
@@ -688,7 +687,12 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8):
     The first stage starts from the closed form of the unperturbed sector,
     u0 = N (g(R(theta)/N) - g(s R(theta)/N)) on the cell centers, each column
     at its own radius R(theta)/N capped at profile.slope_sup (g is finite
-    there: g(1) = 1 for mean-curvature), which vanishes on Gamma_0.  Every
+    there: g(1) = 1 for mean-curvature), which vanishes on Gamma_0.  A
+    caller that holds a better start, an (Nr, Nt) field near the solution
+    (a rigidity ladder's predictor from its converged neighbours,
+    `rigidity.deviation_scan`), passes it as start: the solve then begins
+    there and runs only the last SCHEDULE stage, since a converged
+    neighbour already is the continuation the earlier stages provide.  Every
     stage mixes the damped Picard steps g_k = u_k + omega (x - u_k) by
     type-II Anderson acceleration (Walker & Ni 2011) over the last
     ANDERSON_WINDOW iterations: with f_k = x - u_k, u_{k+1} = g_k - dG gamma,
@@ -729,9 +733,14 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8):
     omega = 1.0 if (p is not None and 2.0 <= p <= 3.0) else 0.5
 
     N, K = 2, 0
-    # the unperturbed sector's closed form, each column at its own R(theta)/N, capped where g' blows up
-    R = np.minimum(grid.R_centers / N, profile.slope_sup)[None, :]
-    u = N * (profile.g(R) - profile.g(grid.s_centers[:, None] * R))
+    if start is None:
+        # the unperturbed sector's closed form, each column at its own R(theta)/N, capped where g' blows up
+        R = np.minimum(grid.R_centers / N, profile.slope_sup)[None, :]
+        u = N * (profile.g(R) - profile.g(grid.s_centers[:, None] * R))
+        stages = SCHEDULE
+    else:
+        u = start
+        stages = SCHEDULE[-1:]
 
     def speed(v):
         vr, vt = metric_gradient(grid, v, kind="solution")
@@ -742,7 +751,7 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8):
     total_iters = 0
 
     def result(res, message=""):
-        report = SolveReport(total_iters, res, list(SCHEDULE), converged=not message, message=message)
+        report = SolveReport(total_iters, res, list(stages), converged=not message, message=message)
         return u, report
 
     ratio = grid.area_over_gamma0
@@ -751,9 +760,9 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8):
                                     f"slope bound {profile.slope_sup:g} of {profile.name}")
     halved = False
     res = float("inf")
-    for stage, eps in enumerate(SCHEDULE):
+    for stage, eps in enumerate(stages):
         reg = regularize(profile, eps)
-        stage_tol = tol if stage == len(SCHEDULE) - 1 else max(tol, 1e-2 * eps)
+        stage_tol = tol if stage == len(stages) - 1 else max(tol, 1e-2 * eps)
         best = float("inf")
         no_improvement = 0
         stage_done = False
@@ -782,13 +791,13 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8):
                     return result(res, f"Picard stalled at epsilon={eps} (omega={omega})")
             total_iters += 1
             step_tol = max(LINEAR_TOL, FORCING * res)
-            y = None if missed else _linear_solve(A, b, _separable(grid, A.bands), u.ravel(), tol=step_tol)
-            if y is None:
+            solved = None if missed else _linear_solve(A, b, _separable(grid, A.bands), u.ravel(), tol=step_tol)
+            if solved is None:
                 missed = True
-                y = _linear_solve(A, b, _factor(A), tol=step_tol)
-            if y is None:
+                solved = _linear_solve(A, b, _factor(A), tol=step_tol)
+            if solved is None:
                 return result(float("inf"), f"linear stage solve failed at epsilon={eps}")
-            x = y.reshape(grid.Nr, grid.Nt)
+            x = solved[0].reshape(grid.Nr, grid.Nt)
             g = (1.0 - omega) * u + omega * x
             hist_f.append((x - u).ravel())
             hist_g.append(g.ravel())
@@ -798,7 +807,7 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8):
                 gamma = np.linalg.lstsq(dF, hist_f[-1], rcond=None)[0]
                 g = g - (dG @ gamma).reshape(grid.Nr, grid.Nt)
             u = g
-        if not stage_done and stage == len(SCHEDULE) - 1:
+        if not stage_done and stage == len(stages) - 1:
             return result(res, f"iteration cap {MAX_ITERS} hit at epsilon={eps}")
     return result(res)
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import serrinlab.rigidity as rigidity
 import serrinlab.solver as solver
 from serrinlab.identities import identity_suite
 from serrinlab.mesh import BoundaryRadius, build_grid
@@ -54,14 +55,129 @@ def test_deviation_scan_laplacian():
     assert rep.rows[2].defect > rep.rows[0].defect
 
 
-def test_deviation_scan_p3_separation():
+def _recorded_solves(monkeypatch, fail=lambda eps, start: False) -> list:
+    """Every `solve_Lf` call of the scans that follow, as (eps, start, u, report).
+
+    A call for which fail(eps, start) holds returns its start (or zeros)
+    unconverged, without solving.
+    """
+    calls = []
+    real = rigidity.solve_Lf
+
+    def recording(grid, profile, tol, start=None):
+        eps = grid.radius.epsilon
+        if fail(eps, start):
+            u, rep = (np.zeros((grid.Nr, grid.Nt)) if start is None else start), solver.SolveReport(0, math.inf)
+        else:
+            u, rep = real(grid, profile, tol=tol, start=start)
+        calls.append((eps, start, u, rep))
+        return u, rep
+
+    monkeypatch.setattr(rigidity, "solve_Lf", recording)
+    return calls
+
+
+def _one_rung(cfg, eps, **changes):
+    return deviation_scan(dataclasses.replace(cfg, epsilons=(eps,), **changes)).rows[0]
+
+
+def test_deviation_scan_p3_continuation(monkeypatch):
+    # the first rung is solved cold, bytes for bytes its one-rung scan; the
+    # second starts from the first one's u and runs only the last stage of
+    # the schedule.  It sits at least as close as the cold one-rung solve to
+    # a settled (tol = 1e-12) solve, in sigma and in u, and within 1e-5 of the
+    # one-rung sigma, the gap between two starts that both meet tol = 1e-8
     cfg = ExperimentConfig(profile="p-laplacian:3", epsilons=[0.0, 0.1], grids=["32x32"])
+    solves = _recorded_solves(monkeypatch)
     rep = deviation_scan(cfg)
     assert rep.passed
     assert rep.rows[1].sigma > 5 * rep.rows[0].sigma
-    # each rung is solved on its own: each row is the bytes of a one-rung scan
+    (_, start0, u0, rep0), (_, start1, u1, rep1) = solves
+    assert start0 is None and rep0.epsilon_schedule == list(solver.SCHEDULE)
+    assert start1 is u0 and rep1.epsilon_schedule == [solver.SCHEDULE[-1]]
+    assert repr(rep.rows[0]) == repr(_one_rung(cfg, 0.0))
+    row, cold, settled = rep.rows[1], _one_rung(cfg, 0.1), _one_rung(cfg, 0.1, tol=1e-12)
+    assert abs(row.sigma - settled.sigma) <= abs(cold.sigma - settled.sigma)
+    assert row.sigma == pytest.approx(cold.sigma, rel=1e-5)
+    (_, _, u_cold, _), (_, _, u_settled, _) = solves[-2:]  # the two one-rung scans at 0.1
+    assert np.max(np.abs(u1 - u_settled)) <= np.max(np.abs(u_cold - u_settled))
+
+
+def test_continued_rungs_start_from_the_secant_predictor(monkeypatch):
+    # a rung after two converged ones starts from the secant through them;
+    # every row stays within 1e-5 of its one-rung row in sigma
+    cfg = ExperimentConfig(profile="p-laplacian:3", epsilons=[0.0, 0.05, 0.1, 0.2], grids=["16x16"])
+    solves = _recorded_solves(monkeypatch)
+    rep = deviation_scan(cfg)
+    assert rep.passed and len(solves) == 4
+    u = [call[2] for call in solves]
+    assert np.array_equal(solves[2][1], u[1] + (u[1] - u[0]) * ((0.1 - 0.05) / (0.05 - 0.0)))
+    assert np.array_equal(solves[3][1], u[2] + (u[2] - u[1]) * ((0.2 - 0.1) / (0.1 - 0.05)))
     for row in rep.rows:
-        assert repr(row) == repr(deviation_scan(dataclasses.replace(cfg, epsilons=(row.epsilon,))).rows[0])
+        assert row.sigma == pytest.approx(_one_rung(cfg, row.epsilon).sigma, rel=1e-5)
+
+
+def test_repeated_epsilon_continues_from_its_last_rung(monkeypatch):
+    # a repeated rung starts from the u of its twin (the secant's step is 0),
+    # and the rung after the pair from the later twin's u, with no division
+    # by their zero spacing
+    cfg = ExperimentConfig(profile="p-laplacian:3", epsilons=[0.0, 0.1, 0.1, 0.2], grids=["16x16"])
+    solves = _recorded_solves(monkeypatch)
+    rep = deviation_scan(cfg)
+    assert all(row.converged for row in rep.rows) and len(solves) == 4
+    assert np.array_equal(solves[2][1], solves[1][2])
+    assert solves[3][1] is solves[2][2]
+    assert rep.rows[2].sigma == pytest.approx(rep.rows[1].sigma, rel=1e-5)
+
+
+def test_continued_solve_that_fails_is_solved_cold(monkeypatch):
+    # every continued solve fails: each rung is solved again from the cold
+    # start, and its row is bytes for bytes its one-rung row
+    cfg = ExperimentConfig(profile="p-laplacian:3", epsilons=[0.0, 0.05, 0.1], grids=["16x16"])
+    solves = _recorded_solves(monkeypatch, fail=lambda eps, start: start is not None)
+    rep = deviation_scan(cfg)
+    assert [(eps, start is None, r.converged) for eps, start, _, r in solves] == [
+        (0.0, True, True), (0.05, False, False), (0.05, True, True), (0.1, False, False), (0.1, True, True)]
+    for row in rep.rows:
+        assert repr(row) == repr(_one_rung(cfg, row.epsilon))
+
+
+def test_rung_that_fails_clears_the_history(monkeypatch):
+    # the 0.05 rung fails from both starts: its row is unconverged, the 0.1
+    # rung starts cold, and the 0.2 rung from the 0.1 rung's u alone
+    cfg = ExperimentConfig(profile="p-laplacian:3", epsilons=[0.0, 0.05, 0.1, 0.2], grids=["16x16"])
+    solves = _recorded_solves(monkeypatch, fail=lambda eps, start: eps == 0.05)
+    rep = deviation_scan(cfg)
+    assert [row.converged for row in rep.rows] == [True, False, True, True]
+    assert [(eps, start is None) for eps, start, _, _ in solves] == [
+        (0.0, True), (0.05, False), (0.05, True), (0.1, True), (0.2, False)]
+    assert solves[4][1] is solves[3][2]
+    assert repr(rep.rows[2]) == repr(_one_rung(cfg, 0.1))
+
+
+def test_p6_ladder_converges_by_continuation():
+    # solved cold, the eps = 0.2 rung of this ladder stalls at the regularization
+    # stage eps = 0.1; continued from its predecessors, every rung converges
+    cfg = ExperimentConfig(profile="p-laplacian:6", epsilons=[0.0, 0.05, 0.1, 0.2], grids=["16x16"])
+    rep = deviation_scan(cfg)
+    assert all(row.converged for row in rep.rows) and rep.passed
+    assert not _one_rung(cfg, 0.2).converged
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"space_form": "hyperbolic"}, {"alpha": math.pi / 3, "k": 2}],
+    ids=["hyperbolic", "laplacian-pi/3-k2"],
+)
+def test_linear_ladders_keep_one_rung_rows(monkeypatch, kwargs):
+    # a linear ladder holds no field across rungs: each row is the bytes of
+    # its one-rung scan, and no solve is given a start
+    cfg = ExperimentConfig(epsilons=[0.0, 0.05, 0.1, 0.2], grids=["32x32"], **kwargs)
+    solves = _recorded_solves(monkeypatch)
+    rep = deviation_scan(cfg)
+    assert all(start is None for _, start, _, _ in solves)
+    for row in rep.rows:
+        assert repr(row) == repr(_one_rung(cfg, row.epsilon))
 
 
 def test_deviation_scan_hyperbolic():

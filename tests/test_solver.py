@@ -549,10 +549,10 @@ def test_linear_solve_meets_the_tolerance_it_is_given(monkeypatch):
     separable = _separable(grid, A.bands)
     assert _scaled_residual(A, separable.solve(b), b) > 1e-4
     for tol in (1e-4, 1e-8):
-        x = _linear_solve(A, b, separable, tol=tol)
-        assert x is not None and LINEAR_TOL < _scaled_residual(A, x, b) <= tol
-    x = _linear_solve(A, b, separable)
-    assert x is not None and _scaled_residual(A, x, b) <= LINEAR_TOL
+        x, res = _linear_solve(A, b, separable, tol=tol)
+        assert LINEAR_TOL < res == _scaled_residual(A, x, b) <= tol
+    x, res = _linear_solve(A, b, separable)
+    assert res == _scaled_residual(A, x, b) <= LINEAR_TOL
     monkeypatch.setattr(solver, "FORCING", 1.0)
     _, rep = solve_linear_spaceform(grid, 2)
     assert rep.converged and rep.final_residual <= LINEAR_TOL
@@ -624,8 +624,8 @@ def test_separable_part_preconditions_a_perturbed_matrix(cone, n, R0, eps, monke
     b = -np.ones(grid.n_cells)
     counting = _CountingSpla(solver.spla)
     monkeypatch.setattr(solver, "spla", counting)
-    x = _linear_solve(A, b, _separable(grid, A.bands))
-    assert x is not None and _scaled_residual(A, x, b) <= LINEAR_TOL
+    x, res = _linear_solve(A, b, _separable(grid, A.bands))
+    assert res == _scaled_residual(A, x, b) <= LINEAR_TOL
     assert counting.factorizations == 0
 
 
@@ -704,8 +704,8 @@ def test_stale_solve_refines_a_cycle_that_stops_early(monkeypatch):
     b = -np.ones(64 * 64)
     lu = _factor(_pi3_k2_matrix(0.0))
     A = _pi3_k2_matrix(0.059)
-    x = _linear_solve(A, b, lu)
-    assert x is not None and _scaled_residual(A, x, b) <= LINEAR_TOL
+    x, res = _linear_solve(A, b, lu)
+    assert res == _scaled_residual(A, x, b) <= LINEAR_TOL
     direct = _factor(A).solve(b)
     assert np.max(np.abs(x - direct)) <= 1e-10 * np.max(np.abs(direct))
     monkeypatch.setattr(solver, "REFINE_CYCLES", 0)
@@ -722,11 +722,12 @@ def test_linear_solve_refines_or_rejects_its_start():
     b = -np.ones(grid.n_cells)
     A = matrix(1.0 + 0.2 * rng.random((32, 32)))
     lu = _factor(A)
-    assert np.array_equal(_linear_solve(A, b, lu), lu.solve(b))
+    x, res = _linear_solve(A, b, lu)
+    assert np.array_equal(x, lu.solve(b)) and res == _scaled_residual(A, x, b)
     near = _factor(matrix(np.ones((32, 32))))
     assert _scaled_residual(A, near.solve(b), b) > LINEAR_TOL
-    x = _linear_solve(A, b, near)
-    assert x is not None and _scaled_residual(A, x, b) <= LINEAR_TOL
+    x, res = _linear_solve(A, b, near)
+    assert res == _scaled_residual(A, x, b) <= LINEAR_TOL
     far = matrix(1.0 + 99.0 * rng.random((32, 32)))
     assert _linear_solve(far, b, near) is None
 
@@ -752,9 +753,9 @@ def test_gmres_meets_linear_tol_or_rejects(monkeypatch):
         assert early and np.linalg.norm(lu.solve(r - A @ dx)) <= 1.01e-8 * np.linalg.norm(lu.solve(r))
 
     def meets_linear_tol(A):
-        x = _linear_solve(A, b, lu)
+        x, res = _linear_solve(A, b, lu)
         direct = _factor(A).solve(b)
-        return _scaled_residual(A, x, b) <= LINEAR_TOL and np.max(np.abs(x - direct)) <= 1e-10 * np.max(np.abs(direct))
+        return res == _scaled_residual(A, x, b) <= LINEAR_TOL and np.max(np.abs(x - direct)) <= 1e-10 * np.max(np.abs(direct))
 
     assert meets_linear_tol(near)
     assert _linear_solve(far, b, lu) is None

@@ -27,7 +27,10 @@ The set covers every subcommand: rigidity scans over the ladder
 [0, 0.05, 0.1, 0.2] (p = 3, p = 1.5 and mean-curvature at 32x32, hyperbolic at
 64x64 with k = 2 and with k = 3, whose walls have R' != 0, sphere R0 = 0.7 at
 48x48, the Laplacian at alpha = pi/3 with k = 2, reflex p = 3 at alpha = 4.5,
-and p = 6 at 16x16), the hyperbolic scan at 256x256 over
+and p = 6 at 16x16; the quasilinear ladders among them continue each rung
+from its predecessors' secant predictor, so the p = 6 scan converges on every
+rung and exits 0, where solved rung by rung from the cold start its eps = 0.2
+rung stalled and it exited 3), the hyperbolic scan at 256x256 over
 [0, 0.06, 0.12, 0.24] (the linear ladders solve their perturbed rungs by
 GMRES preconditioned by the separable part of the rung's own matrix; these
 two take its longest cycles, 19 steps), convergence 16-32-64 for
