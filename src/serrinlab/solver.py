@@ -1,15 +1,15 @@
 """Mixed Dirichlet-Neumann solver on a sector grid.
 
 The discretization is one finite-volume operator div(a grad u) in the mapped
-rectangle (s, theta) = (r/R(theta), theta), made of 1-D stencils (the face
-difference, the averaged cross derivative, the face average of a), metric
-weights that carry the full metric/mapping tensor, and the divergence over
-the cell volumes.  The vertex face (h(0) = 0) and the Neumann walls carry
-exactly zero flux; the outer Dirichlet curve is imposed through the half-cell
-mirror ghost at s = 1.  The solvers invert its sparse matrix A(a); the Laplace
-probe is the same operator at a = 1 on the interior cells.  On an unperturbed
-sector it reduces to the classic 5-point curvilinear stencil for
-u_rr + (h_dot/h) u_r + u_thth/h^2 + N K u = -1.
+rectangle (s, theta) = (r/R(theta), theta): four flux terms, the face
+difference and the averaged cross derivative through the s-faces and the
+theta-faces, each a metric weight and a pair of 1-D stencils, divided by the
+cell volumes.  The vertex face (h(0) = 0) and the Neumann walls carry exactly
+zero flux; the outer Dirichlet curve is imposed through the half-cell mirror
+ghost at s = 1.  The solvers invert its sparse matrix A(a), filled from the
+terms' stencil weights; the Laplace probe applies the same terms at a = 1 on
+the interior cells.  On an unperturbed sector it reduces to the classic
+5-point curvilinear stencil for u_rr + (h_dot/h) u_r + u_thth/h^2 + N K u = -1.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from itertools import product
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -128,9 +127,11 @@ def _cell_difference(u: np.ndarray, axis: int, low: str, high: str, second: bool
 
 
 @lru_cache(maxsize=None)
-def _half_difference_matrix(n: int, low: str, high: str) -> sp.csr_matrix:
-    """The first difference of `_cell_difference` on n cells, halved, as a CSR matrix."""
-    return sp.csr_matrix(0.5 * _cell_difference(np.eye(n), 0, low, high))
+def _half_difference(n: int, low: str, high: str) -> dict:
+    """The first difference of `_cell_difference` on n cells, halved, as a stencil {offset: entries per row}."""
+    m = 0.5 * _cell_difference(np.eye(n), 0, low, high)
+    diagonals = {k: np.diagonal(m, k) for k in range(-2, 3)}
+    return {k: np.pad(v, (max(0, -k), max(0, k))) for k, v in diagonals.items() if v.any()}
 
 
 def _d_ds(grid: SectorGrid, u: np.ndarray, kind: str) -> np.ndarray:
@@ -178,213 +179,107 @@ def grid_h(grid: SectorGrid) -> float:
 # the finite-volume operator: stencils, metric weights and divergence
 
 
-def _face_geometry(grid: SectorGrid, s: np.ndarray, R: np.ndarray, Rp: np.ndarray):
-    """Metric data (G, h, beta) at faces of scaled radius s on rays of boundary radius R, R'."""
-    h = grid.cone.space_form.h(s * R)
-    return h * R, h, s * Rp / R
+_FLUX_TERMS: WeakKeyDictionary = WeakKeyDictionary()
 
 
-# each grid's operator (`_finite_volume`), built once and dropped with the grid
-_FINITE_VOLUMES: WeakKeyDictionary = WeakKeyDictionary()
+def _flux_terms(grid: SectorGrid):
+    """The operator div(a grad u) on one grid, as (inv_volume, terms); built once per grid.
 
-
-def _finite_volume(grid: SectorGrid):
-    """The operator div(a grad u) of the scheme on one grid, as (inv_volume, families).
-
-    Built once per grid: the solver's matrices and the Laplace probe share it.
-
-    The face families are the s-faces fi = 1..Nr, the last one on Gamma_0,
-    and the interior theta-faces fj = 1..Nt-1; the vertex and the walls carry
-    no flux.  A family (face_avg, div, terms) has the flux
-    face_avg(a) * sum(weight * stencil(u) over terms), and the operator is
-    inv_volume * sum(div(flux) over families).  Every operator is a pair
-    (radial, angular) of 1-D sparse matrices, None for the identity, that
-    acts on (Nr, Nt) arrays as their Kronecker product.  Stencil entries are
-    small exact fractions and the spacings sit in the weights, so a
-    difference is taken before it is weighted and a constant field carries
-    exactly zero flux.
+    A term (axis, w, radial, angular) is the flux w * face_avg(a) * (radial
+    x angular) u through the faces of `axis`: the s-faces fi = 1..Nr, the last
+    on Gamma_0, or the interior theta-faces; the vertex and the walls carry
+    none.  A stencil {k: entries} gives row r (a face along `axis`, a cell
+    along the other) entries[r] times cell r + k; a scalar serves every row.
+    Per axis: the face difference and, at eps != 0, the cross derivative
+    (`_half_difference`).  The spacings sit in w: a constant has zero flux.
     """
-    if grid in _FINITE_VOLUMES:
-        return _FINITE_VOLUMES[grid]
-    Nr, Nt = grid.Nr, grid.Nt
-    ds, dt = grid.ds, grid.dtheta
-    # the last s-face lies on Gamma_0: it differences against the half-cell
-    # mirror ghost -u[-1] and takes the coefficient a[-1]
-    diff_s = sp.diags([np.r_[-np.ones(Nr - 1), -2.0], 1.0], [0, 1], shape=(Nr, Nr))
-    avg_s = sp.diags([np.r_[np.full(Nr - 1, 0.5), 1.0], 0.5], [0, 1], shape=(Nr, Nr))
-    div_s = sp.diags([1.0, -1.0], [0, -1], shape=(Nr, Nr))
-    diff_t = sp.diags([-1.0, 1.0], [0, 1], shape=(Nt - 1, Nt))
-    avg_t = sp.diags([0.5, 0.5], [0, 1], shape=(Nt - 1, Nt))
-    div_t = sp.diags([1.0, -1.0], [0, -1], shape=(Nt, Nt - 1))
+    if grid in _FLUX_TERMS:
+        return _FLUX_TERMS[grid]
+    Nr, ds, dt = grid.Nr, grid.ds, grid.dtheta
 
-    # metric data at the s-faces (fi = 1..Nr) and the interior theta-faces (fj = 1..Nt-1)
+    def geometry(s, R, Rp):  # metric data (G, h, beta) at faces of scaled radius s on rays of radius R, R'
+        h = grid.cone.space_form.h(s * R)
+        return h * R, h, s * Rp / R
+
     R = grid.R_centers[None, :]
-    s_f = (np.arange(1, Nr + 1) * ds)[:, None]
-    Gs, h_s, beta_s = _face_geometry(grid, s_f, R, grid.Rp_centers[None, :])
-    Gt, h_t, beta_t = _face_geometry(
-        grid, grid.s_centers[:, None], grid.R_faces[None, 1:-1], grid.Rp_faces[None, 1:-1]
-    )
-    s_terms = [(Gs * (1.0 / (R * R) + (beta_s / h_s) ** 2) * (dt / ds), (diff_s, None))]
-    t_terms = [(Gt * (1.0 / (h_t * h_t)) * (ds / dt), (None, diff_t))]
+    Gs, h_s, beta_s = geometry((np.arange(1, Nr + 1) * ds)[:, None], R, grid.Rp_centers[None, :])
+    Gt, h_t, beta_t = geometry(grid.s_centers[:, None], grid.R_faces[None, 1:-1], grid.Rp_faces[None, 1:-1])
+
+    def radial(inner, last):  # a diagonal on the s-faces; the last, Gamma_0, meets the mirror ghost -u[-1]
+        return np.r_[np.full(Nr - 1, inner), last]
+
+    terms = [(0, Gs * (1.0 / (R * R) + (beta_s / h_s) ** 2) * (dt / ds),
+              {0: radial(-1.0, -2.0), 1: radial(1.0, 0.0)}, {0: 1.0}),
+             (1, Gt * (1.0 / (h_t * h_t)) * (ds / dt), {0: 1.0}, {0: -1.0, 1: 1.0})]
     if grid.radius.epsilon != 0.0:
-        # the 'solution'-kind cell derivatives of _d_ds and _d_dtheta, times ds and dtheta
-        der_s = _half_difference_matrix(Nr, "one-sided", "dirichlet")
-        der_t = _half_difference_matrix(Nt, "mirror", "mirror")
         w_st = Gs * (-beta_s / (h_s * h_s))
         w_st[-1] = 0.0  # u_theta vanishes along Gamma_0
-        s_terms.append((w_st, (avg_s, der_t)))
-        t_terms.append((Gt * (-beta_t / (h_t * h_t)), (der_s, avg_t)))
-    families = [
-        ((avg_s, None), (div_s, None), s_terms),
-        ((None, avg_t), (None, div_t), t_terms),
-    ]
-    _FINITE_VOLUMES[grid] = 1.0 / cell_volumes(grid), families
-    return _FINITE_VOLUMES[grid]
+        terms.insert(1, (0, w_st, {0: radial(0.5, 1.0), 1: radial(0.5, 0.0)},
+                         _half_difference(grid.Nt, "mirror", "mirror")))
+        terms.append((1, Gt * (-beta_t / (h_t * h_t)), _half_difference(Nr, "one-sided", "dirichlet"),
+                      {0: 0.5, 1: 0.5}))
+    _FLUX_TERMS[grid] = 1.0 / cell_volumes(grid), terms
+    return _FLUX_TERMS[grid]
 
 
-def _along(pair, x: np.ndarray) -> np.ndarray:
-    """Apply the Kronecker product of a (radial, angular) pair to a 2-D array."""
-    radial, angular = pair
-    x = x if radial is None else radial @ x
-    return x if angular is None else (angular @ x.T).T
+def _runs(stencil: dict, rows: int, columns: int, shift: int = 0) -> list:
+    """Each run of rows where a diagonal k of a stencil is nonzero and in the matrix.
 
-
-def _diagonals(m) -> dict:
-    """The diagonals {k: values} of a 1-D operator, values[r] = m[r, r + k], 0 where m stores nothing.
-
-    None is an identity; its one diagonal is None, a factor 1 that is left out.
+    As (k + shift, the rows, the rows less shift, the entries), the entries of a constant run a scalar.
     """
-    if m is None:
-        return {0: None}
-    m = m.todia()
-    bands = {}
-    for k, values in zip(m.offsets.tolist(), m.data):
-        rows = np.arange(max(0, -k), min(m.shape[0], m.shape[1] - k))
-        band = bands.setdefault(k, np.zeros(m.shape[0]))
-        band[rows] += values[rows + k]
-    return bands
+    runs = []
+    for k, entries in sorted(stencil.items()):
+        lo, hi = max(0, -k), min(rows, columns - k)
+        entries = np.full(rows, entries) if np.ndim(entries) == 0 else entries
+        edges = (lo + np.flatnonzero(np.diff(np.r_[False, entries[lo:hi] != 0, False]))).tolist()
+        for s, t in zip(edges[::2], edges[1::2]):
+            v = entries[s:t]  # a constant run is a scalar: the same products, and no outer product
+            runs.append((k + shift, slice(s, t), slice(s - shift, t - shift), v[0] if (v == v[0]).all() else v))
+    return runs
 
 
-def _reach(div_band, e: int, grad_band, n: int):
-    """Along one axis of n cells, chain div's diagonal e with a diagonal of grad.
-
-    Returns the runs of cells i (as slices) where div stores (i, i + e) and
-    grad stores the row of face i + e, and grad's value there for each cell
-    (None for an identity).
-    """
-    stored = np.zeros(n + 2, dtype=bool)
-    stored[1:-1] = True if div_band is None else div_band != 0
-    g = None
-    if grad_band is not None:
-        face = np.arange(n) + e
-        inside = (face >= 0) & (face < grad_band.size)
-        g = np.zeros(n)
-        g[inside] = grad_band[face[inside]]
-        stored[1:-1] &= g != 0
-    edges = np.flatnonzero(stored[1:] != stored[:-1])
-    return [slice(int(s), int(t)) for s, t in zip(edges[::2], edges[1::2])], g
-
-
-def _support(band, n: int) -> slice:
-    """The cells from the first to the last stored entry of a diagonal (all n for an identity)."""
-    if band is None:
-        return slice(0, n)
-    on = np.flatnonzero(band)
-    return slice(int(on[0]), int(on[-1]) + 1) if on.size else slice(0, 0)
-
-
-def _kron_entries(r, t):
-    """The Kronecker entries r[i] * t[j] on a rectangle, as an array that broadcasts over it.
-
-    An identity side (None) is a factor 1.  A side that is constant on the
-    rectangle folds into the other, which gives the same products; only two
-    varying sides need the full outer product.
-    """
-    if r is None or t is None:
-        return 1.0 if r is None and t is None else t if r is None else r[:, None]
-    if (t == t[0]).all():
-        return (r * t[0])[:, None]
-    if (r == r[0]).all():
-        return r[0] * t
-    return np.multiply.outer(r, t)
-
-
-def _within(inner: tuple, outer: tuple) -> tuple:
-    """The rectangle `inner` (a pair of slices) in the coordinates of the rectangle `outer` that holds it."""
-    return tuple(slice(i.start - o.start, i.stop - o.start) for i, o in zip(inner, outer))
-
-
-def _contributions(grid: SectorGrid, inv_volume: np.ndarray, families) -> list:
-    """The operator's contributions to A(a), expanded from the diagonals of its 1-D operators.
-
-    A flux term with div pair (D_r, D_t), face coefficient c and stencil pair
-    (G_r, G_t) adds to row (i, j) at stencil offset (p, q)
-    ((inv_volume D_r[i, i+e] D_t[j, j+f]) c[i+e, j+f]) (G_r[i+e, i+p] G_t[j+f, j+q])
-    for each div diagonal (e, f).  Returns groups in the order of the sparse
-    product's summation: the last flux term first, its div diagonals by
-    decreasing offset (the faces by decreasing index), their stencil
-    diagonals by increasing offset.  A group (term, inv_volume times the div
-    entries on the group's rectangle of cells, the matching rectangle of
-    faces, events) is one term and div diagonal; an event ((p, q), cells, the
-    cells within the group's rectangle, stencil entries) is one stencil
-    diagonal on a rectangle of cells where every factor is stored.  Summing
-    each entry's contributions in this order gives the product's bits.
-    """
-    Nr, Nt = grid.Nr, grid.Nt
-    terms = [(k, div, st) for k, (_, div, ts) in enumerate(families) for _, st in ts]
-    groups, scaled, bands = [], {}, {}
-
-    def diagonals(m):  # each 1-D operator is read once; terms share them
-        if id(m) not in bands:
-            bands[id(m)] = _diagonals(m)
-        return bands[id(m)]
-
-    for b in reversed(range(len(terms))):
-        family, div, st = terms[b]
-        (dR, dT), (gR, gT) = [[diagonals(m) for m in pair] for pair in (div, st)]
-        reach_r = {(e, g): _reach(dR[e], e, gR[g], Nr) for e in dR for g in gR}
-        reach_t = {(f, h): _reach(dT[f], f, gT[h], Nt) for f in dT for h in gT}
-        for e, f in product(sorted(dR, reverse=True), sorted(dT, reverse=True)):
-            rect = (_support(dR[e], Nr), _support(dT[f], Nt))
-            if (family, e, f) not in scaled:
-                d_r, d_t = (d if d is None else d[axis] for d, axis in zip((dR[e], dT[f]), rect))
-                scaled[family, e, f] = inv_volume[rect] * _kron_entries(d_r, d_t)
-            faces = tuple(slice(axis.start + k, axis.stop + k) for axis, k in zip(rect, (e, f)))
-            events = []
-            for g, h in product(sorted(gR), sorted(gT)):
-                (runs_r, g_r), (runs_t, g_t) = reach_r[e, g], reach_t[f, h]
-                for cells in product(runs_r, runs_t):
-                    r, t = (v if v is None else v[axis] for v, axis in zip((g_r, g_t), cells))
-                    events.append(((e + g, f + h), cells, _within(cells, rect), _kron_entries(r, t)))
-            groups.append((b, scaled[family, e, f], faces, events))
-    return groups
+def _apply_stencil(stencil: dict, x: np.ndarray, axis: int, rows: int) -> np.ndarray:
+    """A stencil of `rows` rows (`_flux_terms`) along `axis` of x, each row summed as a sparse product sums it."""
+    out = np.zeros(x.shape[:axis] + (rows,) + x.shape[axis + 1 :])
+    along, x = np.moveaxis(out, axis, 0), np.moveaxis(x, axis, 0)  # views, in the arrays' own layout
+    for k, run, _, entries in _runs(stencil, rows, len(x)):
+        along[run] += (entries if np.ndim(entries) == 0 else entries[:, None]) * x[run.start + k : run.stop + k]
+    return out
 
 
 def _operator_matrix(grid: SectorGrid, N: int, K: int):
     """Return a -> A(a), the CSR matrix of div(a grad u) + N K u on the grid.
 
-    The grid fixes the contributions (`_contributions`).  A call sums the
-    contributions of each stencil offset (p, q) (the 9-point stencil, plus
-    two rows more at the vertex) in its own row of one zeroed array of
-    diagonals, and adds N K on the centre offset.  Matrix row i of offset
-    d = p Nt + q lands in column i + d, so that column j holds A[j - d, j];
-    scipy converts these diagonals to CSR, lists each row's columns in
-    ascending order and drops exact zeros.  Before that, the separable
-    part's bands (`_Bands`, four arrays of Nr numbers) are read off the same
-    rows into A.bands, so that no step reads them back out of the CSR matrix.
-
-    Each entry adds its contributions in the order of the sparse product the
-    operator defines, diag(inv_volume) [D_1 .. D_m] diag(c) [G_1; ..; G_m]
-    (+ N K I) over its stacked flux terms.  So A(a) is that product bit for
-    bit, entries and dropped zeros alike, once the product's rows are sorted.
+    A flux term (`_flux_terms`) enters a cell's row through its upper face
+    (+1) and its lower face (-1).  Each pair of stencil diagonals, on the
+    cells where both are nonzero (`_runs`), adds (inv_volume * +-1) *
+    (w * face_avg(a)) * radial * angular to the row of its offset (p, q) in
+    one zeroed array of diagonals, at column i + p Nt + q for matrix row i
+    as scipy's DIA format keeps it; N K goes on the centre.  The sums run in
+    the order of the sparse product diag(inv_volume) [D_1 .. D_m] diag(c)
+    [G_1; ..; G_m] (+ N K I), the last term first and the upper face first,
+    so A(a) is that product bit for bit once the CSR conversion has sorted
+    each row and dropped exact zeros.  A.bands are read off the rows (`_Bands`).
     """
-    inv_volume, families = _finite_volume(grid)
-    groups = _contributions(grid, inv_volume, families)
+    inv_volume, terms = _flux_terms(grid)
+    shape = (grid.Nr, grid.Nt)
+    groups, signed = [], (inv_volume, -inv_volume)
+    for b in reversed(range(len(terms))):
+        axis, w, *stencils = terms[b]
+        for e in (0, -1):  # the upper face, then the lower one
+            # the faces that are a cell's face on this side, and those cells
+            m = min(w.shape[axis], shape[axis] + e)
+            faces, cells = [slice(None)] * 2, [slice(None)] * 2
+            faces[axis], cells[axis] = slice(0, m), slice(-e, m - e)
+            sides = [_runs(stencil, m, shape[d], e) if d == axis else _runs(stencil, shape[d], shape[d])
+                     for d, stencil in enumerate(stencils)]
+            events = [((p, q), (cell_r, cell_t), (sub_r, sub_t), (r[:, None] if np.ndim(r) else r) * t)
+                      for p, sub_r, cell_r, r in sides[0] for q, sub_t, cell_t, t in sides[1]]
+            groups.append((b, signed[-e][tuple(cells)], tuple(faces), events))
+
     n, shift = grid.n_cells, N * K
     offsets = sorted({o for *_, events in groups for o, *_ in events} | {(0, 0)})
     delta = np.array([p * grid.Nt + q for p, q in offsets])
-    coefficient = [(w, avg) for avg, _, terms in families for w, _ in terms]
-
     # the diagonals are rows of `width` in a flat array that starts `pad` early,
     # so that offset k's matrix rows i = 0..n-1 sit at pad + k width + d + i:
     # never before the start, and apart from every other offset's rows
@@ -394,11 +289,14 @@ def _operator_matrix(grid: SectorGrid, N: int, K: int):
     ratio = _volume_ratio(grid)
 
     def matrix(a: np.ndarray):
-        c = [w * _along(avg, a) for w, avg in coefficient]
+        # a on the faces: the mean of the two cells, and a[-1] on Gamma_0
+        average = [np.concatenate([0.5 * a[:-1] + 0.5 * a[1:], a[-1:]]), 0.5 * a[:, :-1] + 0.5 * a[:, 1:]]
+        c = [w * average[axis] for axis, w, *_ in terms]
+        del average
         flat = np.zeros(pad + len(offsets) * width)
-        sums = {o: flat[at : at + n].reshape(grid.Nr, grid.Nt) for o, at in starts}
-        for b, scaled_inv, faces, events in groups:
-            flux = scaled_inv * c[b][faces]
+        sums = {o: flat[at : at + n].reshape(shape) for o, at in starts}
+        for b, signed_inv, faces, events in groups:
+            flux = signed_inv * c[b][faces]
             for o, cells, sub, entries in events:
                 sums[o][cells] += flux[sub] * entries
         del c
@@ -420,18 +318,20 @@ def _operator_matrix(grid: SectorGrid, N: int, K: int):
 def laplace_beltrami_probe(grid: SectorGrid, q: np.ndarray):
     """Discrete Laplace-Beltrami of an arbitrary cell field.
 
-    The solver's operator with a = 1, applied along the array axes and kept
-    only on cells whose stencil reaches neither the Gamma_0 ghost nor the
-    wall mirror (no boundary data is assumed for q).  Returns (values, valid)
-    where valid marks the evaluated cells.
+    The solver's operator at a = 1 (`_flux_terms`) as shifted sums (`_apply_stencil`),
+    kept only on cells whose stencil reaches neither the Gamma_0 ghost nor
+    the wall mirror (no boundary data is assumed for q).  Returns (values,
+    valid) where valid marks the evaluated cells.
     """
-    inv_volume, families = _finite_volume(grid)
-    lap = inv_volume * sum(
-        _along(div, sum(w * _along(st, q) for w, st in terms)) for _, div, terms in families
-    )
+    inv_volume, terms = _flux_terms(grid)
+    flux = [0.0, 0.0]
+    for axis, w, radial, angular in terms:
+        x = _apply_stencil(radial, q, 0, w.shape[0])
+        flux[axis] = flux[axis] + w * _apply_stencil(angular, x, 1, w.shape[1])
+    div = np.diff(flux[0], axis=0, prepend=0.0) + np.diff(flux[1], axis=1, prepend=0.0, append=0.0)
     valid = np.zeros(q.shape, dtype=bool)
     valid[: grid.Nr - 1, 1 : grid.Nt - 1] = True
-    return np.where(valid, lap, np.nan), valid
+    return np.where(valid, inv_volume * div, np.nan), valid
 
 
 def _factor(A):

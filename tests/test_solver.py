@@ -21,11 +21,12 @@ from serrinlab.oracles import (
 from serrinlab.profiles import make_mean_curvature_profile, make_power_profile
 from serrinlab.solver import (
     LINEAR_TOL,
-    _along,
+    _apply_stencil,
     _Bands,
+    _cell_difference,
     _dilate,
     _factor,
-    _finite_volume,
+    _flux_terms,
     _gmres,
     _linear_solve,
     _operator_matrix,
@@ -68,22 +69,34 @@ def test_assembly_matches_operator_application(sf, eps):
 def kronecker_product_matrix(grid, N, K, a):
     """The operator's matrix as the sparse product of its stacked Kronecker factors.
 
-    diag(inv_volume) [D_1 .. D_m] diag(c) [G_1; ..; G_m] (+ N K I): the
-    assembly the band expansion of `_operator_matrix` must reproduce bit for
-    bit, dropped exact zeros included, once each row lists its columns in
-    ascending order (the product leaves them unsorted).
+    diag(inv_volume) [D_1 .. D_m] diag(c) [G_1; ..; G_m] (+ N K I), from 1-D
+    factors built here and the weights of `_flux_terms`: the assembly the
+    fill of `_operator_matrix` must reproduce bit for bit, dropped exact
+    zeros included, once each row lists its columns in ascending order (the
+    product leaves them unsorted).
     """
-    inv_volume, families = _finite_volume(grid)
-    eye = (sp.identity(grid.Nr), sp.identity(grid.Nt))
+    inv_volume, terms = _flux_terms(grid)
+    Nr, Nt = grid.Nr, grid.Nt
+    diff_s = sp.diags([np.r_[-np.ones(Nr - 1), -2.0], 1.0], [0, 1], shape=(Nr, Nr))
+    avg_s = sp.diags([np.r_[np.full(Nr - 1, 0.5), 1.0], 0.5], [0, 1], shape=(Nr, Nr))
+    div_s = sp.diags([1.0, -1.0], [0, -1], shape=(Nr, Nr))
+    diff_t = sp.diags([-1.0, 1.0], [0, 1], shape=(Nt - 1, Nt))
+    avg_t = sp.diags([0.5, 0.5], [0, 1], shape=(Nt - 1, Nt))
+    div_t = sp.diags([1.0, -1.0], [0, -1], shape=(Nt, Nt - 1))
+    der_s = sp.csr_matrix(0.5 * _cell_difference(np.eye(Nr), 0, "one-sided", "dirichlet"))
+    der_t = sp.csr_matrix(0.5 * _cell_difference(np.eye(Nt), 0, "mirror", "mirror"))
 
-    def kron(pair):
-        return sp.kron(*(e if m is None else m for m, e in zip(pair, eye)), format="csr")
+    def kron(r, t):
+        return sp.kron(sp.identity(Nr) if r is None else r, sp.identity(Nt) if t is None else t, format="csr")
 
-    div = sp.diags(inv_volume.ravel()) @ sp.hstack(
-        [kron(d) for _, d, terms in families for _ in terms], format="csr"
-    )
-    grad = sp.vstack([kron(st) for _, _, terms in families for _, st in terms], format="csr")
-    c = np.concatenate([(w * _along(avg, a)).ravel() for avg, _, terms in families for w, _ in terms])
+    # (divergence, face average of a, stencil) of each term, in the order of the term list
+    s_face, t_face = (kron(div_s, None), avg_s @ a), (kron(None, div_t), (avg_t @ a.T).T)
+    factors = [(*s_face, kron(diff_s, None)), (*s_face, kron(avg_s, der_t)),
+               (*t_face, kron(None, diff_t)), (*t_face, kron(der_s, avg_t))]
+    factors = factors if len(terms) == 4 else factors[::2]
+    div = sp.diags(inv_volume.ravel()) @ sp.hstack([d for d, _, _ in factors], format="csr")
+    grad = sp.vstack([g for _, _, g in factors], format="csr")
+    c = np.concatenate([(w * avg).ravel() for (_, w, *_), (_, avg, _) in zip(terms, factors)])
     weighted = sp.csr_matrix((div.data * c[div.indices], div.indices, div.indptr), div.shape)
     A = weighted @ grad
     A = A + (N * K) * sp.identity(grid.n_cells, format="csr") if N * K != 0 else A
@@ -778,17 +791,35 @@ def test_fill_reads_the_separable_bands_of_its_matrix(sf, eps):
     assert np.array_equal(filled.solve(b), read.solve(b))
 
 
-def test_each_grid_builds_its_operator_once():
-    # the solver's matrices and the Laplace probe share one `_finite_volume`
-    # per grid, and it goes with the grid
+def test_each_grid_builds_its_operator_once(monkeypatch):
+    # the solver's matrices build one `_flux_terms` per grid, the Laplace
+    # probe reads the same one, and it goes with the grid
+    cache = weakref.WeakKeyDictionary()
+    monkeypatch.setattr(solver, "_FLUX_TERMS", cache)
     grid = build_grid(quarter(), 16, 12, BoundaryRadius(1.0, 0.1, 2))
-    operator = _finite_volume(grid)
-    assert _finite_volume(grid) is operator
-    assert _finite_volume(build_grid(quarter(), 16, 12, BoundaryRadius(1.0, 0.1, 2))) is not operator
+    _operator_matrix(grid, 2, 0)(np.ones((16, 12)))
+    operator = cache[grid]
+    laplace_beltrami_probe(grid, np.ones((16, 12)))
+    assert _flux_terms(grid) is operator and len(cache) == 1
+    assert _flux_terms(build_grid(quarter(), 16, 12, BoundaryRadius(1.0, 0.1, 2))) is not operator
     gone = weakref.ref(operator[0])
     del grid, operator
     gc.collect()
     assert gone() is None
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (24, 20), (16, 40)], ids=lambda s: "%dx%d" % s)
+def test_cross_stencils_are_the_cell_derivatives(shape):
+    # the operator's cross-derivative stencils are the 'solution'-kind cell
+    # derivatives, times the spacing: one closure table serves both
+    grid = build_grid(ConeSection(HYPERBOLIC, 4.5), *shape, BoundaryRadius(1.0, 0.1, 2))
+    _, terms = _flux_terms(grid)
+    (_, _, _, der_t), (_, _, der_s, _) = terms[1], terms[3]
+    q = np.random.default_rng(shape[1]).standard_normal(shape)
+    radial = _apply_stencil(der_s, q, 0, shape[0]) / grid.ds
+    angular = _apply_stencil(der_t, q, 1, shape[1]) / grid.dtheta
+    assert np.array_equal(radial.view(np.int64), solver._d_ds(grid, q, "solution").view(np.int64))
+    assert np.array_equal(angular.view(np.int64), solver._d_dtheta(grid, q, "solution").view(np.int64))
 
 
 @pytest.mark.parametrize(
