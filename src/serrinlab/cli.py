@@ -39,6 +39,7 @@ from .rigidity import (
     convexity_contrast,
     deviation_scan,
 )
+# solve_linear_spaceform stays imported: perfbench/tracing.py patches it here
 from .solver import solve_Lf, solve_linear_spaceform
 from .spaceforms import ConeSection, space_form_from_id
 
@@ -202,11 +203,7 @@ def _cmd_solve(args) -> int:
     cfg = _load_config(args)
     t0 = time.perf_counter()
     grid = _grid_from_config(cfg)
-    profile = profile_from_id(cfg.profile)
-    if grid.cone.space_form.curvature != 0:
-        u, report = solve_linear_spaceform(grid, 2, tol=cfg.tol)
-    else:
-        u, report = solve_Lf(grid, profile, tol=cfg.tol)
+    u, report = solve_Lf(grid, profile_from_id(cfg.profile), tol=cfg.tol)
     _write_run(cfg, "solve", t0, report.to_dict(), _solution_table(grid, u), grid)
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 

@@ -253,19 +253,12 @@ def w12_diagnostic(grid: SectorGrid, W: MatrixField) -> float:
     return float(np.sqrt(np.sum(frob2[keep] * grid.area_weights[keep])))
 
 
-def identity_suite(
-    grid: SectorGrid,
-    u: np.ndarray,
-    profile: OperatorProfile,
-    W: MatrixField | None = None,
-) -> AuditReport:
+def identity_suite(grid: SectorGrid, u: np.ndarray, profile: OperatorProfile) -> AuditReport:
     """Run the full Euclidean audit battery on one field.
 
-    W defaults to the differenced field of the mapped gradient; a caller can
-    pass an analytically built W (e.g. from a radial oracle) instead.
+    W is the differenced field of the mapped gradient of u (`hessian_W_field`).
     """
-    if W is None:
-        W = hessian_W_field(grid, u, profile)
+    W = hessian_W_field(grid, u, profile)
     report = audit_W(grid, W)
 
     kept = ~W.mask

@@ -24,6 +24,7 @@ from .oracles import (
 )
 from .pfunction import pfunction_suite
 from .profiles import profile_from_id
+# hessian_W_field and solve_linear_spaceform stay imported: perfbench/tracing.py patches them here
 from .solver import hessian_W_field, neumann_statistics, solve_Lf, solve_linear_spaceform
 from .spaceforms import ConeSection, space_form_from_id
 
@@ -161,18 +162,6 @@ class RigidityReport:
         return {**asdict(self), **verdicts}
 
 
-def _solve_on(grid, config: ExperimentConfig, start=None):
-    """Solve on grid: a curved space form by `solve_linear_spaceform`, a Euclidean sector by `solve_Lf`.
-
-    `solve_Lf` hands the Laplacian to `solve_linear_spaceform`.  A linear rung is the separable
-    solve of its matrix, GMRES on it at eps > 0, SuperLU only a miss.  start, a quasilinear
-    rung's predictor, is handed to `solve_Lf`.
-    """
-    if grid.cone.space_form.curvature != 0:
-        return solve_linear_spaceform(grid, 2, tol=config.tol)
-    return solve_Lf(grid, profile_from_id(config.profile), tol=config.tol, start=start)
-
-
 def _predictor(history: list, eps: float):
     """The start of a rung at eps from its ladder's last converged (eps, u) pairs, or None.
 
@@ -188,9 +177,9 @@ def _predictor(history: list, eps: float):
 
 
 def _scan_one(config: ExperimentConfig, size, eps: float, history=None) -> RigidityRow:
-    """The row of the rung at eps.
+    """The row of the rung at eps, solved by `solve_Lf`.
 
-    history is None on a linear ladder, which holds no field across rungs.
+    history is None on a Laplacian ladder, which holds no field across rungs.
     On a quasilinear one it is the ladder's last two converged (eps, u),
     updated here: the rung starts from their predictor (`_predictor`), a
     continued solve that does not converge is solved again from the cold
@@ -199,10 +188,11 @@ def _scan_one(config: ExperimentConfig, size, eps: float, history=None) -> Rigid
     sf = space_form_from_id(config.space_form)
     cone = ConeSection(sf, config.alpha)
     grid = build_grid(cone, size[0], size[1], BoundaryRadius(config.R0, eps, config.k))
+    profile = profile_from_id(config.profile)
     start = None if history is None else _predictor(history, eps)
-    u, rep = _solve_on(grid, config, start)
+    u, rep = solve_Lf(grid, profile, tol=config.tol, start=start)
     if start is not None and not rep.converged:
-        u, rep = _solve_on(grid, config)
+        u, rep = solve_Lf(grid, profile, tol=config.tol)
     if history is not None:
         history[:] = [*history[-1:], (eps, u)] if rep.converged else []
     if not rep.converged:
@@ -210,9 +200,7 @@ def _scan_one(config: ExperimentConfig, size, eps: float, history=None) -> Rigid
                            float("nan"), 0.0, False)
     c_mean, sigma, sigma_max = neumann_statistics(grid, u)
     if sf.curvature == 0:
-        profile = profile_from_id(config.profile)
-        W = hessian_W_field(grid, u, profile)
-        audit = identity_suite(grid, u, profile, W=W)
+        audit = identity_suite(grid, u, profile)
         checks = {c.name: c for c in audit.checks}
         defect = checks["W_plus_id_over_N_sup_interior"].value
         c_formula = checks["c_measured_vs_formula"].extras["c_formula"]
@@ -232,11 +220,11 @@ def deviation_scan(config: ExperimentConfig) -> RigidityReport:
     The scan is judged only over a convex section (alpha <= pi), the
     convexity the rigidity theorem needs; over a reflex one its report
     records judged = False and passes.  Solver non-convergence is recorded
-    per row without aborting the scan.  The rungs run in ladder order.  A
-    linear rung (a curved space form or the Laplacian) is solved on its
-    own: by the separable part of its matrix at eps = 0 and by GMRES on it
-    above (`solve_linear_spaceform`), with no SuperLU factor unless that
-    misses; its row is that of its one-rung scan.  A quasilinear ladder is
+    per row without aborting the scan.  The rungs run in ladder order, each
+    solved by `solve_Lf`.  A Laplacian ladder, the one profile of a curved
+    space form, is linear: each rung is solved on its own, by the separable
+    part of its matrix (GMRES on it at eps > 0), SuperLU only if that misses,
+    and its row is that of its one-rung scan.  A quasilinear ladder is
     a continuation (Allgower & Georg 2003): its first rung, and every rung
     after one that did not converge, starts cold, from the closed form
     and through the whole regularization schedule, so that row is its
@@ -252,8 +240,7 @@ def deviation_scan(config: ExperimentConfig) -> RigidityReport:
     if not config.epsilons:
         raise ValueError("the deviation scan needs at least one value in epsilons")
     size = config.grid_sizes[0]
-    curved = space_form_from_id(config.space_form).curvature != 0
-    history = None if curved or profile_from_id(config.profile).is_laplacian else []
+    history = None if profile_from_id(config.profile).is_laplacian else []
     rows = [_scan_one(config, size, e, history) for e in config.epsilons]
     judged = config.alpha <= math.pi
     return RigidityReport(config=config, grid=config.grids[0], rows=rows, judged=judged)
@@ -270,7 +257,7 @@ def convergence_study(config: ExperimentConfig):
     """Errors and Richardson orders against the radial oracle over dyadic grids.
 
     Requires epsilon = 0 (otherwise no closed-form reference exists) and at
-    least three strictly dyadic levels.
+    least three strictly dyadic levels, each solved cold by `solve_Lf`.
     """
     sizes = config.grid_sizes
     if len(sizes) < 3:
@@ -290,7 +277,7 @@ def convergence_study(config: ExperimentConfig):
     prev = None
     for size in sizes:
         grid = build_grid(cone, size[0], size[1], BoundaryRadius(config.R0, 0.0, config.k))
-        u, rep = _solve_on(grid, config)
+        u, rep = solve_Lf(grid, profile, tol=config.tol)
         exact = sample_values(oracle, grid)
         diff = u - exact
         err_inf = float(np.max(np.abs(diff)))

@@ -576,13 +576,16 @@ def solve_linear_spaceform(grid: SectorGrid, N: int = 2, tol: float = 1e-9):
 
 
 def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, start=None):
-    """Picard continuation for L_f u = -1 on a Euclidean sector grid.
+    """Solve L_f u = -1 on a sector grid: the lab's one solve entry.
 
-    Each iteration freezes the coefficient a(x) = f_eps'(|grad u|)/|grad u| of
-    the current iterate u_k (continuous at critical points thanks to the
-    epsilon regularization) and solves the linear anisotropic problem for
-    x = A(a)^{-1} b.  Stages walk down the epsilon SCHEDULE with warm starts,
-    each capped at MAX_ITERS steps.
+    The Laplacian is linear on every space form: the result is
+    `solve_linear_spaceform`'s, whose report has an empty epsilon_schedule.
+    Any other profile is Euclidean-only (ValueError on a curved grid) and
+    solved by Picard continuation.  Each iteration freezes the coefficient
+    a(x) = f_eps'(|grad u|)/|grad u| of the current iterate u_k (continuous
+    at critical points thanks to the epsilon regularization) and solves the
+    linear anisotropic problem for x = A(a)^{-1} b.  Stages walk down the
+    epsilon SCHEDULE with warm starts, each capped at MAX_ITERS steps.
 
     The first stage starts from the closed form of the unperturbed sector,
     u0 = N (g(R(theta)/N) - g(s R(theta)/N)) on the cell centers, each column
@@ -619,15 +622,13 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, star
     factor, or one whose solution still misses, ends the solve with
     converged=False.  Convergence is judged on A(a) u - b at the stage's
     tolerance, whatever the steps' accuracy.
-
-    The Laplacian has a identically 1 and is one linear solve: the result is
-    `solve_linear_spaceform`'s, whose report has an empty epsilon_schedule.
     """
-    if grid.cone.space_form.curvature != 0:
-        raise ValueError("the quasilinear solver is Euclidean-only; use solve_linear_spaceform")
     if profile.is_laplacian:
-        # a is identically 1: a single linear solve is exact
+        # a is identically 1: a single linear solve is exact, on every space form
         return solve_linear_spaceform(grid, 2, tol=tol)
+    if grid.cone.space_form.curvature != 0:
+        raise ValueError(f"profile {profile.name!r} is quasilinear and Euclidean-only; "
+                         "space-form problems take the 'laplacian' profile")
 
     p = profile.degeneracy_exponent
     omega = 1.0 if (p is not None and 2.0 <= p <= 3.0) else 0.5

@@ -255,13 +255,15 @@ def test_config_rejects_mistyped_values(tmp_path, capsys, key, value):
 
 
 def test_solver_nonconvergence_exit(tmp_path, monkeypatch):
+    # every solve goes through solve_Lf, a space-form one too
     def fake_solve(grid, profile, tol=1e-8):
         rep = SolveReport(iterations=1, final_residual=1.0, converged=False, message="stalled")
         return np.zeros((grid.Nr, grid.Nt)), rep
 
     monkeypatch.setattr(cli, "solve_Lf", fake_solve)
-    cfg = write_config(tmp_path, out_dir=str(tmp_path / "run"))
-    assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_NO_CONVERGENCE
+    for space_form in ("euclidean", "hyperbolic"):
+        cfg = write_config(tmp_path, space_form=space_form, out_dir=str(tmp_path / space_form))
+        assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_NO_CONVERGENCE, space_form
 
 
 def test_flag_overrides(tmp_path):

@@ -170,11 +170,13 @@ def test_p6_ladder_converges_by_continuation():
     ids=["hyperbolic", "laplacian-pi/3-k2"],
 )
 def test_linear_ladders_keep_one_rung_rows(monkeypatch, kwargs):
-    # a linear ladder holds no field across rungs: each row is the bytes of
-    # its one-rung scan, and no solve is given a start
+    # a linear ladder holds no field across rungs: each rung is one
+    # `solve_Lf` call given no start, and each row is the bytes of its
+    # one-rung scan
     cfg = ExperimentConfig(epsilons=[0.0, 0.05, 0.1, 0.2], grids=["32x32"], **kwargs)
     solves = _recorded_solves(monkeypatch)
     rep = deviation_scan(cfg)
+    assert [eps for eps, _, _, _ in solves] == list(cfg.epsilons)
     assert all(start is None for _, start, _, _ in solves)
     for row in rep.rows:
         assert repr(row) == repr(_one_rung(cfg, row.epsilon))

@@ -18,7 +18,7 @@ from serrinlab.oracles import (
     overdetermined_constant,
     sample_values,
 )
-from serrinlab.profiles import make_mean_curvature_profile, make_power_profile
+from serrinlab.profiles import make_mean_curvature_profile, make_power_profile, profile_from_id
 from serrinlab.solver import (
     LINEAR_TOL,
     _apply_stencil,
@@ -244,14 +244,15 @@ def test_laplacian_profile_single_linear_solve():
 
 
 def test_laplacian_solve_Lf_is_the_linear_solve():
-    # no regularization is used, so the report is the linear solve's: an
-    # empty epsilon_schedule and the caller's tol
-    grid = build_grid(quarter(), 32, 32, BoundaryRadius(1.0, 0.1, 2))
-    u_lin, rep_lin = solve_linear_spaceform(grid, 2, tol=1e-8)
-    u_lf, rep_lf = solve_Lf(grid, P2, tol=1e-8)
-    assert u_lf.tobytes() == u_lin.tobytes()
-    assert repr(rep_lf) == repr(rep_lin)
-    assert rep_lf.epsilon_schedule == [] and rep_lf.converged
+    # on every space form no regularization is used, so the report is the
+    # linear solve's: an empty epsilon_schedule and the caller's tol
+    for sf in (EUCLIDEAN, HYPERBOLIC, SPHERE):
+        grid = build_grid(quarter(sf), 32, 32, BoundaryRadius(1.0, 0.1, 2))
+        u_lin, rep_lin = solve_linear_spaceform(grid, 2, tol=1e-8)
+        u_lf, rep_lf = solve_Lf(grid, P2, tol=1e-8)
+        assert u_lf.tobytes() == u_lin.tobytes(), sf.name
+        assert repr(rep_lf) == repr(rep_lin), sf.name
+        assert rep_lf.epsilon_schedule == [] and rep_lf.converged, sf.name
 
 
 def test_iteration_cap_reported_not_converged(monkeypatch):
@@ -874,8 +875,10 @@ def test_singular_factor_reported_not_converged(solve, message, monkeypatch):
 
 
 def test_solve_Lf_rejects_curved_space_form():
-    with pytest.raises(ValueError):
-        solve_Lf(build_grid(quarter(HYPERBOLIC), 16, 16), P3)
+    # a quasilinear profile is Euclidean-only; the error names the profile space forms take
+    for sf in (HYPERBOLIC, SPHERE):
+        with pytest.raises(ValueError, match="space-form problems take the 'laplacian' profile"):
+            solve_Lf(build_grid(quarter(sf), 16, 16), profile_from_id("p-laplacian:3"))
 
 
 def test_normal_derivative_on_oracle_field():
