@@ -48,9 +48,9 @@ __all__ = [
 SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
 MAX_ITERS = 80
 ANDERSON_WINDOW = 5
-# scaled residual every linear solve must reach; a Picard step's solve need
-# only reach FORCING times the step's own nonlinear residual, if that is larger
-# (at 1e-2 one p = 3 rigidity rung stopped an iteration early)
+# a Picard step solves to FORCING times the step's own nonlinear residual, but
+# to no scaled residual above LINEAR_TOL (at FORCING 1e-2 one p = 3 rigidity
+# rung stopped an iteration early); a linear solve reaches its caller's tol
 LINEAR_TOL = 1e-13
 FORCING = 1e-3
 # GMRES steps of one cycle, and the correction cycles allowed after a cycle
@@ -192,6 +192,8 @@ def _flux_terms(grid: SectorGrid):
     along the other) entries[r] times cell r + k; a scalar serves every row.
     Per axis: the face difference and, at eps != 0, the cross derivative
     (`_half_difference`).  The spacings sit in w: a constant has zero flux.
+    Each stencil is a `_Stencil`, which keeps the runs the fill and the
+    probe find on it.
     """
     if grid in _FLUX_TERMS:
         return _FLUX_TERMS[grid]
@@ -218,31 +220,44 @@ def _flux_terms(grid: SectorGrid):
                          _half_difference(grid.Nt, "mirror", "mirror")))
         terms.append((1, Gt * (-beta_t / (h_t * h_t)), _half_difference(Nr, "one-sided", "dirichlet"),
                       {0: 0.5, 1: 0.5}))
+    terms = [(axis, w, *map(_Stencil, stencils)) for axis, w, *stencils in terms]
     _FLUX_TERMS[grid] = 1.0 / cell_volumes(grid), terms
     return _FLUX_TERMS[grid]
 
 
-def _runs(stencil: dict, rows: int, columns: int, shift: int = 0) -> list:
-    """Each run of rows where a diagonal k of a stencil is nonzero and in the matrix.
+class _Stencil(dict):
+    """A stencil {k: entries per row} (`_flux_terms`) that keeps the runs it was asked for."""
 
-    As (k + shift, the rows, the rows less shift, the entries), the entries of a constant run a scalar.
-    """
-    runs = []
-    for k, entries in sorted(stencil.items()):
-        lo, hi = max(0, -k), min(rows, columns - k)
-        entries = np.full(rows, entries) if np.ndim(entries) == 0 else entries
-        edges = (lo + np.flatnonzero(np.diff(np.r_[False, entries[lo:hi] != 0, False]))).tolist()
-        for s, t in zip(edges[::2], edges[1::2]):
-            v = entries[s:t]  # a constant run is a scalar: the same products, and no outer product
-            runs.append((k + shift, slice(s, t), slice(s - shift, t - shift), v[0] if (v == v[0]).all() else v))
-    return runs
+    __slots__ = ("_found",)
+
+    def __init__(self, diagonals: dict):
+        super().__init__(diagonals)
+        self._found = {}
+
+    def runs(self, rows: int, columns: int, shift: int = 0) -> list:
+        """Each run of rows where a diagonal k is nonzero and in the matrix; found once per shape and shift.
+
+        As (k + shift, the rows, the rows less shift, the entries), the entries of a constant run a scalar.
+        """
+        key = rows, columns, shift
+        if key in self._found:
+            return self._found[key]
+        runs = self._found[key] = []
+        for k, entries in sorted(self.items()):
+            lo, hi = max(0, -k), min(rows, columns - k)
+            entries = np.full(rows, entries) if np.ndim(entries) == 0 else entries
+            edges = (lo + np.flatnonzero(np.diff(np.r_[False, entries[lo:hi] != 0, False]))).tolist()
+            for s, t in zip(edges[::2], edges[1::2]):
+                v = entries[s:t]  # a constant run is a scalar: the same products, and no outer product
+                runs.append((k + shift, slice(s, t), slice(s - shift, t - shift), v[0] if (v == v[0]).all() else v))
+        return runs
 
 
-def _apply_stencil(stencil: dict, x: np.ndarray, axis: int, rows: int) -> np.ndarray:
+def _apply_stencil(stencil: _Stencil, x: np.ndarray, axis: int, rows: int) -> np.ndarray:
     """A stencil of `rows` rows (`_flux_terms`) along `axis` of x, each row summed as a sparse product sums it."""
     out = np.zeros(x.shape[:axis] + (rows,) + x.shape[axis + 1 :])
     along, x = np.moveaxis(out, axis, 0), np.moveaxis(x, axis, 0)  # views, in the arrays' own layout
-    for k, run, _, entries in _runs(stencil, rows, len(x)):
+    for k, run, _, entries in stencil.runs(rows, len(x)):
         along[run] += (entries if np.ndim(entries) == 0 else entries[:, None]) * x[run.start + k : run.stop + k]
     return out
 
@@ -252,7 +267,7 @@ def _operator_matrix(grid: SectorGrid, N: int, K: int):
 
     A flux term (`_flux_terms`) enters a cell's row through its upper face
     (+1) and its lower face (-1).  Each pair of stencil diagonals, on the
-    cells where both are nonzero (`_runs`), adds (inv_volume * +-1) *
+    cells where both are nonzero (`_Stencil.runs`), adds (inv_volume * +-1) *
     (w * face_avg(a)) * radial * angular to the row of its offset (p, q) in
     one zeroed array of diagonals, at column i + p Nt + q for matrix row i
     as scipy's DIA format keeps it; N K goes on the centre.  The sums run in
@@ -271,7 +286,7 @@ def _operator_matrix(grid: SectorGrid, N: int, K: int):
             m = min(w.shape[axis], shape[axis] + e)
             faces, cells = [slice(None)] * 2, [slice(None)] * 2
             faces[axis], cells[axis] = slice(0, m), slice(-e, m - e)
-            sides = [_runs(stencil, m, shape[d], e) if d == axis else _runs(stencil, shape[d], shape[d])
+            sides = [stencil.runs(m, shape[d], e) if d == axis else stencil.runs(shape[d], shape[d])
                      for d, stencil in enumerate(stencils)]
             events = [((p, q), (cell_r, cell_t), (sub_r, sub_t), (r[:, None] if np.ndim(r) else r) * t)
                       for p, sub_r, cell_r, r in sides[0] for q, sub_t, cell_t, t in sides[1]]
@@ -496,11 +511,12 @@ def _gmres(A, M, r, rtol: float, reference: float | None = None):
     return y @ V[:steps], j + 1 < GMRES_RESTART
 
 
-def _linear_solve(A, b, lu, start=None, tol=LINEAR_TOL):
+def _linear_solve(A, b, lu, tol: float, start=None):
     """Every linear solve: (x, res), x with a scaled residual res of at most tol, or None.
 
-    tol is LINEAR_TOL but for a Picard step, which passes a looser one
-    (`solve_Lf`).  lu is the preconditioner, a SuperLU factor of A
+    tol is the caller's: the solve tolerance of a linear problem
+    (`solve_linear_spaceform`), or a Picard step's own (`solve_Lf`).  lu
+    is the preconditioner, a SuperLU factor of A
     (`_factor`) or A's separable part (`_separable`); None solves nothing.
     Its solution lu.solve(b) is kept if it meets tol, and rejected if it is
     not finite.  Otherwise one GMRES cycle (`_gmres`) preconditioned by lu
@@ -552,25 +568,22 @@ def solve_linear_spaceform(grid: SectorGrid, N: int = 2, tol: float = 1e-9):
     """Solve Delta u + N K u = -1 with u = 0 on Gamma_0, du/dnu = 0 on walls.
 
     K is the grid's space-form curvature.  Returns (u, report), u the
-    (Nr, Nt) array of cell values.  Failure to meet the residual tolerance
-    (singular or indefinite operator, e.g. large spherical caps) is reported,
-    not raised.
+    (Nr, Nt) array of cell values with a scaled residual of at most tol.
+    Failure to meet it (singular or indefinite operator, e.g. large
+    spherical caps) is reported, not raised.
 
     The separable part of the matrix (`_separable`) solves it: exactly at
-    eps = 0, and as the preconditioner of GMRES at eps != 0 (9-26 steps on
-    the benchmark's ladders, eps up to 0.24).  SuperLU factors it only when
-    that misses LINEAR_TOL.
+    eps = 0, where its residual is roundoff whatever tol, and as the
+    preconditioner of GMRES at eps != 0 (6-18 steps at tol = 1e-8 on the
+    benchmark's ladders, eps up to 0.24).  SuperLU factors it only when
+    that misses tol.
     """
     A = _operator_matrix(grid, N, grid.cone.space_form.curvature)(np.ones((grid.Nr, grid.Nt)))
     b = -np.ones(grid.n_cells)
-    solved = _linear_solve(A, b, _separable(grid, A.bands)) or _linear_solve(A, b, _factor(A))
-    if solved is None:
-        x, res = np.zeros(grid.n_cells), float("inf")
-        message = (f"linear solve produced non-finite values or missed {LINEAR_TOL:.0e}"
-                   " (operator indefinite or singular)")
-    else:
-        x, res = solved
-        message = "" if res <= tol else f"residual {res:.3e} above tolerance {tol:.1e}"
+    solved = _linear_solve(A, b, _separable(grid, A.bands), tol) or _linear_solve(A, b, _factor(A), tol)
+    x, res = solved or (np.zeros(grid.n_cells), float("inf"))
+    message = "" if solved else (f"linear solve produced non-finite values or missed {tol:.1e}"
+                                 " (operator indefinite or singular)")
     report = SolveReport(iterations=1, final_residual=res, converged=not message, message=message)
     return x.reshape(grid.Nr, grid.Nt), report
 
@@ -692,10 +705,10 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, star
                     return result(res, f"Picard stalled at epsilon={eps} (omega={omega})")
             total_iters += 1
             step_tol = max(LINEAR_TOL, FORCING * res)
-            solved = None if missed else _linear_solve(A, b, _separable(grid, A.bands), u.ravel(), tol=step_tol)
+            solved = None if missed else _linear_solve(A, b, _separable(grid, A.bands), step_tol, u.ravel())
             if solved is None:
                 missed = True
-                solved = _linear_solve(A, b, _factor(A), tol=step_tol)
+                solved = _linear_solve(A, b, _factor(A), step_tol)
             if solved is None:
                 return result(float("inf"), f"linear stage solve failed at epsilon={eps}")
             x = solved[0].reshape(grid.Nr, grid.Nt)

@@ -232,10 +232,10 @@ def _count_factorizations(monkeypatch) -> list:
 )
 def test_linear_scan_factors_nothing(monkeypatch, grid, ladder):
     # the eps = 0 rung is the separable solve and every later rung GMRES on
-    # it, with no SuperLU factor; the rows match rungs each solved by its own
-    # factor; the top rung at 0.24 takes 25 GMRES steps, more than a cycle of
-    # 20 holds
-    cfg = ExperimentConfig(space_form="hyperbolic", epsilons=ladder, grids=[grid])
+    # it, with no SuperLU factor, even at a tol of 1e-13; the rows match
+    # rungs each solved by its own factor; at 32x32 the top rung at 0.24
+    # takes 18 GMRES steps (12 at the default tol of 1e-8)
+    cfg = ExperimentConfig(space_form="hyperbolic", epsilons=ladder, grids=[grid], tol=1e-13)
     calls = _count_factorizations(monkeypatch)
     rep = deviation_scan(cfg)
     assert calls == []
@@ -256,15 +256,32 @@ def test_linear_scan_factors_nothing(monkeypatch, grid, ladder):
 
 
 def test_linear_scan_factors_a_rung_gmres_cannot_serve(monkeypatch):
-    # the eps = 0 sector is too far from eps = 0.5 for one GMRES cycle: that
-    # rung alone gets a SuperLU factor, bit for bit the factored solve
+    # at a tol of 1e-13 the eps = 0 sector is too far from eps = 0.5 for one
+    # GMRES cycle: that rung alone gets a SuperLU factor, bit for bit the
+    # factored solve.  At the default 1e-8 one cycle serves it, with no factor
     cfg = ExperimentConfig(space_form="hyperbolic", epsilons=[0.0, 0.5], grids=["32x32"])
     calls = _count_factorizations(monkeypatch)
+    rep = deviation_scan(cfg)
+    assert calls == [] and all(row.converged for row in rep.rows)
+    cfg = dataclasses.replace(cfg, tol=1e-13)
     rep = deviation_scan(cfg)
     assert len(calls) == 1
     monkeypatch.setattr(solver, "_separable", lambda grid, A0: None)
     direct = deviation_scan(dataclasses.replace(cfg, epsilons=(0.5,))).rows[0]
     assert repr(rep.rows[1]) == repr(direct)
+
+
+def test_linear_ladder_verdicts_do_not_depend_on_a_tight_tolerance():
+    # rungs solved to the config's tol = 1e-8 give the verdicts, the pass
+    # rates and, within 1e-7 relative, the sigma of rungs solved to 1e-13
+    cfg = ExperimentConfig(space_form="hyperbolic", epsilons=[0.0, 0.06, 0.12, 0.24], grids=["64x64"])
+    rep = deviation_scan(cfg)
+    tight = deviation_scan(dataclasses.replace(cfg, tol=1e-13))
+    assert (rep.passed, rep.sigma_strictly_increasing) == (tight.passed, tight.sigma_strictly_increasing)
+    for row, ref in zip(rep.rows, tight.rows):
+        assert (row.epsilon, row.converged, row.audit_pass_rate) == (ref.epsilon, ref.converged, ref.audit_pass_rate)
+        assert row.sigma == pytest.approx(ref.sigma, rel=1e-7)
+    assert repr(rep.rows[0]) == repr(tight.rows[0])
 
 
 def test_convexity_contrast_runs_reflex_sector():

@@ -556,7 +556,8 @@ def test_inexact_steps_keep_the_picard_iterations(profile, n, eps, monkeypatch):
 
 def test_linear_solve_meets_the_tolerance_it_is_given(monkeypatch):
     # a looser tolerance stops GMRES sooner, above LINEAR_TOL but within it;
-    # the default, and every linear rung whatever FORCING, meets LINEAR_TOL
+    # a linear rung meets the tol it is given whatever FORCING: LINEAR_TOL
+    # when asked, and its default 1e-9 otherwise
     grid = build_grid(quarter(), 32, 32, BoundaryRadius(1.0, 0.1, 2))
     A = _operator_matrix(grid, 2, 0)(1.0 + 0.3 * np.random.default_rng(2).random((32, 32)))
     b = -np.ones(grid.n_cells)
@@ -565,11 +566,50 @@ def test_linear_solve_meets_the_tolerance_it_is_given(monkeypatch):
     for tol in (1e-4, 1e-8):
         x, res = _linear_solve(A, b, separable, tol=tol)
         assert LINEAR_TOL < res == _scaled_residual(A, x, b) <= tol
-    x, res = _linear_solve(A, b, separable)
+    x, res = _linear_solve(A, b, separable, LINEAR_TOL)
     assert res == _scaled_residual(A, x, b) <= LINEAR_TOL
     monkeypatch.setattr(solver, "FORCING", 1.0)
-    _, rep = solve_linear_spaceform(grid, 2)
+    _, rep = solve_linear_spaceform(grid, 2, tol=LINEAR_TOL)
     assert rep.converged and rep.final_residual <= LINEAR_TOL
+    _, rep = solve_linear_spaceform(grid, 2)
+    assert rep.converged and rep.final_residual <= 1e-9
+
+
+def _counting_separable_solves(monkeypatch) -> list:
+    """Count the `_Separable.solve` calls inside serrinlab.solver: the preconditioner solves."""
+    calls = []
+    real = solver._Separable.solve
+    monkeypatch.setattr(solver._Separable, "solve", lambda self, b: calls.append(1) or real(self, b))
+    return calls
+
+
+def test_perturbed_rung_stops_at_its_tolerance(monkeypatch):
+    # a perturbed hyperbolic rung at tol = 1e-8 stops above LINEAR_TOL, after
+    # fewer preconditioner solves than at LINEAR_TOL, and its u is within
+    # 1e-9 relative of the LINEAR_TOL solve's
+    grid = build_grid(quarter(HYPERBOLIC), 64, 64, BoundaryRadius(1.0, 0.1, 2))
+    calls = _counting_separable_solves(monkeypatch)
+    u, rep = solve_linear_spaceform(grid, 2, tol=1e-8)
+    assert rep.converged and LINEAR_TOL < rep.final_residual <= 1e-8
+    loose = len(calls)
+    calls.clear()
+    u_tight, rep_tight = solve_linear_spaceform(grid, 2, tol=LINEAR_TOL)
+    assert rep_tight.converged and rep_tight.final_residual <= LINEAR_TOL
+    assert 0 < loose < len(calls), (loose, len(calls))
+    assert np.max(np.abs(u - u_tight)) <= 1e-9 * np.max(np.abs(u_tight))
+
+
+@pytest.mark.parametrize("sf", [EUCLIDEAN, HYPERBOLIC], ids=lambda s: s.name)
+def test_unperturbed_rung_is_the_same_at_any_tolerance(sf, monkeypatch):
+    # at eps = 0 the separable solve is exact up to roundoff: one
+    # preconditioner solve meets LINEAR_TOL, so a looser tol keeps every bit
+    grid = build_grid(quarter(sf), 64, 64)
+    calls = _counting_separable_solves(monkeypatch)
+    u, rep = solve_linear_spaceform(grid, 2, tol=1e-8)
+    u_tight, rep_tight = solve_linear_spaceform(grid, 2, tol=LINEAR_TOL)
+    assert len(calls) == 2 and rep.final_residual <= LINEAR_TOL
+    assert np.array_equal(u.view(np.int64), u_tight.view(np.int64))
+    assert rep.final_residual == rep_tight.final_residual and rep.converged and rep_tight.converged
 
 
 def test_p6_misses_the_separable_part_at_most_once_a_stage(monkeypatch):
@@ -638,7 +678,7 @@ def test_separable_part_preconditions_a_perturbed_matrix(cone, n, R0, eps, monke
     b = -np.ones(grid.n_cells)
     counting = _CountingSpla(solver.spla)
     monkeypatch.setattr(solver, "spla", counting)
-    x, res = _linear_solve(A, b, _separable(grid, A.bands))
+    x, res = _linear_solve(A, b, _separable(grid, A.bands), LINEAR_TOL)
     assert res == _scaled_residual(A, x, b) <= LINEAR_TOL
     assert counting.factorizations == 0
 
@@ -693,13 +733,13 @@ def test_sphere_cap_near_the_equator(R0, monkeypatch):
 
 
 def test_far_rung_falls_back_to_superlu(monkeypatch):
-    # GMRES on the separable part of the matrix cannot reach eps = 0.45 at
-    # 128^2 and alpha = pi/3 in one cycle (it serves eps = 0.35): that rung
-    # is factored, bit for bit the factored solve
+    # GMRES on the separable part of the matrix cannot reach LINEAR_TOL at
+    # eps = 0.45, 128^2 and alpha = pi/3 in one cycle (it serves eps = 0.35):
+    # that rung is factored, bit for bit the factored solve
     grid = build_grid(ConeSection(EUCLIDEAN, math.pi / 3), 128, 128, BoundaryRadius(1.0, 0.45, 2))
     counting = _CountingSpla(solver.spla)
     monkeypatch.setattr(solver, "spla", counting)
-    u, rep = solve_linear_spaceform(grid, 2)
+    u, rep = solve_linear_spaceform(grid, 2, tol=LINEAR_TOL)
     assert rep.converged and counting.factorizations == 1
     A = _operator_matrix(grid, 2, 0)(np.ones((128, 128)))
     b = -np.ones(grid.n_cells)
@@ -718,12 +758,12 @@ def test_stale_solve_refines_a_cycle_that_stops_early(monkeypatch):
     b = -np.ones(64 * 64)
     lu = _factor(_pi3_k2_matrix(0.0))
     A = _pi3_k2_matrix(0.059)
-    x, res = _linear_solve(A, b, lu)
+    x, res = _linear_solve(A, b, lu, LINEAR_TOL)
     assert res == _scaled_residual(A, x, b) <= LINEAR_TOL
     direct = _factor(A).solve(b)
     assert np.max(np.abs(x - direct)) <= 1e-10 * np.max(np.abs(direct))
     monkeypatch.setattr(solver, "REFINE_CYCLES", 0)
-    assert _linear_solve(A, b, lu) is None
+    assert _linear_solve(A, b, lu, LINEAR_TOL) is None
 
 
 def test_linear_solve_refines_or_rejects_its_start():
@@ -736,14 +776,14 @@ def test_linear_solve_refines_or_rejects_its_start():
     b = -np.ones(grid.n_cells)
     A = matrix(1.0 + 0.2 * rng.random((32, 32)))
     lu = _factor(A)
-    x, res = _linear_solve(A, b, lu)
+    x, res = _linear_solve(A, b, lu, LINEAR_TOL)
     assert np.array_equal(x, lu.solve(b)) and res == _scaled_residual(A, x, b)
     near = _factor(matrix(np.ones((32, 32))))
     assert _scaled_residual(A, near.solve(b), b) > LINEAR_TOL
-    x, res = _linear_solve(A, b, near)
+    x, res = _linear_solve(A, b, near, LINEAR_TOL)
     assert res == _scaled_residual(A, x, b) <= LINEAR_TOL
     far = matrix(1.0 + 99.0 * rng.random((32, 32)))
-    assert _linear_solve(far, b, near) is None
+    assert _linear_solve(far, b, near, LINEAR_TOL) is None
 
 
 def test_gmres_meets_linear_tol_or_rejects(monkeypatch):
@@ -767,12 +807,12 @@ def test_gmres_meets_linear_tol_or_rejects(monkeypatch):
         assert early and np.linalg.norm(lu.solve(r - A @ dx)) <= 1.01e-8 * np.linalg.norm(lu.solve(r))
 
     def meets_linear_tol(A):
-        x, res = _linear_solve(A, b, lu)
+        x, res = _linear_solve(A, b, lu, LINEAR_TOL)
         direct = _factor(A).solve(b)
         return res == _scaled_residual(A, x, b) <= LINEAR_TOL and np.max(np.abs(x - direct)) <= 1e-10 * np.max(np.abs(direct))
 
     assert meets_linear_tol(near)
-    assert _linear_solve(far, b, lu) is None
+    assert _linear_solve(far, b, lu, LINEAR_TOL) is None
     monkeypatch.setattr(solver, "GMRES_RESTART", 2 * solver.GMRES_RESTART)
     assert meets_linear_tol(far)
 
@@ -827,14 +867,15 @@ def test_cross_stencils_are_the_cell_derivatives(shape):
     "solve, message",
     [
         (lambda grid: solve_Lf(grid, P3), "linear stage solve failed at epsilon=0.1"),
-        (lambda grid: solve_linear_spaceform(grid, 2), "missed 1e-13"),
+        (lambda grid: solve_linear_spaceform(grid, 2, tol=1e-10), "missed 1.0e-10"),
     ],
     ids=["solve_Lf", "solve_linear_spaceform"],
 )
 def test_fresh_factor_is_checked(solve, message, monkeypatch):
     # a factor of the wrong matrix solves nothing here: its solution misses
-    # LINEAR_TOL and one GMRES cycle cannot refine it, so the solve fails on
-    # its first step instead of taking that solution
+    # the solve's tolerance and one GMRES cycle cannot refine it, so the
+    # solve fails on its first step instead of taking that solution, and
+    # says which tolerance it missed
     _no_separable(monkeypatch)
     monkeypatch.setattr(solver, "_factor", lambda A: _factor(sp.identity(A.shape[0], format="csc")))
     _, rep = solve(build_grid(quarter(), 16, 16))

@@ -32,10 +32,10 @@ from its predecessors' secant predictor, so the p = 6 scan converges on every
 rung and exits 0, where solved rung by rung from the cold start its eps = 0.2
 rung stalled and it exited 3), the hyperbolic scan at 256x256 over
 [0, 0.06, 0.12, 0.24] (the linear ladders solve their perturbed rungs by
-GMRES preconditioned by the separable part of the rung's own matrix; these
-two take its longest cycles, 19 steps), convergence 16-32-64 for
-p = 3 and hyperbolic, solve plus audit at 48x48 and eps = 0.1 for p = 1.5,
-p = 3 and mean-curvature, solve plus pfunction at eps = 0.1 for hyperbolic
+GMRES preconditioned by the separable part of the rung's own matrix, to the
+config's tol = 1e-8; its top rung takes 12 steps, 19 at 1e-13),
+convergence 16-32-64 for p = 3 and hyperbolic, solve plus audit at 48x48 and
+eps = 0.1 for p = 1.5, p = 3 and mean-curvature, solve plus pfunction at eps = 0.1 for hyperbolic
 64x64 and sphere 48x48, solve p = 6 at 16x16, solve mean-curvature at 32x32
 past its slope bound sup f' = 1 (R0 = 1.9 with eps = 0.1, where max R/N > 1
 but |Omega|/|Gamma_0| < 1, so a solution exists and the solve converges; and
