@@ -9,6 +9,7 @@ with no solver in the loop.  Exit codes: 0 all audits pass, 2 audit failures,
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 import time
@@ -49,7 +50,14 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_CONFIG = 4
 
 
-def _load_config(args) -> ExperimentConfig:
+def _load_config(args, epsilons: str = "any") -> ExperimentConfig:
+    """The run's config: the config file, if any, under the flags given.
+
+    epsilons is what the subcommand can honour of the epsilons the user
+    gives: "any", "one" (it solves one grid) or "zero" (it studies the
+    unperturbed sector); more is a ConfigError.  The default ladder is not
+    given, and a subcommand that solves one grid takes its first value.
+    """
     overrides = {}
     for key in ("space_form", "profile", "alpha", "R0", "k", "tol", "out_dir"):
         val = getattr(args, key, None)
@@ -59,12 +67,21 @@ def _load_config(args) -> ExperimentConfig:
         overrides["epsilons"] = [args.eps]
     if getattr(args, "grid", None) is not None:
         overrides["grids"] = [args.grid]
+    given = "epsilons" in overrides
     if args.config:
-        base = parse_config(Path(args.config).read_text(encoding="utf-8"))
+        text = Path(args.config).read_text(encoding="utf-8")
+        cfg = parse_config(text)
+        given = given or not {"epsilon", "epsilons"}.isdisjoint(json.loads(text))
         if overrides:
-            base = ExperimentConfig.from_dict({**base.to_dict(), **overrides})
-        return base
-    return ExperimentConfig.from_dict(overrides)
+            cfg = ExperimentConfig.from_dict({**cfg.to_dict(), **overrides})
+    else:
+        cfg = ExperimentConfig.from_dict(overrides)
+    if given and epsilons == "one" and len(cfg.epsilons) > 1:
+        raise ConfigError(f"{args.command} solves one grid: epsilons takes one value, got {list(cfg.epsilons)}")
+    if given and epsilons == "zero" and any(cfg.epsilons):
+        raise ConfigError(f"{args.command} studies the unperturbed sector: epsilons takes only 0, "
+                          f"got {list(cfg.epsilons)}")
+    return cfg
 
 
 def _grid_from_config(cfg: ExperimentConfig):
@@ -200,7 +217,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, epsilons="one")
     t0 = time.perf_counter()
     grid = _grid_from_config(cfg)
     u, report = solve_Lf(grid, profile_from_id(cfg.profile), tol=cfg.tol)
@@ -209,7 +226,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, epsilons="one")
     if cfg.space_form != "euclidean":
         raise ConfigError("identity audits are Euclidean; use the pfunction subcommand for space forms")
     t0 = time.perf_counter()
@@ -227,7 +244,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_pfunction(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, epsilons="one")
     t0 = time.perf_counter()
     grid = _grid_from_config(cfg)
     u = _read_solution_csv(args.solution, grid)
@@ -255,7 +272,7 @@ def _cmd_rigidity(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, epsilons="zero")
     t0 = time.perf_counter()
     rows = convergence_study(cfg)
     header = ["grid", "h", "err_inf", "err_l2", "order_inf", "order_l2"]

@@ -193,7 +193,8 @@ def _flux_terms(grid: SectorGrid):
     Per axis: the face difference and, at eps != 0, the cross derivative
     (`_half_difference`).  The spacings sit in w: a constant has zero flux.
     Each stencil is a `_Stencil`, which keeps the runs the fill and the
-    probe find on it.
+    probe find on it.  The cell volumes V stay beside inv_volume, as .volume
+    (`_FluxTerms`): the volume ratio of the separable part reads them.
     """
     if grid in _FLUX_TERMS:
         return _FLUX_TERMS[grid]
@@ -221,8 +222,22 @@ def _flux_terms(grid: SectorGrid):
         terms.append((1, Gt * (-beta_t / (h_t * h_t)), _half_difference(Nr, "one-sided", "dirichlet"),
                       {0: 0.5, 1: 0.5}))
     terms = [(axis, w, *map(_Stencil, stencils)) for axis, w, *stencils in terms]
-    _FLUX_TERMS[grid] = 1.0 / cell_volumes(grid), terms
+    _FLUX_TERMS[grid] = _FluxTerms(cell_volumes(grid), terms)
     return _FLUX_TERMS[grid]
+
+
+class _FluxTerms(tuple):
+    """The pair (inv_volume, terms) of `_flux_terms`, with the cell volumes V it divides by as .volume."""
+
+    def __new__(cls, volume: np.ndarray, terms: list):
+        # V and 1 / V in one block: as two arrays, the second one fragmented the
+        # heap of a rigidity pass, whose 256^2 rungs then peaked 7 MB higher
+        both = np.empty((2,) + volume.shape)
+        both[0] = volume
+        np.divide(1.0, volume, out=both[1])
+        self = super().__new__(cls, (both[1], terms))
+        self.volume = both[0]
+        return self
 
 
 class _Stencil(dict):
@@ -275,6 +290,15 @@ def _operator_matrix(grid: SectorGrid, N: int, K: int):
     [G_1; ..; G_m] (+ N K I), the last term first and the upper face first,
     so A(a) is that product bit for bit once the CSR conversion has sorted
     each row and dropped exact zeros.  A.bands are read off the rows (`_Bands`).
+
+    A first fill converts, frees its diagonals and copies the matrix down to
+    nnz, so that a linear rung, which fills once, peaks as low as it can.
+    Its matrix's indices and indptr, made read-only, are the layout of every
+    later fill, which zeroes one array of diagonals in place and gathers
+    the layout's entries from it.  When that array holds no nonzero outside
+    them, the gather is the conversion's matrix: exact zeros are dropped by
+    mask and the index arrays are shared.  Otherwise the fill converts, and
+    its matrix is the new layout.
     """
     inv_volume, terms = _flux_terms(grid)
     shape = (grid.Nr, grid.Nt)
@@ -301,14 +325,48 @@ def _operator_matrix(grid: SectorGrid, N: int, K: int):
     pad = -delta.min()
     width = n + delta.max() + pad
     starts = [(o, pad + k * width + d) for k, (o, d) in enumerate(zip(offsets, delta.tolist()))]
+    # entry (i, j) of diagonal d = j - i sits at row_at[d + pad] + j
+    row_at = np.zeros(delta.max() + pad + 1, dtype=np.intp)
+    row_at[delta + pad] = pad + width * np.arange(len(offsets))
     ratio = _volume_ratio(grid)
+    diagonals = None  # the array of diagonals of every fill after the first
+    layout = None  # [indices, indptr, each entry's position in the diagonals] of the last conversion
+
+    def gathered(flat):
+        # A(a) on the layout, or None if flat holds a nonzero outside it
+        indices, indptr, positions = layout
+        if positions is None:  # each entry's row i, then row_at[j - i + pad] + j
+            positions = np.repeat(np.arange(n), np.diff(indptr))
+            np.subtract(indices, positions, out=positions)
+            positions += pad
+            positions = layout[2] = row_at[positions]
+            positions += indices
+        # counted on != 0, as count_nonzero counts (NaN in, -0.0 out), and 4x faster on floats
+        nonzero = np.count_nonzero(flat != 0)
+        data = flat[positions]
+        kept = data != 0
+        if np.count_nonzero(kept) < nonzero:
+            return None
+        if nonzero < len(data):  # the conversion drops exact zeros
+            indptr = np.r_[0, np.cumsum(kept)][indptr].astype(indptr.dtype)
+            data, indices = data[kept], indices[kept]
+        A = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        A.has_canonical_format = True
+        return A
 
     def matrix(a: np.ndarray):
+        nonlocal diagonals, layout
         # a on the faces: the mean of the two cells, and a[-1] on Gamma_0
         average = [np.concatenate([0.5 * a[:-1] + 0.5 * a[1:], a[-1:]]), 0.5 * a[:, :-1] + 0.5 * a[:, 1:]]
         c = [w * average[axis] for axis, w, *_ in terms]
         del average
-        flat = np.zeros(pad + len(offsets) * width)
+        if diagonals is not None:
+            flat = diagonals
+            flat.fill(0.0)
+        elif layout is None:  # a first fill, whose diagonals go before the copy down
+            flat = np.zeros(pad + len(offsets) * width)
+        else:
+            flat = diagonals = np.zeros(pad + len(offsets) * width)
         sums = {o: flat[at : at + n].reshape(shape) for o, at in starts}
         for b, signed_inv, faces, events in groups:
             flux = signed_inv * c[b][faces]
@@ -318,12 +376,16 @@ def _operator_matrix(grid: SectorGrid, N: int, K: int):
         if shift:
             sums[0, 0] += shift
         bands = _Bands.of(ratio, lambda p, q: sums[p, q])
-        A = sp.dia_matrix((flat[pad:].reshape(len(offsets), width), delta), shape=(n, n)).tocsr()
-        del flat, sums
-        if A.data.base is not None and A.data.base.size > A.nnz:
-            # the conversion's buffers hold a slot for every stored diagonal entry:
-            # copy the entries down to nnz, once the diagonals are freed
-            A.data, A.indices = A.data.copy(), A.indices.copy()
+        A = None if layout is None else gathered(flat)
+        if A is None:
+            A = sp.dia_matrix((flat[pad:].reshape(len(offsets), width), delta), shape=(n, n)).tocsr()
+            del flat, sums
+            if A.data.base is not None and A.data.base.size > A.nnz:
+                # the conversion's buffers hold a slot for every stored diagonal entry:
+                # copy the entries down to nnz, once the diagonals are freed
+                A.data, A.indices = A.data.copy(), A.indices.copy()
+            A.indices.flags.writeable = A.indptr.flags.writeable = False
+            layout = [A.indices, A.indptr, None]
         A.bands = bands
         return A
 
@@ -382,7 +444,7 @@ def _cosine_basis(Nt: int) -> np.ndarray:
 
 def _volume_ratio(grid: SectorGrid) -> np.ndarray:
     """Each cell's volume over the volume of its ring's cell in column 0, V / V[:, :1]."""
-    V = cell_volumes(grid)
+    V = _flux_terms(grid).volume
     return V / V[:, :1]
 
 
@@ -613,9 +675,14 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, star
     type-II Anderson acceleration (Walker & Ni 2011) over the last
     ANDERSON_WINDOW iterations: with f_k = x - u_k, u_{k+1} = g_k - dG gamma,
     where gamma minimizes ||f_k - dF gamma||_2 over the differences dF, dG of
-    successive f and g.  omega is 1 for 2 <= p <= 3 and 0.5 otherwise.  If
-    the scaled residual stops improving, omega is halved once and the mixing
-    history is cleared; a second stall ends the solve with converged=False.
+    successive f and g, each kept as its step produces it.  omega is 1 for
+    2 <= p <= 3 and 0.5 otherwise.  If the scaled residual stops improving,
+    omega is halved once and the mixing history is cleared; a second stall
+    ends the solve with converged=False.  Each iterate's speed |grad u| is
+    computed once: the check that ends a stage and the next stage's first
+    fill read the same one.  The fills of one solve share one operator
+    (`_operator_matrix`), which reuses its array of diagonals and the CSR
+    layout of its first matrix.
 
     No solution exists once |Omega|/|Gamma_0| reaches profile.slope_sup:
     the divergence theorem gives |Omega| = int_{Gamma_0} V.nu with
@@ -656,10 +723,6 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, star
         u = start
         stages = SCHEDULE[-1:]
 
-    def speed(v):
-        vr, vt = metric_gradient(grid, v, kind="solution")
-        return np.hypot(vr, vt)
-
     matrix = _operator_matrix(grid, N, K)
     b = -np.ones(grid.n_cells)
     total_iters = 0
@@ -674,18 +737,23 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, star
                                     f"slope bound {profile.slope_sup:g} of {profile.name}")
     halved = False
     res = float("inf")
+    speed = None  # |grad u| of the iterate u
     for stage, eps in enumerate(stages):
         reg = regularize(profile, eps)
         stage_tol = tol if stage == len(stages) - 1 else max(tol, 1e-2 * eps)
         best = float("inf")
         no_improvement = 0
         stage_done = False
-        # Anderson history: the last ANDERSON_WINDOW + 1 residuals f and damped steps g
-        hist_f = deque(maxlen=ANDERSON_WINDOW + 1)
-        hist_g = deque(maxlen=ANDERSON_WINDOW + 1)
+        # Anderson history: the last residual f and damped step g, and the
+        # last ANDERSON_WINDOW differences of successive ones
+        last = None
+        diff_f = deque(maxlen=ANDERSON_WINDOW)
+        diff_g = deque(maxlen=ANDERSON_WINDOW)
         missed = False  # the separable part missed a step of this stage
         for _ in range(MAX_ITERS):
-            A = matrix(reg.coefficient(speed(u)))
+            if speed is None:  # once per iterate: a stage's last check and the next stage's first fill share it
+                speed = np.hypot(*metric_gradient(grid, u, kind="solution"))
+            A = matrix(reg.coefficient(speed))
             res = _scaled_residual(A, u.ravel(), b)
             if res <= stage_tol:
                 stage_done = True
@@ -699,8 +767,9 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, star
                     omega *= 0.5
                     halved = True
                     no_improvement = 0
-                    hist_f.clear()
-                    hist_g.clear()
+                    last = None
+                    diff_f.clear()
+                    diff_g.clear()
                 else:
                     return result(res, f"Picard stalled at epsilon={eps} (omega={omega})")
             total_iters += 1
@@ -713,14 +782,15 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, star
                 return result(float("inf"), f"linear stage solve failed at epsilon={eps}")
             x = solved[0].reshape(grid.Nr, grid.Nt)
             g = (1.0 - omega) * u + omega * x
-            hist_f.append((x - u).ravel())
-            hist_g.append(g.ravel())
-            if len(hist_f) > 1:
-                dF = np.diff(hist_f, axis=0).T
-                dG = np.diff(hist_g, axis=0).T
-                gamma = np.linalg.lstsq(dF, hist_f[-1], rcond=None)[0]
-                g = g - (dG @ gamma).reshape(grid.Nr, grid.Nt)
-            u = g
+            f = (x - u).ravel()
+            if last is not None:
+                diff_f.append(f - last[0])
+                diff_g.append(g.ravel() - last[1])
+            last = f, g.ravel()
+            if diff_f:
+                gamma = np.linalg.lstsq(np.array(diff_f).T, f, rcond=None)[0]
+                g = g - (np.array(diff_g).T @ gamma).reshape(grid.Nr, grid.Nt)
+            u, speed = g, None
         if not stage_done and stage == len(stages) - 1:
             return result(res, f"iteration cap {MAX_ITERS} hit at epsilon={eps}")
     return result(res)

@@ -179,24 +179,42 @@ def test_convergence_subcommand(tmp_path):
     assert len(lines) == 4
 
 
-def test_epsilon_rules(tmp_path):
-    # convergence always studies the unperturbed sector, and solve takes the
-    # first epsilon of the list; the manifest records the list as given
-    def run(subcommand, name, epsilons, grids):
-        cfg = write_config(tmp_path, epsilons=epsilons, grids=grids, out_dir=str(tmp_path / name))
-        assert cli.main([subcommand, "--config", str(cfg)]) == 0
-        manifest = json.loads((tmp_path / name / f"{subcommand}.manifest.json").read_text())
-        assert manifest["config"]["epsilons"] == epsilons
-        return tmp_path / name
+def test_epsilon_rules(tmp_path, capsys):
+    # convergence studies the unperturbed sector and takes only eps = 0; solve,
+    # audit and pfunction solve one grid and take one epsilon.  What a
+    # subcommand cannot honour is a config error that names epsilons and
+    # writes nothing; the default ladder is not given, and the manifest
+    # records the list as given
+    def run(subcommand, name, epsilons, grids, extra=()):
+        out = tmp_path / name
+        cfg = write_config(tmp_path, epsilons=epsilons, grids=grids, out_dir=str(out))
+        code = cli.main([subcommand, "--config", str(cfg), *extra])
+        if code == cli.EXIT_CONFIG:
+            assert "epsilons" in capsys.readouterr().err and not out.exists(), name
+        else:
+            manifest = json.loads((out / f"{subcommand}.manifest.json").read_text())
+            assert manifest["config"]["epsilons"] == epsilons, name
+        return code
 
     grids = ["8x8", "16x16", "32x32"]
-    conv_01, conv_0 = (run("convergence", f"conv{e}", [e], grids) / "convergence_report.csv" for e in (0.1, 0.0))
-    assert conv_01.read_bytes() == conv_0.read_bytes()
-    sol_pair, sol_first = (run("solve", name, e, ["8x8"]) / "solution.csv"
-                           for name, e in (("pair", [0.1, 0.2]), ("first", [0.1])))
-    assert sol_pair.read_bytes() == sol_first.read_bytes()
-    sol_0 = run("solve", "zero", [0.0], ["8x8"]) / "solution.csv"
-    assert sol_pair.read_bytes() != sol_0.read_bytes()
+    assert run("convergence", "conv0", [0.0], grids) == 0
+    assert run("convergence", "conv0.1", [0.1], grids) == cli.EXIT_CONFIG
+    assert run("convergence", "conv-ladder", [0.0, 0.1], grids) == cli.EXIT_CONFIG
+    assert run("solve", "first", [0.1], ["8x8"]) == 0
+    assert run("solve", "zero", [0.0], ["8x8"]) == 0
+    assert (tmp_path / "first" / "solution.csv").read_bytes() != (tmp_path / "zero" / "solution.csv").read_bytes()
+    solution = ["--solution", str(tmp_path / "first" / "solution.csv")]
+    assert run("audit", "audit", [0.1], ["8x8"], solution) == 0
+    for subcommand, extra in (("solve", ()), ("audit", solution), ("pfunction", solution)):
+        assert run(subcommand, f"{subcommand}-pair", [0.1, 0.2], ["8x8"], extra) == cli.EXIT_CONFIG
+    # the flag is one value, whatever the config lists
+    cfg = write_config(tmp_path, epsilons=[0.1, 0.2], grids=["8x8"], out_dir=str(tmp_path / "flag"))
+    assert cli.main(["solve", "--config", str(cfg), "--eps", "0.1"]) == 0
+    assert (tmp_path / "flag" / "solution.csv").read_bytes() == (tmp_path / "first" / "solution.csv").read_bytes()
+    for subcommand, data in (("solve", {"grid": "8x8"}), ("convergence", {"grids": grids})):
+        path = tmp_path / f"default-{subcommand}.json"
+        path.write_text(json.dumps({**data, "out_dir": str(tmp_path / f"default-{subcommand}")}))
+        assert cli.main([subcommand, "--config", str(path)]) == 0
 
 
 def _loaded_by_cli_import(module: str) -> bool:

@@ -175,6 +175,76 @@ def test_band_expansion_memory_peak():
         assert part.base is None or part.base.size == A.nnz, (part.base.size, A.nnz)
 
 
+def test_refills_are_the_conversion_bit_for_bit():
+    # every fill of one operator is a fresh operator's fill of the same a, and
+    # the product's.  A first fill with a zeroed on some columns drops
+    # entries; a = 1 then has entries outside that layout and converts again;
+    # a generic field shares the new layout's index arrays, and one with
+    # exact zeros inside it drops them by mask
+    grid = build_grid(ConeSection(HYPERBOLIC, math.pi / 2), 12, 10, BoundaryRadius(1.0, 0.1, 2))
+    fields = coefficient_fields((12, 10), np.random.default_rng(11))
+    blocked = np.ones((12, 10))
+    blocked[:, 4:7] = 0.0
+    sequence = [("blocked", blocked, "converted"), ("one", fields["one"], "converted"),
+                ("U(0.01,50)", fields["U(0.01,50)"], "shared"), ("zero-block", fields["zero-block"], "compressed"),
+                ("log-uniform", fields["log-uniform"], "shared")]
+    for K in (0, -1):
+        matrix, layout = _operator_matrix(grid, 2, K), None
+        for name, a, path in sequence:
+            got = matrix(a)
+            assert_same_matrix(got, _operator_matrix(grid, 2, K)(a), name)
+            assert_same_matrix(got, kronecker_product_matrix(grid, 2, K, a), name)
+            shared = layout is not None and np.shares_memory(got.indices, layout.indices)
+            assert shared == (path == "shared") == (layout is not None and got.indptr is layout.indptr), name
+            assert (path == "compressed") == (layout is not None and got.nnz < layout.nnz), name
+            # a layout's index arrays are read-only; a compressed matrix owns its own
+            assert got.indices.flags.writeable == got.indptr.flags.writeable == (path == "compressed"), name
+            layout = got if path == "converted" else layout
+
+
+def test_shared_layout_stays_as_it_is():
+    # the index arrays every later fill shares are read-only, and the
+    # factor, the scaled residual and the product leave them unchanged
+    grid = build_grid(quarter(), 24, 20, BoundaryRadius(1.0, 0.1, 2))
+    rng = np.random.default_rng(2)
+    matrix = _operator_matrix(grid, 2, 0)
+    first = matrix(0.5 + rng.random((24, 20)))
+    A = matrix(0.5 + rng.random((24, 20)))
+    assert np.shares_memory(A.indices, first.indices) and A.indptr is first.indptr
+    indices, indptr = first.indices.copy(), first.indptr.copy()
+    x, b = rng.standard_normal(grid.n_cells), -np.ones(grid.n_cells)
+    _factor(A).solve(b)
+    _scaled_residual(A, x, b)
+    A @ x
+    for shared, before in ((A.indices, indices), (A.indptr, indptr), (first.indices, indices)):
+        assert not shared.flags.writeable and np.array_equal(shared, before)
+        with pytest.raises(ValueError):
+            shared[0] = 1
+
+
+def test_refill_memory_peak():
+    # on the hyperbolic 256^2 matrix at eps = 0.1, with the previous matrix
+    # still held as a Picard step holds it, a second fill (which finds the
+    # layout's positions) peaks below the first fill, whose peak
+    # test_band_expansion_memory_peak caps, and a third one below the bytes
+    # of the matrix itself (every fill converted: 2.4x them)
+    grid = build_grid(ConeSection(HYPERBOLIC, math.pi / 2), 256, 256, BoundaryRadius(1.0, 0.1, 2))
+    matrix = _operator_matrix(grid, 2, -1)
+    fields = [np.full((256, 256), value) for value in (1.0, 2.0, 3.0)]
+    peaks = []
+    tracemalloc.start()
+    try:
+        for a in fields:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            A = matrix(a)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+    finally:
+        tracemalloc.stop()
+    size = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    assert peaks[1] < peaks[0] and peaks[2] < size, (peaks, size)
+
+
 @pytest.mark.parametrize("shape", [(8, 8), (16, 40), (40, 16), (1, 1), (3, 7)], ids=lambda s: "%dx%d" % s)
 def test_dilation_matches_binary_dilation(shape):
     from scipy.ndimage import binary_dilation  # the oracle only; the package does without scipy.ndimage
@@ -715,6 +785,16 @@ def test_each_solve_builds_one_operator_and_fills_it_once_a_step(monkeypatch):
     assert counts == {"operators": 1, "fills": rep.iterations + len(solver.SCHEDULE)}
 
 
+def test_each_iterate_takes_one_speed_field(monkeypatch):
+    # the check that ends a stage and the next stage's first fill read the
+    # same iterate, and its gradient once: one per Picard step, plus the start
+    calls = []
+    real = solver.metric_gradient
+    monkeypatch.setattr(solver, "metric_gradient", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    _, rep = solve_Lf(build_grid(quarter(), 32, 32), make_power_profile(1.5))
+    assert rep.converged and len(calls) == rep.iterations + 1
+
+
 @pytest.mark.parametrize("R0", [1.55, 1.57])
 def test_sphere_cap_near_the_equator(R0, monkeypatch):
     # Delta + N K nears resonance as R0 -> pi/2; the separable solve still
@@ -847,6 +927,21 @@ def test_each_grid_builds_its_operator_once(monkeypatch):
     del grid, operator
     gc.collect()
     assert gone() is None
+
+
+def test_each_grid_computes_its_cell_volumes_once(monkeypatch):
+    # the volume ratio of every operator on a grid reads the volumes its
+    # flux terms divide by, bit for bit, and they are computed once
+    calls = []
+    real = solver.cell_volumes
+    monkeypatch.setattr(solver, "cell_volumes", lambda grid: calls.append(1) or real(grid))
+    grid = build_grid(quarter(HYPERBOLIC), 16, 12, BoundaryRadius(1.0, 0.1, 2))
+    for _ in range(2):
+        _operator_matrix(grid, 2, -1)(np.ones((16, 12)))
+    V = real(grid)
+    assert len(calls) == 1 and np.array_equal(_flux_terms(grid).volume, V)
+    assert np.array_equal(_volume_ratio(grid), V / V[:, :1])
+    assert np.array_equal(_flux_terms(grid)[0], 1.0 / V)
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (24, 20), (16, 40)], ids=lambda s: "%dx%d" % s)
