@@ -14,6 +14,7 @@ import math
 import sys
 import time
 import warnings
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +298,7 @@ def _add_config_flags(p, with_eps_grid=True):
         p.add_argument("--grid")
 
 
+@cache  # once per process: parse_args keeps nothing of one call for the next
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="serrinlab",

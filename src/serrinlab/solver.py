@@ -278,27 +278,21 @@ def _apply_stencil(stencil: _Stencil, x: np.ndarray, axis: int, rows: int) -> np
 
 
 def _operator_matrix(grid: SectorGrid, N: int, K: int):
-    """Return a -> A(a), the CSR matrix of div(a grad u) + N K u on the grid.
+    """Return a -> A(a), the DIA matrix of div(a grad u) + N K u on the grid.
 
     A flux term (`_flux_terms`) enters a cell's row through its upper face
     (+1) and its lower face (-1).  Each pair of stencil diagonals, on the
     cells where both are nonzero (`_Stencil.runs`), adds (inv_volume * +-1) *
     (w * face_avg(a)) * radial * angular to the row of its offset (p, q) in
-    one zeroed array of diagonals, at column i + p Nt + q for matrix row i
-    as scipy's DIA format keeps it; N K goes on the centre.  The sums run in
-    the order of the sparse product diag(inv_volume) [D_1 .. D_m] diag(c)
+    a fresh zeroed array of diagonals, at column i + p Nt + q for matrix row
+    i as scipy's DIA format keeps it; N K goes on the centre.  The sums run
+    in the order of the sparse product diag(inv_volume) [D_1 .. D_m] diag(c)
     [G_1; ..; G_m] (+ N K I), the last term first and the upper face first,
-    so A(a) is that product bit for bit once the CSR conversion has sorted
-    each row and dropped exact zeros.  A.bands are read off the rows (`_Bands`).
-
-    A first fill converts, frees its diagonals and copies the matrix down to
-    nnz, so that a linear rung, which fills once, peaks as low as it can.
-    Its matrix's indices and indptr, made read-only, are the layout of every
-    later fill, which zeroes one array of diagonals in place and gathers
-    the layout's entries from it.  When that array holds no nonzero outside
-    them, the gather is the conversion's matrix: exact zeros are dropped by
-    mask and the index arrays are shared.  Otherwise the fill converts, and
-    its matrix is the new layout.
+    so A(a) holds that product's entries bit for bit, with exact zeros where
+    the product drops them.  Sorted as (p, q), with |q| <= 1 < Nt, the
+    offsets ascend in column, the order of each row's columns, and a stored
+    zero adds +-0 to a row's sum, so A @ x is the product's matrix-vector
+    product bit for bit.  A.bands are read off the rows (`_Bands`).
     """
     inv_volume, terms = _flux_terms(grid)
     shape = (grid.Nr, grid.Nt)
@@ -325,48 +319,14 @@ def _operator_matrix(grid: SectorGrid, N: int, K: int):
     pad = -delta.min()
     width = n + delta.max() + pad
     starts = [(o, pad + k * width + d) for k, (o, d) in enumerate(zip(offsets, delta.tolist()))]
-    # entry (i, j) of diagonal d = j - i sits at row_at[d + pad] + j
-    row_at = np.zeros(delta.max() + pad + 1, dtype=np.intp)
-    row_at[delta + pad] = pad + width * np.arange(len(offsets))
     ratio = _volume_ratio(grid)
-    diagonals = None  # the array of diagonals of every fill after the first
-    layout = None  # [indices, indptr, each entry's position in the diagonals] of the last conversion
-
-    def gathered(flat):
-        # A(a) on the layout, or None if flat holds a nonzero outside it
-        indices, indptr, positions = layout
-        if positions is None:  # each entry's row i, then row_at[j - i + pad] + j
-            positions = np.repeat(np.arange(n), np.diff(indptr))
-            np.subtract(indices, positions, out=positions)
-            positions += pad
-            positions = layout[2] = row_at[positions]
-            positions += indices
-        # counted on != 0, as count_nonzero counts (NaN in, -0.0 out), and 4x faster on floats
-        nonzero = np.count_nonzero(flat != 0)
-        data = flat[positions]
-        kept = data != 0
-        if np.count_nonzero(kept) < nonzero:
-            return None
-        if nonzero < len(data):  # the conversion drops exact zeros
-            indptr = np.r_[0, np.cumsum(kept)][indptr].astype(indptr.dtype)
-            data, indices = data[kept], indices[kept]
-        A = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-        A.has_canonical_format = True
-        return A
 
     def matrix(a: np.ndarray):
-        nonlocal diagonals, layout
         # a on the faces: the mean of the two cells, and a[-1] on Gamma_0
         average = [np.concatenate([0.5 * a[:-1] + 0.5 * a[1:], a[-1:]]), 0.5 * a[:, :-1] + 0.5 * a[:, 1:]]
         c = [w * average[axis] for axis, w, *_ in terms]
         del average
-        if diagonals is not None:
-            flat = diagonals
-            flat.fill(0.0)
-        elif layout is None:  # a first fill, whose diagonals go before the copy down
-            flat = np.zeros(pad + len(offsets) * width)
-        else:
-            flat = diagonals = np.zeros(pad + len(offsets) * width)
+        flat = np.zeros(pad + len(offsets) * width)
         sums = {o: flat[at : at + n].reshape(shape) for o, at in starts}
         for b, signed_inv, faces, events in groups:
             flux = signed_inv * c[b][faces]
@@ -375,18 +335,8 @@ def _operator_matrix(grid: SectorGrid, N: int, K: int):
         del c
         if shift:
             sums[0, 0] += shift
-        bands = _Bands.of(ratio, lambda p, q: sums[p, q])
-        A = None if layout is None else gathered(flat)
-        if A is None:
-            A = sp.dia_matrix((flat[pad:].reshape(len(offsets), width), delta), shape=(n, n)).tocsr()
-            del flat, sums
-            if A.data.base is not None and A.data.base.size > A.nnz:
-                # the conversion's buffers hold a slot for every stored diagonal entry:
-                # copy the entries down to nnz, once the diagonals are freed
-                A.data, A.indices = A.data.copy(), A.indices.copy()
-            A.indices.flags.writeable = A.indptr.flags.writeable = False
-            layout = [A.indices, A.indptr, None]
-        A.bands = bands
+        A = sp.dia_matrix((flat[pad:].reshape(len(offsets), width), delta), shape=(n, n))
+        A.bands = _Bands.of(ratio, lambda p, q: sums[p, q])
         return A
 
     return matrix
@@ -418,7 +368,8 @@ def _factor(A):
     ordering fills in less than SuperLU's default COLAMD.  Column panels of
     width 1 factored these matrices 10-25% faster than SuperLU's default width
     on a 2-core x86 VM (64^2 to 256^2), with less workspace.  A factor
-    serves the one solve it was built for and is dropped with it.
+    serves the one solve it was built for and is dropped with it.  The CSC
+    copy drops the exact zeros that A's diagonals store.
     """
     try:
         return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1)
@@ -621,8 +572,7 @@ def _scaled_residual(A, x, b) -> float:
     linear algebra and the Picard lag actually control.
     """
     r = np.abs(A @ x - b)
-    abs_A = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)  # shares A's index arrays
-    scale = abs_A @ np.abs(x) + np.abs(b)
+    scale = abs(A) @ np.abs(x) + np.abs(b)
     return float(np.max(r / scale))
 
 
@@ -681,8 +631,7 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, star
     ends the solve with converged=False.  Each iterate's speed |grad u| is
     computed once: the check that ends a stage and the next stage's first
     fill read the same one.  The fills of one solve share one operator
-    (`_operator_matrix`), which reuses its array of diagonals and the CSR
-    layout of its first matrix.
+    (`_operator_matrix`), which lays out its diagonals once.
 
     No solution exists once |Omega|/|Gamma_0| reaches profile.slope_sup:
     the divergence theorem gives |Omega| = int_{Gamma_0} V.nu with

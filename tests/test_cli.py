@@ -132,6 +132,20 @@ def test_oracle_prints_to_stdout(capsys):
     assert abs(float(out[1].split(",")[4]) - math.sqrt(0.5)) <= 1e-12
 
 
+def test_one_parser_parses_each_call_afresh(tmp_path, capsys):
+    # the parser is built once per process, and no subcommand or flag of one call carries over to the next
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["oracle", "--samples", "3"]) == 0
+    alone = capsys.readouterr().out
+    argv = ["oracle", "--N", "3", "--profile", "p-laplacian:3", "--samples", "4", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert cli.main(["rigidity", "--space-form", "flat", "--grid", "8x8"]) == cli.EXIT_CONFIG
+    capsys.readouterr()
+    assert cli.main(["oracle", "--samples", "3"]) == 0
+    assert capsys.readouterr().out == alone
+    assert len(alone.splitlines()) == 4
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_oracle_rejects_sample_count_below_one(tmp_path, capsys, samples):
     # a header-only table is not a table of the oracle

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import shutil
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "outputs.py"
@@ -41,3 +42,27 @@ def test_against_lists_exit_codes_and_largest_changes(tmp_path):
     ]
     assert outputs.compare(before, before) == []
     assert outputs._change(1.0, float("nan")) == (math.inf, math.inf)
+
+
+def test_against_lists_commands_of_either_run_and_exits_1_on_a_move(tmp_path, monkeypatch):
+    # a command or report only BEFORE has is listed as one only AFTER has
+    # is, and main exits 1 when anything moved, 0 when nothing did
+    report = {"passed": True, "rows": [{"sigma": 1.0}]}
+    before = tmp_path / "before"
+    for name in ("gone", "same"):
+        _command(before, name, 0, report, [1.0, 2.0], {"timing_seconds": 1.0})
+
+    def run_same(out_dir, src):
+        _command(out_dir, "same", 0, report, [1.0, 2.0], {"timing_seconds": 2.0})
+        return 0
+
+    monkeypatch.setattr(outputs, "run_all", run_same)
+    after = tmp_path / "after"
+    assert outputs.main([str(after), "--against", str(before)]) == 1
+    assert outputs.compare(before, after) == [f"gone: not in {after}"]
+    assert outputs.compare(after, before) == [f"gone: not in {after}"]
+    shutil.rmtree(before / "gone")
+    (before / "same" / "out" / "extra.json").write_text("{}", encoding="utf-8")
+    assert outputs.compare(before, after) == [f"same/out/extra.json: not in {after}"]
+    (before / "same" / "out" / "extra.json").unlink()
+    assert outputs.main([str(tmp_path / "again"), "--against", str(before)]) == 0

@@ -118,15 +118,18 @@ def coefficient_fields(shape, rng):
 
 
 def assert_same_matrix(got, want, name=""):
-    """got has want's CSR arrays, entry bits included, and a residual leaves them as they are."""
-    assert got.has_canonical_format, name
-    assert np.array_equal(got.indptr, want.indptr), name
-    assert np.array_equal(got.indices, want.indices), name
-    assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64)), name
-    indices, data = got.indices.copy(), got.data.copy()
+    """got has want's CSR arrays, entry bits included; a factor, a residual and a product leave got as it is."""
+    csr, want = got.tocsr(), want.tocsr()
+    assert np.array_equal(csr.indptr, want.indptr), name
+    assert np.array_equal(csr.indices, want.indices), name
+    assert np.array_equal(csr.data.view(np.int64), want.data.view(np.int64)), name
+    data, offsets = got.data.copy(), got.offsets.copy()
     x = np.linspace(-1.0, 2.0, got.shape[0])
+    _factor(got)
     _scaled_residual(got, x, np.ones_like(x))
-    assert np.array_equal(got.indices, indices) and np.array_equal(got.data, data), name
+    got @ x
+    assert np.array_equal(got.data.view(np.int64), data.view(np.int64)), name
+    assert np.array_equal(got.offsets, offsets), name
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (24, 20), (16, 40)], ids=lambda s: "%dx%d" % s)
@@ -146,20 +149,21 @@ def test_band_expansion_is_the_kronecker_product_bit_for_bit(sf, alpha, eps, sha
 
 def test_band_expansion_drops_exact_zeros():
     # a vanishing coefficient leaves rows whose product entries are all exact
-    # zeros: they are dropped, and with N K != 0 the shift alone is left on the diagonal
+    # zeros: CSR drops them, and with N K != 0 the shift alone is left on the diagonal
     grid = build_grid(ConeSection(HYPERBOLIC, math.pi / 2), 12, 10, BoundaryRadius(1.0, 0.1, 2))
     a = np.ones((12, 10))
     a[:, 4:7] = 0.0
     for K in (0, -1):
         want, got = kronecker_product_matrix(grid, 2, K, a), _operator_matrix(grid, 2, K)(a)
-        assert got.nnz < 12 * 10 * 9
+        assert got.tocsr().nnz < 12 * 10 * 9
         assert_same_matrix(got, want, "K=%d" % K)
     assert np.array_equal(_operator_matrix(grid, 2, -1)(np.zeros((12, 10))).toarray(), -2.0 * np.eye(120))
 
 
 def test_band_expansion_memory_peak():
     # building and filling the hyperbolic 256^2 matrix at eps = 0.1 holds at
-    # most 3.5x the matrix's own bytes at its peak (the Kronecker product held 5.7x)
+    # most 3.5x the bytes of its diagonals at its peak (2.34x; the Kronecker
+    # product held 5.7x the bytes of its CSR matrix)
     grid = build_grid(ConeSection(HYPERBOLIC, math.pi / 2), 256, 256, BoundaryRadius(1.0, 0.1, 2))
     a = np.ones((256, 256))
     tracemalloc.start()
@@ -168,66 +172,61 @@ def test_band_expansion_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    size = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
-    assert peak <= 3.5 * size, (peak, size)
-    # the matrix holds no slack: entries and column indices are sized to nnz
-    for part in (A.data, A.indices):
-        assert part.base is None or part.base.size == A.nnz, (part.base.size, A.nnz)
+    assert peak <= 3.5 * A.data.nbytes, (peak, A.data.nbytes)
 
 
 def test_refills_are_the_conversion_bit_for_bit():
     # every fill of one operator is a fresh operator's fill of the same a, and
-    # the product's.  A first fill with a zeroed on some columns drops
-    # entries; a = 1 then has entries outside that layout and converts again;
-    # a generic field shares the new layout's index arrays, and one with
-    # exact zeros inside it drops them by mask
+    # the product's: a first fill with a zeroed on some columns, a = 1, which
+    # has entries where that one had exact zeros, then generic fields with
+    # and without exact zeros.  A matrix held across later fills keeps its entries
     grid = build_grid(ConeSection(HYPERBOLIC, math.pi / 2), 12, 10, BoundaryRadius(1.0, 0.1, 2))
     fields = coefficient_fields((12, 10), np.random.default_rng(11))
     blocked = np.ones((12, 10))
     blocked[:, 4:7] = 0.0
-    sequence = [("blocked", blocked, "converted"), ("one", fields["one"], "converted"),
-                ("U(0.01,50)", fields["U(0.01,50)"], "shared"), ("zero-block", fields["zero-block"], "compressed"),
-                ("log-uniform", fields["log-uniform"], "shared")]
+    sequence = [("blocked", blocked), ("one", fields["one"]), ("U(0.01,50)", fields["U(0.01,50)"]),
+                ("zero-block", fields["zero-block"]), ("log-uniform", fields["log-uniform"])]
     for K in (0, -1):
-        matrix, layout = _operator_matrix(grid, 2, K), None
-        for name, a, path in sequence:
+        matrix, held = _operator_matrix(grid, 2, K), []
+        for name, a in sequence:
             got = matrix(a)
             assert_same_matrix(got, _operator_matrix(grid, 2, K)(a), name)
             assert_same_matrix(got, kronecker_product_matrix(grid, 2, K, a), name)
-            shared = layout is not None and np.shares_memory(got.indices, layout.indices)
-            assert shared == (path == "shared") == (layout is not None and got.indptr is layout.indptr), name
-            assert (path == "compressed") == (layout is not None and got.nnz < layout.nnz), name
-            # a layout's index arrays are read-only; a compressed matrix owns its own
-            assert got.indices.flags.writeable == got.indptr.flags.writeable == (path == "compressed"), name
-            layout = got if path == "converted" else layout
+            held.append((name, got, got.data.copy()))
+        for name, got, data in held:
+            assert np.array_equal(got.data.view(np.int64), data.view(np.int64)), name
 
 
-def test_shared_layout_stays_as_it_is():
-    # the index arrays every later fill shares are read-only, and the
-    # factor, the scaled residual and the product leave them unchanged
-    grid = build_grid(quarter(), 24, 20, BoundaryRadius(1.0, 0.1, 2))
-    rng = np.random.default_rng(2)
-    matrix = _operator_matrix(grid, 2, 0)
-    first = matrix(0.5 + rng.random((24, 20)))
-    A = matrix(0.5 + rng.random((24, 20)))
-    assert np.shares_memory(A.indices, first.indices) and A.indptr is first.indptr
-    indices, indptr = first.indices.copy(), first.indptr.copy()
-    x, b = rng.standard_normal(grid.n_cells), -np.ones(grid.n_cells)
-    _factor(A).solve(b)
-    _scaled_residual(A, x, b)
-    A @ x
-    for shared, before in ((A.indices, indices), (A.indptr, indptr), (first.indices, indices)):
-        assert not shared.flags.writeable and np.array_equal(shared, before)
-        with pytest.raises(ValueError):
-            shared[0] = 1
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("sf", [EUCLIDEAN, HYPERBOLIC, SPHERE], ids=lambda s: s.name)
+def test_dia_operator_is_its_csr_bit_for_bit(sf, eps):
+    # the product, the scaled residual and the factor's solution on the DIA
+    # matrix are those on its CSR form, bit for bit: the product sums each
+    # row's stored entries in offset order, which is column order, and a
+    # stored exact zero adds +-0
+    grid = build_grid(quarter(sf), 24, 20, BoundaryRadius(1.0, eps, 2))
+    rng = np.random.default_rng(13)
+    matrix = _operator_matrix(grid, 2, sf.curvature)
+    x, b = rng.standard_normal(grid.n_cells), rng.standard_normal(grid.n_cells)
+
+    def bits(v):
+        return np.asarray(v, dtype=float).view(np.int64)
+
+    for name, a in coefficient_fields((24, 20), rng).items():
+        A = matrix(a)
+        csr = A.tocsr()
+        assert np.array_equal(bits(A @ x), bits(csr @ x)), name
+        assert bits(_scaled_residual(A, x, b)) == bits(_scaled_residual(csr, x, b)), name
+        lu, lu_csr = _factor(A), _factor(csr)
+        assert (lu is None) == (lu_csr is None), name
+        if lu is not None:
+            assert np.array_equal(bits(lu.solve(b)), bits(lu_csr.solve(b))), name
 
 
 def test_refill_memory_peak():
     # on the hyperbolic 256^2 matrix at eps = 0.1, with the previous matrix
-    # still held as a Picard step holds it, a second fill (which finds the
-    # layout's positions) peaks below the first fill, whose peak
-    # test_band_expansion_memory_peak caps, and a third one below the bytes
-    # of the matrix itself (every fill converted: 2.4x them)
+    # still held as a Picard step holds it, each fill holds its fresh
+    # diagonals and temporaries that stay below their bytes (1.67x them)
     grid = build_grid(ConeSection(HYPERBOLIC, math.pi / 2), 256, 256, BoundaryRadius(1.0, 0.1, 2))
     matrix = _operator_matrix(grid, 2, -1)
     fields = [np.full((256, 256), value) for value in (1.0, 2.0, 3.0)]
@@ -241,8 +240,7 @@ def test_refill_memory_peak():
             peaks.append(tracemalloc.get_traced_memory()[1] - held)
     finally:
         tracemalloc.stop()
-    size = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
-    assert peaks[1] < peaks[0] and peaks[2] < size, (peaks, size)
+    assert max(peaks) < 2.0 * A.data.nbytes, (peaks, A.data.nbytes)
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (16, 40), (40, 16), (1, 1), (3, 7)], ids=lambda s: "%dx%d" % s)
@@ -518,8 +516,8 @@ def _no_separable(monkeypatch):
     monkeypatch.setattr(solver, "_separable", lambda grid, bands: None)
 
 
-def _csr_bands(grid, A):
-    """The separable part's bands read back out of a CSR matrix's diagonals (`_Bands.of`)."""
+def _read_bands(grid, A):
+    """The separable part's bands read back out of a sparse matrix's diagonals (`_Bands.of`)."""
     Nr, Nt = grid.Nr, grid.Nt
 
     def diagonal(p, q):  # A[(i, j), (i + p, j + q)] is A.diagonal(p Nt + q)[i Nt + j]
@@ -901,11 +899,11 @@ def test_gmres_meets_linear_tol_or_rejects(monkeypatch):
 @pytest.mark.parametrize("sf", [EUCLIDEAN, HYPERBOLIC, SPHERE], ids=lambda s: s.name)
 def test_fill_reads_the_separable_bands_of_its_matrix(sf, eps):
     # the bands a fill reads off its own diagonal rows (A.bands) are the
-    # ones read back out of the CSR matrix, bit for bit
+    # ones read back out of the matrix, bit for bit
     rng = np.random.default_rng(5)
     grid = build_grid(ConeSection(sf, math.pi / 3), 24, 20, BoundaryRadius(0.9, eps, 3))
     A = _operator_matrix(grid, 2, sf.curvature)(0.5 + rng.random((24, 20)))
-    filled, read = _separable(grid, A.bands), _separable(grid, _csr_bands(grid, A))
+    filled, read = _separable(grid, A.bands), _separable(grid, _read_bands(grid, A))
     for got, want in zip(filled.factor, read.factor):
         assert np.array_equal(got, want)
     b = rng.standard_normal(grid.n_cells)
@@ -989,9 +987,10 @@ def test_separable_part_singular_or_not_finite_is_none(bad):
     grid = build_grid(quarter(), 16, 12)
     A = _operator_matrix(grid, 2, 0)(np.ones((16, 12)))
     assert _separable(grid, A.bands) is not None
-    assert _separable(grid, _csr_bands(grid, 0.0 * A)) is None
+    assert _separable(grid, _read_bands(grid, 0.0 * A)) is None
+    A = A.tocsr()
     A[5, 5 + 12] = bad
-    assert _separable(grid, _csr_bands(grid, A)) is None
+    assert _separable(grid, _read_bands(grid, A)) is None
 
 
 @pytest.mark.parametrize(

@@ -16,12 +16,13 @@ manifests carry wall-clock time:
     python3 tools/outputs.py /tmp/after --against /tmp/before
     diff -r -x '*.manifest.json' /tmp/before /tmp/after
 
-`--against` prints what moved: every command whose exit code differs, the
-largest relative and absolute change of each numeric field of every report
-JSON (list indices collapsed, so `rows[].sigma` covers every row; a changed
-string, boolean or structure counts as inf), and the largest change of `u`
-in each solution.csv, relative to the largest |u|.  Fields that did not move
-are not printed.
+`--against` prints what moved, and exits 1 if anything did: every command
+or report that only one of the two runs has, every command whose exit code
+differs, the largest relative and absolute change of each numeric field of
+every report JSON (list indices collapsed, so `rows[].sigma` covers every
+row; a changed string, boolean or structure counts as inf), and the largest
+change of `u` in each solution.csv, relative to the largest |u|.  Fields
+that did not move are not printed.
 
 The set covers every subcommand: rigidity scans over the ladder
 [0, 0.05, 0.1, 0.2] (p = 3, p = 1.5 and mean-curvature at 32x32, hyperbolic at
@@ -178,23 +179,25 @@ def _file_changes(before: Path, after: Path) -> dict:
 def compare(before: Path, after: Path) -> list:
     """The lines that say what moved from the outputs under before to those under after."""
     lines = []
-    for work in sorted(p for p in after.iterdir() if p.is_dir()):
-        old = before / work.name
-        if not old.is_dir():
-            lines.append(f"{work.name}: not in {before}")
+    for name in sorted({p.name for root in (before, after) for p in root.iterdir() if p.is_dir()}):
+        old, work = before / name, after / name
+        missing = [root for root in (before, after) if not (root / name).is_dir()]
+        if missing:
+            lines.append(f"{name}: not in {missing[0]}")
             continue
         codes = [(d / "exit_code.txt").read_text(encoding="utf-8").strip() for d in (old, work)]
         if codes[0] != codes[1]:
-            lines.append(f"{work.name}: exit code {codes[0]} -> {codes[1]}")
-        reports = [p for p in sorted(work.glob("out/*.json")) if not p.name.endswith(".manifest.json")]
-        for new in reports + sorted(work.glob("out/solution.csv")):
-            name = f"{work.name}/out/{new.name}"
-            if not (old / "out" / new.name).is_file():
-                lines.append(f"{name}: not in {before}")
+            lines.append(f"{name}: exit code {codes[0]} -> {codes[1]}")
+        reports = {p.name for d in (old, work) for p in d.glob("out/*.json") if not p.name.endswith(".manifest.json")}
+        for file in sorted(reports) + sorted({p.name for d in (old, work) for p in d.glob("out/solution.csv")}):
+            label = f"{name}/out/{file}"
+            missing = [root for root, d in ((before, old), (after, work)) if not (d / "out" / file).is_file()]
+            if missing:
+                lines.append(f"{label}: not in {missing[0]}")
                 continue
-            for key, (rel, absolute) in _file_changes(old / "out" / new.name, new).items():
+            for key, (rel, absolute) in _file_changes(old / "out" / file, work / "out" / file).items():
                 if absolute:
-                    lines.append(f"{name} {key}: {rel:.2g} relative, {absolute:.2g} absolute")
+                    lines.append(f"{label} {key}: {rel:.2g} relative, {absolute:.2g} absolute")
     return lines
 
 
@@ -215,6 +218,7 @@ def main(argv=None) -> int:
     if args.against is not None:
         moved = compare(args.against, args.out_dir)
         print(f"against {args.against}: {len(moved)} moved", *moved, sep="\n")
+        return 1 if moved else 0
     return 0
 
 
