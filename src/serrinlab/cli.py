@@ -70,7 +70,7 @@ def _load_config(args, epsilons: str = "any") -> ExperimentConfig:
         overrides["grids"] = [args.grid]
     given = "epsilons" in overrides
     if args.config:
-        text = Path(args.config).read_text(encoding="utf-8")
+        text = _read(args.config, Path.read_text)
         cfg = parse_config(text)
         given = given or not {"epsilon", "epsilons"}.isdisjoint(json.loads(text))
         if overrides:
@@ -121,6 +121,14 @@ def _write_run(cfg: ExperimentConfig, subcommand: str, t0: float, report: dict, 
     ).write(out_dir / manifest)
 
 
+def _read(path, read):
+    """read(Path(path), encoding="utf-8"): an input file that cannot be read is a ConfigError naming it."""
+    try:
+        return read(Path(path), encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
+
+
 def _read_solution_csv(path, grid) -> np.ndarray:
     """The u column of a solution CSV as an (Nr, Nt) array.
 
@@ -132,10 +140,10 @@ def _read_solution_csv(path, grid) -> np.ndarray:
         if rows != grid.n_cells:
             raise ConfigError(f"{path}: {rows} rows do not match the {grid.Nr}x{grid.Nt} grid")
 
-    with open(path, encoding="utf-8") as f:
-        header = f.readline()
+    with _read(path, Path.open) as f:
+        header, top = f.readline(), 1
         while header and not header.strip():  # blank lines before the header are skipped
-            header = f.readline()
+            header, top = f.readline(), top + 1
         if header.strip() != "r,theta,u":
             raise ConfigError(f"{path}: expected header 'r,theta,u'")
         try:
@@ -144,18 +152,19 @@ def _read_solution_csv(path, grid) -> np.ndarray:
                 warnings.simplefilter("ignore", UserWarning)
                 data = np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
         except ValueError:
-            # read the stripped text line by line: numpy numbers body rows from 0
-            # or 1 by fault kind, so name the file line instead
-            body = Path(path).read_text(encoding="utf-8").strip().splitlines()[1:]
+            # read the body again line by line, skipping empty lines as numpy does:
+            # numpy numbers body rows from 0 or 1 by fault kind, so name the file line
+            f.seek(0)
+            body = [(number, line) for number, line in enumerate(f, 1) if number > top and line.rstrip("\n")]
             row_count(len(body))
-            for k, line in enumerate(body):
+            for number, line in body:
                 try:
                     parsed = np.loadtxt([line], delimiter=",", ndmin=2, comments=None)
                 except ValueError:
                     parsed = None
                 if parsed is None or parsed.shape != (1, 3):
-                    raise ConfigError(f"{path}: row {k + 2} is not three numbers r,theta,u") from None
-            data = np.loadtxt(body, delimiter=",", ndmin=2, comments=None)
+                    raise ConfigError(f"{path}: row {number} is not three numbers r,theta,u") from None
+            data = np.loadtxt([line for _, line in body], delimiter=",", ndmin=2, comments=None)
     row_count(len(data))
     if data.shape != (grid.n_cells, 3):
         raise ConfigError(f"{path}: expected {grid.n_cells} rows of three fields r,theta,u")

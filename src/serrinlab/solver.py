@@ -192,9 +192,9 @@ def _flux_terms(grid: SectorGrid):
     along the other) entries[r] times cell r + k; a scalar serves every row.
     Per axis: the face difference and, at eps != 0, the cross derivative
     (`_half_difference`).  The spacings sit in w: a constant has zero flux.
-    Each stencil is a `_Stencil`, which keeps the runs the fill and the
-    probe find on it.  The cell volumes V stay beside inv_volume, as .volume
-    (`_FluxTerms`): the volume ratio of the separable part reads them.
+    The fill and the probe find each stencil's runs (`_runs`).  The cell
+    volumes V stay beside inv_volume, as .volume (`_FluxTerms`): the volume
+    ratio of the separable part reads them.
     """
     if grid in _FLUX_TERMS:
         return _FLUX_TERMS[grid]
@@ -221,7 +221,6 @@ def _flux_terms(grid: SectorGrid):
                          _half_difference(grid.Nt, "mirror", "mirror")))
         terms.append((1, Gt * (-beta_t / (h_t * h_t)), _half_difference(Nr, "one-sided", "dirichlet"),
                       {0: 0.5, 1: 0.5}))
-    terms = [(axis, w, *map(_Stencil, stencils)) for axis, w, *stencils in terms]
     _FLUX_TERMS[grid] = _FluxTerms(cell_volumes(grid), terms)
     return _FLUX_TERMS[grid]
 
@@ -240,39 +239,27 @@ class _FluxTerms(tuple):
         return self
 
 
-class _Stencil(dict):
-    """A stencil {k: entries per row} (`_flux_terms`) that keeps the runs it was asked for."""
+def _runs(stencil: dict, rows: int, columns: int, shift: int = 0) -> list:
+    """Each run of rows where a diagonal k of a stencil (`_flux_terms`) is nonzero and in the matrix.
 
-    __slots__ = ("_found",)
-
-    def __init__(self, diagonals: dict):
-        super().__init__(diagonals)
-        self._found = {}
-
-    def runs(self, rows: int, columns: int, shift: int = 0) -> list:
-        """Each run of rows where a diagonal k is nonzero and in the matrix; found once per shape and shift.
-
-        As (k + shift, the rows, the rows less shift, the entries), the entries of a constant run a scalar.
-        """
-        key = rows, columns, shift
-        if key in self._found:
-            return self._found[key]
-        runs = self._found[key] = []
-        for k, entries in sorted(self.items()):
-            lo, hi = max(0, -k), min(rows, columns - k)
-            entries = np.full(rows, entries) if np.ndim(entries) == 0 else entries
-            edges = (lo + np.flatnonzero(np.diff(np.r_[False, entries[lo:hi] != 0, False]))).tolist()
-            for s, t in zip(edges[::2], edges[1::2]):
-                v = entries[s:t]  # a constant run is a scalar: the same products, and no outer product
-                runs.append((k + shift, slice(s, t), slice(s - shift, t - shift), v[0] if (v == v[0]).all() else v))
-        return runs
+    As (k + shift, the rows, the rows less shift, the entries), the entries of a constant run a scalar.
+    """
+    runs = []
+    for k, entries in sorted(stencil.items()):
+        lo, hi = max(0, -k), min(rows, columns - k)
+        entries = np.full(rows, entries) if np.ndim(entries) == 0 else entries
+        edges = (lo + np.flatnonzero(np.diff(np.r_[False, entries[lo:hi] != 0, False]))).tolist()
+        for s, t in zip(edges[::2], edges[1::2]):
+            v = entries[s:t]  # a constant run is a scalar: the same products, and no outer product
+            runs.append((k + shift, slice(s, t), slice(s - shift, t - shift), v[0] if (v == v[0]).all() else v))
+    return runs
 
 
-def _apply_stencil(stencil: _Stencil, x: np.ndarray, axis: int, rows: int) -> np.ndarray:
+def _apply_stencil(stencil: dict, x: np.ndarray, axis: int, rows: int) -> np.ndarray:
     """A stencil of `rows` rows (`_flux_terms`) along `axis` of x, each row summed as a sparse product sums it."""
     out = np.zeros(x.shape[:axis] + (rows,) + x.shape[axis + 1 :])
     along, x = np.moveaxis(out, axis, 0), np.moveaxis(x, axis, 0)  # views, in the arrays' own layout
-    for k, run, _, entries in stencil.runs(rows, len(x)):
+    for k, run, _, entries in _runs(stencil, rows, len(x)):
         along[run] += (entries if np.ndim(entries) == 0 else entries[:, None]) * x[run.start + k : run.stop + k]
     return out
 
@@ -282,7 +269,7 @@ def _operator_matrix(grid: SectorGrid, N: int, K: int):
 
     A flux term (`_flux_terms`) enters a cell's row through its upper face
     (+1) and its lower face (-1).  Each pair of stencil diagonals, on the
-    cells where both are nonzero (`_Stencil.runs`), adds (inv_volume * +-1) *
+    cells where both are nonzero (`_runs`), adds (inv_volume * +-1) *
     (w * face_avg(a)) * radial * angular to the row of its offset (p, q) in
     a fresh zeroed array of diagonals, at column i + p Nt + q for matrix row
     i as scipy's DIA format keeps it; N K goes on the centre.  The sums run
@@ -292,7 +279,8 @@ def _operator_matrix(grid: SectorGrid, N: int, K: int):
     the product drops them.  Sorted as (p, q), with |q| <= 1 < Nt, the
     offsets ascend in column, the order of each row's columns, and a stored
     zero adds +-0 to a row's sum, so A @ x is the product's matrix-vector
-    product bit for bit.  A.bands are read off the rows (`_Bands`).
+    product bit for bit.  The separable part reads its bands off A
+    (`_separable`).
     """
     inv_volume, terms = _flux_terms(grid)
     shape = (grid.Nr, grid.Nt)
@@ -304,7 +292,7 @@ def _operator_matrix(grid: SectorGrid, N: int, K: int):
             m = min(w.shape[axis], shape[axis] + e)
             faces, cells = [slice(None)] * 2, [slice(None)] * 2
             faces[axis], cells[axis] = slice(0, m), slice(-e, m - e)
-            sides = [stencil.runs(m, shape[d], e) if d == axis else stencil.runs(shape[d], shape[d])
+            sides = [_runs(stencil, m, shape[d], e) if d == axis else _runs(stencil, shape[d], shape[d])
                      for d, stencil in enumerate(stencils)]
             events = [((p, q), (cell_r, cell_t), (sub_r, sub_t), (r[:, None] if np.ndim(r) else r) * t)
                       for p, sub_r, cell_r, r in sides[0] for q, sub_t, cell_t, t in sides[1]]
@@ -319,7 +307,6 @@ def _operator_matrix(grid: SectorGrid, N: int, K: int):
     pad = -delta.min()
     width = n + delta.max() + pad
     starts = [(o, pad + k * width + d) for k, (o, d) in enumerate(zip(offsets, delta.tolist()))]
-    ratio = _volume_ratio(grid)
 
     def matrix(a: np.ndarray):
         # a on the faces: the mean of the two cells, and a[-1] on Gamma_0
@@ -335,9 +322,7 @@ def _operator_matrix(grid: SectorGrid, N: int, K: int):
         del c
         if shift:
             sums[0, 0] += shift
-        A = sp.dia_matrix((flat[pad:].reshape(len(offsets), width), delta), shape=(n, n))
-        A.bands = _Bands.of(ratio, lambda p, q: sums[p, q])
-        return A
+        return sp.dia_matrix((flat[pad:].reshape(len(offsets), width), delta), shape=(n, n))
 
     return matrix
 
@@ -400,36 +385,6 @@ def _volume_ratio(grid: SectorGrid) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Bands:
-    """The bands of a matrix's separable part (`_separable`): Nr numbers each, and the volume ratio."""
-
-    ratio: np.ndarray  # `_volume_ratio` of the grid
-    lower: np.ndarray  # T_s[i, i - 1]; lower[0] is 0
-    t: np.ndarray  # the L_N coefficient of ring i
-    upper: np.ndarray  # T_s[i, i + 1]; upper[-1] is 0
-    centre: np.ndarray  # T_s[i, i] + c[i]
-
-    @classmethod
-    def of(cls, ratio: np.ndarray, diagonal) -> _Bands:
-        """Read the bands off a matrix's diagonals.
-
-        diagonal(p, q) is the (Nr, Nt) array of A[(i, j), (i + p, j + q)], 0
-        beyond the matrix, for the five offsets of the 5-point stencil.  Each
-        row is multiplied by the volume ratio (A divides its rows by the cell
-        volumes) and averaged over theta relative to column 0, so that an
-        exactly separable diag(ratio) A keeps its entries; the other
-        diagonals are dropped.
-        """
-
-        def mean(v):  # over theta, exact where v is the same in every column
-            return v[:, 0] + (v - v[:, :1]).mean(axis=1)
-
-        band = {o: ratio * diagonal(*o) for o in ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))}
-        return cls(ratio, mean(band[-1, 0]), mean(band[0, 1][:, :-1]), mean(band[1, 0]),
-                   mean(band[0, 0] + band[0, 1] + band[0, -1]))
-
-
-@dataclass(frozen=True)
 class _Separable:
     """The fast Poisson solver of a separable part (`_separable`); solve(b) as on a SuperLU factor."""
 
@@ -445,32 +400,49 @@ class _Separable:
         return (np.ascontiguousarray(y.reshape(Nt, -1).T) @ self.basis.T).ravel()
 
 
-def _separable(grid: SectorGrid, bands: _Bands) -> _Separable | None:
+def _separable(grid: SectorGrid, A) -> _Separable | None:
     """The separable part S = T_s (x) I + diag(t) (x) L_N + diag(c) (x) I of A, as a `_Separable`.
 
-    bands are the `_Bands` that the fill of A read off its diagonal rows
-    (A.bands, `_operator_matrix`).  The rows of A are divided by their cell
-    volumes V, so S approximates diag(V / V[:, :1]) A (`_Bands.of`), and
-    solve(b) is S^-1 diag(V / V[:, :1]) b: it approximates A^-1 b, exactly
-    so on an unperturbed sector, where the ratio is 1.  L_N, the Neumann
-    second difference in theta, has the DCT-II cosines (`_cosine_basis`) as
-    eigenvectors; in their basis S splits into Nt tridiagonal systems in s
-    (Buzbee, Golub & Nielson 1970), factored together by LAPACK's gttrf as
-    one block-diagonal system, mode after mode.  A non-finite band, or an
-    exactly singular system (gttrf's info > 0; a sphere cap at resonance),
-    gives None.
+    A is any scipy sparse matrix on the grid; its bands are read off the
+    five diagonals of the 5-point stencil, A[(i, j), (i + p, j + q)], 0
+    beyond the matrix.  The rows of A are divided by their cell volumes V,
+    so each row is multiplied by the volume ratio V / V[:, :1] and averaged
+    over theta relative to column 0: S approximates diag(V / V[:, :1]) A,
+    and keeps its entries where that is exactly separable; the other
+    diagonals are dropped.  solve(b) is S^-1 diag(V / V[:, :1]) b: it
+    approximates A^-1 b, exactly so on an unperturbed sector, where the
+    ratio is 1.  L_N, the Neumann second difference in theta, has the
+    DCT-II cosines (`_cosine_basis`) as eigenvectors; in their basis S
+    splits into Nt tridiagonal systems in s (Buzbee, Golub & Nielson 1970),
+    factored together by LAPACK's gttrf as one block-diagonal system, mode
+    after mode.  A non-finite band, or an exactly singular system (gttrf's
+    info > 0; a sphere cap at resonance), gives None.
     """
-    Nt = grid.Nt
+    Nr, Nt, n = grid.Nr, grid.Nt, grid.n_cells
+    ratio = _volume_ratio(grid)
+
+    def band(p, q):  # ratio times A[(i, j), (i + p, j + q)], as (Nr, Nt)
+        k = p * Nt + q
+        v, rows = np.zeros(n), slice(max(0, -k), n - max(0, k))
+        np.multiply(ratio.ravel()[rows], A.diagonal(k), out=v[rows])
+        return v.reshape(Nr, Nt)
+
+    def mean(v):  # over theta, exact where v is the same in every column
+        return v[:, 0] + (v - v[:, :1]).mean(axis=1)
+
+    east = band(0, 1)
+    lower, upper, t = mean(band(-1, 0)), mean(band(1, 0)), mean(east[:, :-1])
+    centre = mean(band(0, 0) + east + band(0, -1))
     j = np.arange(Nt)
-    diagonal = bands.centre[:, None] - 4.0 * bands.t[:, None] * np.sin(0.5 * np.pi * j / Nt) ** 2
+    diagonal = centre[:, None] - 4.0 * t[:, None] * np.sin(0.5 * np.pi * j / Nt) ** 2
     # the systems of successive modes do not couple: lower[0] and upper[-1] are 0
-    dl, d, du = np.tile(bands.lower, Nt)[1:], diagonal.ravel(order="F"), np.tile(bands.upper, Nt)[:-1]
+    dl, d, du = np.tile(lower, Nt)[1:], diagonal.ravel(order="F"), np.tile(upper, Nt)[:-1]
     if not all(np.isfinite(v).all() for v in (dl, d, du)):
         return None
     *factor, info = lapack.dgttrf(dl, d, du)
     if info != 0:
         return None
-    return _Separable(_cosine_basis(Nt), bands.ratio, tuple(factor))
+    return _Separable(_cosine_basis(Nt), ratio, tuple(factor))
 
 
 def _gmres(A, M, r, rtol: float, reference: float | None = None):
@@ -592,7 +564,7 @@ def solve_linear_spaceform(grid: SectorGrid, N: int = 2, tol: float = 1e-9):
     """
     A = _operator_matrix(grid, N, grid.cone.space_form.curvature)(np.ones((grid.Nr, grid.Nt)))
     b = -np.ones(grid.n_cells)
-    solved = _linear_solve(A, b, _separable(grid, A.bands), tol) or _linear_solve(A, b, _factor(A), tol)
+    solved = _linear_solve(A, b, _separable(grid, A), tol) or _linear_solve(A, b, _factor(A), tol)
     x, res = solved or (np.zeros(grid.n_cells), float("inf"))
     message = "" if solved else (f"linear solve produced non-finite values or missed {tol:.1e}"
                                  " (operator indefinite or singular)")
@@ -723,7 +695,7 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, star
                     return result(res, f"Picard stalled at epsilon={eps} (omega={omega})")
             total_iters += 1
             step_tol = max(LINEAR_TOL, FORCING * res)
-            solved = None if missed else _linear_solve(A, b, _separable(grid, A.bands), step_tol, u.ravel())
+            solved = None if missed else _linear_solve(A, b, _separable(grid, A), step_tol, u.ravel())
             if solved is None:
                 missed = True
                 solved = _linear_solve(A, b, _factor(A), step_tol)

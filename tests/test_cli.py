@@ -264,6 +264,25 @@ def test_config_error_exit(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command, flag",
+    [("solve", "--config"), ("audit", "--config"), ("audit", "--solution"), ("pfunction", "--config"),
+     ("pfunction", "--solution"), ("rigidity", "--config"), ("convergence", "--config")],
+)
+def test_missing_input_file_is_a_config_error(tmp_path, capsys, command, flag):
+    # an input file that cannot be read is a one-line config error naming
+    # it, not a traceback, and the run writes nothing
+    inputs = {"--config": write_config(tmp_path, grid="8x8"), "--solution": tmp_path / "solution.csv"}
+    inputs[flag] = tmp_path / "missing"
+    argv = [command, "--out-dir", str(tmp_path / "run"), "--config", str(inputs["--config"])]
+    if command in ("audit", "pfunction"):
+        argv += ["--solution", str(inputs["--solution"])]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{tmp_path / 'missing'}: No such file or directory" in err, err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
     "key, value",
     [("k", 2.5), ("k", True), ("tol", "1e-8"), ("tol", True), ("alpha", "1.5"), ("epsilon", "0.1"),
      ("grids", []), ("Nr", None), ("Nr", 8.7), ("Nr", True), ("Nr", [8]), ("Nt", 8.0),
@@ -383,6 +402,17 @@ def _set_field(lines, line_no, col, text):
     lines[line_no] = ",".join(fields)
 
 
+def _blank_line_then_malformed(lines):
+    # an empty line is skipped, as numpy skips it; the bad row is file line 10
+    lines.insert(5, "")
+    _set_field(lines, 9, 2, "abc")
+
+
+def _blank_lines_before_header_then_malformed(lines):
+    lines[0:0] = ["", ""]
+    _set_field(lines, 22, 2, "abc")
+
+
 def _nan_coordinates(lines):
     for n in range(1, len(lines)):
         _set_field(lines, n, 0, "nan")
@@ -399,8 +429,11 @@ def _nan_coordinates(lines):
         (lambda lines: _set_field(lines, 9, 2, "abc"), "row 10 is not three numbers r,theta,u"),
         (_nan_coordinates, "row 2 radius does not match the grid spec"),
         (lambda lines: lines.__setitem__(11, lines[11].rsplit(",", 1)[0]), "row 12 is not three numbers"),
+        (_blank_line_then_malformed, "row 10 is not three numbers"),
+        (_blank_lines_before_header_then_malformed, "row 23 is not three numbers"),
     ],
-    ids=["header", "row-count", "radius", "angle", "malformed", "nan-coordinates", "short-row"],
+    ids=["header", "row-count", "radius", "angle", "malformed", "nan-coordinates", "short-row",
+         "blank-line-malformed", "blank-header-malformed"],
 )
 def test_solution_csv_rejections(tmp_path, capsys, solved_8x8, corrupt, message):
     cfg, lines = solved_8x8

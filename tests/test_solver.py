@@ -22,7 +22,6 @@ from serrinlab.profiles import make_mean_curvature_profile, make_power_profile, 
 from serrinlab.solver import (
     LINEAR_TOL,
     _apply_stencil,
-    _Bands,
     _cell_difference,
     _dilate,
     _factor,
@@ -513,18 +512,7 @@ class _CountingSpla:
 
 def _no_separable(monkeypatch):
     """Make the separable solve unavailable, so that every solve takes the SuperLU path."""
-    monkeypatch.setattr(solver, "_separable", lambda grid, bands: None)
-
-
-def _read_bands(grid, A):
-    """The separable part's bands read back out of a sparse matrix's diagonals (`_Bands.of`)."""
-    Nr, Nt = grid.Nr, grid.Nt
-
-    def diagonal(p, q):  # A[(i, j), (i + p, j + q)] is A.diagonal(p Nt + q)[i Nt + j]
-        k = p * Nt + q
-        return np.pad(A.diagonal(k), (max(0, -k), max(0, k))).reshape(Nr, Nt)
-
-    return _Bands.of(_volume_ratio(grid), diagonal)
+    monkeypatch.setattr(solver, "_separable", lambda grid, A: None)
 
 
 def _record(monkeypatch, events: list, **names) -> None:
@@ -555,8 +543,8 @@ def test_perturbed_picard_factors_at_most_once_a_stage(profile, monkeypatch):
     monkeypatch.setattr(solver, "spla", counting)
     separable, parts = solver._separable, []
 
-    def watched_separable(grid, bands):
-        part = separable(grid, bands)
+    def watched_separable(grid, A):
+        part = separable(grid, A)
         if part is not None:
             parts.append(weakref.ref(part))
         return part
@@ -629,7 +617,7 @@ def test_linear_solve_meets_the_tolerance_it_is_given(monkeypatch):
     grid = build_grid(quarter(), 32, 32, BoundaryRadius(1.0, 0.1, 2))
     A = _operator_matrix(grid, 2, 0)(1.0 + 0.3 * np.random.default_rng(2).random((32, 32)))
     b = -np.ones(grid.n_cells)
-    separable = _separable(grid, A.bands)
+    separable = _separable(grid, A)
     assert _scaled_residual(A, separable.solve(b), b) > 1e-4
     for tol in (1e-4, 1e-8):
         x, res = _linear_solve(A, b, separable, tol=tol)
@@ -726,7 +714,7 @@ def test_separable_solve_matches_superlu(sf, alpha):
     grid = build_grid(ConeSection(sf, alpha), 48, 40, BoundaryRadius(0.9))
     A = _operator_matrix(grid, 2, sf.curvature)(np.ones((48, 40)))
     b = -np.ones(grid.n_cells)
-    x = _separable(grid, A.bands).solve(b)
+    x = _separable(grid, A).solve(b)
     direct = _factor(A).solve(b)
     assert _scaled_residual(A, x, b) <= LINEAR_TOL
     assert np.max(np.abs(x - direct)) <= 1e-10 * np.max(np.abs(direct))
@@ -746,7 +734,7 @@ def test_separable_part_preconditions_a_perturbed_matrix(cone, n, R0, eps, monke
     b = -np.ones(grid.n_cells)
     counting = _CountingSpla(solver.spla)
     monkeypatch.setattr(solver, "spla", counting)
-    x, res = _linear_solve(A, b, _separable(grid, A.bands), LINEAR_TOL)
+    x, res = _linear_solve(A, b, _separable(grid, A), LINEAR_TOL)
     assert res == _scaled_residual(A, x, b) <= LINEAR_TOL
     assert counting.factorizations == 0
 
@@ -897,17 +885,18 @@ def test_gmres_meets_linear_tol_or_rejects(monkeypatch):
 
 @pytest.mark.parametrize("eps", [0.0, 0.2])
 @pytest.mark.parametrize("sf", [EUCLIDEAN, HYPERBOLIC, SPHERE], ids=lambda s: s.name)
-def test_fill_reads_the_separable_bands_of_its_matrix(sf, eps):
-    # the bands a fill reads off its own diagonal rows (A.bands) are the
-    # ones read back out of the matrix, bit for bit
+def test_separable_part_reads_only_its_matrix(sf, eps):
+    # the separable part reads its bands off the matrix's entries alone: the
+    # fill's DIA matrix and its CSR copy give the same factor and the same
+    # solve, bit for bit, so no detail of the DIA layout reaches it
     rng = np.random.default_rng(5)
     grid = build_grid(ConeSection(sf, math.pi / 3), 24, 20, BoundaryRadius(0.9, eps, 3))
     A = _operator_matrix(grid, 2, sf.curvature)(0.5 + rng.random((24, 20)))
-    filled, read = _separable(grid, A.bands), _separable(grid, _read_bands(grid, A))
-    for got, want in zip(filled.factor, read.factor):
-        assert np.array_equal(got, want)
+    dia, csr = _separable(grid, A), _separable(grid, A.tocsr())
+    for got, want in zip(dia.factor, csr.factor):
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
     b = rng.standard_normal(grid.n_cells)
-    assert np.array_equal(filled.solve(b), read.solve(b))
+    assert np.array_equal(dia.solve(b).view(np.int64), csr.solve(b).view(np.int64))
 
 
 def test_each_grid_builds_its_operator_once(monkeypatch):
@@ -986,11 +975,11 @@ def test_separable_part_singular_or_not_finite_is_none(bad):
     # pivot), or a non-finite entry on a band it reads, gives no solver
     grid = build_grid(quarter(), 16, 12)
     A = _operator_matrix(grid, 2, 0)(np.ones((16, 12)))
-    assert _separable(grid, A.bands) is not None
-    assert _separable(grid, _read_bands(grid, 0.0 * A)) is None
+    assert _separable(grid, A) is not None
+    assert _separable(grid, 0.0 * A) is None
     A = A.tocsr()
     A[5, 5 + 12] = bad
-    assert _separable(grid, _read_bands(grid, A)) is None
+    assert _separable(grid, A) is None
 
 
 @pytest.mark.parametrize(
