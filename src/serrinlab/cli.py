@@ -70,7 +70,7 @@ def _load_config(args, epsilons: str = "any") -> ExperimentConfig:
         overrides["grids"] = [args.grid]
     given = "epsilons" in overrides
     if args.config:
-        text = _read(args.config, Path.read_text)
+        text = _read(args.config, Path.read_text, encoding="utf-8")
         cfg = parse_config(text)
         given = given or not {"epsilon", "epsilons"}.isdisjoint(json.loads(text))
         if overrides:
@@ -121,12 +121,66 @@ def _write_run(cfg: ExperimentConfig, subcommand: str, t0: float, report: dict, 
     ).write(out_dir / manifest)
 
 
-def _read(path, read):
-    """read(Path(path), encoding="utf-8"): an input file that cannot be read is a ConfigError naming it."""
+def _read(path, read, **how):
+    """read(Path(path), **how): an input file that cannot be read is a ConfigError naming it."""
     try:
-        return read(Path(path), encoding="utf-8")
+        return read(Path(path), **how)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from None
+
+
+# bytes read at once: more than the longest strict line (75 bytes), few enough that a block's arrays stay small
+_BLOCK = 1 << 18
+# _KEEP[m] keeps the first m bytes of a 24-byte key and zeroes the rest
+_KEEP = np.tril(np.full((25, 24), 255, np.uint8), -1).view("V24").ravel()
+
+
+def _parse_strict(f, n: int, nt: int):
+    """The (n, 3) body of a solution CSV in its writer's strict layout, else None.
+
+    f is a binary file just past its header.  The strict layout is n lines of three
+    comma-separated fields of 1-24 bytes of 0-9 + - . e E, each line ending in a newline.
+    Read in blocks of whole lines, a field is parsed only where its text differs from
+    its reference's: the row above for r and u, the same column of the first ring (nt
+    rows) for theta.  numpy's bytes-to-float cast rounds as np.loadtxt does, so the
+    array is np.loadtxt's bit for bit.  Any other file is None: the text path judges it.
+    """
+    out, ring, last, dense, row, tail = np.empty((3, n)), np.zeros(nt, "S24"), np.zeros(3, "S24"), set(), 0, b""
+    try:
+        with np.errstate(over="ignore"):  # a field past the largest double reads as inf, as in np.loadtxt
+            while chunk := f.read(_BLOCK):
+                text = b"".join((tail, chunk, bytes(24)))  # padded: every field has a 24-byte window
+                cut = text.rfind(b"\n") + 1
+                if not cut or chunk.translate(None, b"0123456789+-.eE,\n"):
+                    return None
+                buf = np.frombuffer(text, np.uint8)
+                # the newlines and commas: the bytes below 45 but "+"
+                sep = np.flatnonzero((buf[:cut] == 44) | (buf[:cut] == 10) if b"+" in text else buf[:cut] < 45)
+                rows, size = len(sep) // 3, np.diff(sep, prepend=-1) - 1
+                if (3 * rows != len(sep) or row + rows > n or not 1 <= size.min() <= size.max() <= 24
+                        or (buf[sep].reshape(rows, 3) != (44, 44, 10)).any()):
+                    return None
+                keys = np.lib.stride_tricks.sliding_window_view(buf, 24).view("S24")[sep - size, 0]
+                keys.view(np.uint64)[:] &= _KEEP[size].view(np.uint64)  # a field's bytes, then zeros
+                keys, block = keys.reshape(rows, 3), out[:, row:row + rows]
+                head = keys[:max(nt - row, 0), 1]  # theta on the first ring, parsed whole
+                ring[row:row + len(head)], block[1, :len(head)] = head, head.astype(np.float64)
+                ref = np.arange(row, row + rows) % nt
+                new = keys[:, 1] != ring[ref]
+                block[1] = out[1, ref]
+                block[1, new] = keys[new, 1].astype(np.float64)
+                for c in (0, 2):  # r and u: the row above, until a block differs from it on every row
+                    k = keys[:, c]
+                    new = c in dense or np.append(k[0] != last[c], k[1:] != k[:-1])
+                    if np.all(new):
+                        dense.add(c)
+                        block[c] = k.astype(np.float64)
+                    else:
+                        block[c] = np.append(out[c, row - 1], k[new].astype(np.float64))[np.cumsum(new)]
+                last, row, tail = keys[-1], row + rows, text[cut:-24]
+    except ValueError:  # a field that is not a number
+        return None
+    return out.T if row == n and not tail else None
 
 
 def _read_solution_csv(path, grid) -> np.ndarray:
@@ -140,31 +194,38 @@ def _read_solution_csv(path, grid) -> np.ndarray:
         if rows != grid.n_cells:
             raise ConfigError(f"{path}: {rows} rows do not match the {grid.Nr}x{grid.Nt} grid")
 
-    with _read(path, Path.open) as f:
-        header, top = f.readline(), 1
-        while header and not header.strip():  # blank lines before the header are skipped
-            header, top = f.readline(), top + 1
-        if header.strip() != "r,theta,u":
-            raise ConfigError(f"{path}: expected header 'r,theta,u'")
-        try:
-            with warnings.catch_warnings():
-                # numpy warns on a file with no rows; the row count below reports it
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
-        except ValueError:
-            # read the body again line by line, skipping empty lines as numpy does:
-            # numpy numbers body rows from 0 or 1 by fault kind, so name the file line
-            f.seek(0)
-            body = [(number, line) for number, line in enumerate(f, 1) if number > top and line.rstrip("\n")]
-            row_count(len(body))
-            for number, line in body:
-                try:
-                    parsed = np.loadtxt([line], delimiter=",", ndmin=2, comments=None)
-                except ValueError:
-                    parsed = None
-                if parsed is None or parsed.shape != (1, 3):
-                    raise ConfigError(f"{path}: row {number} is not three numbers r,theta,u") from None
-            data = np.loadtxt([line for _, line in body], delimiter=",", ndmin=2, comments=None)
+    def body(f) -> list:
+        # the (file line, line) of each body row, skipping empty lines as numpy does
+        return [(number, line) for number, line in enumerate(f, 1) if number > top and line.rstrip("\n")]
+
+    with _read(path, Path.open, mode="rb") as f:
+        data, top = _parse_strict(f, grid.n_cells, grid.Nt) if f.readline() == b"r,theta,u\n" else None, 1
+    if data is None:
+        with _read(path, Path.open, encoding="utf-8") as f:
+            header = f.readline()
+            while header and not header.strip():  # blank lines before the header are skipped
+                header, top = f.readline(), top + 1
+            if header.strip() != "r,theta,u":
+                raise ConfigError(f"{path}: expected header 'r,theta,u'")
+            try:
+                with warnings.catch_warnings():
+                    # numpy warns on a file with no rows; the row count below reports it
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
+            except ValueError:
+                # read the body again line by line, skipping empty lines as numpy does:
+                # numpy numbers body rows from 0 or 1 by fault kind, so name the file line
+                f.seek(0)
+                lines = body(f)
+                row_count(len(lines))
+                for number, line in lines:
+                    try:
+                        parsed = np.loadtxt([line], delimiter=",", ndmin=2, comments=None)
+                    except ValueError:
+                        parsed = None
+                    if parsed is None or parsed.shape != (1, 3):
+                        raise ConfigError(f"{path}: row {number} is not three numbers r,theta,u") from None
+                data = np.loadtxt([line for _, line in lines], delimiter=",", ndmin=2, comments=None)
     row_count(len(data))
     if data.shape != (grid.n_cells, 3):
         raise ConfigError(f"{path}: expected {grid.n_cells} rows of three fields r,theta,u")
@@ -173,16 +234,14 @@ def _read_solution_csv(path, grid) -> np.ndarray:
     # written as not (err <= tol) so that NaN coordinates fail the check
     bad_r = ~(np.abs(data[:, 0] - r_grid) <= 1e-9 * (1 + r_grid))
     bad_t = ~(np.abs(data[:, 1] - t_grid) <= 1e-9 * (1 + t_grid))
-    bad = bad_r | bad_t
-    if bad.any():
-        k = int(np.argmax(bad))
-        what = "radius" if bad_r[k] else "angle"
-        raise ConfigError(f"{path}: row {k + 2} {what} does not match the grid spec")
-    bad_u = ~np.isfinite(data[:, 2])
-    if bad_u.any():
-        raise ConfigError(f"{path}: row {int(np.argmax(bad_u)) + 2} u is not finite")
-    # contiguous, as a solved field is, so reductions over it sum in the same order
-    return np.ascontiguousarray(data[:, 2]).reshape(grid.Nr, grid.Nt)
+    for bad, what in ((bad_r | bad_t, ""), (~np.isfinite(data[:, 2]), "u is not finite")):  # coordinates first
+        if bad.any():
+            k = int(np.argmax(bad))
+            what = what or ("radius" if bad_r[k] else "angle") + " does not match the grid spec"
+            with _read(path, Path.open, encoding="utf-8") as f:  # on the error path only: count file lines
+                raise ConfigError(f"{path}: row {body(f)[k][0]} {what}")
+    # a contiguous copy, as a solved field is, so reductions over it sum in the same order
+    return data[:, 2].copy().reshape(grid.Nr, grid.Nt)
 
 
 def _cmd_oracle(args) -> int:

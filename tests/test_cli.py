@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -413,6 +414,18 @@ def _blank_lines_before_header_then_malformed(lines):
     _set_field(lines, 22, 2, "abc")
 
 
+def _blank_lines_before_header_then_nan_u(lines):
+    # the bad row is file line 10, data row 6
+    lines[0:0] = ["", ""]
+    _set_field(lines, 9, 2, "nan")
+
+
+def _blank_line_then_bad_radius(lines):
+    # an empty line after file line 3; the bad row is file line 10, data row 7
+    lines.insert(3, "")
+    _set_field(lines, 9, 0, "0.5")
+
+
 def _nan_coordinates(lines):
     for n in range(1, len(lines)):
         _set_field(lines, n, 0, "nan")
@@ -431,9 +444,11 @@ def _nan_coordinates(lines):
         (lambda lines: lines.__setitem__(11, lines[11].rsplit(",", 1)[0]), "row 12 is not three numbers"),
         (_blank_line_then_malformed, "row 10 is not three numbers"),
         (_blank_lines_before_header_then_malformed, "row 23 is not three numbers"),
+        (_blank_lines_before_header_then_nan_u, "row 10 u is not finite"),
+        (_blank_line_then_bad_radius, "row 10 radius does not match the grid spec"),
     ],
     ids=["header", "row-count", "radius", "angle", "malformed", "nan-coordinates", "short-row",
-         "blank-line-malformed", "blank-header-malformed"],
+         "blank-line-malformed", "blank-header-malformed", "blank-header-non-finite-u", "blank-line-radius"],
 )
 def test_solution_csv_rejections(tmp_path, capsys, solved_8x8, corrupt, message):
     cfg, lines = solved_8x8
@@ -449,17 +464,160 @@ def test_solution_csv_rejections(tmp_path, capsys, solved_8x8, corrupt, message)
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_solution_csv_rejects_non_finite_u(tmp_path, capsys, solved_8x8, command, value):
     # a non-finite u is a bad input, not a field to audit: a config error that
-    # names the file line, raised before any arithmetic could warn
+    # names the file line, raised before any arithmetic could warn; blank
+    # lines before the header or in the body count as file lines
     cfg, lines = solved_8x8
-    _set_field(lines, 6, 2, value)
-    bad = tmp_path / "bad.csv"
-    bad.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert cli.main([command, "--config", str(cfg), "--solution", str(bad)]) == cli.EXIT_CONFIG
-    assert "row 7 u is not finite" in capsys.readouterr().err
-    assert not (tmp_path / "run" / f"{command}_report.json").exists()
+    plain, blank_header, blank_line = list(lines), ["", ""] + lines, lines[:3] + [""] + lines[3:]
+    _set_field(plain, 6, 2, value)
+    _set_field(blank_header, 9, 2, value)
+    _set_field(blank_line, 9, 2, value)
+    for layout, line in ((plain, 7), (blank_header, 10), (blank_line, 10)):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(layout) + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, "--config", str(cfg), "--solution", str(bad)]) == cli.EXIT_CONFIG
+        assert f"row {line} u is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "run" / f"{command}_report.json").exists()
+
+
+def _strict(path, n, nt):
+    # the strict parse of a solution CSV's body, or None
+    with open(path, "rb") as f:
+        return cli._parse_strict(f, n, nt) if f.readline() == b"r,theta,u\n" else None
+
+
+def _loadtxt(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+
+
+def _closed_form_csv(path, grid):
+    # the benchmark's layout: each field written by "%.17g", u a radial closed form
+    r = grid.r_centers.ravel()
+    theta = np.broadcast_to(grid.theta_centers, grid.r_centers.shape).ravel()
+    rows = map("%.17g,%.17g,%.17g".__mod__, zip(r.tolist(), theta.tolist(), ((1 - r ** 3) / 3).tolist()))
+    path.write_text("r,theta,u\n" + "\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("block", [None, 100, 1000], ids=["one-block", "block-100", "block-1000"])
+@pytest.mark.parametrize("kind", ["closed-form", "solved-eps0", "solved-eps0.1"])
+def test_strict_parse_is_loadtxt_bit_for_bit(tmp_path, monkeypatch, kind, block):
+    # the closed-form layout, and the lab's own writer on a radial and on a
+    # perturbed solution, whose r and u all differ; small blocks end inside
+    # the first ring (24 lines) and inside lines
+    eps = 0.1 if kind == "solved-eps0.1" else 0.0
+    cfg = write_config(tmp_path, grid="32x24", epsilon=eps, out_dir=str(tmp_path / "run"))
+    path = tmp_path / "run" / "solution.csv"
+    if kind == "closed-form":
+        grid = cli._grid_from_config(cli.parse_config(cfg.read_text()))
+        path.parent.mkdir()
+        _closed_form_csv(path, grid)
+    else:
+        assert cli.main(["solve", "--config", str(cfg)]) == 0
+    if block is not None:
+        monkeypatch.setattr(cli, "_BLOCK", block)
+    want = _loadtxt(path)
+    got = _strict(path, 32 * 24, 24)
+    assert got is not None and got.shape == (32 * 24, 3)
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+    if kind == "solved-eps0.1":
+        assert len(set(want[:, 0].tolist())) == len(set(want[:, 2].tolist())) == 32 * 24
+
+
+def test_strict_parse_of_hard_decimal_strings(tmp_path):
+    # subnormals, 2^53 + 1 and other halfway cases, the largest doubles and
+    # beyond, signs and bare points, and seeded random strings of 1-24 bytes
+    # read to the bits np.loadtxt reads
+    corpus = ["4.9406564584124654e-324", "5e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+              "2.2250738585072011e-308", "2.2250738585072014e-308", "1.7976931348623157e308",
+              "1.7976931348623158e308", "1.7976931348623159e308", "1e400", "1e-400", "9007199254740993",
+              "9007199254740995", "18014398509481986", "1152921504606847104", "0.30000000000000004",
+              "1e+05", "1E5", "+.5", "5.", "-0", "-0.0", "0e0", "00000000000000000000001",
+              "123456789012345678901234", ".5e-3", "-.5E+3", "7"]
+    rng = np.random.default_rng(35)
+    for _ in range(3000):
+        digits = "".join(rng.choice(list("0123456789"), rng.integers(1, 20)))
+        point = int(rng.integers(0, len(digits) + 1))
+        text = str(rng.choice(["", "-", "+"])) + (digits[:point] + "." + digits[point:] if rng.random() < 0.8 else digits)
+        if rng.random() < 0.6:
+            text += str(rng.choice(["e", "E"])) + str(rng.choice(["", "+", "-"])) + str(rng.integers(0, 330))
+        if len(text) <= 24:
+            corpus.append(text)
+    values = rng.standard_normal(3000) * 10.0 ** rng.integers(-325, 300, 3000)
+    corpus += [f"{v:.17g}" for v in values.tolist()] + [repr(v) for v in values.tolist()]
+    corpus += corpus[: (-len(corpus)) % 3]
+    path = tmp_path / "hard.csv"
+    lines = [",".join(corpus[i:i + 3]) for i in range(0, len(corpus), 3)]
+    path.write_text("r,theta,u\n" + "\n".join(lines) + "\n")
+    got = _strict(path, len(lines), 7)
+    assert got is not None
+    assert np.ascontiguousarray(got).tobytes() == _loadtxt(path).tobytes()
+
+
+def _field(lines, row, col, text):
+    lines = list(lines)
+    _set_field(lines, row, col, text)
+    return lines
+
+
+_OUTSIDE_STRICT = {
+    # name: (the file's lines from the strict ones, None for the strict file's array or the error)
+    "crlf": (lambda ls: [line + "\r" for line in ls], None),
+    "blank-line": (lambda ls: ls[:4] + [""] + ls[4:], None),
+    "blank-end": (lambda ls: ls + [""], None),
+    "spaces": (lambda ls: _field(ls, 5, 2, " " + ls[5].split(",")[2] + " "), None),
+    "nan": (lambda ls: _field(ls, 5, 2, "nan"), "row 6 u is not finite"),
+    "inf": (lambda ls: _field(ls, 5, 1, "inf"), "row 6 angle does not match the grid spec"),
+    "underscore": (lambda ls: _field(ls, 5, 2, "1_0"), "row 6 is not three numbers r,theta,u"),
+    "field-25-bytes": (lambda ls: _field(ls, 5, 0, ls[5].split(",")[0].ljust(25, "0")), None),
+    "one-row-too-many": (lambda ls: ls + ls[-1:], "65 rows do not match the 8x8 grid"),
+    "one-row-too-few": (lambda ls: ls[:-1], "63 rows do not match the 8x8 grid"),
+    "two-fields": (lambda ls: ls[:5] + [ls[5].rsplit(",", 1)[0]] + ls[6:], "row 6 is not three numbers r,theta,u"),
+    "four-fields": (lambda ls: ls[:5] + [ls[5] + ",1"] + ls[6:], "row 6 is not three numbers r,theta,u"),
+    "header-space": (lambda ls: ["r,theta,u "] + ls[1:], None),
+}
+
+
+@pytest.mark.parametrize("name", [*_OUTSIDE_STRICT, "no-final-newline"])
+def test_files_outside_the_strict_layout_take_the_text_path(tmp_path, solved_8x8, name):
+    # the strict parse declines each file; the text path reads it to the
+    # strict file's array or rejects it with its own message
+    cfg, lines = solved_8x8
+    grid = cli._grid_from_config(cli.parse_config(cfg.read_text()))
+    strict = tmp_path / "strict.csv"
+    strict.write_text("\n".join(lines) + "\n")
+    want = cli._read_solution_csv(strict, grid)
+    assert "." in lines[5].split(",")[0]  # so that trailing zeros keep the value of the 25-byte field
+    corrupt, message = _OUTSIDE_STRICT.get(name, (lambda ls: ls, None))
+    path = tmp_path / "bad.csv"
+    path.write_bytes(("\n".join(corrupt(lines)) + ("" if name == "no-final-newline" else "\n")).encode())
+    assert _strict(path, grid.n_cells, grid.Nt) is None
+    if message is None:
+        assert cli._read_solution_csv(path, grid).tobytes() == want.tobytes()
+    else:
+        with pytest.raises(cli.ConfigError) as raised:
+            cli._read_solution_csv(path, grid)
+        assert str(raised.value) == f"{path}: {message}"
+
+
+def test_solution_csv_read_memory_peak(tmp_path):
+    # a 384x384 closed-form file, read block by block: at most 16 MB traced
+    # at the peak, and np.loadtxt's values bit for bit over many blocks
+    cfg = ExperimentConfig.from_dict({"profile": "laplacian", "R0": 1.0, "grids": ["384x384"], "epsilons": [0.0]})
+    grid = cli._grid_from_config(cfg)
+    path = tmp_path / "closed_form.csv"
+    _closed_form_csv(path, grid)
+    assert path.stat().st_size > 8 * cli._BLOCK
+    tracemalloc.start()
+    try:
+        u = cli._read_solution_csv(path, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6, peak
+    assert np.ascontiguousarray(_strict(path, grid.n_cells, grid.Nt)).tobytes() == _loadtxt(path).tobytes()
+    assert u.tobytes() == _loadtxt(path)[:, 2].tobytes()
 
 
 @pytest.mark.parametrize("flag", ["--tol=inf", "--tol=nan", "--eps=nan", "--omega=1"])

@@ -44,9 +44,11 @@ R0 = 2.05 with eps = 0, where |Omega|/|Gamma_0| > 1 rules out a solution and
 the solve says so after no Picard step, exit 3), solve p = 1.5 at 128x128 with
 eps = 0.1 (the largest perturbed Picard solve: GMRES on the separable part
 serves all 12 of its steps, in 12 cycles, with no SuperLU factor), the
-Laplacian solve at 256x256 with eps = 0 and eps = 0.1, the hyperbolic solve
-at 256x256 with eps = 0.1 (the largest matrix, 9-point with the N K shift),
-`oracle --out-dir`, and the Euclidean oracle in dimension 3,
+Laplacian solve at 256x256 with eps = 0 and eps = 0.1, each followed by an
+audit of its solution.csv (files of many read blocks: in the radial one r,
+theta and u repeat, in the perturbed one every r and u is distinct), the
+hyperbolic solve at 256x256 with eps = 0.1 (the largest matrix, 9-point with
+the N K shift), `oracle --out-dir`, and the Euclidean oracle in dimension 3,
 `oracle --N 3 --out-dir`.
 """
 
@@ -103,8 +105,13 @@ def commands() -> list:
         ("solve_mean_curvature_past_bound", "solve", _config("mean-curvature", epsilons=[0.1], R0=1.9), []),
         ("solve_mean_curvature_no_solution", "solve", _config("mean-curvature", epsilons=[0.0], R0=2.05), []),
         ("solve_p1.5_128_eps0.1", "solve", _config("p-laplacian:1.5", ["128x128"], [0.1]), []),
-        ("solve_laplacian_256", "solve", _config(grids=["256x256"], epsilons=[0.0]), []),
-        ("solve_laplacian_256_eps0.1", "solve", _config(grids=["256x256"], epsilons=[0.1]), []),
+    ]
+    for tag, eps in (("", 0.0), ("_eps0.1", 0.1)):
+        config = _config(grids=["256x256"], epsilons=[eps])
+        runs += [(f"solve_laplacian_256{tag}", "solve", config, []),
+                 (f"audit_laplacian_256{tag}", "audit", config,
+                  ["--solution", f"../solve_laplacian_256{tag}/out/solution.csv"])]
+    runs += [
         ("solve_hyperbolic_256_eps0.1", "solve",
          _config(grids=["256x256"], epsilons=[0.1], space_form="hyperbolic"), []),
         ("oracle", "oracle", None, ["--out-dir", "out"]),
