@@ -28,11 +28,6 @@ from .solver import (
 __all__ = [
     "AuditCheck",
     "AuditReport",
-    "s2_of_matrix",
-    "s2_minor_form",
-    "s2_consistency_gap",
-    "newton_gap",
-    "proportionality_defect",
     "audit_W",
     "pohozaev_residual",
     "integral_inequality_gap",
@@ -44,52 +39,56 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# matrix algebra: each function takes one matrix or a stack of them (matrix
-# axes last) and returns one value per matrix
+# N = 2 matrix algebra on the four component arrays of a W field
 
 
-def _trace(A: np.ndarray) -> np.ndarray:
-    return np.einsum("...ii->...", A)
+# numpy writes a binary operation's result into a temporary operand of 256 KiB
+# or more; a (..., 2, 2) float64 stack reaches that size at 8192 cells
+_TRANSPOSED_FROM_CELLS = 256 * 1024 // 32
 
 
-def s2_of_matrix(A):
-    """Second elementary symmetric function via the trace formula.
+class _Algebra:
+    """Tr, S_2 and the minor form of W, on its entries a = w00, b = w01, c = w10, d = w11.
 
-    tr(A^2) is contracted directly, without forming A^2.  On a C-ordered
-    stack einsum sums each diagonal entry of A^2 and then the diagonal in the
-    order trace(einsum("...ij,...jk->...ik", A, A)) does, so the value is
-    bitwise the same; other layouts sum in another order, hence the copy.
+    Each sum runs in the order np.einsum takes in the general (..., n, n)
+    stack forms (kept in tests/reference.py), so every value is bitwise
+    theirs, signed zeros included: einsum's trace starts from +0.0, and the
+    minor form's off-diagonal entries add the zeros of Tr(W) Id.
     """
-    A = np.ascontiguousarray(A, dtype=float)
-    tr = _trace(A)
-    return 0.5 * (tr * tr - np.einsum("...ij,...ji->...", A, A))
 
+    def __init__(self, W: MatrixField):
+        v = W.values
+        self.a, self.b, self.c, self.d = a, b, c, d = v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1]
+        self.tr = tr = 0.0 + a + d
+        # S2(W) = (Tr(W)^2 - Tr(W^2)) / 2
+        self.s2 = 0.5 * (tr * tr - ((a * a + b * c) + (c * b + d * d)))
+        # S2_ij(W) = -w_ji + delta_ij Tr(W)
+        zero = tr * 0.0
+        self.minor = (-a + tr, -c + zero, -b + zero, -d + tr)
 
-def s2_minor_form(A) -> np.ndarray:
-    """Cofactor-style form S2_ij(A) = -a_ji + delta_ij Tr(A)."""
-    A = np.asarray(A, dtype=float)
-    return -np.swapaxes(A, -1, -2) + _trace(A)[..., None, None] * np.eye(A.shape[-1])
+    def newton_gap(self) -> np.ndarray:
+        """(N-1)/(2N) Tr(W)^2 - S2(W); nonnegative for W = BC, B sym PSD, C sym."""
+        return 0.25 * self.tr * self.tr - self.s2
 
+    def consistency_gap(self) -> np.ndarray:
+        """|(1/2) sum_ij S2_ij w_ij - S2(W)|, an exact algebraic identity."""
+        s00, s01, s10, s11 = self.minor
+        return np.abs(0.5 * ((s00 * self.a + s01 * self.b) + (s10 * self.c + s11 * self.d)) - self.s2)
 
-def s2_consistency_gap(A):
-    """|(1/2) sum_ij S2_ij a_ij - S2(A)|, an exact algebraic identity."""
-    A = np.asarray(A, dtype=float)
-    return np.abs(0.5 * np.einsum("...ij,...ij->...", s2_minor_form(A), A) - s2_of_matrix(A))
+    def contract(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """sum_ij S2_ij(W) x_i y_j for fields of vectors, components last.
 
-
-def newton_gap(A):
-    """Gap (N-1)/(2N) Tr(A)^2 - S2(A); nonnegative for A = BC, B sym PSD, C sym."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[-1]
-    tr = _trace(A)
-    return (n - 1) / (2.0 * n) * tr * tr - s2_of_matrix(A)
-
-
-def proportionality_defect(A) -> float:
-    """Sup-norm distance of A from (Tr(A)/N) Id (the Newton equality case)."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    return float(np.max(np.abs(A - (np.trace(A) / n) * np.eye(n))))
+        np.einsum sums the general form in the order the minor form's stack
+        is stored: by rows, but by columns from 8192 cells on, where numpy
+        builds -W^T + Tr(W) Id in the 256 KiB buffer of its temporary -W^T,
+        which is stored transposed.  The sum here follows the same rule.
+        """
+        s00, s01, s10, s11 = self.minor
+        x0, x1, y0, y1 = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
+        t00, t01, t10, t11 = (s00 * x0) * y0, (s01 * x0) * y1, (s10 * x1) * y0, (s11 * x1) * y1
+        if self.tr.size >= _TRANSPOSED_FROM_CELLS:
+            return ((t00 + t10) + t01) + t11
+        return ((t00 + t01) + t10) + t11
 
 
 # ---------------------------------------------------------------------------
@@ -149,21 +148,22 @@ def tol_discrete(grid: SectorGrid, scale: float) -> float:
 # audits
 
 
-def audit_W(grid: SectorGrid, W: MatrixField) -> AuditReport:
+def audit_W(grid: SectorGrid, W: MatrixField, *, algebra: _Algebra | None = None) -> AuditReport:
     """Trace and Newton-gap checks of a W field; radial defect is reported too.
 
     The full-interior trace deviation is reported as data: for strongly
     degenerate profiles (p < 2) the vertex-adjacent rings carry a self-similar
     differencing artifact that no refinement removes (solutions are only C^1
     at the cone vertex).  The judged trace check therefore excludes the inner
-    tenth of each radial line.
+    tenth of each radial line.  `algebra` is W's `_Algebra` when the caller
+    has it.
     """
-    n = W.values.shape[-1]
+    alg = _Algebra(W) if algebra is None else algebra
     interior = interior_cell_mask(grid) & ~W.mask
     unmasked = ~W.mask
     report = AuditReport(masked_cells=W.masked_count, total_cells=int(W.mask.size))
 
-    tr = _trace(W.values)
+    tr = alg.tr
     tol_tr = tol_discrete(grid, 1.0)
     dev_int = float(np.max(np.abs(tr[interior] + 1.0))) if interior.any() else float("nan")
     report.add(AuditCheck("trace_W_plus_one_interior", dev_int, None, None,
@@ -180,7 +180,7 @@ def audit_W(grid: SectorGrid, W: MatrixField) -> AuditReport:
         )
     )
 
-    gaps = newton_gap(W.values)
+    gaps = alg.newton_gap()
     tol_gap = tol_discrete(grid, 1.0)
     min_gap = float(np.min(gaps[unmasked])) if unmasked.any() else float("nan")
     report.add(
@@ -193,24 +193,30 @@ def audit_W(grid: SectorGrid, W: MatrixField) -> AuditReport:
         )
     )
 
-    radial_defect = W.values + np.eye(n) / n
-    dev = float(np.max(np.abs(radial_defect[interior]))) if interior.any() else float("nan")
+    # sup |W + Id/N| over the interior, entry by entry (N = 2)
+    if interior.any():
+        entries = (alg.a + 0.5, alg.b, alg.c, alg.d + 0.5)
+        dev = float(np.max([np.max(np.abs(w[interior])) for w in entries]))
+    else:
+        dev = float("nan")
     report.add(AuditCheck("W_plus_id_over_N_sup_interior", dev, None, None))
     return report
 
 
-def pohozaev_residual(grid: SectorGrid, u: np.ndarray, profile: OperatorProfile):
+def pohozaev_residual(grid: SectorGrid, u: np.ndarray, profile: OperatorProfile, *, speed=None):
     """Volume/boundary sides of the Pohozaev balance and their difference.
 
     lhs = int_Omega [(N+1) u - N f(|grad u|)], rhs = int_{Gamma_0}
     [f'(|grad u|)|grad u| - f(|grad u|)] x.nu.  The position vector x points
     from the cone vertex, so the wall contribution vanishes identically.
+    `speed` is u's |grad u| from `mapped_gradient` when the caller has it.
     """
     if grid.cone.space_form.curvature != 0:
         raise ValueError("the Pohozaev balance is Euclidean-specific")
     N = 2
-    grad = gradient_field(grid, u)
-    speed = np.hypot(grad[..., 0], grad[..., 1])
+    if speed is None:
+        grad = gradient_field(grid, u)
+        speed = np.hypot(grad[..., 0], grad[..., 1])
     lhs = float(np.sum(((N + 1) * u - N * profile.f(speed)) * grid.area_weights))
 
     bnd_speed = np.abs(normal_derivative_gamma0(grid, u))
@@ -220,16 +226,19 @@ def pohozaev_residual(grid: SectorGrid, u: np.ndarray, profile: OperatorProfile)
     return lhs, rhs, lhs - rhs
 
 
-def integral_inequality_gap(grid: SectorGrid, u: np.ndarray, W: MatrixField, profile: OperatorProfile):
+def integral_inequality_gap(grid: SectorGrid, u: np.ndarray, W: MatrixField, profile: OperatorProfile,
+                            *, mapped=None, algebra: _Algebra | None = None):
     """Gap of 2 int S2(W) u >= -int S2_ij(W) V_i(grad u) u_j by cell quadrature.
 
     Returns (gap, tol, equality_flag); the sign contract only holds over a
     convex section (alpha <= pi), equality when the walls carry no curvature
-    (automatic for straight planar walls).
+    (automatic for straight planar walls).  `mapped` is u's
+    `mapped_gradient` and `algebra` W's `_Algebra` when the caller has them.
     """
-    grad, V, degenerate = mapped_gradient(grid, u, profile)
-    s2 = s2_of_matrix(W.values)
-    second = np.einsum("...ij,...i,...j->...", s2_minor_form(W.values), V, grad)
+    grad, V, degenerate, _ = mapped_gradient(grid, u, profile) if mapped is None else mapped
+    alg = _Algebra(W) if algebra is None else algebra
+    s2 = alg.s2
+    second = alg.contract(V, grad)
 
     keep = ~(W.mask | degenerate)
     w = grid.area_weights
@@ -249,23 +258,31 @@ def c_consistency(grid: SectorGrid, u: np.ndarray, profile: OperatorProfile):
 def w12_diagnostic(grid: SectorGrid, W: MatrixField) -> float:
     """Discrete L2 norm of W over unmasked cells (a stability probe, not a proof)."""
     keep = ~W.mask
-    frob2 = np.sum(W.values**2, axis=(-2, -1))
+    v = W.values
+    a, b, c, d = v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1]
+    frob2 = ((a * a + b * b) + c * c) + d * d
     return float(np.sqrt(np.sum(frob2[keep] * grid.area_weights[keep])))
 
 
 def identity_suite(grid: SectorGrid, u: np.ndarray, profile: OperatorProfile) -> AuditReport:
     """Run the full Euclidean audit battery on one field.
 
-    W is the differenced field of the mapped gradient of u (`hessian_W_field`).
+    Each field is derived once and shared by every check: grad u, V, the
+    degenerate cells and |grad u| (`mapped_gradient`), W from them
+    (`hessian_W_field`), and W's trace, S_2 and minor form on its four
+    component arrays (`_Algebra`), which sum in the order of the general
+    stack forms, so every value is bitwise theirs.
     """
-    W = hessian_W_field(grid, u, profile)
-    report = audit_W(grid, W)
+    mapped = mapped_gradient(grid, u, profile)
+    W = hessian_W_field(grid, u, profile, mapped=mapped)
+    alg = _Algebra(W)
+    report = audit_W(grid, W, algebra=alg)
 
     kept = ~W.mask
-    worst = float(np.max(s2_consistency_gap(W.values)[kept])) if kept.any() else 0.0
+    worst = float(np.max(alg.consistency_gap()[kept])) if kept.any() else 0.0
     report.add(AuditCheck("s2_trace_vs_minor_form", worst, 1e-12, bool(worst <= 1e-12)))
 
-    lhs, rhs, resid = pohozaev_residual(grid, u, profile)
+    lhs, rhs, resid = pohozaev_residual(grid, u, profile, speed=mapped[3])
     denom = max(abs(lhs), abs(rhs), 1e-30)
     tol_p = tol_discrete(grid, denom)
     report.add(
@@ -278,7 +295,7 @@ def identity_suite(grid: SectorGrid, u: np.ndarray, profile: OperatorProfile) ->
         )
     )
 
-    gap, tol, equality = integral_inequality_gap(grid, u, W, profile)
+    gap, tol, equality = integral_inequality_gap(grid, u, W, profile, mapped=mapped, algebra=alg)
     convex = grid.cone.convex
     report.add(
         AuditCheck(

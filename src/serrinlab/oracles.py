@@ -159,33 +159,3 @@ def sample_values(sol, grid):
     if isinstance(sol, RadialSolutionEuclidean):
         return np.asarray(euclid_u(sol, grid.r_centers), dtype=float)
     return np.asarray(spaceform_u(sol, grid.r_centers), dtype=float)
-
-
-def oracle_W_field(sol: RadialSolutionEuclidean, grid):
-    """Analytic W on a Euclidean grid, built as the product HessV(grad u) Hess u.
-
-    The two factors are assembled from the hand-derived radial formulas and
-    multiplied numerically, so the result tests the derivative compositions at
-    roundoff level (exactly -Id/N in exact arithmetic).
-    """
-    from .solver import MatrixField  # local import keeps module layering acyclic
-
-    if grid.cone.space_form.curvature != 0:
-        raise ValueError("W is Euclidean-specific")
-    rho = grid.r_centers
-    mask = (rho < 1e-12 * sol.radius) | (rho > sol.radius * (1 + 1e-12))
-    safe = np.where(mask, 1.0, rho)
-    N = sol.dimension
-    q = sol.profile.g_prime(safe / N)
-    fp = np.asarray(sol.profile.f_prime(q))
-    fpp = np.asarray(sol.profile.f_second(q))
-
-    theta = np.broadcast_to(grid.theta_centers, rho.shape)
-    e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    ee = np.einsum("...i,...j->...ij", e, e)
-    eye = np.broadcast_to(np.eye(2), ee.shape)
-    hess_V = fpp[..., None, None] * ee + (fp / q)[..., None, None] * (eye - ee)
-    upp = -1.0 / (N * fpp)
-    hess_u = upp[..., None, None] * ee + (-q / safe)[..., None, None] * (eye - ee)
-    W = np.einsum("...ij,...jk->...ik", hess_V, hess_u)
-    return MatrixField(W, mask)

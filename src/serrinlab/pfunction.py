@@ -4,8 +4,7 @@ P(u) = |grad u|^2 + (2/N) u + K u^2 is subharmonic along solutions of
 Delta u + N K u = -1, equals c^2 on the Dirichlet boundary and is constant
 exactly in the rigid spherical-cap configuration.  This module produces the
 quantitative witnesses: discrete subharmonicity, the maximum principle, the
-radial-field integral identity, Hessian proportionality and the Obata-type
-radial ODE.
+radial-field integral identity and Hessian proportionality.
 """
 
 from __future__ import annotations
@@ -37,17 +36,19 @@ __all__ = [
     "step3_identity",
     "step3_identity_analytic",
     "hessian_proportionality_defect",
-    "obata_ode_profile",
     "pfunction_suite",
 ]
 
 _QUAD_KW = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
 
 
-def p_field(grid: SectorGrid, u: np.ndarray) -> np.ndarray:
-    """P = |grad u|^2 + (2/N) u + K u^2 with the metric gradient, N = 2 and K the grid's."""
+def p_field(grid: SectorGrid, u: np.ndarray, *, gradient=None) -> np.ndarray:
+    """P = |grad u|^2 + (2/N) u + K u^2 with the metric gradient, N = 2 and K the grid's.
+
+    `gradient` is u's (u_r, u_tan) from `metric_gradient` when the caller has it.
+    """
     N, K = 2, grid.cone.space_form.curvature
-    u_r, u_tan = metric_gradient(grid, u, kind="solution")
+    u_r, u_tan = metric_gradient(grid, u, kind="solution") if gradient is None else gradient
     return u_r**2 + u_tan**2 + (2.0 / N) * u + K * u * u
 
 
@@ -109,17 +110,19 @@ def max_principle_check(grid: SectorGrid, u: np.ndarray, P: np.ndarray):
     }
 
 
-def step3_identity(grid: SectorGrid, u: np.ndarray, c: float):
+def step3_identity(grid: SectorGrid, u: np.ndarray, c: float, *, u_r=None):
     """Grid quadrature of c^2 int h_dot versus (1+2/N)(int h_dot u - K int h u u_r).
 
     N = 2 and K is the grid's; c is the Neumann constant, the measured
-    Gamma_0 mean in `pfunction_suite`.
+    Gamma_0 mean in `pfunction_suite`.  `u_r` is the radial component of u's
+    `metric_gradient` when the caller has it.
     """
     N, K = 2, grid.cone.space_form.curvature
     sf = grid.cone.space_form
     w = grid.area_weights
     hdot = sf.h_dot(grid.r_centers)
-    u_r, _ = metric_gradient(grid, u, kind="solution")
+    if u_r is None:
+        u_r, _ = metric_gradient(grid, u, kind="solution")
     lhs = c * c * float(np.sum(hdot * w))
     rhs = (1.0 + 2.0 / N) * (
         float(np.sum(hdot * u * w)) - K * float(np.sum(grid.h_centers * u * u_r * w))
@@ -154,12 +157,13 @@ def step3_identity_analytic(sol: RadialSolutionSpaceForm):
     return lhs, rhs, lhs - rhs
 
 
-def hessian_proportionality_defect(grid: SectorGrid, u: np.ndarray) -> float:
+def hessian_proportionality_defect(grid: SectorGrid, u: np.ndarray, *, coordinates=None) -> float:
     """Max metric-normalized deviation of the covariant Hessian from (-1/N - K u) g.
 
     N = 2 and K is the grid's.  Coordinate second derivatives are corrected
     by the warped-product Christoffel terms; raw second differences would
-    fail the check even for radial oracles.
+    fail the check even for radial oracles.  `coordinates` is u's (d/ds,
+    d/dtheta) from `metric_gradient` when the caller has them.
     """
     N, K = 2, grid.cone.space_form.curvature
     sf = grid.cone.space_form
@@ -171,8 +175,9 @@ def hessian_proportionality_defect(grid: SectorGrid, u: np.ndarray) -> float:
     h = grid.h_centers
     hdot = sf.h_dot(grid.r_centers)
 
-    us = _d_ds(grid, u, "solution")
-    ut = _d_dtheta(grid, u, "solution")
+    if coordinates is None:
+        coordinates = _d_ds(grid, u, "solution"), _d_dtheta(grid, u, "solution")
+    us, ut = coordinates
     # second radial differences stay one-sided at the outer ring: the audited
     # field need not satisfy any particular discrete ghost relation there
     uss = _cell_difference(u, 0, "one-sided", "one-sided", second=True) / (grid.ds * grid.ds)
@@ -189,45 +194,7 @@ def hessian_proportionality_defect(grid: SectorGrid, u: np.ndarray) -> float:
     d_rr = u_rr - phi
     d_rt = (u_rt - (hdot / h) * u_t) / h
     d_tt = (u_tt + h * hdot * u_r) / (h * h) - phi
-    return float(np.max(np.abs(np.stack([d_rr, d_rt, d_tt]))))
-
-
-def obata_ode_profile(N: int, K: int, u_p: float, s_grid) -> np.ndarray:
-    """Integrate f'' = -1/N - K f with f(0) = u_p, f'(0) = 0 by RK4.
-
-    Returns f at the (ascending, nonnegative) sample points; the radial oracle
-    profile satisfies the same ODE with u_p = u(0).  The ODE system is the
-    ground truth here; for K != 0 its solution has the closed form
-    (u_p + 1/(N K)) h_dot(s) - 1/(N K), which the tests cross-check.
-    """
-    s_grid = np.asarray(s_grid, dtype=float)
-    if s_grid.ndim != 1 or np.any(np.diff(s_grid) < 0) or (s_grid.size and s_grid[0] < 0):
-        raise ValueError("s_grid must be ascending and nonnegative")
-    if s_grid.size == 0:
-        return np.zeros(0)
-    span = max(float(s_grid[-1]), 1.0)
-    h_max = span / 4096.0
-
-    def rhs(y):
-        return np.array([y[1], -1.0 / N - K * y[0]])
-
-    out = np.empty_like(s_grid)
-    y = np.array([float(u_p), 0.0])
-    s = 0.0
-    for k, target in enumerate(s_grid):
-        gap = target - s
-        steps = max(1, int(np.ceil(gap / h_max))) if gap > 0 else 0
-        hstep = gap / steps if steps else 0.0
-        for _ in range(steps):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * hstep * k1)
-            k3 = rhs(y + 0.5 * hstep * k2)
-            k4 = rhs(y + hstep * k3)
-            y = y + (hstep / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            s += hstep
-        s = target
-        out[k] = y[0]
-    return out
+    return float(np.max([np.max(np.abs(d)) for d in (d_rr, d_rt, d_tt)]))
 
 
 @dataclass
@@ -255,13 +222,20 @@ class PFieldReport:
 
 
 def pfunction_suite(grid: SectorGrid, u: np.ndarray) -> PFieldReport:
-    """Full P-function audit of one field on a space-form grid."""
-    P = p_field(grid, u)
+    """Full P-function audit of one field on a space-form grid.
+
+    u's gradient is derived once (`metric_gradient`, with its coordinate
+    derivatives) and shared by P, the Hessian defect and the step-3 identity;
+    each statistic keeps the arithmetic of its own function, so every value
+    is bitwise what those functions give on (grid, u) alone.
+    """
+    u_r, u_tan, us, ut = metric_gradient(grid, u, kind="solution", return_coordinates=True)
+    P = p_field(grid, u, gradient=(u_r, u_tan))
     mp = max_principle_check(grid, u, P)
     dp_min, frac, _dp_tol = subharmonicity_probe(grid, P)
     wall_max = mp["wall_dP_dnu_max"]
-    defect = hessian_proportionality_defect(grid, u)
-    lhs, rhs, resid = step3_identity(grid, u, c=mp["c"])
+    defect = hessian_proportionality_defect(grid, u, coordinates=(us, ut))
+    lhs, rhs, resid = step3_identity(grid, u, c=mp["c"], u_r=u_r)
     tol_step3 = tol_discrete(grid, max(abs(lhs), abs(rhs), 1e-30))
     verdicts = {
         "max_principle": mp["interior_bound_ok"],

@@ -61,7 +61,7 @@ REFINE_CYCLES = 2
 
 @dataclass
 class MatrixField:
-    values: np.ndarray  # (Nr, Nt, 2, 2), w[i,j] = d_j V_i
+    values: np.ndarray  # (Nr, Nt, 2, 2), w[i,j] = d_j V_i; hessian_W_field stores each w[i,j] contiguous
     mask: np.ndarray  # True where the entry is excluded (degenerate gradient)
 
     @property
@@ -115,11 +115,14 @@ def _cell_difference(u: np.ndarray, axis: int, low: str, high: str, second: bool
     """
     v = np.moveaxis(u, axis, 0)
     out = np.empty_like(v)
+    # the interior is differenced straight into out: a temporary of the
+    # field's size would cost more in page faults than the arithmetic
     if second:
-        out[1:-1] = v[2:] - 2.0 * v[1:-1] + v[:-2]
+        mid = np.multiply(v[1:-1], 2.0, out=out[1:-1])
+        np.add(np.subtract(v[2:], mid, out=mid), v[:-2], out=mid)  # v[2:] - 2 v[1:-1] + v[:-2]
         at_low, at_high = _SECOND[low], _SECOND[high]
     else:
-        out[1:-1] = v[2:] - v[:-2]
+        np.subtract(v[2:], v[:-2], out=out[1:-1])
         at_low, at_high = _FIRST_LOW[low], _FIRST_HIGH[high]
     out[0] = at_low(v[0], v[1], v[2])
     out[-1] = at_high(v[-1], v[-2], v[-3])
@@ -150,13 +153,18 @@ def _beta_centers(grid: SectorGrid) -> np.ndarray:
     return grid.s_centers[:, None] * (grid.Rp_centers / grid.R_centers)[None, :]
 
 
-def metric_gradient(grid: SectorGrid, u: np.ndarray, kind: str = "solution"):
-    """Orthonormal-frame gradient components (u_r, u_theta/h) at cells."""
+def metric_gradient(grid: SectorGrid, u: np.ndarray, kind: str = "solution",
+                    return_coordinates: bool = False):
+    """Orthonormal-frame gradient components (u_r, u_theta/h) at cells.
+
+    With `return_coordinates`, also the coordinate derivatives (d/ds, d/dtheta)
+    they are formed from: (u_r, u_tan, u_s, u_theta).
+    """
     us = _d_ds(grid, u, kind)
     ut = _d_dtheta(grid, u, kind)
     u_r = us / grid.R_centers[None, :]
     u_tan = (ut - _beta_centers(grid) * us) / grid.h_centers
-    return u_r, u_tan
+    return (u_r, u_tan, us, ut) if return_coordinates else (u_r, u_tan)
 
 
 def cell_volumes(grid: SectorGrid) -> np.ndarray:
@@ -760,10 +768,13 @@ def neumann_statistics(grid: SectorGrid, u):
 
 
 def gradient_field(grid: SectorGrid, u: np.ndarray) -> np.ndarray:
-    """Cell-centered gradient, Cartesian components last (Euclidean grids only)."""
+    """Cell-centered gradient, Cartesian components last (Euclidean grids only).
+
+    Each component is stored contiguous: the array is a view of (2, Nr, Nt).
+    """
     if grid.cone.space_form.curvature != 0:
         raise ValueError("Cartesian gradient components require the Euclidean space form")
-    return np.stack(_cartesian_derivatives(grid, u, "solution"), axis=-1)
+    return np.moveaxis(np.stack(_cartesian_derivatives(grid, u, "solution")), 0, -1)
 
 
 def _cartesian_derivatives(grid: SectorGrid, q: np.ndarray, kind: str):
@@ -775,7 +786,7 @@ def _cartesian_derivatives(grid: SectorGrid, q: np.ndarray, kind: str):
 
 
 def mapped_gradient(grid: SectorGrid, u, profile: OperatorProfile):
-    """(grad u, V, degenerate) with V = f'(|grad u|) grad u / |grad u|, Cartesian components last.
+    """(grad u, V, degenerate, |grad u|) with V = f'(|grad u|) grad u / |grad u|, Cartesian components last.
 
     Degenerate cells, where |grad u| <= 1e-8 max |grad u| (every cell of a
     constant field), get V = 0.
@@ -785,23 +796,25 @@ def mapped_gradient(grid: SectorGrid, u, profile: OperatorProfile):
     degenerate = speed <= 1e-8 * float(speed.max())
     safe = np.where(degenerate, 1.0, speed)
     coef = np.where(degenerate, 0.0, profile.f_prime(safe) / safe)
-    return grad, coef[..., None] * grad, degenerate
+    return grad, coef[..., None] * grad, degenerate, speed
 
 
-def hessian_W_field(grid: SectorGrid, u, profile: OperatorProfile) -> MatrixField:
+def hessian_W_field(grid: SectorGrid, u, profile: OperatorProfile, *, mapped=None) -> MatrixField:
     """W = Jacobian of the mapped gradient x -> f'(|grad u|) grad u / |grad u|.
 
-    Degenerate cells are masked together with every cell whose difference
-    stencil touches them; the masked count is reported, not hidden.
+    `mapped` is u's `mapped_gradient` when the caller has it.  Degenerate
+    cells are masked together with every cell whose difference stencil
+    touches them; the masked count is reported, not hidden.  W.values is a
+    view of (2, 2, Nr, Nt), so each entry W[..., i, j] is contiguous.
     """
     if grid.cone.space_form.curvature != 0:
         raise ValueError("W is Euclidean-specific; space forms audit the Hessian instead")
-    _, V, degenerate = mapped_gradient(grid, u, profile)
-    W = np.empty((grid.Nr, grid.Nt, 2, 2))
-    W[..., 0, 0], W[..., 0, 1] = _cartesian_derivatives(grid, V[..., 0], "generic")
-    W[..., 1, 0], W[..., 1, 1] = _cartesian_derivatives(grid, V[..., 1], "generic")
+    _, V, degenerate, _ = mapped_gradient(grid, u, profile) if mapped is None else mapped
+    W = np.empty((2, 2, grid.Nr, grid.Nt))
+    W[0, 0], W[0, 1] = _cartesian_derivatives(grid, V[..., 0], "generic")
+    W[1, 0], W[1, 1] = _cartesian_derivatives(grid, V[..., 1], "generic")
     # one-sided edge stencils reach two cells inward
-    return MatrixField(W, _dilate(degenerate, 2))
+    return MatrixField(np.moveaxis(W, (0, 1), (2, 3)), _dilate(degenerate, 2))
 
 
 def _dilate(mask: np.ndarray, reach: int) -> np.ndarray:

@@ -15,16 +15,13 @@ import serrinlab.cli as cli
 from serrinlab.identities import (
     identity_suite,
     integral_inequality_gap,
-    newton_gap,
     pohozaev_residual,
-    proportionality_defect,
 )
 from serrinlab.mesh import BoundaryRadius, build_grid
 from serrinlab.oracles import (
     RadialSolutionEuclidean,
     RadialSolutionSpaceForm,
     euclid_u_prime,
-    oracle_W_field,
     overdetermined_constant,
     pde_residual_euclid,
     pde_residual_spaceform,
@@ -32,10 +29,7 @@ from serrinlab.oracles import (
     spaceform_u,
     spaceform_u_prime,
 )
-from serrinlab.pfunction import (
-    obata_ode_profile,
-    step3_identity_analytic,
-)
+from serrinlab.pfunction import step3_identity_analytic
 from serrinlab.profiles import (
     make_mean_curvature_profile,
     make_power_profile,
@@ -48,6 +42,8 @@ from serrinlab.solver import (
     solve_linear_spaceform,
 )
 from serrinlab.spaceforms import EUCLIDEAN, HYPERBOLIC, SPHERE, ConeSection
+
+from reference import newton_gap, obata_ode_profile, oracle_W_field, proportionality_defect
 
 QUARTER = math.pi / 2
 

@@ -3,24 +3,19 @@ import math
 import numpy as np
 import pytest
 
+import serrinlab.identities as identities
+import serrinlab.solver as solver
 from serrinlab.identities import (
-    _trace,
     audit_W,
     c_consistency,
     identity_suite,
     integral_inequality_gap,
-    newton_gap,
     pohozaev_residual,
-    proportionality_defect,
-    s2_consistency_gap,
-    s2_minor_form,
-    s2_of_matrix,
     w12_diagnostic,
 )
 from serrinlab.mesh import BoundaryRadius, build_grid
 from serrinlab.oracles import (
     RadialSolutionEuclidean,
-    oracle_W_field,
     sample_values,
 )
 from serrinlab.profiles import make_mean_curvature_profile, make_power_profile
@@ -31,6 +26,18 @@ from serrinlab.solver import (
     solve_Lf,
 )
 from serrinlab.spaceforms import EUCLIDEAN, ConeSection
+
+from reference import (
+    _trace,
+    float_bits,
+    identity_report,
+    newton_gap,
+    oracle_W_field,
+    proportionality_defect,
+    s2_consistency_gap,
+    s2_minor_form,
+    s2_of_matrix,
+)
 
 P2 = make_power_profile(2.0)
 P3 = make_power_profile(3.0)
@@ -316,3 +323,107 @@ def test_s2_algebra_on_stacks_matches_per_matrix(shape):
     B = X @ np.swapaxes(X, -1, -2)
     C = X + np.swapaxes(X, -1, -2)
     assert np.min(newton_gap(B @ C)) >= -1e-12
+
+
+def _random_W(shape, rng):
+    """W entries over 16 decades, some +0.0 and -0.0, stored as hessian_W_field stores them."""
+    comp = rng.uniform(-1.0, 1.0, (2, 2) + shape) * 10.0 ** rng.uniform(-8.0, 8.0, (2, 2) + shape)
+    comp[rng.random(comp.shape) < 0.05] = 0.0
+    comp[rng.random(comp.shape) < 0.05] = -0.0
+    return MatrixField(np.moveaxis(comp, (0, 1), (2, 3)), np.zeros(shape, dtype=bool))
+
+
+@pytest.mark.parametrize("shape", [(60, 70), (90, 91), (64, 128), (96, 96)])
+def test_component_algebra_is_the_general_forms_bit_for_bit(shape):
+    # each statistic of identities._Algebra against its general stack form,
+    # cell by cell, signed zeros included; from 8192 cells on numpy stores the
+    # general minor form transposed, and einsum sums S2_ij x_i y_j by columns
+    rng = np.random.default_rng(3)
+    W = _random_W(shape, rng)
+    A = np.ascontiguousarray(W.values)
+    x, y = (np.moveaxis(rng.normal(size=(2,) + shape) * 10.0 ** rng.uniform(-8, 8, (2,) + shape), 0, -1)
+            for _ in range(2))
+    alg = identities._Algebra(W)
+    S = s2_minor_form(A)
+    contracted = np.einsum("...ij,...i,...j->...", S, np.ascontiguousarray(x), np.ascontiguousarray(y))
+    pairs = [
+        (alg.tr, _trace(A)),
+        (alg.s2, s2_of_matrix(A)),
+        (alg.newton_gap(), newton_gap(A)),
+        (alg.consistency_gap(), s2_consistency_gap(A)),
+        (alg.contract(x, y), contracted),
+        *((m, S[..., i, j]) for m, (i, j) in zip(alg.minor, ((0, 0), (0, 1), (1, 0), (1, 1)))),
+    ]
+    for got, want in pairs:
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_w12_diagnostic_is_the_general_form_cell_by_cell():
+    # with one cell unmasked the diagnostic is that cell's Frobenius norm times
+    # its weight, so a reassociated sum of squares shows
+    grid = build_grid(quarter(), 16, 16)
+    W = _random_W((16, 16), np.random.default_rng(4))
+    frob2 = np.sum(np.ascontiguousarray(W.values) ** 2, axis=(-2, -1))
+    for k in range(0, 256, 3):
+        mask = np.ones((16, 16), dtype=bool)
+        mask.flat[k] = False
+        want = float(np.sqrt(np.sum(frob2[~mask] * grid.area_weights[~mask])))
+        assert w12_diagnostic(grid, MatrixField(W.values, mask)) == want
+
+
+def _solved(profile, alpha, eps, n=32):
+    grid = build_grid(ConeSection(EUCLIDEAN, alpha), n, n, BoundaryRadius(1.0, eps, 2))
+    u, rep = solve_Lf(grid, profile)
+    assert rep.converged
+    return grid, u
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize(
+    "profile,alpha",
+    [(P3, math.pi / 2), (make_power_profile(1.5), math.pi / 2),
+     (make_mean_curvature_profile(), math.pi / 2), (P2, math.pi / 3)],
+    ids=["p3", "p1.5", "mean-curvature", "laplacian-pi3"],
+)
+def test_identity_suite_is_the_general_forms_bit_for_bit(profile, alpha, eps):
+    # the component forms sum in the general forms' order: every float of the
+    # report, signed zeros included, is the reference's
+    grid, u = _solved(profile, alpha, eps)
+    assert float_bits(identity_suite(grid, u, profile).to_dict()) == float_bits(
+        identity_report(grid, u, profile).to_dict())
+
+
+def test_identity_suite_bit_for_bit_with_masked_cells():
+    # a flat patch makes degenerate cells, so W.mask and the masked branches
+    # of every check are exercised; an affine field has W = 0 up to roundoff
+    grid, u = _solved(P3, math.pi / 2, 0.1)
+    u = u.copy()
+    u[10:18, 12:20] = u[14, 16]
+    assert identity_suite(grid, u, P3).masked_cells > 0
+    x = grid.r_centers * np.cos(grid.theta_centers)
+    for field in (u, 0.3 - 0.25 * x):
+        rep = identity_suite(grid, field, P3)
+        assert float_bits(rep.to_dict()) == float_bits(identity_report(grid, field, P3).to_dict())
+
+
+def test_identity_suite_derives_each_field_once(monkeypatch):
+    # one mapped gradient (and so one Cartesian gradient) and one W per suite,
+    # wherever the name is looked up
+    calls = {"mapped_gradient": 0, "gradient_field": 0, "hessian_W_field": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in calls:
+        for module in (solver, identities):
+            if hasattr(module, name):
+                counted(module, name)
+    grid, u = _solved(P3, math.pi / 2, 0.1, n=16)
+    identity_suite(grid, u, P3)
+    assert calls == {"mapped_gradient": 1, "gradient_field": 1, "hessian_W_field": 1}

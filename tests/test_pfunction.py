@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import serrinlab.pfunction as pfunction
+import serrinlab.solver as solver
 from serrinlab.mesh import BoundaryRadius, build_grid
 from serrinlab.oracles import (
     RadialSolutionSpaceForm,
@@ -14,7 +16,6 @@ from serrinlab.oracles import (
 from serrinlab.pfunction import (
     hessian_proportionality_defect,
     max_principle_check,
-    obata_ode_profile,
     p_field,
     pfunction_suite,
     step3_identity,
@@ -23,6 +24,8 @@ from serrinlab.pfunction import (
 )
 from serrinlab.solver import solve_linear_spaceform
 from serrinlab.spaceforms import EUCLIDEAN, HYPERBOLIC, SPHERE, ConeSection
+
+from reference import float_bits, obata_ode_profile, pfunction_report
 
 FORMS = [(EUCLIDEAN, 1.0), (HYPERBOLIC, 1.0), (SPHERE, math.pi / 4)]
 
@@ -222,3 +225,27 @@ def test_pfunction_suite_oracle_field():
     rep = pfunction_suite(g, sample_values(sol, g))
     assert rep.passed
     assert abs(rep.step3_residual) <= 1e-2 * abs(rep.step3_lhs)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("sf,R", [(HYPERBOLIC, 1.0), (SPHERE, math.pi / 4)], ids=["hyperbolic", "sphere"])
+def test_pfunction_suite_is_the_per_statistic_forms_bit_for_bit(sf, R, eps):
+    # one shared gradient and the defect's largest of three maxima give every
+    # float of the report; the defect's vertex ring is where a reassociation
+    # would show first
+    g = grid_for(sf, R, eps=eps)
+    u, _ = solve_linear_spaceform(g, 2)
+    assert float_bits(pfunction_suite(g, u).to_dict()) == float_bits(pfunction_report(g, u).to_dict())
+
+
+def test_pfunction_suite_derives_the_gradient_once(monkeypatch):
+    calls = []
+    for module in (solver, pfunction):
+        real = module.metric_gradient
+        monkeypatch.setattr(module, "metric_gradient",
+                            lambda *args, real=real, **kw: calls.append(1) or real(*args, **kw))
+    g = grid_for(HYPERBOLIC, 1.0, n=16, eps=0.1)
+    u, _ = solve_linear_spaceform(g, 2)
+    calls.clear()
+    pfunction_suite(g, u)
+    assert len(calls) == 1
