@@ -9,8 +9,10 @@ with no solver in the loop.  Exit codes: 0 all audits pass, 2 audit failures,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
+import re
 import sys
 import time
 import warnings
@@ -34,7 +36,7 @@ from .oracles import (
 )
 from .pfunction import pfunction_suite
 from .profiles import profile_from_id
-from .reports import ConfigError, RunManifest, _render, emit_csv, emit_json, parse_config
+from .reports import ConfigError, RunManifest, _render, _ring_text, emit_csv, emit_json, parse_config
 from .rigidity import (
     ExperimentConfig,
     convergence_study,
@@ -95,8 +97,7 @@ def _grid_from_config(cfg: ExperimentConfig):
 
 def _solution_table(grid, u):
     theta = np.broadcast_to(grid.theta_centers, grid.r_centers.shape)
-    table = np.column_stack((grid.r_centers.ravel(), theta.ravel(), u.ravel()))
-    return "solution.csv", ["r", "theta", "u"], table
+    return "solution.csv", ["r", "theta", "u"], np.stack((grid.r_centers, theta, u), axis=-1)
 
 
 def _write_run(cfg: ExperimentConfig, subcommand: str, t0: float, report: dict, table=None, grid=None):
@@ -129,58 +130,56 @@ def _read(path, read, **how):
         raise ConfigError(f"{path}: {exc.strerror or exc}") from None
 
 
-# bytes read at once: more than the longest strict line (75 bytes), few enough that a block's arrays stay small
-_BLOCK = 1 << 18
-# _KEEP[m] keeps the first m bytes of a 24-byte key and zeroes the rest
-_KEEP = np.tril(np.full((25, 24), 255, np.uint8), -1).view("V24").ravel()
+# one line of the writer's layout: three fields of 1-24 bytes of 0-9 + - . e E; at most 75 bytes
+_LINE = re.compile(rb"([-+.0-9eE]{1,24}),([-+.0-9eE]{1,24}),([-+.0-9eE]{1,24})\n")
 
 
-def _parse_strict(f, n: int, nt: int):
-    """The (n, 3) body of a solution CSV in its writer's strict layout, else None.
+def _loadtxt(lines) -> np.ndarray:
+    """np.loadtxt of solution CSV body lines, as rows of numbers."""
+    with warnings.catch_warnings():
+        # numpy warns on lines with no rows; the reader's row count reports it
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
 
-    f is a binary file just past its header.  The strict layout is n lines of three
-    comma-separated fields of 1-24 bytes of 0-9 + - . e E, each line ending in a newline.
-    Read in blocks of whole lines, a field is parsed only where its text differs from
-    its reference's: the row above for r and u, the same column of the first ring (nt
-    rows) for theta.  numpy's bytes-to-float cast rounds as np.loadtxt does, so the
-    array is np.loadtxt's bit for bit.  Any other file is None: the text path judges it.
+
+def _read_body(f, nt: int):
+    """(rows, k): the (n, 3) body of a solution CSV, whose first k rings were matched.
+
+    f is a binary file just past its header.  Ring 0's lines give the theta texts; a
+    ring is matched when its bytes are _ring_text of its first line's r and u, all in
+    the writer's layout, and only those texts are converted (numpy's bytes-to-float
+    cast rounds as np.loadtxt does).  _loadtxt reads the rest, as the text path reads
+    a body.  rows is None when the rest is not rows of three numbers: the text path
+    judges the file.
     """
-    out, ring, last, dense, row, tail = np.empty((3, n)), np.zeros(nt, "S24"), np.zeros(3, "S24"), set(), 0, b""
+    at = f.tell()
+    lines = [_LINE.fullmatch(f.readline(75)) for _ in range(nt)]
+    thetas, r, u = [m[2] for m in lines] if all(lines) else [], [], []
+    f.seek(at)
+    while thetas:
+        line = _LINE.fullmatch(f.readline(75))
+        ring = line and _ring_text(line[1], thetas, line[3])
+        if not ring or line[0] + f.read(len(ring) - len(line[0])) != ring:
+            break
+        r.append(line[1])
+        u.append(line[3])
+        at += len(ring)
+    f.seek(at)
+    k, rows, text = len(r), np.empty((3, len(r), nt)), io.TextIOWrapper(f, encoding="utf-8")
     try:
-        with np.errstate(over="ignore"):  # a field past the largest double reads as inf, as in np.loadtxt
-            while chunk := f.read(_BLOCK):
-                text = b"".join((tail, chunk, bytes(24)))  # padded: every field has a 24-byte window
-                cut = text.rfind(b"\n") + 1
-                if not cut or chunk.translate(None, b"0123456789+-.eE,\n"):
-                    return None
-                buf = np.frombuffer(text, np.uint8)
-                # the newlines and commas: the bytes below 45 but "+"
-                sep = np.flatnonzero((buf[:cut] == 44) | (buf[:cut] == 10) if b"+" in text else buf[:cut] < 45)
-                rows, size = len(sep) // 3, np.diff(sep, prepend=-1) - 1
-                if (3 * rows != len(sep) or row + rows > n or not 1 <= size.min() <= size.max() <= 24
-                        or (buf[sep].reshape(rows, 3) != (44, 44, 10)).any()):
-                    return None
-                keys = np.lib.stride_tricks.sliding_window_view(buf, 24).view("S24")[sep - size, 0]
-                keys.view(np.uint64)[:] &= _KEEP[size].view(np.uint64)  # a field's bytes, then zeros
-                keys, block = keys.reshape(rows, 3), out[:, row:row + rows]
-                head = keys[:max(nt - row, 0), 1]  # theta on the first ring, parsed whole
-                ring[row:row + len(head)], block[1, :len(head)] = head, head.astype(np.float64)
-                ref = np.arange(row, row + rows) % nt
-                new = keys[:, 1] != ring[ref]
-                block[1] = out[1, ref]
-                block[1, new] = keys[new, 1].astype(np.float64)
-                for c in (0, 2):  # r and u: the row above, until a block differs from it on every row
-                    k = keys[:, c]
-                    new = c in dense or np.append(k[0] != last[c], k[1:] != k[:-1])
-                    if np.all(new):
-                        dense.add(c)
-                        block[c] = k.astype(np.float64)
-                    else:
-                        block[c] = np.append(out[c, row - 1], k[new].astype(np.float64))[np.cumsum(new)]
-                last, row, tail = keys[-1], row + rows, text[cut:-24]
+        rest = _loadtxt(text)
+        if k:
+            with np.errstate(over="ignore"):  # a field past the largest double reads as inf, as in np.loadtxt
+                r, thetas, u = (np.array(texts).astype(np.float64) for texts in (r, thetas, u))
+            rows[0], rows[1], rows[2] = r[:, None], thetas, u[:, None]
     except ValueError:  # a field that is not a number
-        return None
-    return out.T if row == n and not tail else None
+        return None, k
+    finally:
+        text.detach()  # f stays open
+    rows = rows.reshape(3, -1).T  # columns contiguous, for the checks that follow
+    if not rest.size:
+        return rows, k
+    return (np.concatenate((rows, rest)) if rest.shape[1] == 3 else None), k
 
 
 def _read_solution_csv(path, grid) -> np.ndarray:
@@ -199,7 +198,7 @@ def _read_solution_csv(path, grid) -> np.ndarray:
         return [(number, line) for number, line in enumerate(f, 1) if number > top and line.rstrip("\n")]
 
     with _read(path, Path.open, mode="rb") as f:
-        data, top = _parse_strict(f, grid.n_cells, grid.Nt) if f.readline() == b"r,theta,u\n" else None, 1
+        data, top = _read_body(f, grid.Nt)[0] if f.readline() == b"r,theta,u\n" else None, 1
     if data is None:
         with _read(path, Path.open, encoding="utf-8") as f:
             header = f.readline()
@@ -208,10 +207,7 @@ def _read_solution_csv(path, grid) -> np.ndarray:
             if header.strip() != "r,theta,u":
                 raise ConfigError(f"{path}: expected header 'r,theta,u'")
             try:
-                with warnings.catch_warnings():
-                    # numpy warns on a file with no rows; the row count below reports it
-                    warnings.simplefilter("ignore", UserWarning)
-                    data = np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
+                data = _loadtxt(f)
             except ValueError:
                 # read the body again line by line, skipping empty lines as numpy does:
                 # numpy numbers body rows from 0 or 1 by fault kind, so name the file line
@@ -220,12 +216,12 @@ def _read_solution_csv(path, grid) -> np.ndarray:
                 row_count(len(lines))
                 for number, line in lines:
                     try:
-                        parsed = np.loadtxt([line], delimiter=",", ndmin=2, comments=None)
+                        parsed = _loadtxt([line])
                     except ValueError:
                         parsed = None
                     if parsed is None or parsed.shape != (1, 3):
                         raise ConfigError(f"{path}: row {number} is not three numbers r,theta,u") from None
-                data = np.loadtxt([line for _, line in lines], delimiter=",", ndmin=2, comments=None)
+                data = _loadtxt([line for _, line in lines])
     row_count(len(data))
     if data.shape != (grid.n_cells, 3):
         raise ConfigError(f"{path}: expected {grid.n_cells} rows of three fields r,theta,u")

@@ -3,13 +3,9 @@
 All numeric output goes through one float formatter (17 significant digits)
 and one JSON writer (sorted keys, LF newlines), so identical inputs produce
 byte-identical report files.  A CSV table is either rows of mixed values,
-rendered value by value, or a 2-D float array, rendered column by column:
-each distinct bit pattern of a column goes through the formatter once (a
-correctly rounded decimal conversion is the writer's whole cost), and the
-rows are filled into one template.  Keying on bits rather than on float
-values keeps -0 apart from 0, so both paths write the same bytes.  Run
-manifests carry wall-clock timing and are the one deliberately
-non-reproducible artifact.
+rendered value by value, or the (Nr, Nt, 3) float array of a solution's (r,
+theta, u) rows, rendered ring by ring.  Run manifests carry wall-clock timing
+and are the one deliberately non-reproducible artifact.
 """
 
 from __future__ import annotations
@@ -104,7 +100,8 @@ def _render(value) -> str:
 
 
 def _render_table(table: np.ndarray) -> str:
-    """CSV body of a 2-D float array; fmt_float runs once per distinct bit pattern of a column."""
+    """CSV body of a 2-D float array, filled into one template; fmt_float (a correctly rounded
+    decimal conversion, the writer's whole cost) runs once per distinct bit pattern of a column."""
     n, m = table.shape
     cells = np.empty((n, m), dtype=object)
     for j in range(m):
@@ -113,15 +110,45 @@ def _render_table(table: np.ndarray) -> str:
     return (",".join(["%s"] * m) + "\n") * n % tuple(cells.ravel().tolist())
 
 
+def _ring_text(r, thetas, u):
+    """One radial ring's lines, r and u on each, theta running over thetas: str or bytes alike,
+    so that the writer renders and the reader matches the same text."""
+    comma, newline = (",", "\n") if isinstance(r, str) else (b",", b"\n")
+    prefix, suffix = r + comma, comma + u + newline
+    return prefix + (suffix + prefix).join(thetas) + suffix
+
+
+def _render_rings(table: np.ndarray) -> str:
+    """CSV body of an (Nr, Nt, 3) float array of (r, theta, u) rows, ring by ring.
+
+    A ring whose r and u are one bit pattern each and whose theta bits are ring
+    0's is radial, written by _ring_text; each run of other rings is one
+    _render_table call.  Bits rather than values, as there, keep -0 apart from
+    0, so that both write the same bytes.
+    """
+    r, theta, u = np.moveaxis(table.view(np.int64), -1, 0)
+    radial = (r == r[:, :1]).all(1) & (u == u[:, :1]).all(1) & (theta == theta[:1]).all(1)
+    thetas = list(map(fmt_float, table[0, :, 1].tolist()))
+    edges = [0, *(np.flatnonzero(radial[1:] != radial[:-1]) + 1).tolist(), len(table)]
+    parts = []
+    for a, b in zip(edges, edges[1:]):
+        if radial[a]:
+            rings = zip(table[a:b, 0, 0].tolist(), table[a:b, 0, 2].tolist())
+            parts += [_ring_text(fmt_float(ri), thetas, fmt_float(ui)) for ri, ui in rings]
+        else:
+            parts.append(_render_table(table[a:b].reshape(-1, 3)))
+    return "".join(parts)
+
+
 def emit_csv(path, header, rows) -> Path:
     """Write a table with a fixed column order and LF newlines.
 
-    rows is an iterable of mixed-value rows, or a 2-D float array (same bytes,
-    rendered column by column).
+    rows is an iterable of mixed-value rows, or an (Nr, Nt, 3) float array of
+    a solution's (r, theta, u) rows (same bytes, rendered ring by ring).
     """
     path = Path(path)
     if isinstance(rows, np.ndarray):
-        body = _render_table(rows)
+        body = _render_rings(rows)
     else:
         body = "".join(",".join(_render(v) for v in row) + "\n" for row in rows)
     path.write_text(",".join(header) + "\n" + body, encoding="utf-8", newline="\n")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import serrinlab.cli as cli
+import serrinlab.reports as reports
 from serrinlab.rigidity import ExperimentConfig
 from serrinlab.solver import SolveReport
 
@@ -390,6 +391,52 @@ def test_solution_csv_golden_bytes_and_round_trip(tmp_path):
         assert back.tobytes() == finite.tobytes()
 
 
+def _radial(table):
+    # per ring: r and u one bit pattern each, theta the bits of ring 0's
+    bits = table.view(np.int64)
+    return [len(set(ring[:, 0].tolist())) == len(set(ring[:, 2].tolist())) == 1
+            and ring[:, 1].tolist() == bits[0, :, 1].tolist() for ring in bits]
+
+
+def _grid(spec, eps=0.0, profile="laplacian"):
+    return cli._grid_from_config(ExperimentConfig.from_dict({"profile": profile, "R0": 1.0, "grids": [spec],
+                                                             "epsilons": [eps]}))
+
+
+def _special_rings():
+    # a ring of -0.0 beside a ring mixing 0.0 and -0.0, a ring of two nan
+    # payloads beside a ring of one; ring 9 gets a reversed theta below
+    grid = _grid("16x8")
+    u = np.repeat(np.linspace(1.0, 0.0, grid.Nr)[:, None], grid.Nt, axis=1)
+    payloads = np.array([0x7FF8000000000001, -0x0007FFFFFFFFFFFF], dtype=np.int64).view(np.float64)
+    u[3], u[4], u[6], u[7] = -0.0, np.resize([0.0, -0.0], grid.Nt), np.resize(payloads, grid.Nt), payloads[1]
+    return grid, u
+
+
+@pytest.mark.parametrize("solve,radial", [
+    (("p-laplacian:1.5", "128x128", 0.0), [True] * 128),
+    (("laplacian", "256x256", 0.0), [k not in (239, 240, 248, 252) for k in range(256)]),
+    (("laplacian", "64x64", 0.1), [False] * 64),
+    (None, [k not in (4, 6, 9) for k in range(16)]),
+], ids=["p1.5-128-eps0", "laplacian-256-eps0", "laplacian-64-eps0.1", "special-values"])
+def test_ring_writer_is_the_column_writer_byte_for_byte(tmp_path, solve, radial):
+    # radial rings are one join each, runs of the others go to the column
+    # writer; the file is the column writer's byte for byte
+    if solve is None:
+        grid, u = _special_rings()
+    else:
+        profile, spec, eps = solve
+        grid = _grid(spec, eps, profile)
+        u, report = cli.solve_Lf(grid, cli.profile_from_id(profile))
+        assert report.converged
+    name, header, table = cli._solution_table(grid, u)
+    if solve is None:
+        table[9, :, 1] = table[9, ::-1, 1]  # r and u one pattern each, theta not ring 0's
+    assert table.shape == (grid.Nr, grid.Nt, 3) and _radial(table) == radial
+    path = cli.emit_csv(tmp_path / name, header, table)
+    assert path.read_bytes() == ("r,theta,u\n" + reports._render_table(table.reshape(-1, 3))).encode()
+
+
 @pytest.fixture
 def solved_8x8(tmp_path):
     cfg = write_config(tmp_path, grid="8x8", out_dir=str(tmp_path / "run"))
@@ -482,10 +529,11 @@ def test_solution_csv_rejects_non_finite_u(tmp_path, capsys, solved_8x8, command
         assert not (tmp_path / "run" / f"{command}_report.json").exists()
 
 
-def _strict(path, n, nt):
-    # the strict parse of a solution CSV's body, or None
-    with open(path, "rb") as f:
-        return cli._parse_strict(f, n, nt) if f.readline() == b"r,theta,u\n" else None
+def _strict(path, nt, block=-1):
+    # the ring path's (body, matched rings) of a solution CSV, read through a
+    # buffer of block bytes; (None, 0) for a file whose header it does not take
+    with open(path, "rb", buffering=block) as f:
+        return cli._read_body(f, nt) if f.readline() == b"r,theta,u\n" else (None, 0)
 
 
 def _loadtxt(path):
@@ -502,10 +550,11 @@ def _closed_form_csv(path, grid):
 
 @pytest.mark.parametrize("block", [None, 100, 1000], ids=["one-block", "block-100", "block-1000"])
 @pytest.mark.parametrize("kind", ["closed-form", "solved-eps0", "solved-eps0.1"])
-def test_strict_parse_is_loadtxt_bit_for_bit(tmp_path, monkeypatch, kind, block):
+def test_strict_parse_is_loadtxt_bit_for_bit(tmp_path, kind, block):
     # the closed-form layout, and the lab's own writer on a radial and on a
-    # perturbed solution, whose r and u all differ; small blocks end inside
-    # the first ring (24 lines) and inside lines
+    # perturbed solution, whose r and u all differ: every ring matched, the
+    # leading 23 rings then np.loadtxt, and np.loadtxt alone; small read
+    # blocks end inside the first ring (24 lines) and inside lines
     eps = 0.1 if kind == "solved-eps0.1" else 0.0
     cfg = write_config(tmp_path, grid="32x24", epsilon=eps, out_dir=str(tmp_path / "run"))
     path = tmp_path / "run" / "solution.csv"
@@ -515,11 +564,10 @@ def test_strict_parse_is_loadtxt_bit_for_bit(tmp_path, monkeypatch, kind, block)
         _closed_form_csv(path, grid)
     else:
         assert cli.main(["solve", "--config", str(cfg)]) == 0
-    if block is not None:
-        monkeypatch.setattr(cli, "_BLOCK", block)
     want = _loadtxt(path)
-    got = _strict(path, 32 * 24, 24)
+    got, rings = _strict(path, 24, block or -1)
     assert got is not None and got.shape == (32 * 24, 3)
+    assert rings == {"closed-form": 32, "solved-eps0": 23, "solved-eps0.1": 0}[kind]
     assert np.ascontiguousarray(got).tobytes() == want.tobytes()
     if kind == "solved-eps0.1":
         assert len(set(want[:, 0].tolist())) == len(set(want[:, 2].tolist())) == 32 * 24
@@ -528,7 +576,9 @@ def test_strict_parse_is_loadtxt_bit_for_bit(tmp_path, monkeypatch, kind, block)
 def test_strict_parse_of_hard_decimal_strings(tmp_path):
     # subnormals, 2^53 + 1 and other halfway cases, the largest doubles and
     # beyond, signs and bare points, and seeded random strings of 1-24 bytes
-    # read to the bits np.loadtxt reads
+    # read to the bits np.loadtxt reads: the first 7 are ring 0's theta texts,
+    # the others the r and u texts of radial rings of 7 lines, so that every
+    # string goes through the ring conversion
     corpus = ["4.9406564584124654e-324", "5e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
               "2.2250738585072011e-308", "2.2250738585072014e-308", "1.7976931348623157e308",
               "1.7976931348623158e308", "1.7976931348623159e308", "1e400", "1e-400", "9007199254740993",
@@ -546,12 +596,12 @@ def test_strict_parse_of_hard_decimal_strings(tmp_path):
             corpus.append(text)
     values = rng.standard_normal(3000) * 10.0 ** rng.integers(-325, 300, 3000)
     corpus += [f"{v:.17g}" for v in values.tolist()] + [repr(v) for v in values.tolist()]
-    corpus += corpus[: (-len(corpus)) % 3]
+    thetas, corpus = corpus[:7], corpus[7:] + corpus[7:][: len(corpus[7:]) % 2]
     path = tmp_path / "hard.csv"
-    lines = [",".join(corpus[i:i + 3]) for i in range(0, len(corpus), 3)]
-    path.write_text("r,theta,u\n" + "\n".join(lines) + "\n")
-    got = _strict(path, len(lines), 7)
-    assert got is not None
+    rings = [reports._ring_text(r, thetas, u) for r, u in zip(corpus[::2], corpus[1::2])]
+    path.write_text("r,theta,u\n" + "".join(rings))
+    got, matched = _strict(path, 7)
+    assert matched == len(rings) > 4000
     assert np.ascontiguousarray(got).tobytes() == _loadtxt(path).tobytes()
 
 
@@ -562,53 +612,101 @@ def _field(lines, row, col, text):
 
 
 _OUTSIDE_STRICT = {
-    # name: (the file's lines from the strict ones, None for the strict file's array or the error)
-    "crlf": (lambda ls: [line + "\r" for line in ls], None),
-    "blank-line": (lambda ls: ls[:4] + [""] + ls[4:], None),
-    "blank-end": (lambda ls: ls + [""], None),
-    "spaces": (lambda ls: _field(ls, 5, 2, " " + ls[5].split(",")[2] + " "), None),
-    "nan": (lambda ls: _field(ls, 5, 2, "nan"), "row 6 u is not finite"),
-    "inf": (lambda ls: _field(ls, 5, 1, "inf"), "row 6 angle does not match the grid spec"),
-    "underscore": (lambda ls: _field(ls, 5, 2, "1_0"), "row 6 is not three numbers r,theta,u"),
-    "field-25-bytes": (lambda ls: _field(ls, 5, 0, ls[5].split(",")[0].ljust(25, "0")), None),
-    "one-row-too-many": (lambda ls: ls + ls[-1:], "65 rows do not match the 8x8 grid"),
-    "one-row-too-few": (lambda ls: ls[:-1], "63 rows do not match the 8x8 grid"),
-    "two-fields": (lambda ls: ls[:5] + [ls[5].rsplit(",", 1)[0]] + ls[6:], "row 6 is not three numbers r,theta,u"),
-    "four-fields": (lambda ls: ls[:5] + [ls[5] + ",1"] + ls[6:], "row 6 is not three numbers r,theta,u"),
-    "header-space": (lambda ls: ["r,theta,u "] + ls[1:], None),
+    # name: (the file's lines from the strict ones, the index among them of the
+    # first line that differs (0 is the header), None for the strict file's array or the error)
+    "crlf": (lambda ls: [line + "\r" for line in ls], 0, None),
+    "blank-line": (lambda ls: ls[:4] + [""] + ls[4:], 4, None),
+    "blank-end": (lambda ls: ls + [""], 65, None),
+    "spaces": (lambda ls: _field(ls, 5, 2, " " + ls[5].split(",")[2] + " "), 5, None),
+    "nan": (lambda ls: _field(ls, 5, 2, "nan"), 5, "row 6 u is not finite"),
+    "inf": (lambda ls: _field(ls, 5, 1, "inf"), 5, "row 6 angle does not match the grid spec"),
+    "underscore": (lambda ls: _field(ls, 5, 2, "1_0"), 5, "row 6 is not three numbers r,theta,u"),
+    "field-25-bytes": (lambda ls: _field(ls, 5, 0, ls[5].split(",")[0].ljust(25, "0")), 5, None),
+    "one-row-too-many": (lambda ls: ls + ls[-1:], 65, "65 rows do not match the 8x8 grid"),
+    "one-row-too-few": (lambda ls: ls[:-1], 64, "63 rows do not match the 8x8 grid"),
+    "two-fields": (lambda ls: ls[:5] + [ls[5].rsplit(",", 1)[0]] + ls[6:], 5, "row 6 is not three numbers r,theta,u"),
+    "four-fields": (lambda ls: ls[:5] + [ls[5] + ",1"] + ls[6:], 5, "row 6 is not three numbers r,theta,u"),
+    "header-space": (lambda ls: ["r,theta,u "] + ls[1:], 0, None),
+    "last-ring-two-fields": (lambda ls: ls[:57] + [line.rsplit(",", 1)[0] for line in ls[57:]], 57,
+                             "row 58 is not three numbers r,theta,u"),
 }
 
 
+def _read_outcome(path, grid):
+    # the array a solution CSV reads to, or the message it is rejected with
+    try:
+        return cli._read_solution_csv(path, grid).tobytes()
+    except cli.ConfigError as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("name", [*_OUTSIDE_STRICT, "no-final-newline"])
-def test_files_outside_the_strict_layout_take_the_text_path(tmp_path, solved_8x8, name):
-    # the strict parse declines each file; the text path reads it to the
-    # strict file's array or rejects it with its own message
+def test_files_outside_the_strict_layout_take_the_text_path(tmp_path, monkeypatch, solved_8x8, name):
+    # the line that leaves the writer's layout lies in no matched ring; the
+    # file reads to the text path's array or its message, which are the
+    # strict file's array or the listed message
     cfg, lines = solved_8x8
     grid = cli._grid_from_config(cli.parse_config(cfg.read_text()))
     strict = tmp_path / "strict.csv"
     strict.write_text("\n".join(lines) + "\n")
     want = cli._read_solution_csv(strict, grid)
+    assert _strict(strict, grid.Nt)[1] == grid.Nr  # the solved 8x8 field is radial
     assert "." in lines[5].split(",")[0]  # so that trailing zeros keep the value of the 25-byte field
-    corrupt, message = _OUTSIDE_STRICT.get(name, (lambda ls: ls, None))
+    corrupt, fault, message = _OUTSIDE_STRICT.get(name, (lambda ls: ls, len(lines) - 1, None))
     path = tmp_path / "bad.csv"
     path.write_bytes(("\n".join(corrupt(lines)) + ("" if name == "no-final-newline" else "\n")).encode())
-    assert _strict(path, grid.n_cells, grid.Nt) is None
-    if message is None:
-        assert cli._read_solution_csv(path, grid).tobytes() == want.tobytes()
-    else:
-        with pytest.raises(cli.ConfigError) as raised:
-            cli._read_solution_csv(path, grid)
-        assert str(raised.value) == f"{path}: {message}"
+    assert not 1 <= fault <= _strict(path, grid.Nt)[1] * grid.Nt
+    got = _read_outcome(path, grid)
+    with monkeypatch.context() as text_only:
+        text_only.setattr(cli, "_read_body", lambda f, nt: (None, 0))
+        assert got == _read_outcome(path, grid)
+    assert got == (want.tobytes() if message is None else f"{path}: {message}")
+
+
+def _rewrite(index, col, how):
+    # a change to a file's lines: field col of line index (0 is the header) becomes how(field)
+    return lambda lines: _set_field(lines, index, col, how(lines[index].split(",")[col]))
+
+
+_RING_FILES = {
+    # name: (u on the 16x8 grid, a change to the file's lines, the rings matched);
+    # line 1 + 8 i + j is line j of ring i
+    "radial-prefix-then-tail": (lambda r, t: np.where(r < 0.6, 1 - r * r, t), None, 10),
+    "byte-changed-in-last-line": (lambda r, t: 1 - r * r, _rewrite(1 + 8 * 5 + 7, 2, lambda u: u[:-1] + "0"), 5),
+    "later-ring-theta-text": (lambda r, t: 1 - r * r, _rewrite(1 + 8 * 7 + 2, 1, "0{}".format), 7),
+    "ring-0-not-radial": (lambda r, t: np.where(r < 0.1, t, 1 - r * r), None, 0),
+    "ring-spans-blocks": (lambda r, t: 1 - r * r, None, 16),
+}
+
+
+@pytest.mark.parametrize("name", _RING_FILES)
+def test_ring_reader_matches_leading_radial_rings(tmp_path, name):
+    # the leading rings whose bytes are their radial text are matched, the
+    # rest goes to np.loadtxt; the body is np.loadtxt's bit for bit, and so
+    # is the u the reader returns
+    field, change, matched = _RING_FILES[name]
+    grid = _grid("16x8")
+    r, theta = grid.r_centers, np.broadcast_to(grid.theta_centers, grid.r_centers.shape)
+    path = cli.emit_csv(tmp_path / "solution.csv", ["r", "theta", "u"], cli._solution_table(grid, field(r, theta))[2])
+    if change is not None:
+        lines = path.read_text().splitlines()
+        change(lines)
+        path.write_text("\n".join(lines) + "\n")
+    assert len(path.read_text().splitlines()[1]) * grid.Nt > 4 * 64  # a ring spans several 64-byte blocks
+    got, rings = _strict(path, grid.Nt, 64 if name == "ring-spans-blocks" else -1)
+    assert rings == matched
+    assert got.tobytes() == _loadtxt(path).tobytes()
+    assert cli._read_solution_csv(path, grid).tobytes() == _loadtxt(path)[:, 2].tobytes()
 
 
 def test_solution_csv_read_memory_peak(tmp_path):
-    # a 384x384 closed-form file, read block by block: at most 16 MB traced
-    # at the peak, and np.loadtxt's values bit for bit over many blocks
+    # a 384x384 closed-form file, read ring by ring: at most 16 MB traced at
+    # the peak, and np.loadtxt's values bit for bit
     cfg = ExperimentConfig.from_dict({"profile": "laplacian", "R0": 1.0, "grids": ["384x384"], "epsilons": [0.0]})
     grid = cli._grid_from_config(cfg)
     path = tmp_path / "closed_form.csv"
     _closed_form_csv(path, grid)
-    assert path.stat().st_size > 8 * cli._BLOCK
+    assert path.stat().st_size > 16e6 / 2  # read whole, the text alone would be half the cap
     tracemalloc.start()
     try:
         u = cli._read_solution_csv(path, grid)
@@ -616,7 +714,8 @@ def test_solution_csv_read_memory_peak(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 16e6, peak
-    assert np.ascontiguousarray(_strict(path, grid.n_cells, grid.Nt)).tobytes() == _loadtxt(path).tobytes()
+    got, rings = _strict(path, grid.Nt)
+    assert rings == grid.Nr and got.tobytes() == _loadtxt(path).tobytes()
     assert u.tobytes() == _loadtxt(path)[:, 2].tobytes()
 
 

@@ -43,13 +43,22 @@ but |Omega|/|Gamma_0| < 1, so a solution exists and the solve converges; and
 R0 = 2.05 with eps = 0, where |Omega|/|Gamma_0| > 1 rules out a solution and
 the solve says so after no Picard step, exit 3), solve p = 1.5 at 128x128 with
 eps = 0.1 (the largest perturbed Picard solve: GMRES on the separable part
-serves all 12 of its steps, in 12 cycles, with no SuperLU factor), the
-Laplacian solve at 256x256 with eps = 0 and eps = 0.1, each followed by an
-audit of its solution.csv (files of many read blocks: in the radial one r,
-theta and u repeat, in the perturbed one every r and u is distinct), the
-hyperbolic solve at 256x256 with eps = 0.1 (the largest matrix, 9-point with
-the N K shift), `oracle --out-dir`, and the Euclidean oracle in dimension 3,
-`oracle --N 3 --out-dir`.
+serves all 12 of its steps, in 12 cycles, with no SuperLU factor), solve
+plus audit for p = 1.5 at 128x128 with eps = 0, the Laplacian solve at
+256x256 with eps = 0 and eps = 0.1, each followed by an audit of its
+solution.csv, the hyperbolic solve at 256x256 with eps = 0.1 (the largest
+matrix, 9-point with the N K shift), `oracle --out-dir`, and the Euclidean
+oracle in dimension 3, `oracle --N 3 --out-dir`.
+
+The solution CSVs cover both paths of the writer and the reader.  A radial
+ring (r and u the same on every line, theta ring 0's) is written and read
+as one string; other rings are written column by column and read by
+np.loadtxt.  Every ring of the p = 1.5 128x128 eps = 0 solve is radial, so
+its solve writes and its audit reads it whole by the ring path; in the
+Laplacian 256x256 eps = 0 file 252 of 256 rings are radial, and its audit
+matches the leading 239 and reads the rest by np.loadtxt; every eps = 0.1
+file has no radial ring and is written column by column and read by
+np.loadtxt alone.
 """
 
 from __future__ import annotations
@@ -105,6 +114,9 @@ def commands() -> list:
         ("solve_mean_curvature_past_bound", "solve", _config("mean-curvature", epsilons=[0.1], R0=1.9), []),
         ("solve_mean_curvature_no_solution", "solve", _config("mean-curvature", epsilons=[0.0], R0=2.05), []),
         ("solve_p1.5_128_eps0.1", "solve", _config("p-laplacian:1.5", ["128x128"], [0.1]), []),
+        ("solve_p1.5_128", "solve", _config("p-laplacian:1.5", ["128x128"], [0.0]), []),
+        ("audit_p1.5_128", "audit", _config("p-laplacian:1.5", ["128x128"], [0.0]),
+         ["--solution", "../solve_p1.5_128/out/solution.csv"]),
     ]
     for tag, eps in (("", 0.0), ("_eps0.1", 0.1)):
         config = _config(grids=["256x256"], epsilons=[eps])
