@@ -36,7 +36,7 @@ from .oracles import (
 )
 from .pfunction import pfunction_suite
 from .profiles import profile_from_id
-from .reports import ConfigError, RunManifest, _render, _ring_text, emit_csv, emit_json, parse_config
+from .reports import ConfigError, RunManifest, _ring_text, csv_text, emit_csv, emit_json, parse_config
 from .rigidity import (
     ExperimentConfig,
     convergence_study,
@@ -53,13 +53,14 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_CONFIG = 4
 
 
-def _load_config(args, epsilons: str = "any") -> ExperimentConfig:
+def _load_config(args, epsilons: str = "any", one_grid: bool = True) -> ExperimentConfig:
     """The run's config: the config file, if any, under the flags given.
 
     epsilons is what the subcommand can honour of the epsilons the user
     gives: "any", "one" (it solves one grid) or "zero" (it studies the
     unperturbed sector); more is a ConfigError.  The default ladder is not
-    given, and a subcommand that solves one grid takes its first value.
+    given, and a subcommand that solves one grid takes its first value.  A
+    one_grid subcommand takes one value of grids too.
     """
     overrides = {}
     for key in ("space_form", "profile", "alpha", "R0", "k", "tol", "out_dir"):
@@ -79,6 +80,8 @@ def _load_config(args, epsilons: str = "any") -> ExperimentConfig:
             cfg = ExperimentConfig.from_dict({**cfg.to_dict(), **overrides})
     else:
         cfg = ExperimentConfig.from_dict(overrides)
+    if one_grid and len(cfg.grids) > 1:
+        raise ConfigError(f"{args.command} runs on one grid: grids takes one value, got {list(cfg.grids)}")
     if given and epsilons == "one" and len(cfg.epsilons) > 1:
         raise ConfigError(f"{args.command} solves one grid: epsilons takes one value, got {list(cfg.epsilons)}")
     if given and epsilons == "zero" and any(cfg.epsilons):
@@ -100,22 +103,24 @@ def _solution_table(grid, u):
     return "solution.csv", ["r", "theta", "u"], np.stack((grid.r_centers, theta, u), axis=-1)
 
 
-def _write_run(cfg: ExperimentConfig, subcommand: str, t0: float, report: dict, table=None, grid=None):
-    """Write one run's files into cfg.out_dir, then its manifest listing them.
+def _write_run(out_dir, config: dict, subcommand: str, t0: float, report=None, table=None, grid=None):
+    """Write one run's files into out_dir, then its manifest listing them.
 
-    The report goes to <subcommand>_report.json, naming its manifest; the
-    optional table = (name, header, rows) goes to a CSV.
+    The optional report goes to <subcommand>_report.json, naming its
+    manifest; the optional table = (name, header, rows) goes to a CSV.
     """
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = f"{subcommand}.manifest.json"
-    outputs = [emit_json(out_dir / f"{subcommand}_report.json", {**report, "manifest": manifest}).name]
+    outputs = []
+    if report is not None:
+        outputs.append(emit_json(out_dir / f"{subcommand}_report.json", {**report, "manifest": manifest}).name)
     if table is not None:
         name, header, rows = table
         outputs.append(emit_csv(out_dir / name, header, rows).name)
     RunManifest(
         subcommand=subcommand,
-        config=cfg.to_dict(),
+        config=config,
         grid_hash="" if grid is None else grid.grid_hash(),
         timing_seconds=time.perf_counter() - t0,
         outputs=outputs,
@@ -259,25 +264,10 @@ def _cmd_oracle(args) -> int:
     rows = [(dk, float(u(sol, dk)), float(u_prime(sol, dk)), residual(sol, dk), c) for dk in d]
     header = ["d", "u", "u_prime", "residual", "c"]
     if args.out_dir is None:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_render(v) for v in row))
+        sys.stdout.write(csv_text(header, rows))
         return EXIT_OK
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = emit_csv(out_dir / "oracle.csv", header, rows)
-    RunManifest(
-        subcommand="oracle",
-        config={
-            "space_form": args.space_form,
-            "profile": args.profile,
-            "N": args.N,
-            "R": args.R,
-            "samples": args.samples,
-        },
-        timing_seconds=time.perf_counter() - t0,
-        outputs=[csv_path.name],
-    ).write(out_dir / "oracle.manifest.json")
+    config = {key: getattr(args, key) for key in ("space_form", "profile", "N", "R", "samples")}
+    _write_run(args.out_dir, config, "oracle", t0, table=("oracle.csv", header, rows))
     return EXIT_OK
 
 
@@ -286,7 +276,7 @@ def _cmd_solve(args) -> int:
     t0 = time.perf_counter()
     grid = _grid_from_config(cfg)
     u, report = solve_Lf(grid, profile_from_id(cfg.profile), tol=cfg.tol)
-    _write_run(cfg, "solve", t0, report.to_dict(), _solution_table(grid, u), grid)
+    _write_run(cfg.out_dir, cfg.to_dict(), "solve", t0, report.to_dict(), _solution_table(grid, u), grid)
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
@@ -304,7 +294,7 @@ def _cmd_audit(args) -> int:
         for c in report.checks
     ]
     table = ("audit_report.csv", ["name", "value", "tolerance", "passed"], rows)
-    _write_run(cfg, "audit", t0, report.to_dict(), table, grid)
+    _write_run(cfg.out_dir, cfg.to_dict(), "audit", t0, report.to_dict(), table, grid)
     return EXIT_OK if report.passed else EXIT_AUDIT_FAIL
 
 
@@ -314,7 +304,7 @@ def _cmd_pfunction(args) -> int:
     grid = _grid_from_config(cfg)
     u = _read_solution_csv(args.solution, grid)
     report = pfunction_suite(grid, u)
-    _write_run(cfg, "pfunction", t0, report.to_dict(), grid=grid)
+    _write_run(cfg.out_dir, cfg.to_dict(), "pfunction", t0, report.to_dict(), grid=grid)
     return EXIT_OK if report.passed else EXIT_AUDIT_FAIL
 
 
@@ -330,19 +320,19 @@ def _cmd_rigidity(args) -> int:
         for r in report.rows
     ]
     table = ("rigidity_report.csv", ["epsilon", "sigma", "c_mean", "c_formula", "defect", "pass"], rows)
-    _write_run(cfg, "rigidity", t0, report.to_dict(), table)
+    _write_run(cfg.out_dir, cfg.to_dict(), "rigidity", t0, report.to_dict(), table)
     if any(not r.converged for r in report.rows):
         return EXIT_NO_CONVERGENCE
     return EXIT_OK if report.passed else EXIT_AUDIT_FAIL
 
 
 def _cmd_convergence(args) -> int:
-    cfg = _load_config(args, epsilons="zero")
+    cfg = _load_config(args, epsilons="zero", one_grid=False)
     t0 = time.perf_counter()
     rows = convergence_study(cfg)
     header = ["grid", "h", "err_inf", "err_l2", "order_inf", "order_l2"]
     table = ("convergence_report.csv", header, [[r[key] for key in header] for r in rows])
-    _write_run(cfg, "convergence", t0, {"rows": rows}, table)
+    _write_run(cfg.out_dir, cfg.to_dict(), "convergence", t0, {"rows": rows}, table)
     if any(not r["converged"] for r in rows):
         return EXIT_NO_CONVERGENCE
     return EXIT_OK

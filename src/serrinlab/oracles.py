@@ -6,8 +6,9 @@ u(r) = int_r^R g'(s/N) ds solves L_f u = -1 in a ball with u = 0 on the
 sphere.  The integral has the closed form N (g(R/N) - g(r/N)) through the
 profile's convex conjugate g.  Space-form branch: u = (H(R) - H(d))/(N h_dot(R))
 solves Delta u + N K u = -1 in a geodesic ball.  Both are evaluated with
-analytic derivatives so the auditors can test at 1e-10 level.  ``quad`` is
-the lab's one adaptive quadrature, used by the radial P-function identity.
+analytic derivatives so the auditors can test at 1e-10 level.  No program
+path integrates: ``quad`` stays only as the name the benchmark's tracer
+patches and counts, until the benchmark drops that span.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ __all__ = [
 ]
 
 def quad(func, a, b, **kwargs):
-    """scipy.integrate.quad, imported on the first call: only the radial
-    P-function identity integrates, and the import costs a fresh process
-    about 0.3 s."""
+    """scipy.integrate.quad, imported on the first call (the import costs a
+    fresh process about 0.3 s).  Nothing in the package calls it; the
+    benchmark's tracer patches this name, so it stays until that span goes."""
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(func, a, b, **kwargs)

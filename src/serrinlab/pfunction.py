@@ -15,7 +15,6 @@ import numpy as np
 
 from .identities import tol_discrete
 from .mesh import SectorGrid
-from .oracles import RadialSolutionSpaceForm, overdetermined_constant, quad
 from .solver import (
     _beta_centers,
     _cell_difference,
@@ -34,12 +33,9 @@ __all__ = [
     "subharmonicity_probe",
     "max_principle_check",
     "step3_identity",
-    "step3_identity_analytic",
     "hessian_proportionality_defect",
     "pfunction_suite",
 ]
-
-_QUAD_KW = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
 
 
 def p_field(grid: SectorGrid, u: np.ndarray, *, gradient=None) -> np.ndarray:
@@ -127,33 +123,6 @@ def step3_identity(grid: SectorGrid, u: np.ndarray, c: float, *, u_r=None):
     rhs = (1.0 + 2.0 / N) * (
         float(np.sum(hdot * u * w)) - K * float(np.sum(grid.h_centers * u * u_r * w))
     )
-    return lhs, rhs, lhs - rhs
-
-
-def step3_identity_analytic(sol: RadialSolutionSpaceForm):
-    """Radial-quadrature version of the identity (holds exactly for oracles).
-
-    The angular factor cancels between the two sides, so the reduction uses
-    the 1-D weight h^{N-1} directly.
-    """
-    sf, N, R = sol.space_form, sol.dimension, sol.radius
-    c = overdetermined_constant(sol)
-    denom = N * float(sf.h_dot(R))
-    HR = float(sf.H(R))
-
-    def u(r):
-        return (HR - float(sf.H(r))) / denom
-
-    def up(r):
-        return -float(sf.h(r)) / denom
-
-    def wgt(r):
-        return float(sf.h(r)) ** (N - 1)
-
-    lhs = c * c * quad(lambda r: float(sf.h_dot(r)) * wgt(r), 0.0, R, **_QUAD_KW)[0]
-    t1 = quad(lambda r: float(sf.h_dot(r)) * u(r) * wgt(r), 0.0, R, **_QUAD_KW)[0]
-    t2 = quad(lambda r: float(sf.h(r)) * u(r) * up(r) * wgt(r), 0.0, R, **_QUAD_KW)[0]
-    rhs = (1.0 + 2.0 / N) * (t1 - sf.curvature * t2)
     return lhs, rhs, lhs - rhs
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "ConfigError",
     "parse_config",
     "fmt_float",
+    "csv_text",
     "emit_csv",
     "emit_json",
     "RunManifest",
@@ -140,18 +141,23 @@ def _render_rings(table: np.ndarray) -> str:
     return "".join(parts)
 
 
-def emit_csv(path, header, rows) -> Path:
-    """Write a table with a fixed column order and LF newlines.
+def csv_text(header, rows) -> str:
+    """A table as CSV text, with a fixed column order and LF newlines.
 
     rows is an iterable of mixed-value rows, or an (Nr, Nt, 3) float array of
     a solution's (r, theta, u) rows (same bytes, rendered ring by ring).
     """
-    path = Path(path)
     if isinstance(rows, np.ndarray):
         body = _render_rings(rows)
     else:
         body = "".join(",".join(_render(v) for v in row) + "\n" for row in rows)
-    path.write_text(",".join(header) + "\n" + body, encoding="utf-8", newline="\n")
+    return ",".join(header) + "\n" + body
+
+
+def emit_csv(path, header, rows) -> Path:
+    """Write csv_text(header, rows) to path."""
+    path = Path(path)
+    path.write_text(csv_text(header, rows), encoding="utf-8", newline="\n")
     return path
 
 

@@ -75,6 +75,9 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def __post_init__(self):
+        for key in ("space_form", "profile", "out_dir"):
+            if not isinstance(getattr(self, key), str):
+                raise ValueError(f"{key} takes a string, got {getattr(self, key)!r}")
         space_form_from_id(self.space_form)  # validates
         profile_from_id(self.profile)
         for key in ("alpha", "R0", "tol"):

@@ -191,7 +191,7 @@ _FLUX_TERMS: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def _flux_terms(grid: SectorGrid):
-    """The operator div(a grad u) on one grid, as (inv_volume, terms); built once per grid.
+    """The operator div(a grad u) on one grid, as (inv_volume, volume, terms); built once per grid.
 
     A term (axis, w, radial, angular) is the flux w * face_avg(a) * (radial
     x angular) u through the faces of `axis`: the s-faces fi = 1..Nr, the last
@@ -201,8 +201,7 @@ def _flux_terms(grid: SectorGrid):
     Per axis: the face difference and, at eps != 0, the cross derivative
     (`_half_difference`).  The spacings sit in w: a constant has zero flux.
     The fill and the probe find each stencil's runs (`_runs`).  The cell
-    volumes V stay beside inv_volume, as .volume (`_FluxTerms`): the volume
-    ratio of the separable part reads them.
+    volumes V stay beside inv_volume: the separable part reads their ratio.
     """
     if grid in _FLUX_TERMS:
         return _FLUX_TERMS[grid]
@@ -229,22 +228,13 @@ def _flux_terms(grid: SectorGrid):
                          _half_difference(grid.Nt, "mirror", "mirror")))
         terms.append((1, Gt * (-beta_t / (h_t * h_t)), _half_difference(Nr, "one-sided", "dirichlet"),
                       {0: 0.5, 1: 0.5}))
-    _FLUX_TERMS[grid] = _FluxTerms(cell_volumes(grid), terms)
+    # V and 1 / V in one block: as two arrays, the second one fragmented the
+    # heap of a rigidity pass, whose 256^2 rungs then peaked 7 MB higher
+    both = np.empty((2, Nr, grid.Nt))
+    both[0] = cell_volumes(grid)
+    np.divide(1.0, both[0], out=both[1])
+    _FLUX_TERMS[grid] = both[1], both[0], terms
     return _FLUX_TERMS[grid]
-
-
-class _FluxTerms(tuple):
-    """The pair (inv_volume, terms) of `_flux_terms`, with the cell volumes V it divides by as .volume."""
-
-    def __new__(cls, volume: np.ndarray, terms: list):
-        # V and 1 / V in one block: as two arrays, the second one fragmented the
-        # heap of a rigidity pass, whose 256^2 rungs then peaked 7 MB higher
-        both = np.empty((2,) + volume.shape)
-        both[0] = volume
-        np.divide(1.0, volume, out=both[1])
-        self = super().__new__(cls, (both[1], terms))
-        self.volume = both[0]
-        return self
 
 
 def _runs(stencil: dict, rows: int, columns: int, shift: int = 0) -> list:
@@ -290,7 +280,7 @@ def _operator_matrix(grid: SectorGrid, N: int, K: int):
     product bit for bit.  The separable part reads its bands off A
     (`_separable`).
     """
-    inv_volume, terms = _flux_terms(grid)
+    inv_volume, _, terms = _flux_terms(grid)
     shape = (grid.Nr, grid.Nt)
     groups, signed = [], (inv_volume, -inv_volume)
     for b in reversed(range(len(terms))):
@@ -343,7 +333,7 @@ def laplace_beltrami_probe(grid: SectorGrid, q: np.ndarray):
     the wall mirror (no boundary data is assumed for q).  Returns (values,
     valid) where valid marks the evaluated cells.
     """
-    inv_volume, terms = _flux_terms(grid)
+    inv_volume, _, terms = _flux_terms(grid)
     flux = [0.0, 0.0]
     for axis, w, radial, angular in terms:
         x = _apply_stencil(radial, q, 0, w.shape[0])
@@ -386,18 +376,12 @@ def _cosine_basis(Nt: int) -> np.ndarray:
     return basis
 
 
-def _volume_ratio(grid: SectorGrid) -> np.ndarray:
-    """Each cell's volume over the volume of its ring's cell in column 0, V / V[:, :1]."""
-    V = _flux_terms(grid).volume
-    return V / V[:, :1]
-
-
 @dataclass(frozen=True)
 class _Separable:
     """The fast Poisson solver of a separable part (`_separable`); solve(b) as on a SuperLU factor."""
 
     basis: np.ndarray  # `_cosine_basis(Nt)`
-    ratio: np.ndarray  # `_volume_ratio` of the grid
+    ratio: np.ndarray  # the grid's volume ratio V / V[:, :1]
     factor: tuple  # LAPACK gttrf's (dl, d, du, du2, ipiv) of the modes' systems, mode by mode
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -427,7 +411,8 @@ def _separable(grid: SectorGrid, A) -> _Separable | None:
     info > 0; a sphere cap at resonance), gives None.
     """
     Nr, Nt, n = grid.Nr, grid.Nt, grid.n_cells
-    ratio = _volume_ratio(grid)
+    _, V, _ = _flux_terms(grid)
+    ratio = V / V[:, :1]
 
     def band(p, q):  # ratio times A[(i, j), (i + p, j + q)], as (Nr, Nt)
         k = p * Nt + q
@@ -556,7 +541,7 @@ def _scaled_residual(A, x, b) -> float:
     return float(np.max(r / scale))
 
 
-def solve_linear_spaceform(grid: SectorGrid, N: int = 2, tol: float = 1e-9):
+def solve_linear_spaceform(grid: SectorGrid, N: int = 2, tol: float = 1e-8):
     """Solve Delta u + N K u = -1 with u = 0 on Gamma_0, du/dnu = 0 on walls.
 
     K is the grid's space-form curvature.  Returns (u, report), u the

@@ -7,12 +7,14 @@
   from these forms, each field derived where it is used.  The suites must
   give the same report, float for float.
 - Ground truths that only tests use: the proportionality defect of one
-  matrix, the Obata-type radial ODE and the analytic W of a radial oracle.
+  matrix, the Obata-type radial ODE, the analytic W of a radial oracle and
+  the radial quadrature of the step-3 P-function identity.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.integrate import quad
 
 from serrinlab.identities import (
     AuditCheck,
@@ -21,7 +23,7 @@ from serrinlab.identities import (
     pohozaev_residual,
     tol_discrete,
 )
-from serrinlab.oracles import RadialSolutionEuclidean
+from serrinlab.oracles import RadialSolutionEuclidean, RadialSolutionSpaceForm, overdetermined_constant
 from serrinlab.pfunction import (
     PFieldReport,
     max_principle_check,
@@ -286,6 +288,36 @@ def oracle_W_field(sol: RadialSolutionEuclidean, grid):
     hess_u = upp[..., None, None] * ee + (-q / safe)[..., None, None] * (eye - ee)
     W = np.einsum("...ij,...jk->...ik", hess_V, hess_u)
     return MatrixField(W, mask)
+
+
+_QUAD_KW = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
+
+
+def step3_identity_analytic(sol: RadialSolutionSpaceForm):
+    """Radial-quadrature version of the identity (holds exactly for oracles).
+
+    The angular factor cancels between the two sides, so the reduction uses
+    the 1-D weight h^{N-1} directly.
+    """
+    sf, N, R = sol.space_form, sol.dimension, sol.radius
+    c = overdetermined_constant(sol)
+    denom = N * float(sf.h_dot(R))
+    HR = float(sf.H(R))
+
+    def u(r):
+        return (HR - float(sf.H(r))) / denom
+
+    def up(r):
+        return -float(sf.h(r)) / denom
+
+    def wgt(r):
+        return float(sf.h(r)) ** (N - 1)
+
+    lhs = c * c * quad(lambda r: float(sf.h_dot(r)) * wgt(r), 0.0, R, **_QUAD_KW)[0]
+    t1 = quad(lambda r: float(sf.h_dot(r)) * u(r) * wgt(r), 0.0, R, **_QUAD_KW)[0]
+    t2 = quad(lambda r: float(sf.h(r)) * u(r) * up(r) * wgt(r), 0.0, R, **_QUAD_KW)[0]
+    rhs = (1.0 + 2.0 / N) * (t1 - sf.curvature * t2)
+    return lhs, rhs, lhs - rhs
 
 
 def float_bits(report: dict):

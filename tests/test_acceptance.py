@@ -29,7 +29,6 @@ from serrinlab.oracles import (
     spaceform_u,
     spaceform_u_prime,
 )
-from serrinlab.pfunction import step3_identity_analytic
 from serrinlab.profiles import (
     make_mean_curvature_profile,
     make_power_profile,
@@ -43,7 +42,13 @@ from serrinlab.solver import (
 )
 from serrinlab.spaceforms import EUCLIDEAN, HYPERBOLIC, SPHERE, ConeSection
 
-from reference import newton_gap, obata_ode_profile, oracle_W_field, proportionality_defect
+from reference import (
+    newton_gap,
+    obata_ode_profile,
+    oracle_W_field,
+    proportionality_defect,
+    step3_identity_analytic,
+)
 
 QUARTER = math.pi / 2
 

@@ -87,16 +87,25 @@ def test_solution_csv_grid_mismatch(tmp_path):
     )
 
 
-def test_oracle_subcommand(tmp_path):
-    assert cli.main([
-        "oracle", "--space-form", "hyperbolic", "--N", "2", "--R", "1.0",
-        "--samples", "16", "--out-dir", str(tmp_path),
-    ]) == 0
+def test_oracle_subcommand(tmp_path, capsys):
+    argv = ["oracle", "--space-form", "hyperbolic", "--N", "2", "--R", "1.0", "--samples", "16"]
+    assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 0
     lines = (tmp_path / "oracle.csv").read_text().splitlines()
     assert lines[0] == "d,u,u_prime,residual,c"
     assert len(lines) == 17
     last = lines[-1].split(",")
     assert abs(float(last[4]) - math.tanh(1.0) / 2.0) <= 1e-12
+    # the run directory holds the table and its manifest, which records the flags
+    assert {p.name for p in tmp_path.iterdir()} == {"oracle.csv", "oracle.manifest.json"}
+    manifest = json.loads((tmp_path / "oracle.manifest.json").read_text())
+    assert set(manifest) == MANIFEST_KEYS
+    assert manifest["outputs"] == ["oracle.csv"] and manifest["grid_hash"] == ""
+    assert manifest["config"] == {"space_form": "hyperbolic", "profile": "laplacian", "N": 2, "R": 1.0,
+                                  "samples": 16}
+    # with no --out-dir the same table goes to stdout, byte for byte
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.encode() == (tmp_path / "oracle.csv").read_bytes()
 
 
 @pytest.mark.parametrize("N", [3, 4])
@@ -233,6 +242,21 @@ def test_epsilon_rules(tmp_path, capsys):
         assert cli.main([subcommand, "--config", str(path)]) == 0
 
 
+def test_one_grid_subcommands_reject_a_grid_list(tmp_path, capsys):
+    # solve, audit, pfunction and rigidity run on one grid: a config that lists
+    # more is a config error that names grids and writes nothing, before any
+    # input is read; --grid gives one, and convergence keeps its list
+    cfg = write_config(tmp_path, grids=["8x8", "16x16"], out_dir=str(tmp_path / "run"))
+    solution = ["--solution", str(tmp_path / "missing.csv")]
+    for subcommand, extra in (("solve", ()), ("audit", solution), ("pfunction", solution), ("rigidity", ())):
+        assert cli.main([subcommand, "--config", str(cfg), *extra]) == cli.EXIT_CONFIG, subcommand
+        err = capsys.readouterr().err
+        assert "grids takes one value" in err and "missing.csv" not in err, err
+        assert not (tmp_path / "run").exists(), subcommand
+    assert cli.main(["solve", "--config", str(cfg), "--grid", "8x8"]) == cli.EXIT_OK
+    assert len((tmp_path / "run" / "solution.csv").read_text().splitlines()) == 1 + 8 * 8
+
+
 def _loaded_by_cli_import(module: str) -> bool:
     """Whether importing serrinlab.cli in a fresh interpreter loads module."""
     src = Path(__file__).resolve().parents[1] / "src"
@@ -289,12 +313,13 @@ def test_missing_input_file_is_a_config_error(tmp_path, capsys, command, flag):
     [("k", 2.5), ("k", True), ("tol", "1e-8"), ("tol", True), ("alpha", "1.5"), ("epsilon", "0.1"),
      ("grids", []), ("Nr", None), ("Nr", 8.7), ("Nr", True), ("Nr", [8]), ("Nt", 8.0),
      ("grids", [[8.9, 8]]), ("grids", "16x16"), ("epsilons", 0.1), ("epsilons", "0.1"),
-     ("grid", "8.9x8"), ("grid", [8.9, 8])],
+     ("grid", "8.9x8"), ("grid", [8.9, 8]), ("profile", 3), ("space_form", 5), ("profile", None),
+     ("out_dir", 5), ("out_dir", None)],
 )
 def test_config_rejects_mistyped_values(tmp_path, capsys, key, value):
     # a JSON config is checked for types before it is compared, and the error names the key
     sizes = {"Nr": {"Nr": value, "Nt": 8}, "Nt": {"Nr": 8, "Nt": value}}.get(key, {key: value})
-    cfg = write_config(tmp_path, **sizes, out_dir=str(tmp_path / "run"))
+    cfg = write_config(tmp_path, **{"out_dir": str(tmp_path / "run"), **sizes})
     assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert {"k": "mode k"}.get(key, key) in err, err

@@ -19,13 +19,12 @@ from serrinlab.pfunction import (
     p_field,
     pfunction_suite,
     step3_identity,
-    step3_identity_analytic,
     subharmonicity_probe,
 )
 from serrinlab.solver import solve_linear_spaceform
 from serrinlab.spaceforms import EUCLIDEAN, HYPERBOLIC, SPHERE, ConeSection
 
-from reference import float_bits, obata_ode_profile, pfunction_report
+from reference import float_bits, obata_ode_profile, pfunction_report, step3_identity_analytic
 
 FORMS = [(EUCLIDEAN, 1.0), (HYPERBOLIC, 1.0), (SPHERE, math.pi / 4)]
 

@@ -31,7 +31,6 @@ from serrinlab.solver import (
     _operator_matrix,
     _scaled_residual,
     _separable,
-    _volume_ratio,
     gradient_field,
     hessian_W_field,
     interior_cell_mask,
@@ -74,7 +73,7 @@ def kronecker_product_matrix(grid, N, K, a):
     zeros included, once each row lists its columns in ascending order (the
     product leaves them unsorted).
     """
-    inv_volume, terms = _flux_terms(grid)
+    inv_volume, _, terms = _flux_terms(grid)
     Nr, Nt = grid.Nr, grid.Nt
     diff_s = sp.diags([np.r_[-np.ones(Nr - 1), -2.0], 1.0], [0, 1], shape=(Nr, Nr))
     avg_s = sp.diags([np.r_[np.full(Nr - 1, 0.5), 1.0], 0.5], [0, 1], shape=(Nr, Nr))
@@ -924,11 +923,12 @@ def test_each_grid_computes_its_cell_volumes_once(monkeypatch):
     monkeypatch.setattr(solver, "cell_volumes", lambda grid: calls.append(1) or real(grid))
     grid = build_grid(quarter(HYPERBOLIC), 16, 12, BoundaryRadius(1.0, 0.1, 2))
     for _ in range(2):
-        _operator_matrix(grid, 2, -1)(np.ones((16, 12)))
+        A = _operator_matrix(grid, 2, -1)(np.ones((16, 12)))
     V = real(grid)
-    assert len(calls) == 1 and np.array_equal(_flux_terms(grid).volume, V)
-    assert np.array_equal(_volume_ratio(grid), V / V[:, :1])
-    assert np.array_equal(_flux_terms(grid)[0], 1.0 / V)
+    inv_volume, volume, _ = _flux_terms(grid)
+    assert len(calls) == 1 and np.array_equal(volume, V)
+    assert np.array_equal(_separable(grid, A).ratio, V / V[:, :1])
+    assert np.array_equal(inv_volume, 1.0 / V)
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (24, 20), (16, 40)], ids=lambda s: "%dx%d" % s)
@@ -936,7 +936,7 @@ def test_cross_stencils_are_the_cell_derivatives(shape):
     # the operator's cross-derivative stencils are the 'solution'-kind cell
     # derivatives, times the spacing: one closure table serves both
     grid = build_grid(ConeSection(HYPERBOLIC, 4.5), *shape, BoundaryRadius(1.0, 0.1, 2))
-    _, terms = _flux_terms(grid)
+    _, _, terms = _flux_terms(grid)
     (_, _, _, der_t), (_, _, der_s, _) = terms[1], terms[3]
     q = np.random.default_rng(shape[1]).standard_normal(shape)
     radial = _apply_stencil(der_s, q, 0, shape[0]) / grid.ds

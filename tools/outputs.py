@@ -47,8 +47,10 @@ serves all 12 of its steps, in 12 cycles, with no SuperLU factor), solve
 plus audit for p = 1.5 at 128x128 with eps = 0, the Laplacian solve at
 256x256 with eps = 0 and eps = 0.1, each followed by an audit of its
 solution.csv, the hyperbolic solve at 256x256 with eps = 0.1 (the largest
-matrix, 9-point with the N K shift), `oracle --out-dir`, and the Euclidean
-oracle in dimension 3, `oracle --N 3 --out-dir`.
+matrix, 9-point with the N K shift), `oracle --out-dir`, the same oracle
+with no `--out-dir`, whose table goes to stdout.txt (`diff -r` compares it;
+`--against` does not), and the Euclidean oracle in dimension 3,
+`oracle --N 3 --out-dir`.
 
 The solution CSVs cover both paths of the writer and the reader.  A radial
 ring (r and u the same on every line, theta ring 0's) is written and read
@@ -127,6 +129,7 @@ def commands() -> list:
         ("solve_hyperbolic_256_eps0.1", "solve",
          _config(grids=["256x256"], epsilons=[0.1], space_form="hyperbolic"), []),
         ("oracle", "oracle", None, ["--out-dir", "out"]),
+        ("oracle_stdout", "oracle", None, []),
         ("oracle_N3", "oracle", None, ["--N", "3", "--out-dir", "out"]),
     ]
     return runs
