@@ -16,7 +16,6 @@ from .mesh import SectorGrid
 from .profiles import OperatorProfile
 from .solver import (
     MatrixField,
-    gradient_field,
     grid_h,
     hessian_W_field,
     interior_cell_mask,
@@ -148,22 +147,20 @@ def tol_discrete(grid: SectorGrid, scale: float) -> float:
 # audits
 
 
-def audit_W(grid: SectorGrid, W: MatrixField, *, algebra: _Algebra | None = None) -> AuditReport:
+def audit_W(grid: SectorGrid, W: MatrixField, algebra: _Algebra) -> AuditReport:
     """Trace and Newton-gap checks of a W field; radial defect is reported too.
 
     The full-interior trace deviation is reported as data: for strongly
     degenerate profiles (p < 2) the vertex-adjacent rings carry a self-similar
     differencing artifact that no refinement removes (solutions are only C^1
     at the cone vertex).  The judged trace check therefore excludes the inner
-    tenth of each radial line.  `algebra` is W's `_Algebra` when the caller
-    has it.
+    tenth of each radial line.  `algebra` is W's `_Algebra`.
     """
-    alg = _Algebra(W) if algebra is None else algebra
     interior = interior_cell_mask(grid) & ~W.mask
     unmasked = ~W.mask
     report = AuditReport(masked_cells=W.masked_count, total_cells=int(W.mask.size))
 
-    tr = alg.tr
+    tr = algebra.tr
     tol_tr = tol_discrete(grid, 1.0)
     dev_int = float(np.max(np.abs(tr[interior] + 1.0))) if interior.any() else float("nan")
     report.add(AuditCheck("trace_W_plus_one_interior", dev_int, None, None,
@@ -180,7 +177,7 @@ def audit_W(grid: SectorGrid, W: MatrixField, *, algebra: _Algebra | None = None
         )
     )
 
-    gaps = alg.newton_gap()
+    gaps = algebra.newton_gap()
     tol_gap = tol_discrete(grid, 1.0)
     min_gap = float(np.min(gaps[unmasked])) if unmasked.any() else float("nan")
     report.add(
@@ -195,7 +192,7 @@ def audit_W(grid: SectorGrid, W: MatrixField, *, algebra: _Algebra | None = None
 
     # sup |W + Id/N| over the interior, entry by entry (N = 2)
     if interior.any():
-        entries = (alg.a + 0.5, alg.b, alg.c, alg.d + 0.5)
+        entries = (algebra.a + 0.5, algebra.b, algebra.c, algebra.d + 0.5)
         dev = float(np.max([np.max(np.abs(w[interior])) for w in entries]))
     else:
         dev = float("nan")
@@ -203,42 +200,39 @@ def audit_W(grid: SectorGrid, W: MatrixField, *, algebra: _Algebra | None = None
     return report
 
 
-def pohozaev_residual(grid: SectorGrid, u: np.ndarray, profile: OperatorProfile, *, speed=None):
+def pohozaev_residual(grid: SectorGrid, u: np.ndarray, profile: OperatorProfile, speed: np.ndarray,
+                      du_dnu: np.ndarray):
     """Volume/boundary sides of the Pohozaev balance and their difference.
 
     lhs = int_Omega [(N+1) u - N f(|grad u|)], rhs = int_{Gamma_0}
     [f'(|grad u|)|grad u| - f(|grad u|)] x.nu.  The position vector x points
     from the cone vertex, so the wall contribution vanishes identically.
-    `speed` is u's |grad u| from `mapped_gradient` when the caller has it.
+    `speed` is u's |grad u| from `mapped_gradient` and `du_dnu` its
+    `normal_derivative_gamma0`.
     """
     if grid.cone.space_form.curvature != 0:
         raise ValueError("the Pohozaev balance is Euclidean-specific")
     N = 2
-    if speed is None:
-        grad = gradient_field(grid, u)
-        speed = np.hypot(grad[..., 0], grad[..., 1])
     lhs = float(np.sum(((N + 1) * u - N * profile.f(speed)) * grid.area_weights))
 
-    bnd_speed = np.abs(normal_derivative_gamma0(grid, u))
+    bnd_speed = np.abs(du_dnu)
     x_dot_nu = grid.R_centers * grid.gamma0_normals[:, 0]
     integrand = (profile.f_prime(bnd_speed) * bnd_speed - profile.f(bnd_speed)) * x_dot_nu
     rhs = float(np.sum(integrand * grid.gamma0_weights))
     return lhs, rhs, lhs - rhs
 
 
-def integral_inequality_gap(grid: SectorGrid, u: np.ndarray, W: MatrixField, profile: OperatorProfile,
-                            *, mapped=None, algebra: _Algebra | None = None):
+def integral_inequality_gap(grid: SectorGrid, u: np.ndarray, W: MatrixField, mapped, algebra: _Algebra):
     """Gap of 2 int S2(W) u >= -int S2_ij(W) V_i(grad u) u_j by cell quadrature.
 
     Returns (gap, tol, equality_flag); the sign contract only holds over a
     convex section (alpha <= pi), equality when the walls carry no curvature
     (automatic for straight planar walls).  `mapped` is u's
-    `mapped_gradient` and `algebra` W's `_Algebra` when the caller has them.
+    `mapped_gradient` and `algebra` W's `_Algebra`.
     """
-    grad, V, degenerate, _ = mapped_gradient(grid, u, profile) if mapped is None else mapped
-    alg = _Algebra(W) if algebra is None else algebra
-    s2 = alg.s2
-    second = alg.contract(V, grad)
+    grad, V, degenerate, _ = mapped
+    s2 = algebra.s2
+    second = algebra.contract(V, grad)
 
     keep = ~(W.mask | degenerate)
     w = grid.area_weights
@@ -248,9 +242,12 @@ def integral_inequality_gap(grid: SectorGrid, u: np.ndarray, W: MatrixField, pro
     return gap, tol, bool(abs(gap) <= tol)
 
 
-def c_consistency(grid: SectorGrid, u: np.ndarray, profile: OperatorProfile):
-    """(length-weighted mean of -du/dnu on Gamma_0, g'(|Omega|/|Gamma_0|), spread)."""
-    mean, spread, _ = neumann_statistics(grid, u)
+def c_consistency(grid: SectorGrid, du_dnu: np.ndarray, profile: OperatorProfile):
+    """(length-weighted mean of -du/dnu on Gamma_0, g'(|Omega|/|Gamma_0|), spread).
+
+    `du_dnu` is u's `normal_derivative_gamma0`.
+    """
+    mean, spread, _ = neumann_statistics(grid, du_dnu)
     formula = float(profile.g_prime(grid.area_over_gamma0))
     return mean, formula, spread
 
@@ -267,22 +264,24 @@ def w12_diagnostic(grid: SectorGrid, W: MatrixField) -> float:
 def identity_suite(grid: SectorGrid, u: np.ndarray, profile: OperatorProfile) -> AuditReport:
     """Run the full Euclidean audit battery on one field.
 
-    Each field is derived once and shared by every check: grad u, V, the
-    degenerate cells and |grad u| (`mapped_gradient`), W from them
-    (`hessian_W_field`), and W's trace, S_2 and minor form on its four
+    Each field is derived here once and handed to every check that reads
+    it: grad u, V, the degenerate cells and |grad u| (`mapped_gradient`), W
+    from them (`hessian_W_field`), W's trace, S_2 and minor form on its four
     component arrays (`_Algebra`), which sum in the order of the general
-    stack forms, so every value is bitwise theirs.
+    stack forms, so every value is bitwise theirs, and the Neumann data
+    du/dnu on each Gamma_0 face (`normal_derivative_gamma0`).
     """
     mapped = mapped_gradient(grid, u, profile)
-    W = hessian_W_field(grid, u, profile, mapped=mapped)
+    du_dnu = normal_derivative_gamma0(grid, u)
+    W = hessian_W_field(grid, mapped)
     alg = _Algebra(W)
-    report = audit_W(grid, W, algebra=alg)
+    report = audit_W(grid, W, alg)
 
     kept = ~W.mask
     worst = float(np.max(alg.consistency_gap()[kept])) if kept.any() else 0.0
     report.add(AuditCheck("s2_trace_vs_minor_form", worst, 1e-12, bool(worst <= 1e-12)))
 
-    lhs, rhs, resid = pohozaev_residual(grid, u, profile, speed=mapped[3])
+    lhs, rhs, resid = pohozaev_residual(grid, u, profile, mapped[3], du_dnu)
     denom = max(abs(lhs), abs(rhs), 1e-30)
     tol_p = tol_discrete(grid, denom)
     report.add(
@@ -295,7 +294,7 @@ def identity_suite(grid: SectorGrid, u: np.ndarray, profile: OperatorProfile) ->
         )
     )
 
-    gap, tol, equality = integral_inequality_gap(grid, u, W, profile, mapped=mapped, algebra=alg)
+    gap, tol, equality = integral_inequality_gap(grid, u, W, mapped, alg)
     convex = grid.cone.convex
     report.add(
         AuditCheck(
@@ -307,7 +306,7 @@ def identity_suite(grid: SectorGrid, u: np.ndarray, profile: OperatorProfile) ->
         )
     )
 
-    mean, formula, spread = c_consistency(grid, u, profile)
+    mean, formula, spread = c_consistency(grid, du_dnu, profile)
     rel_c = abs(mean - formula) / max(abs(formula), 1e-30)
     # the measured c carries an O(h) extraction bias; 2e-2 is the bound at 64^2
     tol_c = max(2e-2, 0.5 * grid_h(grid))

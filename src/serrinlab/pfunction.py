@@ -18,7 +18,6 @@ from .mesh import SectorGrid
 from .solver import (
     _beta_centers,
     _cell_difference,
-    _d_ds,
     _d_dtheta,
     _face_slope,
     laplace_beltrami_probe,
@@ -38,13 +37,13 @@ __all__ = [
 ]
 
 
-def p_field(grid: SectorGrid, u: np.ndarray, *, gradient=None) -> np.ndarray:
+def p_field(grid: SectorGrid, u: np.ndarray, gradient) -> np.ndarray:
     """P = |grad u|^2 + (2/N) u + K u^2 with the metric gradient, N = 2 and K the grid's.
 
-    `gradient` is u's (u_r, u_tan) from `metric_gradient` when the caller has it.
+    `gradient` is u's (u_r, u_tan) from `metric_gradient`.
     """
     N, K = 2, grid.cone.space_form.curvature
-    u_r, u_tan = metric_gradient(grid, u, kind="solution") if gradient is None else gradient
+    u_r, u_tan = gradient
     return u_r**2 + u_tan**2 + (2.0 / N) * u + K * u * u
 
 
@@ -76,7 +75,7 @@ def wall_normal_derivative(grid: SectorGrid, P: np.ndarray) -> np.ndarray:
     ])
 
 
-def max_principle_check(grid: SectorGrid, u: np.ndarray, P: np.ndarray):
+def max_principle_check(grid: SectorGrid, du_dnu: np.ndarray, P: np.ndarray):
     """Discrete maximum principle for P plus the wall sign condition.
 
     The judged bound is max_Omega P <= max_Gamma0 (du/dnu)^2: P is subharmonic
@@ -84,13 +83,14 @@ def max_principle_check(grid: SectorGrid, u: np.ndarray, P: np.ndarray):
     where P reduces to the squared Neumann data.  The rigid-reference gap
     max P - c^2 is recorded as data; it hugs zero exactly when the Neumann
     data is constant and turns positive on perturbed domains (the boundary
-    maximum exceeds the mean).  c is the measured Gamma_0 mean.
+    maximum exceeds the mean).  c is the measured Gamma_0 mean of the
+    Neumann data; `du_dnu` is u's `normal_derivative_gamma0`.
     """
-    c = neumann_statistics(grid, u)[0]
+    c = neumann_statistics(grid, du_dnu)[0]
     c2 = c * c
     tol = tol_discrete(grid, max(c2, 1e-30))
     max_p = float(np.max(P))
-    boundary_p_max = float(np.max(normal_derivative_gamma0(grid, u) ** 2))
+    boundary_p_max = float(np.max(du_dnu**2))
     wall = wall_normal_derivative(grid, P)
     wall_max = float(np.max(wall))
     return {
@@ -106,19 +106,17 @@ def max_principle_check(grid: SectorGrid, u: np.ndarray, P: np.ndarray):
     }
 
 
-def step3_identity(grid: SectorGrid, u: np.ndarray, c: float, *, u_r=None):
+def step3_identity(grid: SectorGrid, u: np.ndarray, c: float, u_r: np.ndarray):
     """Grid quadrature of c^2 int h_dot versus (1+2/N)(int h_dot u - K int h u u_r).
 
     N = 2 and K is the grid's; c is the Neumann constant, the measured
     Gamma_0 mean in `pfunction_suite`.  `u_r` is the radial component of u's
-    `metric_gradient` when the caller has it.
+    `metric_gradient`.
     """
     N, K = 2, grid.cone.space_form.curvature
     sf = grid.cone.space_form
     w = grid.area_weights
     hdot = sf.h_dot(grid.r_centers)
-    if u_r is None:
-        u_r, _ = metric_gradient(grid, u, kind="solution")
     lhs = c * c * float(np.sum(hdot * w))
     rhs = (1.0 + 2.0 / N) * (
         float(np.sum(hdot * u * w)) - K * float(np.sum(grid.h_centers * u * u_r * w))
@@ -126,13 +124,13 @@ def step3_identity(grid: SectorGrid, u: np.ndarray, c: float, *, u_r=None):
     return lhs, rhs, lhs - rhs
 
 
-def hessian_proportionality_defect(grid: SectorGrid, u: np.ndarray, *, coordinates=None) -> float:
+def hessian_proportionality_defect(grid: SectorGrid, u: np.ndarray, coordinates) -> float:
     """Max metric-normalized deviation of the covariant Hessian from (-1/N - K u) g.
 
     N = 2 and K is the grid's.  Coordinate second derivatives are corrected
     by the warped-product Christoffel terms; raw second differences would
     fail the check even for radial oracles.  `coordinates` is u's (d/ds,
-    d/dtheta) from `metric_gradient` when the caller has them.
+    d/dtheta) from `metric_gradient(..., return_coordinates=True)`.
     """
     N, K = 2, grid.cone.space_form.curvature
     sf = grid.cone.space_form
@@ -144,8 +142,6 @@ def hessian_proportionality_defect(grid: SectorGrid, u: np.ndarray, *, coordinat
     h = grid.h_centers
     hdot = sf.h_dot(grid.r_centers)
 
-    if coordinates is None:
-        coordinates = _d_ds(grid, u, "solution"), _d_dtheta(grid, u, "solution")
     us, ut = coordinates
     # second radial differences stay one-sided at the outer ring: the audited
     # field need not satisfy any particular discrete ghost relation there
@@ -193,18 +189,20 @@ class PFieldReport:
 def pfunction_suite(grid: SectorGrid, u: np.ndarray) -> PFieldReport:
     """Full P-function audit of one field on a space-form grid.
 
-    u's gradient is derived once (`metric_gradient`, with its coordinate
-    derivatives) and shared by P, the Hessian defect and the step-3 identity;
-    each statistic keeps the arithmetic of its own function, so every value
-    is bitwise what those functions give on (grid, u) alone.
+    Each field is derived here once and handed to every statistic that
+    reads it: u's gradient (`metric_gradient`, with its coordinate
+    derivatives) to P, the Hessian defect and the step-3 identity, and the
+    Neumann data du/dnu on each Gamma_0 face (`normal_derivative_gamma0`) to
+    the maximum principle, which measures c from it.
     """
     u_r, u_tan, us, ut = metric_gradient(grid, u, kind="solution", return_coordinates=True)
-    P = p_field(grid, u, gradient=(u_r, u_tan))
-    mp = max_principle_check(grid, u, P)
+    du_dnu = normal_derivative_gamma0(grid, u)
+    P = p_field(grid, u, (u_r, u_tan))
+    mp = max_principle_check(grid, du_dnu, P)
     dp_min, frac, _dp_tol = subharmonicity_probe(grid, P)
     wall_max = mp["wall_dP_dnu_max"]
-    defect = hessian_proportionality_defect(grid, u, coordinates=(us, ut))
-    lhs, rhs, resid = step3_identity(grid, u, c=mp["c"], u_r=u_r)
+    defect = hessian_proportionality_defect(grid, u, (us, ut))
+    lhs, rhs, resid = step3_identity(grid, u, mp["c"], u_r)
     tol_step3 = tol_discrete(grid, max(abs(lhs), abs(rhs), 1e-30))
     verdicts = {
         "max_principle": mp["interior_bound_ok"],

@@ -24,8 +24,9 @@ from .oracles import (
 )
 from .pfunction import pfunction_suite
 from .profiles import profile_from_id
+from .solver import neumann_statistics, normal_derivative_gamma0, solve_Lf
 # hessian_W_field and solve_linear_spaceform stay imported: perfbench/tracing.py patches them here
-from .solver import hessian_W_field, neumann_statistics, solve_Lf, solve_linear_spaceform
+from .solver import hessian_W_field, solve_linear_spaceform
 from .spaceforms import ConeSection, space_form_from_id
 
 __all__ = [
@@ -201,7 +202,7 @@ def _scan_one(config: ExperimentConfig, size, eps: float, history=None) -> Rigid
     if not rep.converged:
         return RigidityRow(eps, float("nan"), float("nan"), float("nan"), float("nan"),
                            float("nan"), 0.0, False)
-    c_mean, sigma, sigma_max = neumann_statistics(grid, u)
+    c_mean, sigma, sigma_max = neumann_statistics(grid, normal_derivative_gamma0(grid, u))
     if sf.curvature == 0:
         audit = identity_suite(grid, u, profile)
         checks = {c.name: c for c in audit.checks}

@@ -35,7 +35,6 @@ __all__ = [
     "solve_Lf",
     "normal_derivative_gamma0",
     "neumann_statistics",
-    "gradient_field",
     "mapped_gradient",
     "hessian_W_field",
     "metric_gradient",
@@ -739,27 +738,18 @@ def normal_derivative_gamma0(grid: SectorGrid, u: np.ndarray) -> np.ndarray:
     return u_r * np.sqrt(hR**2 + grid.Rp_centers**2) / hR
 
 
-def neumann_statistics(grid: SectorGrid, u):
+def neumann_statistics(grid: SectorGrid, du_dnu: np.ndarray):
     """(mean, spread, max deviation) of the Neumann data -du/dnu over Gamma_0.
 
-    The mean and the RMS spread about it are weighted by face length; the max
+    du_dnu is u's `normal_derivative_gamma0`, one value per face.  The mean
+    and the RMS spread about it are weighted by face length; the max
     deviation is the largest |-du/dnu - mean| over the faces.
     """
-    dn = -normal_derivative_gamma0(grid, u)
+    dn = -du_dnu
     w = grid.gamma0_weights
     mean = float(np.sum(w * dn) / np.sum(w))
     spread = float(np.sqrt(np.sum(w * (dn - mean) ** 2) / np.sum(w)))
     return mean, spread, float(np.max(np.abs(dn - mean)))
-
-
-def gradient_field(grid: SectorGrid, u: np.ndarray) -> np.ndarray:
-    """Cell-centered gradient, Cartesian components last (Euclidean grids only).
-
-    Each component is stored contiguous: the array is a view of (2, Nr, Nt).
-    """
-    if grid.cone.space_form.curvature != 0:
-        raise ValueError("Cartesian gradient components require the Euclidean space form")
-    return np.moveaxis(np.stack(_cartesian_derivatives(grid, u, "solution")), 0, -1)
 
 
 def _cartesian_derivatives(grid: SectorGrid, q: np.ndarray, kind: str):
@@ -773,10 +763,13 @@ def _cartesian_derivatives(grid: SectorGrid, q: np.ndarray, kind: str):
 def mapped_gradient(grid: SectorGrid, u, profile: OperatorProfile):
     """(grad u, V, degenerate, |grad u|) with V = f'(|grad u|) grad u / |grad u|, Cartesian components last.
 
-    Degenerate cells, where |grad u| <= 1e-8 max |grad u| (every cell of a
-    constant field), get V = 0.
+    Euclidean grids only.  grad u is cell-centered, each component stored
+    contiguous: the array is a view of (2, Nr, Nt).  Degenerate cells, where
+    |grad u| <= 1e-8 max |grad u| (every cell of a constant field), get V = 0.
     """
-    grad = gradient_field(grid, u)
+    if grid.cone.space_form.curvature != 0:
+        raise ValueError("Cartesian gradient components require the Euclidean space form")
+    grad = np.moveaxis(np.stack(_cartesian_derivatives(grid, u, "solution")), 0, -1)
     speed = np.hypot(grad[..., 0], grad[..., 1])
     degenerate = speed <= 1e-8 * float(speed.max())
     safe = np.where(degenerate, 1.0, speed)
@@ -784,17 +777,15 @@ def mapped_gradient(grid: SectorGrid, u, profile: OperatorProfile):
     return grad, coef[..., None] * grad, degenerate, speed
 
 
-def hessian_W_field(grid: SectorGrid, u, profile: OperatorProfile, *, mapped=None) -> MatrixField:
+def hessian_W_field(grid: SectorGrid, mapped) -> MatrixField:
     """W = Jacobian of the mapped gradient x -> f'(|grad u|) grad u / |grad u|.
 
-    `mapped` is u's `mapped_gradient` when the caller has it.  Degenerate
+    `mapped` is u's `mapped_gradient` on the (Euclidean) grid.  Degenerate
     cells are masked together with every cell whose difference stencil
     touches them; the masked count is reported, not hidden.  W.values is a
     view of (2, 2, Nr, Nt), so each entry W[..., i, j] is contiguous.
     """
-    if grid.cone.space_form.curvature != 0:
-        raise ValueError("W is Euclidean-specific; space forms audit the Hessian instead")
-    _, V, degenerate, _ = mapped_gradient(grid, u, profile) if mapped is None else mapped
+    _, V, degenerate, _ = mapped
     W = np.empty((2, 2, grid.Nr, grid.Nt))
     W[0, 0], W[0, 1] = _cartesian_derivatives(grid, V[..., 0], "generic")
     W[1, 0], W[1, 1] = _cartesian_derivatives(grid, V[..., 1], "generic")

@@ -4,8 +4,8 @@
   `serrinlab.identities` computes the same statistics on the four component
   arrays of W, in the same summation order.
 - `identity_report` and `pfunction_report`: the two audit reports assembled
-  from these forms, each field derived where it is used.  The suites must
-  give the same report, float for float.
+  from these forms and each statistic's own function.  The suites must give
+  the same report, float for float.
 - Ground truths that only tests use: the proportionality defect of one
   matrix, the Obata-type radial ODE, the analytic W of a radial oracle and
   the radial quadrature of the step-3 P-function identity.
@@ -41,6 +41,8 @@ from serrinlab.solver import (
     hessian_W_field,
     interior_cell_mask,
     mapped_gradient,
+    metric_gradient,
+    normal_derivative_gamma0,
 )
 
 # ---------------------------------------------------------------------------
@@ -97,12 +99,14 @@ def proportionality_defect(A) -> float:
 
 
 def identity_report(grid, u, profile) -> AuditReport:
-    """`identity_suite`'s report on the general forms, each field derived where it is used.
+    """`identity_suite`'s report on the general forms.
 
     The forms run on C-ordered copies of W, grad u and V, the layout their
     einsum summation order is stated for.
     """
-    W = hessian_W_field(grid, u, profile)
+    grad, V, degenerate, speed = mapped = mapped_gradient(grid, u, profile)
+    du_dnu = normal_derivative_gamma0(grid, u)
+    W = hessian_W_field(grid, mapped)
     A = np.ascontiguousarray(W.values)
     n = A.shape[-1]
     interior = interior_cell_mask(grid) & ~W.mask
@@ -131,13 +135,12 @@ def identity_report(grid, u, profile) -> AuditReport:
     worst = float(np.max(s2_consistency_gap(A)[unmasked])) if unmasked.any() else 0.0
     report.add(AuditCheck("s2_trace_vs_minor_form", worst, 1e-12, bool(worst <= 1e-12)))
 
-    lhs, rhs, resid = pohozaev_residual(grid, u, profile)
+    lhs, rhs, resid = pohozaev_residual(grid, u, profile, speed, du_dnu)
     denom = max(abs(lhs), abs(rhs), 1e-30)
     tol_p = tol_discrete(grid, denom)
     report.add(AuditCheck("pohozaev_residual", abs(resid), tol_p, bool(abs(resid) <= tol_p),
                           extras={"lhs": lhs, "rhs": rhs, "relative": abs(resid) / denom}))
 
-    grad, V, degenerate, _ = mapped_gradient(grid, u, profile)
     s2 = s2_of_matrix(A)
     second = np.einsum("...ij,...i,...j->...", s2_minor_form(A),
                        np.ascontiguousarray(V), np.ascontiguousarray(grad))
@@ -150,7 +153,7 @@ def identity_report(grid, u, profile) -> AuditReport:
     report.add(AuditCheck("s2_integral_inequality_gap", gap, tol, bool(gap >= -tol) if convex else None,
                           extras={"equality": bool(abs(gap) <= tol), "convex": convex}))
 
-    mean, formula, spread = c_consistency(grid, u, profile)
+    mean, formula, spread = c_consistency(grid, du_dnu, profile)
     rel_c = abs(mean - formula) / max(abs(formula), 1e-30)
     tol_c = max(2e-2, 0.5 * grid_h(grid))
     report.add(AuditCheck("c_measured_vs_formula", rel_c, tol_c, bool(rel_c <= tol_c),
@@ -193,11 +196,12 @@ def stacked_hessian_defect(grid, u) -> float:
 
 
 def pfunction_report(grid, u) -> PFieldReport:
-    """`pfunction_suite`'s report, each statistic deriving u's gradient on its own."""
-    P = p_field(grid, u)
-    mp = max_principle_check(grid, u, P)
+    """`pfunction_suite`'s report from u's gradient without its coordinates, and the stacked defect."""
+    u_r, u_tan = metric_gradient(grid, u)
+    P = p_field(grid, u, (u_r, u_tan))
+    mp = max_principle_check(grid, normal_derivative_gamma0(grid, u), P)
     dp_min, frac, _ = subharmonicity_probe(grid, P)
-    lhs, rhs, resid = step3_identity(grid, u, c=mp["c"])
+    lhs, rhs, resid = step3_identity(grid, u, mp["c"], u_r)
     tol_step3 = tol_discrete(grid, max(abs(lhs), abs(rhs), 1e-30))
     return PFieldReport(
         c=mp["c"],

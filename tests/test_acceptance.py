@@ -13,6 +13,7 @@ from scipy.integrate import quad
 
 import serrinlab.cli as cli
 from serrinlab.identities import (
+    _Algebra,
     identity_suite,
     integral_inequality_gap,
     pohozaev_residual,
@@ -37,6 +38,8 @@ from serrinlab.rigidity import ExperimentConfig, deviation_scan
 from serrinlab.solver import (
     hessian_W_field,
     interior_cell_mask,
+    mapped_gradient,
+    normal_derivative_gamma0,
     solve_Lf,
     solve_linear_spaceform,
 )
@@ -155,7 +158,7 @@ def test_criterion_5_identity_suite_oracle_fields():
     # discrete-differenced W on the radial Laplacian oracle
     sol2 = RadialSolutionEuclidean(p2, 2, 1.0)
     u2 = sample_values(sol2, grid)
-    W2 = hessian_W_field(grid, u2, p2)
+    W2 = hessian_W_field(grid, mapped_gradient(grid, u2, p2))
     interior = interior_cell_mask(grid) & ~W2.mask
     tr_dev = float(np.max(np.abs(np.trace(W2.values, axis1=-2, axis2=-1)[interior] + 1.0)))
     sup_dev = float(np.max(np.abs((W2.values + np.eye(2) / 2.0)[interior])))
@@ -169,14 +172,15 @@ def test_criterion_5_identity_suite_oracle_fields():
     for profile in (p2, make_power_profile(3.0), make_mean_curvature_profile()):
         sol = RadialSolutionEuclidean(profile, 2, 1.0)
         u = sample_values(sol, grid)
-        lhs, rhs, resid = pohozaev_residual(grid, u, profile)
+        mapped = mapped_gradient(grid, u, profile)
+        lhs, rhs, resid = pohozaev_residual(grid, u, profile, mapped[3], normal_derivative_gamma0(grid, u))
         worst_poh = max(worst_poh, abs(resid) / max(abs(lhs), abs(rhs)))
         # Newton gap contract at 1e-10 runs on the analytically assembled W
         Wo = oracle_W_field(sol, grid)
         gap_min = float(np.min(newton_gap(Wo.values)[~Wo.mask]))
         ok = ok and gap_min >= -1e-10
-        Wd = hessian_W_field(grid, u, profile)
-        gap, tol_gap, equality = integral_inequality_gap(grid, u, Wd, profile)
+        Wd = hessian_W_field(grid, mapped)
+        gap, tol_gap, equality = integral_inequality_gap(grid, u, Wd, mapped, _Algebra(Wd))
         scale = tol_gap / (5.0 * grid_h(grid))  # integrand scale behind tol_discrete
         ok = ok and gap >= -1e-2 * scale and equality
         equality_all = equality_all and equality

@@ -423,9 +423,25 @@ def _radial(table):
             and ring[:, 1].tolist() == bits[0, :, 1].tolist() for ring in bits]
 
 
-def _grid(spec, eps=0.0, profile="laplacian"):
-    return cli._grid_from_config(ExperimentConfig.from_dict({"profile": profile, "R0": 1.0, "grids": [spec],
+def _grid(spec, eps=0.0):
+    return cli._grid_from_config(ExperimentConfig.from_dict({"profile": "laplacian", "R0": 1.0, "grids": [spec],
                                                              "epsilons": [eps]}))
+
+
+def _ring_field(grid, radial):
+    # u = 1 - r^2, so on an unperturbed grid each ring is radial; a ring that
+    # radial marks False takes the next double up on every other line, so its
+    # u text differs from the radial ring's in the last digits
+    u = 1.0 - grid.r_centers * grid.r_centers
+    for k, keep in enumerate(radial):
+        if not keep:
+            u[k, 1::2] = np.nextafter(u[k, 1::2], np.inf)
+    return u
+
+
+def _write_field(path, grid, u):
+    # the lab's own writer, as `solve` writes solution.csv
+    return cli.emit_csv(path, *cli._solution_table(grid, u)[1:])
 
 
 def _special_rings():
@@ -438,24 +454,25 @@ def _special_rings():
     return grid, u
 
 
-@pytest.mark.parametrize("solve,radial", [
-    (("p-laplacian:1.5", "128x128", 0.0), [True] * 128),
-    (("laplacian", "256x256", 0.0), [k not in (239, 240, 248, 252) for k in range(256)]),
-    (("laplacian", "64x64", 0.1), [False] * 64),
+@pytest.mark.parametrize("layout,radial", [
+    (("128x128", 0.0), [True] * 128),
+    (("256x256", 0.0), [k not in (239, 240, 248, 252) for k in range(256)]),
+    (("64x64", 0.1), [False] * 64),
     (None, [k not in (4, 6, 9) for k in range(16)]),
 ], ids=["p1.5-128-eps0", "laplacian-256-eps0", "laplacian-64-eps0.1", "special-values"])
-def test_ring_writer_is_the_column_writer_byte_for_byte(tmp_path, solve, radial):
+def test_ring_writer_is_the_column_writer_byte_for_byte(tmp_path, layout, radial):
     # radial rings are one join each, runs of the others go to the column
-    # writer; the file is the column writer's byte for byte
-    if solve is None:
+    # writer; the file is the column writer's byte for byte.  The ring
+    # layouts are those the lab's solves wrote: every ring radial, a radial
+    # prefix with a few rings whose u differs in its last digits, and a
+    # perturbed grid, whose r differs along every ring
+    if layout is None:
         grid, u = _special_rings()
     else:
-        profile, spec, eps = solve
-        grid = _grid(spec, eps, profile)
-        u, report = cli.solve_Lf(grid, cli.profile_from_id(profile))
-        assert report.converged
+        grid = _grid(*layout)
+        u = _ring_field(grid, radial)
     name, header, table = cli._solution_table(grid, u)
-    if solve is None:
+    if layout is None:
         table[9, :, 1] = table[9, ::-1, 1]  # r and u one pattern each, theta not ring 0's
     assert table.shape == (grid.Nr, grid.Nt, 3) and _radial(table) == radial
     path = cli.emit_csv(tmp_path / name, header, table)
@@ -463,10 +480,12 @@ def test_ring_writer_is_the_column_writer_byte_for_byte(tmp_path, solve, radial)
 
 
 @pytest.fixture
-def solved_8x8(tmp_path):
+def radial_8x8(tmp_path):
+    # a config on an 8x8 grid and the lines of the lab's CSV of a radial field on it
     cfg = write_config(tmp_path, grid="8x8", out_dir=str(tmp_path / "run"))
-    assert cli.main(["solve", "--config", str(cfg)]) == 0
-    return cfg, (tmp_path / "run" / "solution.csv").read_text().splitlines()
+    grid = cli._grid_from_config(cli.parse_config(cfg.read_text()))
+    path = _write_field(tmp_path / "solution.csv", grid, _ring_field(grid, [True] * grid.Nr))
+    return cfg, path.read_text().splitlines()
 
 
 def _set_field(lines, line_no, col, text):
@@ -522,8 +541,8 @@ def _nan_coordinates(lines):
     ids=["header", "row-count", "radius", "angle", "malformed", "nan-coordinates", "short-row",
          "blank-line-malformed", "blank-header-malformed", "blank-header-non-finite-u", "blank-line-radius"],
 )
-def test_solution_csv_rejections(tmp_path, capsys, solved_8x8, corrupt, message):
-    cfg, lines = solved_8x8
+def test_solution_csv_rejections(tmp_path, capsys, radial_8x8, corrupt, message):
+    cfg, lines = radial_8x8
     corrupt(lines)
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
@@ -534,11 +553,11 @@ def test_solution_csv_rejections(tmp_path, capsys, solved_8x8, corrupt, message)
 
 @pytest.mark.parametrize("command", ["audit", "pfunction"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_solution_csv_rejects_non_finite_u(tmp_path, capsys, solved_8x8, command, value):
+def test_solution_csv_rejects_non_finite_u(tmp_path, capsys, radial_8x8, command, value):
     # a non-finite u is a bad input, not a field to audit: a config error that
     # names the file line, raised before any arithmetic could warn; blank
     # lines before the header or in the body count as file lines
-    cfg, lines = solved_8x8
+    cfg, lines = radial_8x8
     plain, blank_header, blank_line = list(lines), ["", ""] + lines, lines[:3] + [""] + lines[3:]
     _set_field(plain, 6, 2, value)
     _set_field(blank_header, 9, 2, value)
@@ -576,19 +595,17 @@ def _closed_form_csv(path, grid):
 @pytest.mark.parametrize("block", [None, 100, 1000], ids=["one-block", "block-100", "block-1000"])
 @pytest.mark.parametrize("kind", ["closed-form", "solved-eps0", "solved-eps0.1"])
 def test_strict_parse_is_loadtxt_bit_for_bit(tmp_path, kind, block):
-    # the closed-form layout, and the lab's own writer on a radial and on a
-    # perturbed solution, whose r and u all differ: every ring matched, the
-    # leading 23 rings then np.loadtxt, and np.loadtxt alone; small read
-    # blocks end inside the first ring (24 lines) and inside lines
-    eps = 0.1 if kind == "solved-eps0.1" else 0.0
-    cfg = write_config(tmp_path, grid="32x24", epsilon=eps, out_dir=str(tmp_path / "run"))
-    path = tmp_path / "run" / "solution.csv"
+    # the closed-form layout, and the lab's own writer on a field with 23
+    # leading radial rings and on a perturbed grid, whose r and u all differ:
+    # every ring matched, the leading 23 rings then np.loadtxt, and np.loadtxt
+    # alone; small read blocks end inside the first ring (24 lines) and
+    # inside lines
+    grid = _grid("32x24", 0.1 if kind == "solved-eps0.1" else 0.0)
+    path = tmp_path / "solution.csv"
     if kind == "closed-form":
-        grid = cli._grid_from_config(cli.parse_config(cfg.read_text()))
-        path.parent.mkdir()
         _closed_form_csv(path, grid)
     else:
-        assert cli.main(["solve", "--config", str(cfg)]) == 0
+        _write_field(path, grid, _ring_field(grid, [k not in (23, 27, 30) for k in range(grid.Nr)]))
     want = _loadtxt(path)
     got, rings = _strict(path, 24, block or -1)
     assert got is not None and got.shape == (32 * 24, 3)
@@ -666,16 +683,16 @@ def _read_outcome(path, grid):
 
 
 @pytest.mark.parametrize("name", [*_OUTSIDE_STRICT, "no-final-newline"])
-def test_files_outside_the_strict_layout_take_the_text_path(tmp_path, monkeypatch, solved_8x8, name):
+def test_files_outside_the_strict_layout_take_the_text_path(tmp_path, monkeypatch, radial_8x8, name):
     # the line that leaves the writer's layout lies in no matched ring; the
     # file reads to the text path's array or its message, which are the
     # strict file's array or the listed message
-    cfg, lines = solved_8x8
+    cfg, lines = radial_8x8
     grid = cli._grid_from_config(cli.parse_config(cfg.read_text()))
     strict = tmp_path / "strict.csv"
     strict.write_text("\n".join(lines) + "\n")
     want = cli._read_solution_csv(strict, grid)
-    assert _strict(strict, grid.Nt)[1] == grid.Nr  # the solved 8x8 field is radial
+    assert _strict(strict, grid.Nt)[1] == grid.Nr  # every ring of the radial field is matched
     assert "." in lines[5].split(",")[0]  # so that trailing zeros keep the value of the 25-byte field
     corrupt, fault, message = _OUTSIDE_STRICT.get(name, (lambda ls: ls, len(lines) - 1, None))
     path = tmp_path / "bad.csv"

@@ -23,6 +23,8 @@ from serrinlab.solver import (
     MatrixField,
     hessian_W_field,
     interior_cell_mask,
+    mapped_gradient,
+    normal_derivative_gamma0,
     solve_Lf,
 )
 from serrinlab.spaceforms import EUCLIDEAN, ConeSection
@@ -45,6 +47,28 @@ P3 = make_power_profile(3.0)
 
 def quarter():
     return ConeSection(EUCLIDEAN, math.pi / 2)
+
+
+# each statistic on u's fields, derived as identity_suite derives them
+
+
+def w_field(grid, u, profile):
+    return hessian_W_field(grid, mapped_gradient(grid, u, profile))
+
+
+def pohozaev(grid, u, profile):
+    speed = mapped_gradient(grid, u, profile)[3]
+    return pohozaev_residual(grid, u, profile, speed, normal_derivative_gamma0(grid, u))
+
+
+def inequality_gap(grid, u, profile):
+    mapped = mapped_gradient(grid, u, profile)
+    W = hessian_W_field(grid, mapped)
+    return integral_inequality_gap(grid, u, W, mapped, identities._Algebra(W))
+
+
+def c_of(grid, u, profile):
+    return c_consistency(grid, normal_derivative_gamma0(grid, u), profile)
 
 
 def test_s2_examples():
@@ -108,7 +132,7 @@ def test_oracle_W_field_is_minus_identity_over_N(profile):
     assert W.masked_count == 0
     dev = np.max(np.abs(W.values + np.eye(2) / 2.0))
     assert dev <= 1e-13
-    rep = audit_W(grid, W)
+    rep = audit_W(grid, W, identities._Algebra(W))
     gap_check = next(c for c in rep.checks if c.name == "newton_gap_min")
     assert gap_check.value >= -1e-10
 
@@ -118,8 +142,8 @@ def test_audit_W_discrete_radial_laplacian_refines():
     for n in (32, 64):
         grid = build_grid(quarter(), n, n)
         sol = RadialSolutionEuclidean(P2, 2, 1.0)
-        W = hessian_W_field(grid, sample_values(sol, grid), P2)
-        rep = audit_W(grid, W)
+        W = w_field(grid, sample_values(sol, grid), P2)
+        rep = audit_W(grid, W, identities._Algebra(W))
         sup = next(c for c in rep.checks if c.name == "W_plus_id_over_N_sup_interior")
         devs.append(sup.value)
         assert rep.passed
@@ -131,7 +155,7 @@ def test_audit_W_perturbed_defect_persists():
     for n in (32, 64):
         grid = build_grid(quarter(), n, n, BoundaryRadius(1.0, 0.1, 2))
         u, _ = solve_Lf(grid, P2)
-        W = hessian_W_field(grid, u, P2)
+        W = w_field(grid, u, P2)
         keep = interior_cell_mask(grid) & ~W.mask
         devs.append(float(np.max(np.abs((W.values + np.eye(2) / 2.0)[keep]))))
     assert all(d > 0.1 for d in devs)
@@ -143,7 +167,7 @@ def test_pohozaev_radial_disk():
     grid = build_grid(cone, 64, 64)
     sol = RadialSolutionEuclidean(P2, 2, 1.0)
     u = sample_values(sol, grid)
-    lhs, rhs, resid = pohozaev_residual(grid, u, P2)
+    lhs, rhs, resid = pohozaev(grid, u, P2)
     assert lhs == pytest.approx(math.pi / 4, rel=1e-2)
     assert rhs == pytest.approx(math.pi / 4, rel=1e-2)
     assert abs(resid) <= 1e-2 * abs(lhs)
@@ -153,10 +177,10 @@ def test_pohozaev_sector_scaling():
     grid = build_grid(quarter(), 64, 64)
     sol = RadialSolutionEuclidean(P2, 2, 1.0)
     u = sample_values(sol, grid)
-    lhs, rhs, resid = pohozaev_residual(grid, u, P2)
+    lhs, rhs, resid = pohozaev(grid, u, P2)
     assert lhs == pytest.approx(math.pi / 16, rel=1e-2)
     assert abs(resid) <= 1e-2 * abs(lhs)
-    zero_lhs, zero_rhs, zero_resid = pohozaev_residual(grid, np.zeros((64, 64)), P2)
+    zero_lhs, zero_rhs, zero_resid = pohozaev(grid, np.zeros((64, 64)), P2)
     assert zero_lhs == 0.0 and zero_rhs == 0.0 and zero_resid == 0.0
 
 
@@ -165,7 +189,7 @@ def test_pohozaev_refines_at_first_order():
     resids = []
     for n in (32, 64, 128):
         grid = build_grid(quarter(), n, n)
-        _, _, resid = pohozaev_residual(grid, sample_values(sol, grid), P3)
+        _, _, resid = pohozaev(grid, sample_values(sol, grid), P3)
         resids.append(abs(resid))
     order = math.log2(resids[0] / resids[2]) / 2.0
     assert order >= 1.0, (resids, order)
@@ -176,8 +200,7 @@ def test_integral_inequality_equality_on_convex_oracle():
     for profile in (P2, P3):
         sol = RadialSolutionEuclidean(profile, 2, 1.0)
         u = sample_values(sol, grid)
-        W = hessian_W_field(grid, u, profile)
-        gap, tol, equality = integral_inequality_gap(grid, u, W, profile)
+        gap, tol, equality = inequality_gap(grid, u, profile)
         assert gap >= -tol
         assert equality, (gap, tol)
 
@@ -185,28 +208,26 @@ def test_integral_inequality_equality_on_convex_oracle():
 def test_integral_inequality_zero_field():
     grid = build_grid(quarter(), 16, 16)
     zero = np.zeros((16, 16))
-    W = hessian_W_field(grid, zero, P2)
-    gap, _, _ = integral_inequality_gap(grid, zero, W, P2)
+    gap, _, _ = inequality_gap(grid, zero, P2)
     assert gap == 0.0
 
 
 def test_integral_inequality_solved_perturbed_sign():
     grid = build_grid(quarter(), 64, 64, BoundaryRadius(1.0, 0.1, 2))
     u, _ = solve_Lf(grid, P2)
-    W = hessian_W_field(grid, u, P2)
-    gap, tol, _ = integral_inequality_gap(grid, u, W, P2)
+    gap, tol, _ = inequality_gap(grid, u, P2)
     assert gap >= -tol
 
 
 def test_c_consistency_values():
     grid = build_grid(quarter(), 64, 64)
     u, _ = solve_Lf(grid, P2)
-    mean, formula, spread = c_consistency(grid, u, P2)
+    mean, formula, spread = c_of(grid, u, P2)
     assert formula == pytest.approx(0.5, rel=1e-12)
     assert mean == pytest.approx(0.5, rel=1e-3)
     assert spread <= 1e-10
     u3, _ = solve_Lf(grid, P3)
-    mean3, formula3, _ = c_consistency(grid, u3, P3)
+    mean3, formula3, _ = c_of(grid, u3, P3)
     assert formula3 == pytest.approx(math.sqrt(0.5), rel=1e-12)
     assert abs(mean3 - formula3) / formula3 <= 2e-2
 
@@ -214,14 +235,14 @@ def test_c_consistency_values():
 def test_c_spread_positive_on_perturbed_domain():
     grid = build_grid(quarter(), 64, 64, BoundaryRadius(1.0, 0.1, 2))
     u, _ = solve_Lf(grid, P2)
-    _, _, spread = c_consistency(grid, u, P2)
+    _, _, spread = c_of(grid, u, P2)
     assert spread > 1e-2
 
 
 def test_w12_diagnostic_radial_value():
     grid = build_grid(quarter(), 64, 64)
     sol = RadialSolutionEuclidean(P2, 2, 1.0)
-    W = hessian_W_field(grid, sample_values(sol, grid), P2)
+    W = w_field(grid, sample_values(sol, grid), P2)
     # ||-Id/2||_F^2 = 1/2 pointwise, so the norm tends to sqrt(|Omega|/2)
     assert w12_diagnostic(grid, W) == pytest.approx(math.sqrt(math.pi / 8), rel=1e-3)
     empty = MatrixField(np.zeros((64, 64, 2, 2)), np.zeros((64, 64), dtype=bool))
@@ -234,7 +255,7 @@ def test_w12_stability_for_p15():
     for n in (32, 64):
         grid = build_grid(quarter(), n, n)
         u, _ = solve_Lf(grid, p15)
-        W = hessian_W_field(grid, u, p15)
+        W = w_field(grid, u, p15)
         norms.append(w12_diagnostic(grid, W))
     assert abs(norms[1] - norms[0]) <= 0.1 * abs(norms[0])
 
@@ -265,10 +286,10 @@ def test_equality_propagation_constant_reported():
     # measured and reported rather than fixed in advance
     grid = build_grid(quarter(), 64, 64)
     u, _ = solve_Lf(grid, P2)
-    W = hessian_W_field(grid, u, P2)
+    W = w_field(grid, u, P2)
     keep = interior_cell_mask(grid) & ~W.mask
     tau = float(np.max(np.abs((W.values + np.eye(2) / 2.0)[keep])))
-    _, _, spread = c_consistency(grid, u, P2)
+    _, _, spread = c_of(grid, u, P2)
     disc = (1.0 / 64) ** 2
     C = spread / (tau + disc)
     print(f"equality propagation constant C = {C:.3f} (tau={tau:.2e}, spread={spread:.2e})")
@@ -407,15 +428,19 @@ def test_identity_suite_bit_for_bit_with_masked_cells():
 
 
 def test_identity_suite_derives_each_field_once(monkeypatch):
-    # one mapped gradient (and so one Cartesian gradient) and one W per suite,
-    # wherever the name is looked up
-    calls = {"mapped_gradient": 0, "gradient_field": 0, "hessian_W_field": 0}
+    # one mapped gradient, one W and one Gamma_0 normal derivative per suite,
+    # wherever the name is looked up; the Cartesian derivatives are u's once
+    # (in the mapped gradient) and each component of V's once (in W)
+    calls = {"mapped_gradient": 0, "hessian_W_field": 0, "normal_derivative_gamma0": 0, "_cartesian_derivatives": 0}
+    kinds = []
 
     def counted(module, name):
         real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "_cartesian_derivatives":
+                kinds.append(args[2])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
@@ -426,4 +451,6 @@ def test_identity_suite_derives_each_field_once(monkeypatch):
                 counted(module, name)
     grid, u = _solved(P3, math.pi / 2, 0.1, n=16)
     identity_suite(grid, u, P3)
-    assert calls == {"mapped_gradient": 1, "gradient_field": 1, "hessian_W_field": 1}
+    assert calls == {"mapped_gradient": 1, "hessian_W_field": 1, "normal_derivative_gamma0": 1,
+                     "_cartesian_derivatives": 3}
+    assert kinds == ["solution", "generic", "generic"]

@@ -66,3 +66,21 @@ def test_against_lists_commands_of_either_run_and_exits_1_on_a_move(tmp_path, mo
     assert outputs.compare(before, after) == [f"same/out/extra.json: not in {after}"]
     (before / "same" / "out" / "extra.json").unlink()
     assert outputs.main([str(tmp_path / "again"), "--against", str(before)]) == 0
+
+
+def test_against_compares_every_file_of_a_command(tmp_path):
+    # a table CSV without a JSON twin, stdout.txt and a manifest field other
+    # than its clock time are compared too; an unchanged stderr.txt is not listed
+    before, after = tmp_path / "before", tmp_path / "after"
+    runs = ((before, "d,u\n0,1\n1,0\n", "", "0.1.0", 1.0), (after, "d,u\n0,1\n1,1e-17\n", "done\n", "0.2.0", 9.0))
+    for root, table, stdout, version, seconds in runs:
+        _command(root, "oracle", 0, {"passed": True}, [1.0], {"timing_seconds": seconds, "version": version})
+        (root / "oracle" / "out" / "oracle.csv").write_text(table, encoding="utf-8")
+        (root / "oracle" / "stdout.txt").write_text(stdout, encoding="utf-8")
+        (root / "oracle" / "stderr.txt").write_text("", encoding="utf-8")
+    assert outputs.compare(before, after) == [
+        "oracle/out/oracle.csv lines: 0.33 relative, 1 absolute",
+        "oracle/out/rigidity.manifest.json version: inf relative, inf absolute",
+        "oracle/stdout.txt lines: 1 relative, 1 absolute",
+    ]
+    assert outputs.compare(after, after) == []

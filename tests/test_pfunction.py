@@ -21,7 +21,7 @@ from serrinlab.pfunction import (
     step3_identity,
     subharmonicity_probe,
 )
-from serrinlab.solver import solve_linear_spaceform
+from serrinlab.solver import metric_gradient, normal_derivative_gamma0, solve_linear_spaceform
 from serrinlab.spaceforms import EUCLIDEAN, HYPERBOLIC, SPHERE, ConeSection
 
 from reference import float_bits, obata_ode_profile, pfunction_report, step3_identity_analytic
@@ -32,6 +32,25 @@ FORMS = [(EUCLIDEAN, 1.0), (HYPERBOLIC, 1.0), (SPHERE, math.pi / 4)]
 def grid_for(sf, R0, n=64, eps=0.0):
     cone = ConeSection(sf, math.pi / 2)
     return build_grid(cone, n, n, BoundaryRadius(R0, eps, 2))
+
+
+# each statistic on u's fields, derived as pfunction_suite derives them
+
+
+def p_of(g, u):
+    return p_field(g, u, metric_gradient(g, u))
+
+
+def max_principle(g, u):
+    return max_principle_check(g, normal_derivative_gamma0(g, u), p_of(g, u))
+
+
+def step3(g, u, c):
+    return step3_identity(g, u, c, metric_gradient(g, u)[0])
+
+
+def defect_of(g, u):
+    return hessian_proportionality_defect(g, u, metric_gradient(g, u, return_coordinates=True)[2:])
 
 
 @pytest.mark.parametrize("sf,R", FORMS, ids=lambda v: getattr(v, "name", v))
@@ -47,15 +66,15 @@ def test_p_constant_on_oracle_analytic(sf, R):
 def test_p_field_values():
     g = grid_for(EUCLIDEAN, 1.0)
     sol = RadialSolutionSpaceForm(EUCLIDEAN, 2, 1.0)
-    P = p_field(g, sample_values(sol, g))
+    P = p_of(g, sample_values(sol, g))
     assert type(P) is np.ndarray and P.shape == (g.Nr, g.Nt)
     assert np.max(np.abs(P - 0.25)) <= 1e-12  # quadratic data: exact
     hyp = grid_for(HYPERBOLIC, 1.0)
     solh = RadialSolutionSpaceForm(HYPERBOLIC, 2, 1.0)
-    Ph = p_field(hyp, sample_values(solh, hyp))
+    Ph = p_of(hyp, sample_values(solh, hyp))
     c2 = math.tanh(1.0) ** 2 / 4.0
     assert np.max(np.abs(Ph - c2)) <= 5e-4  # grid derivatives: O(h^2)
-    zero = p_field(g, np.zeros((64, 64)))
+    zero = p_of(g, np.zeros((64, 64)))
     assert np.array_equal(zero, np.zeros((64, 64)))
 
 
@@ -64,7 +83,7 @@ def test_subharmonicity_on_solved_fields(sf, R):
     g = grid_for(sf, R)
     u, rep = solve_linear_spaceform(g, 2)
     assert rep.converged
-    P = p_field(g, u)
+    P = p_of(g, u)
     _, frac, _ = subharmonicity_probe(g, P)
     assert frac == 0.0
 
@@ -73,7 +92,7 @@ def test_subharmonicity_flat_oracle_exact():
     # the flat radial oracle gives an exactly constant discrete P
     g = grid_for(EUCLIDEAN, 1.0)
     sol = RadialSolutionSpaceForm(EUCLIDEAN, 2, 1.0)
-    P = p_field(g, sample_values(sol, g))
+    P = p_of(g, sample_values(sol, g))
     min_lap, frac, _ = subharmonicity_probe(g, P)
     assert abs(min_lap) <= 1e-9
     assert frac == 0.0
@@ -84,7 +103,7 @@ def test_subharmonicity_violation_fraction_refines():
     for n in (32, 64):
         g = grid_for(HYPERBOLIC, 1.0, n=n, eps=0.1)
         u, _ = solve_linear_spaceform(g, 2)
-        _, frac, _ = subharmonicity_probe(g, p_field(g, u))
+        _, frac, _ = subharmonicity_probe(g, p_of(g, u))
         fracs.append(frac)
     assert fracs[-1] <= max(fracs[0], 0.02)
 
@@ -100,12 +119,12 @@ def test_random_field_probe_reports_without_judging():
 def test_max_principle_oracle_and_solved(sf, R):
     g = grid_for(sf, R)
     sol = RadialSolutionSpaceForm(sf, 2, R)
-    mp = max_principle_check(g, sample_values(sol, g), p_field(g, sample_values(sol, g)))
+    mp = max_principle(g, sample_values(sol, g))
     assert mp["interior_bound_ok"] and mp["wall_sign_ok"]
     c_exact = overdetermined_constant(sol)
     assert mp["c"] == pytest.approx(c_exact, rel=5e-3)
     u, _ = solve_linear_spaceform(g, 2)
-    mp2 = max_principle_check(g, u, p_field(g, u))
+    mp2 = max_principle(g, u)
     assert mp2["interior_bound_ok"] and mp2["wall_sign_ok"]
     assert mp2["max_P"] <= mp2["c_squared"] * 1.02
 
@@ -115,19 +134,19 @@ def test_perturbed_domain_rigid_gap_opens():
     # from the mean-based reference c^2 while staying below the boundary max
     g = grid_for(HYPERBOLIC, 1.0, eps=0.1)
     u, _ = solve_linear_spaceform(g, 2)
-    mp = max_principle_check(g, u, p_field(g, u))
+    mp = max_principle(g, u)
     assert mp["rigid_gap"] > 1e-2 * mp["c_squared"]
     assert mp["interior_bound_ok"]
     g0 = grid_for(HYPERBOLIC, 1.0)
     u0, _ = solve_linear_spaceform(g0, 2)
-    mp0 = max_principle_check(g0, u0, p_field(g0, u0))
+    mp0 = max_principle(g0, u0)
     assert abs(mp0["rigid_gap"]) <= 2e-2 * mp0["c_squared"]
 
 
 def test_step3_identity_euclidean_value():
     g = grid_for(EUCLIDEAN, 1.0)
     sol = RadialSolutionSpaceForm(EUCLIDEAN, 2, 1.0)
-    lhs, rhs, resid = step3_identity(g, sample_values(sol, g), c=overdetermined_constant(sol))
+    lhs, rhs, resid = step3(g, sample_values(sol, g), overdetermined_constant(sol))
     assert lhs == pytest.approx(math.pi / 16, rel=1e-12)  # c^2 |Omega| exactly
     assert rhs == pytest.approx(math.pi / 16, rel=1e-3)
     assert abs(resid) <= 1e-2 * lhs
@@ -148,7 +167,7 @@ def test_step3_identity_analytic_higher_dimension():
 
 def test_step3_zero_field():
     g = grid_for(EUCLIDEAN, 1.0, n=16)
-    lhs, rhs, resid = step3_identity(g, np.zeros((16, 16)), c=0.0)
+    lhs, rhs, resid = step3(g, np.zeros((16, 16)), 0.0)
     assert lhs == 0.0 and rhs == 0.0 and resid == 0.0
 
 
@@ -158,7 +177,7 @@ def test_hessian_defect_refines_on_oracles(sf, R):
     for n in (32, 64):
         g = grid_for(sf, R, n=n)
         sol = RadialSolutionSpaceForm(sf, 2, R)
-        defects.append(hessian_proportionality_defect(g, sample_values(sol, g)))
+        defects.append(defect_of(g, sample_values(sol, g)))
     if sf.curvature == 0:
         assert defects[-1] <= 1e-12  # quadratic data: exactly proportional
     else:
@@ -168,10 +187,10 @@ def test_hessian_defect_refines_on_oracles(sf, R):
 def test_hessian_defect_contrast():
     g = grid_for(HYPERBOLIC, 1.0)
     u, _ = solve_linear_spaceform(g, 2)
-    rigid = hessian_proportionality_defect(g, u)
+    rigid = defect_of(g, u)
     gp = grid_for(HYPERBOLIC, 1.0, eps=0.1)
     up, _ = solve_linear_spaceform(gp, 2)
-    perturbed = hessian_proportionality_defect(gp, up)
+    perturbed = defect_of(gp, up)
     assert perturbed > 5 * rigid
 
 
@@ -238,13 +257,22 @@ def test_pfunction_suite_is_the_per_statistic_forms_bit_for_bit(sf, R, eps):
 
 
 def test_pfunction_suite_derives_the_gradient_once(monkeypatch):
-    calls = []
-    for module in (solver, pfunction):
-        real = module.metric_gradient
-        monkeypatch.setattr(module, "metric_gradient",
-                            lambda *args, real=real, **kw: calls.append(1) or real(*args, **kw))
+    # one metric gradient and one Gamma_0 normal derivative per suite,
+    # wherever the name is looked up
+    calls = {"metric_gradient": 0, "normal_derivative_gamma0": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        for module in (solver, pfunction):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     g = grid_for(HYPERBOLIC, 1.0, n=16, eps=0.1)
     u, _ = solve_linear_spaceform(g, 2)
-    calls.clear()
+    calls.update(dict.fromkeys(calls, 0))
     pfunction_suite(g, u)
-    assert len(calls) == 1
+    assert calls == {"metric_gradient": 1, "normal_derivative_gamma0": 1}

@@ -16,13 +16,17 @@ manifests carry wall-clock time:
     python3 tools/outputs.py /tmp/after --against /tmp/before
     diff -r -x '*.manifest.json' /tmp/before /tmp/after
 
-`--against` prints what moved, and exits 1 if anything did: every command
-or report that only one of the two runs has, every command whose exit code
-differs, the largest relative and absolute change of each numeric field of
-every report JSON (list indices collapsed, so `rows[].sigma` covers every
-row; a changed string, boolean or structure counts as inf), and the largest
-change of `u` in each solution.csv, relative to the largest |u|.  Fields
-that did not move are not printed.
+`--against` prints what moved, and exits 1 if anything did.  It compares
+every file of each command directory: every command or file that only one
+of the two runs has, every command whose exit code differs, the largest
+relative and absolute change of each numeric field of every JSON file
+(list indices collapsed, so `rows[].sigma` covers every row; a changed
+string, boolean or structure counts as inf; a manifest's `timing_seconds`
+is left out), the largest change of `u` in each solution.csv, relative to
+the largest |u|, and in every other file (config.json, table CSVs such as
+oracle.csv, stdout.txt and stderr.txt) the number of lines that differ,
+relative to the longer file's line count.  Fields that did not move are not
+printed.
 
 The set covers every subcommand: rigidity scans over the ladder
 [0, 0.05, 0.1, 0.2] (p = 3, p = 1.5 and mean-curvature at 32x32, hyperbolic at
@@ -48,9 +52,8 @@ plus audit for p = 1.5 at 128x128 with eps = 0, the Laplacian solve at
 256x256 with eps = 0 and eps = 0.1, each followed by an audit of its
 solution.csv, the hyperbolic solve at 256x256 with eps = 0.1 (the largest
 matrix, 9-point with the N K shift), `oracle --out-dir`, the same oracle
-with no `--out-dir`, whose table goes to stdout.txt (`diff -r` compares it;
-`--against` does not), and the Euclidean oracle in dimension 3,
-`oracle --N 3 --out-dir`.
+with no `--out-dir`, whose table goes to stdout.txt, and the Euclidean
+oracle in dimension 3, `oracle --N 3 --out-dir`.
 
 The solution CSVs cover both paths of the writer and the reader.  A radial
 ring (r and u the same on every line, theta ring 0's) is written and read
@@ -182,15 +185,25 @@ def _json_changes(before, after, path: str, out: dict) -> None:
 
 
 def _file_changes(before: Path, after: Path) -> dict:
-    """{field: (relative, absolute)} of a report JSON, or of u in a solution CSV (relative to max |u|).
+    """{field: (relative, absolute)} of a JSON file, of u in a solution CSV, or of the lines of any other file.
 
-    The columns of a solution CSV are r, theta, u; a nonzero change is
-    relative to the larger of the two files' max |u|.
+    A manifest's `timing_seconds` is left out.  The columns of a solution
+    CSV are r, theta, u; a nonzero change is relative to the larger of the
+    two files' max |u|.  Any other file counts its differing lines, and a
+    line only the longer file has, relative to the longer file's line count.
     """
     if after.suffix == ".json":
         changes = {}
-        _json_changes(*(json.loads(p.read_text(encoding="utf-8")) for p in (before, after)), "", changes)
+        documents = [json.loads(p.read_text(encoding="utf-8")) for p in (before, after)]
+        if after.name.endswith(".manifest.json"):
+            for document in documents:
+                document.pop("timing_seconds", None)
+        _json_changes(*documents, "", changes)
         return changes
+    if after.name != "solution.csv":
+        old, new = (p.read_bytes().splitlines() for p in (before, after))
+        differ = sum(a != b for a, b in zip(old, new)) + abs(len(old) - len(new))
+        return {"lines": (differ / max(len(old), len(new)) if differ else 0.0, differ)}
     u0, u1 = (np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)[:, -1] for p in (before, after))
     if u0.shape != u1.shape:
         return {"u": (math.inf, math.inf)}
@@ -210,14 +223,14 @@ def compare(before: Path, after: Path) -> list:
         codes = [(d / "exit_code.txt").read_text(encoding="utf-8").strip() for d in (old, work)]
         if codes[0] != codes[1]:
             lines.append(f"{name}: exit code {codes[0]} -> {codes[1]}")
-        reports = {p.name for d in (old, work) for p in d.glob("out/*.json") if not p.name.endswith(".manifest.json")}
-        for file in sorted(reports) + sorted({p.name for d in (old, work) for p in d.glob("out/solution.csv")}):
-            label = f"{name}/out/{file}"
-            missing = [root for root, d in ((before, old), (after, work)) if not (d / "out" / file).is_file()]
+        files = {p.relative_to(d).as_posix() for d in (old, work) for p in d.rglob("*") if p.is_file()}
+        for file in sorted(files - {"exit_code.txt"}):
+            label = f"{name}/{file}"
+            missing = [root for root, d in ((before, old), (after, work)) if not (d / file).is_file()]
             if missing:
                 lines.append(f"{label}: not in {missing[0]}")
                 continue
-            for key, (rel, absolute) in _file_changes(old / "out" / file, work / "out" / file).items():
+            for key, (rel, absolute) in _file_changes(old / file, work / file).items():
                 if absolute:
                     lines.append(f"{label} {key}: {rel:.2g} relative, {absolute:.2g} absolute")
     return lines
