@@ -261,8 +261,12 @@ def _cmd_oracle(args) -> int:
         u, u_prime, residual = spaceform_u, spaceform_u_prime, pde_residual_spaceform
     c = overdetermined_constant(sol)
     d = (np.arange(args.samples) + 0.5) * args.R / args.samples
-    rows = [(dk, float(u(sol, dk)), float(u_prime(sol, dk)), residual(sol, dk), c) for dk in d]
+    with np.errstate(all="ignore"):  # a non-finite value is a ConfigError below, naming its column and d
+        rows = [(dk, float(u(sol, dk)), float(u_prime(sol, dk)), residual(sol, dk), c) for dk in d]
     header = ["d", "u", "u_prime", "residual", "c"]
+    bad = np.argwhere(~np.isfinite(np.array(rows, dtype=float).T))  # column by column
+    if bad.size:
+        raise ConfigError(f"oracle {header[bad[0, 0]]} is not finite at d = {float(d[bad[0, 1]])!r}")
     if args.out_dir is None:
         sys.stdout.write(csv_text(header, rows))
         return EXIT_OK

@@ -1,9 +1,9 @@
 """Euclidean identity and inequality audits on (grid, field) pairs.
 
 Everything here reduces the rigidity argument to checkable numbers: the
-elementary symmetric function algebra of W, the Newton inequality for
-products of symmetric matrices, the Pohozaev balance, the S_2 integral
-inequality and the Neumann-data consistency of the constant c.
+elementary symmetric function algebra of W (formed by `MatrixField`), the
+Newton inequality for products of symmetric matrices, the Pohozaev balance,
+the S_2 integral inequality and the Neumann-data consistency of the constant c.
 """
 
 from __future__ import annotations
@@ -35,59 +35,6 @@ __all__ = [
     "identity_suite",
     "tol_discrete",
 ]
-
-
-# ---------------------------------------------------------------------------
-# N = 2 matrix algebra on the four component arrays of a W field
-
-
-# numpy writes a binary operation's result into a temporary operand of 256 KiB
-# or more; a (..., 2, 2) float64 stack reaches that size at 8192 cells
-_TRANSPOSED_FROM_CELLS = 256 * 1024 // 32
-
-
-class _Algebra:
-    """Tr, S_2 and the minor form of W, on its entries a = w00, b = w01, c = w10, d = w11.
-
-    Each sum runs in the order np.einsum takes in the general (..., n, n)
-    stack forms (kept in tests/reference.py), so every value is bitwise
-    theirs, signed zeros included: einsum's trace starts from +0.0, and the
-    minor form's off-diagonal entries add the zeros of Tr(W) Id.
-    """
-
-    def __init__(self, W: MatrixField):
-        v = W.values
-        self.a, self.b, self.c, self.d = a, b, c, d = v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1]
-        self.tr = tr = 0.0 + a + d
-        # S2(W) = (Tr(W)^2 - Tr(W^2)) / 2
-        self.s2 = 0.5 * (tr * tr - ((a * a + b * c) + (c * b + d * d)))
-        # S2_ij(W) = -w_ji + delta_ij Tr(W)
-        zero = tr * 0.0
-        self.minor = (-a + tr, -c + zero, -b + zero, -d + tr)
-
-    def newton_gap(self) -> np.ndarray:
-        """(N-1)/(2N) Tr(W)^2 - S2(W); nonnegative for W = BC, B sym PSD, C sym."""
-        return 0.25 * self.tr * self.tr - self.s2
-
-    def consistency_gap(self) -> np.ndarray:
-        """|(1/2) sum_ij S2_ij w_ij - S2(W)|, an exact algebraic identity."""
-        s00, s01, s10, s11 = self.minor
-        return np.abs(0.5 * ((s00 * self.a + s01 * self.b) + (s10 * self.c + s11 * self.d)) - self.s2)
-
-    def contract(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """sum_ij S2_ij(W) x_i y_j for fields of vectors, components last.
-
-        np.einsum sums the general form in the order the minor form's stack
-        is stored: by rows, but by columns from 8192 cells on, where numpy
-        builds -W^T + Tr(W) Id in the 256 KiB buffer of its temporary -W^T,
-        which is stored transposed.  The sum here follows the same rule.
-        """
-        s00, s01, s10, s11 = self.minor
-        x0, x1, y0, y1 = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
-        t00, t01, t10, t11 = (s00 * x0) * y0, (s01 * x0) * y1, (s10 * x1) * y0, (s11 * x1) * y1
-        if self.tr.size >= _TRANSPOSED_FROM_CELLS:
-            return ((t00 + t10) + t01) + t11
-        return ((t00 + t01) + t10) + t11
 
 
 # ---------------------------------------------------------------------------
@@ -147,52 +94,50 @@ def tol_discrete(grid: SectorGrid, scale: float) -> float:
 # audits
 
 
-def audit_W(grid: SectorGrid, W: MatrixField, algebra: _Algebra) -> AuditReport:
+def audit_W(grid: SectorGrid, W: MatrixField) -> AuditReport:
     """Trace and Newton-gap checks of a W field; radial defect is reported too.
 
     The full-interior trace deviation is reported as data: for strongly
     degenerate profiles (p < 2) the vertex-adjacent rings carry a self-similar
     differencing artifact that no refinement removes (solutions are only C^1
     at the cone vertex).  The judged trace check therefore excludes the inner
-    tenth of each radial line.  `algebra` is W's `_Algebra`.
+    tenth of each radial line.
     """
     interior = interior_cell_mask(grid) & ~W.mask
     unmasked = ~W.mask
     report = AuditReport(masked_cells=W.masked_count, total_cells=int(W.mask.size))
 
-    tr = algebra.tr
-    tol_tr = tol_discrete(grid, 1.0)
-    dev_int = float(np.max(np.abs(tr[interior] + 1.0))) if interior.any() else float("nan")
+    tol = tol_discrete(grid, 1.0)  # of the trace and Newton checks
+    dev_int = float(np.max(np.abs(W.tr[interior] + 1.0))) if interior.any() else float("nan")
     report.add(AuditCheck("trace_W_plus_one_interior", dev_int, None, None,
                           extras={"cells": int(interior.sum())}))
     bulk = interior & (grid.s_centers[:, None] >= 0.1)
-    dev_bulk = float(np.max(np.abs(tr[bulk] + 1.0))) if bulk.any() else float("nan")
+    dev_bulk = float(np.max(np.abs(W.tr[bulk] + 1.0))) if bulk.any() else float("nan")
     report.add(
         AuditCheck(
             "trace_W_plus_one_bulk",
             dev_bulk,
-            tol_tr,
-            bool(dev_bulk <= tol_tr) if bulk.any() else None,
+            tol,
+            bool(dev_bulk <= tol) if bulk.any() else None,
             extras={"cells": int(bulk.sum())},
         )
     )
 
-    gaps = algebra.newton_gap()
-    tol_gap = tol_discrete(grid, 1.0)
+    gaps = W.newton_gap()
     min_gap = float(np.min(gaps[unmasked])) if unmasked.any() else float("nan")
     report.add(
         AuditCheck(
             "newton_gap_min",
             min_gap,
-            tol_gap,
-            bool(min_gap >= -tol_gap) if unmasked.any() else None,
+            tol,
+            bool(min_gap >= -tol) if unmasked.any() else None,
             extras={"cells": int(unmasked.sum())},
         )
     )
 
     # sup |W + Id/N| over the interior, entry by entry (N = 2)
     if interior.any():
-        entries = (algebra.a + 0.5, algebra.b, algebra.c, algebra.d + 0.5)
+        entries = (W.a + 0.5, W.b, W.c, W.d + 0.5)
         dev = float(np.max([np.max(np.abs(w[interior])) for w in entries]))
     else:
         dev = float("nan")
@@ -222,17 +167,17 @@ def pohozaev_residual(grid: SectorGrid, u: np.ndarray, profile: OperatorProfile,
     return lhs, rhs, lhs - rhs
 
 
-def integral_inequality_gap(grid: SectorGrid, u: np.ndarray, W: MatrixField, mapped, algebra: _Algebra):
+def integral_inequality_gap(grid: SectorGrid, u: np.ndarray, W: MatrixField, mapped):
     """Gap of 2 int S2(W) u >= -int S2_ij(W) V_i(grad u) u_j by cell quadrature.
 
     Returns (gap, tol, equality_flag); the sign contract only holds over a
     convex section (alpha <= pi), equality when the walls carry no curvature
     (automatic for straight planar walls).  `mapped` is u's
-    `mapped_gradient` and `algebra` W's `_Algebra`.
+    `mapped_gradient`.
     """
     grad, V, degenerate, _ = mapped
-    s2 = algebra.s2
-    second = algebra.contract(V, grad)
+    s2 = W.s2
+    second = W.contract(V, grad)
 
     keep = ~(W.mask | degenerate)
     w = grid.area_weights
@@ -255,9 +200,7 @@ def c_consistency(grid: SectorGrid, du_dnu: np.ndarray, profile: OperatorProfile
 def w12_diagnostic(grid: SectorGrid, W: MatrixField) -> float:
     """Discrete L2 norm of W over unmasked cells (a stability probe, not a proof)."""
     keep = ~W.mask
-    v = W.values
-    a, b, c, d = v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1]
-    frob2 = ((a * a + b * b) + c * c) + d * d
+    frob2 = ((W.a * W.a + W.b * W.b) + W.c * W.c) + W.d * W.d
     return float(np.sqrt(np.sum(frob2[keep] * grid.area_weights[keep])))
 
 
@@ -266,19 +209,17 @@ def identity_suite(grid: SectorGrid, u: np.ndarray, profile: OperatorProfile) ->
 
     Each field is derived here once and handed to every check that reads
     it: grad u, V, the degenerate cells and |grad u| (`mapped_gradient`), W
-    from them (`hessian_W_field`), W's trace, S_2 and minor form on its four
-    component arrays (`_Algebra`), which sum in the order of the general
-    stack forms, so every value is bitwise theirs, and the Neumann data
-    du/dnu on each Gamma_0 face (`normal_derivative_gamma0`).
+    from them (`hessian_W_field`), which forms its own trace, S_2 and minor
+    form, and the Neumann data du/dnu on each Gamma_0 face
+    (`normal_derivative_gamma0`).
     """
     mapped = mapped_gradient(grid, u, profile)
     du_dnu = normal_derivative_gamma0(grid, u)
     W = hessian_W_field(grid, mapped)
-    alg = _Algebra(W)
-    report = audit_W(grid, W, alg)
+    report = audit_W(grid, W)
 
     kept = ~W.mask
-    worst = float(np.max(alg.consistency_gap()[kept])) if kept.any() else 0.0
+    worst = float(np.max(W.consistency_gap()[kept])) if kept.any() else 0.0
     report.add(AuditCheck("s2_trace_vs_minor_form", worst, 1e-12, bool(worst <= 1e-12)))
 
     lhs, rhs, resid = pohozaev_residual(grid, u, profile, mapped[3], du_dnu)
@@ -294,7 +235,7 @@ def identity_suite(grid: SectorGrid, u: np.ndarray, profile: OperatorProfile) ->
         )
     )
 
-    gap, tol, equality = integral_inequality_gap(grid, u, W, mapped, alg)
+    gap, tol, equality = integral_inequality_gap(grid, u, W, mapped)
     convex = grid.cone.convex
     report.add(
         AuditCheck(

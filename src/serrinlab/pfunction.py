@@ -214,9 +214,9 @@ def pfunction_suite(grid: SectorGrid, u: np.ndarray) -> PFieldReport:
     return PFieldReport(
         c=mp["c"],
         c_squared=mp["c_squared"],
-        max_P=float(np.max(P)),
+        max_P=mp["max_P"],
         min_P=float(np.min(P)),
-        max_P_minus_c2=float(np.max(P) - mp["c_squared"]),
+        max_P_minus_c2=mp["rigid_gap"],
         delta_P_min=dp_min,
         delta_P_violation_fraction=frac,
         wall_dP_dnu_max=wall_max,

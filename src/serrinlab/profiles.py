@@ -71,11 +71,11 @@ class RegularizedProfile:
 def make_power_profile(p: float) -> OperatorProfile:
     """Power profile f(t) = t^p / p, the p-Laplacian family.
 
-    Requires p > 1; at p <= 1 superlinearity fails and the inverse slope
-    degenerates.
+    Requires a finite p > 1; at p <= 1 superlinearity fails and the inverse
+    slope degenerates.
     """
-    if not p > 1.0:
-        raise ValueError(f"power profile requires p > 1, got {p}")
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"power profile requires a finite p > 1, got {p}")
     p = float(p)
     q = 1.0 / (p - 1.0)
 

@@ -42,6 +42,16 @@ _SINGULAR_ALIASES = {
 }
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's dict; a key given twice is a ConfigError, not its last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"duplicate config key '{key}'")
+        data[key] = value
+    return data
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a JSON key-value config; unknown keys are rejected.
 
@@ -50,12 +60,11 @@ def parse_config(text: str) -> ExperimentConfig:
     separate "Nr"/"Nt" integers.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object of key/value pairs")
-    raw = dict(raw)
     if "Nr" in raw or "Nt" in raw:
         if not ("Nr" in raw and "Nt" in raw):
             raise ConfigError("config must set both 'Nr' and 'Nt' (or use 'grid')")
@@ -77,8 +86,6 @@ def parse_config(text: str) -> ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
             value = [value]
-        if target in data:
-            raise ConfigError(f"duplicate config key '{target}'")
         data[target] = value
     try:
         return ExperimentConfig.from_dict(data)

@@ -80,7 +80,7 @@ class ExperimentConfig:
             if not isinstance(getattr(self, key), str):
                 raise ValueError(f"{key} takes a string, got {getattr(self, key)!r}")
         space_form_from_id(self.space_form)  # validates
-        profile_from_id(self.profile)
+        laplacian = profile_from_id(self.profile).is_laplacian
         for key in ("alpha", "R0", "tol"):
             _require_real(key, getattr(self, key))
         for key in ("grids", "epsilons"):
@@ -103,7 +103,7 @@ class ExperimentConfig:
             raise ValueError("grids must name at least one grid")
         if any(s2 <= s1 for (s1, _), (s2, _) in zip(sizes, sizes[1:])):
             raise ValueError("grid list must be strictly increasing")
-        if self.space_form != "euclidean" and self.profile != "laplacian":
+        if self.space_form != "euclidean" and not laplacian:
             raise ValueError("space-form runs use the linear operator; profile must be 'laplacian'")
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")

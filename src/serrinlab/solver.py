@@ -56,16 +56,62 @@ FORCING = 1e-3
 # that stopped early above its tolerance
 GMRES_RESTART = 30
 REFINE_CYCLES = 2
+# numpy writes a binary operation's result into a temporary operand of 256 KiB
+# or more; a (..., 2, 2) float64 stack reaches that size at 8192 cells
+_TRANSPOSED_FROM_CELLS = 256 * 1024 // 32
 
 
 @dataclass
 class MatrixField:
+    """A field of 2x2 matrices W with its N = 2 algebra: Tr, S_2 and the minor form.
+
+    The algebra is formed once, on the entries a = w00, b = w01, c = w10,
+    d = w11.  Each sum runs in the order np.einsum takes in the general
+    (..., n, n) stack forms (kept in tests/reference.py), so every value is
+    bitwise theirs, signed zeros included: einsum's trace starts from +0.0,
+    and the minor form's off-diagonal entries add the zeros of Tr(W) Id.
+    """
+
     values: np.ndarray  # (Nr, Nt, 2, 2), w[i,j] = d_j V_i; hessian_W_field stores each w[i,j] contiguous
     mask: np.ndarray  # True where the entry is excluded (degenerate gradient)
+
+    def __post_init__(self):
+        v = self.values
+        self.a, self.b, self.c, self.d = a, b, c, d = v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1]
+        self.tr = tr = 0.0 + a + d
+        # S2(W) = (Tr(W)^2 - Tr(W^2)) / 2
+        self.s2 = 0.5 * (tr * tr - ((a * a + b * c) + (c * b + d * d)))
+        # S2_ij(W) = -w_ji + delta_ij Tr(W)
+        zero = tr * 0.0
+        self.minor = (-a + tr, -c + zero, -b + zero, -d + tr)
 
     @property
     def masked_count(self) -> int:
         return int(np.sum(self.mask))
+
+    def newton_gap(self) -> np.ndarray:
+        """(N-1)/(2N) Tr(W)^2 - S2(W); nonnegative for W = BC, B sym PSD, C sym."""
+        return 0.25 * self.tr * self.tr - self.s2
+
+    def consistency_gap(self) -> np.ndarray:
+        """|(1/2) sum_ij S2_ij w_ij - S2(W)|, an exact algebraic identity."""
+        s00, s01, s10, s11 = self.minor
+        return np.abs(0.5 * ((s00 * self.a + s01 * self.b) + (s10 * self.c + s11 * self.d)) - self.s2)
+
+    def contract(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """sum_ij S2_ij(W) x_i y_j for fields of vectors, components last.
+
+        np.einsum sums the general form in the order the minor form's stack
+        is stored: by rows, but by columns from 8192 cells on, where numpy
+        builds -W^T + Tr(W) Id in the 256 KiB buffer of its temporary -W^T,
+        which is stored transposed.  The sum here follows the same rule.
+        """
+        s00, s01, s10, s11 = self.minor
+        x0, x1, y0, y1 = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
+        t00, t01, t10, t11 = (s00 * x0) * y0, (s01 * x0) * y1, (s10 * x1) * y0, (s11 * x1) * y1
+        if self.tr.size >= _TRANSPOSED_FROM_CELLS:
+            return ((t00 + t10) + t01) + t11
+        return ((t00 + t01) + t10) + t11
 
 
 @dataclass

@@ -13,7 +13,6 @@ from scipy.integrate import quad
 
 import serrinlab.cli as cli
 from serrinlab.identities import (
-    _Algebra,
     identity_suite,
     integral_inequality_gap,
     pohozaev_residual,
@@ -180,7 +179,7 @@ def test_criterion_5_identity_suite_oracle_fields():
         gap_min = float(np.min(newton_gap(Wo.values)[~Wo.mask]))
         ok = ok and gap_min >= -1e-10
         Wd = hessian_W_field(grid, mapped)
-        gap, tol_gap, equality = integral_inequality_gap(grid, u, Wd, mapped, _Algebra(Wd))
+        gap, tol_gap, equality = integral_inequality_gap(grid, u, Wd, mapped)
         scale = tol_gap / (5.0 * grid_h(grid))  # integrand scale behind tol_discrete
         ok = ok and gap >= -1e-2 * scale and equality
         equality_all = equality_all and equality

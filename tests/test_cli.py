@@ -157,6 +157,39 @@ def test_one_parser_parses_each_call_afresh(tmp_path, capsys):
     assert len(alone.splitlines()) == 4
 
 
+@pytest.mark.parametrize("profile, message", [
+    ("p-laplacian:inf", "power profile requires a finite p > 1, got inf"),
+    # g' underflows to 0 and f''(0) is infinite: the residual is NaN
+    ("p-laplacian:1.001", "oracle residual is not finite at d = 0.005"),
+], ids=["p-inf", "p-1.001"])
+@pytest.mark.parametrize("out_dir", [False, True], ids=["stdout", "out-dir"])
+def test_oracle_rejects_a_non_finite_table(tmp_path, capsys, profile, message, out_dir):
+    # a NaN in the oracle's table is a config error before anything is printed or written
+    argv = ["oracle", "--profile", profile] + (["--out-dir", str(tmp_path / "run")] if out_dir else [])
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not (tmp_path / "run").exists()
+
+
+def test_solve_rejects_an_infinite_exponent(tmp_path, capsys):
+    argv = ["solve", "--profile", "p-laplacian:inf", "--grid", "8x8", "--out-dir", str(tmp_path / "run")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "got inf" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_space_forms_take_every_spelling_of_the_laplacian(tmp_path):
+    # the profile id is resolved, not compared as a string: each spelling solves the same problem
+    solved = []
+    for i, profile in enumerate(["laplacian", "p-laplacian:2", " laplacian"]):
+        run = tmp_path / str(i)
+        argv = ["solve", "--space-form", "hyperbolic", "--grid", "8x8", "--profile", profile, "--out-dir", str(run)]
+        assert cli.main(argv) == cli.EXIT_OK
+        solved.append((run / "solution.csv").read_bytes())
+    assert solved[1] == solved[0] and solved[2] == solved[0]
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_oracle_rejects_sample_count_below_one(tmp_path, capsys, samples):
     # a header-only table is not a table of the oracle

@@ -64,7 +64,7 @@ def pohozaev(grid, u, profile):
 def inequality_gap(grid, u, profile):
     mapped = mapped_gradient(grid, u, profile)
     W = hessian_W_field(grid, mapped)
-    return integral_inequality_gap(grid, u, W, mapped, identities._Algebra(W))
+    return integral_inequality_gap(grid, u, W, mapped)
 
 
 def c_of(grid, u, profile):
@@ -132,7 +132,7 @@ def test_oracle_W_field_is_minus_identity_over_N(profile):
     assert W.masked_count == 0
     dev = np.max(np.abs(W.values + np.eye(2) / 2.0))
     assert dev <= 1e-13
-    rep = audit_W(grid, W, identities._Algebra(W))
+    rep = audit_W(grid, W)
     gap_check = next(c for c in rep.checks if c.name == "newton_gap_min")
     assert gap_check.value >= -1e-10
 
@@ -143,7 +143,7 @@ def test_audit_W_discrete_radial_laplacian_refines():
         grid = build_grid(quarter(), n, n)
         sol = RadialSolutionEuclidean(P2, 2, 1.0)
         W = w_field(grid, sample_values(sol, grid), P2)
-        rep = audit_W(grid, W, identities._Algebra(W))
+        rep = audit_W(grid, W)
         sup = next(c for c in rep.checks if c.name == "W_plus_id_over_N_sup_interior")
         devs.append(sup.value)
         assert rep.passed
@@ -356,7 +356,7 @@ def _random_W(shape, rng):
 
 @pytest.mark.parametrize("shape", [(60, 70), (90, 91), (64, 128), (96, 96)])
 def test_component_algebra_is_the_general_forms_bit_for_bit(shape):
-    # each statistic of identities._Algebra against its general stack form,
+    # each statistic of W's own algebra (MatrixField) against its general stack form,
     # cell by cell, signed zeros included; from 8192 cells on numpy stores the
     # general minor form transposed, and einsum sums S2_ij x_i y_j by columns
     rng = np.random.default_rng(3)
@@ -364,16 +364,15 @@ def test_component_algebra_is_the_general_forms_bit_for_bit(shape):
     A = np.ascontiguousarray(W.values)
     x, y = (np.moveaxis(rng.normal(size=(2,) + shape) * 10.0 ** rng.uniform(-8, 8, (2,) + shape), 0, -1)
             for _ in range(2))
-    alg = identities._Algebra(W)
     S = s2_minor_form(A)
     contracted = np.einsum("...ij,...i,...j->...", S, np.ascontiguousarray(x), np.ascontiguousarray(y))
     pairs = [
-        (alg.tr, _trace(A)),
-        (alg.s2, s2_of_matrix(A)),
-        (alg.newton_gap(), newton_gap(A)),
-        (alg.consistency_gap(), s2_consistency_gap(A)),
-        (alg.contract(x, y), contracted),
-        *((m, S[..., i, j]) for m, (i, j) in zip(alg.minor, ((0, 0), (0, 1), (1, 0), (1, 1)))),
+        (W.tr, _trace(A)),
+        (W.s2, s2_of_matrix(A)),
+        (W.newton_gap(), newton_gap(A)),
+        (W.consistency_gap(), s2_consistency_gap(A)),
+        (W.contract(x, y), contracted),
+        *((m, S[..., i, j]) for m, (i, j) in zip(W.minor, ((0, 0), (0, 1), (1, 0), (1, 1)))),
     ]
     for got, want in pairs:
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()

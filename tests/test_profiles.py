@@ -33,6 +33,15 @@ def test_power_profile_rejects_sublinear():
             make_power_profile(bad)
 
 
+def test_power_profile_rejects_non_finite_p():
+    # at p = inf every power is 0, 1 or inf: the oracle table is all NaN residuals
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"finite p > 1, got {bad}"):
+            make_power_profile(bad)
+    with pytest.raises(ValueError, match="got inf"):
+        profile_from_id("p-laplacian:inf")
+
+
 def test_round_trip_p15():
     p = make_power_profile(1.5)
     assert abs(p.g_prime(p.f_prime(0.7)) - 0.7) <= 1e-10

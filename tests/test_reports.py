@@ -60,6 +60,17 @@ def test_parse_config_alias_conflicts():
         parse_config('{"epsilon": 0.1, "epsilons": [0.1]}')
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"grid": "8x8", "tol": 1e-3, "tol": 1e-8}', "tol"),
+    ('{"grid": "8x8", "grid": "16x16"}', "grid"),
+    ('{"epsilons": [0.0], "grid": "8x8", "epsilons": [0.1]}', "epsilons"),
+], ids=["tol", "grid", "epsilons"])
+def test_parse_config_rejects_a_repeated_key(text, key):
+    # JSON keeps a repeated key's last value; a config names each key once
+    with pytest.raises(ConfigError, match=f"duplicate config key '{key}'"):
+        parse_config(text)
+
+
 def test_parse_config_nr_nt_keys():
     cfg = parse_config('{"space_form": "hyperbolic", "alpha": 1.0, "R0": 1.0, "epsilon": 0.1, "k": 2, "Nr": 32, "Nt": 48}')
     assert cfg.grids == ("32x48",)
