@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import re
 import sys
@@ -73,9 +72,8 @@ def _load_config(args, epsilons: str = "any", one_grid: bool = True) -> Experime
         overrides["grids"] = [args.grid]
     given = "epsilons" in overrides
     if args.config:
-        text = _read(args.config, Path.read_text, encoding="utf-8")
-        cfg = parse_config(text)
-        given = given or not {"epsilon", "epsilons"}.isdisjoint(json.loads(text))
+        cfg, keys = parse_config(_read(args.config, Path.read_text, encoding="utf-8"))
+        given = given or "epsilons" in keys
         if overrides:
             cfg = ExperimentConfig.from_dict({**cfg.to_dict(), **overrides})
     else:

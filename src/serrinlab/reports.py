@@ -52,12 +52,12 @@ def _unique_keys(pairs) -> dict:
     return data
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse a JSON key-value config; unknown keys are rejected.
+def parse_config(text: str) -> tuple[ExperimentConfig, frozenset]:
+    """Parse a JSON key-value config into (its ExperimentConfig, the keys it set); unknown keys are rejected.
 
     Scalar conveniences: "grid" and "epsilon" are accepted as one-element
     stand-ins for "grids"/"epsilons", and a grid may equivalently be given as
-    separate "Nr"/"Nt" integers.
+    separate "Nr"/"Nt" integers; the keys set name each by its plural.
     """
     try:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
@@ -88,7 +88,7 @@ def parse_config(text: str) -> ExperimentConfig:
             value = [value]
         data[target] = value
     try:
-        return ExperimentConfig.from_dict(data)
+        return ExperimentConfig.from_dict(data), frozenset(data)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 

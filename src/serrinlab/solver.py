@@ -635,13 +635,15 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, star
     type-II Anderson acceleration (Walker & Ni 2011) over the last
     ANDERSON_WINDOW iterations: with f_k = x - u_k, u_{k+1} = g_k - dG gamma,
     where gamma minimizes ||f_k - dF gamma||_2 over the differences dF, dG of
-    successive f and g, each kept as its step produces it.  omega is 1 for
-    2 <= p <= 3 and 0.5 otherwise.  If the scaled residual stops improving,
-    omega is halved once and the mixing history is cleared; a second stall
+    successive f and g, each kept as its step produces it.  omega is 0.5 for
+    p > 3, whose undamped steps oscillate with period 2, else 1: f'(t)/t is
+    nonincreasing for p <= 2 and mean-curvature, where Kacanov's method needs
+    no damping on variational discretizations (Zeidler II/B, 1990); this one
+    is not, and tools/envelope.py's sweep is the evidence.  A stall of the
+    scaled residual halves omega once and clears the mixing history; a second
     ends the solve with converged=False.  Each iterate's speed |grad u| is
-    computed once: the check that ends a stage and the next stage's first
-    fill read the same one.  The fills of one solve share one operator
-    (`_operator_matrix`), which lays out its diagonals once.
+    computed once, for a stage's last check and the next stage's first fill.
+    The fills of one solve share one operator (`_operator_matrix`), laid out once.
 
     No solution exists once |Omega|/|Gamma_0| reaches profile.slope_sup:
     the divergence theorem gives |Omega| = int_{Gamma_0} V.nu with
@@ -670,7 +672,7 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, star
                          "space-form problems take the 'laplacian' profile")
 
     p = profile.degeneracy_exponent
-    omega = 1.0 if (p is not None and 2.0 <= p <= 3.0) else 0.5
+    omega = 0.5 if (p is not None and p > 3.0) else 1.0
 
     N, K = 2, 0
     if start is None:
@@ -717,8 +719,8 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, star
             if res <= stage_tol:
                 stage_done = True
                 break
-            # stalls show up as period-2 oscillation for p > 2, not blow-up:
-            # treat lack of progress as divergence and halve omega once
+            # stalls show up as period-2 oscillation for p > 3, or a plateau, not
+            # blow-up: treat lack of progress as divergence and halve omega once
             no_improvement = 0 if res < 0.9 * best else no_improvement + 1
             best = min(best, res)
             if no_improvement >= 5:

@@ -516,7 +516,7 @@ def test_ring_writer_is_the_column_writer_byte_for_byte(tmp_path, layout, radial
 def radial_8x8(tmp_path):
     # a config on an 8x8 grid and the lines of the lab's CSV of a radial field on it
     cfg = write_config(tmp_path, grid="8x8", out_dir=str(tmp_path / "run"))
-    grid = cli._grid_from_config(cli.parse_config(cfg.read_text()))
+    grid = cli._grid_from_config(cli.parse_config(cfg.read_text())[0])
     path = _write_field(tmp_path / "solution.csv", grid, _ring_field(grid, [True] * grid.Nr))
     return cfg, path.read_text().splitlines()
 
@@ -721,7 +721,7 @@ def test_files_outside_the_strict_layout_take_the_text_path(tmp_path, monkeypatc
     # file reads to the text path's array or its message, which are the
     # strict file's array or the listed message
     cfg, lines = radial_8x8
-    grid = cli._grid_from_config(cli.parse_config(cfg.read_text()))
+    grid = cli._grid_from_config(cli.parse_config(cfg.read_text())[0])
     strict = tmp_path / "strict.csv"
     strict.write_text("\n".join(lines) + "\n")
     want = cli._read_solution_csv(strict, grid)

@@ -27,14 +27,15 @@ def test_fmt_float_17_digits():
 
 
 def test_parse_config_minimal_defaults():
-    cfg = parse_config('{"profile": "laplacian", "alpha": 1.5708, "R0": 1, "grid": "64x64"}')
+    cfg, keys = parse_config('{"profile": "laplacian", "alpha": 1.5708, "R0": 1, "grid": "64x64"}')
+    assert keys == {"profile", "alpha", "R0", "grids"}
     assert cfg.grids == ("64x64",)
     assert cfg.space_form == "euclidean"
     assert cfg.epsilons == (0.0, 0.05, 0.1, 0.2)
 
 
 def test_parse_config_profile_id():
-    cfg = parse_config('{"profile": "p-laplacian:3"}')
+    cfg, _ = parse_config('{"profile": "p-laplacian:3"}')
     assert cfg.profile == "p-laplacian:3"
 
 
@@ -72,7 +73,8 @@ def test_parse_config_rejects_a_repeated_key(text, key):
 
 
 def test_parse_config_nr_nt_keys():
-    cfg = parse_config('{"space_form": "hyperbolic", "alpha": 1.0, "R0": 1.0, "epsilon": 0.1, "k": 2, "Nr": 32, "Nt": 48}')
+    cfg, keys = parse_config('{"space_form": "hyperbolic", "alpha": 1.0, "R0": 1.0, "epsilon": 0.1, "k": 2, "Nr": 32, "Nt": 48}')
+    assert keys == {"space_form", "alpha", "R0", "epsilons", "k", "grids"}
     assert cfg.grids == ("32x48",)
     assert cfg.epsilons == (0.1,)
     with pytest.raises(ConfigError):
@@ -83,7 +85,7 @@ def test_parse_config_nr_nt_keys():
 
 def test_config_json_round_trip():
     cfg = ExperimentConfig(space_form="sphere", R0=0.7, epsilons=[0.0, 0.1], grids=["16x16", "32x32"])
-    assert parse_config(json.dumps(cfg.to_dict())) == cfg
+    assert parse_config(json.dumps(cfg.to_dict())) == (cfg, frozenset(cfg.to_dict()))
 
 
 def test_emit_csv_byte_identical(tmp_path):
