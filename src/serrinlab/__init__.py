@@ -3,11 +3,7 @@
 __version__ = "0.1.0"
 
 from .mesh import BoundaryRadius, SectorGrid, build_grid
-from .oracles import (
-    RadialSolutionEuclidean,
-    RadialSolutionSpaceForm,
-    overdetermined_constant,
-)
+from .oracles import RadialSolutionEuclidean, RadialSolutionSpaceForm, radial_solution
 from .profiles import (
     OperatorProfile,
     make_mean_curvature_profile,
@@ -26,7 +22,7 @@ __all__ = [
     "build_grid",
     "RadialSolutionEuclidean",
     "RadialSolutionSpaceForm",
-    "overdetermined_constant",
+    "radial_solution",
     "OperatorProfile",
     "make_power_profile",
     "make_mean_curvature_profile",

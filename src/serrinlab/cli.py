@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import math
 import re
 import sys
 import time
@@ -22,26 +21,13 @@ import numpy as np
 
 from .identities import identity_suite
 from .mesh import BoundaryRadius, build_grid
-from .oracles import (
-    RadialSolutionEuclidean,
-    RadialSolutionSpaceForm,
-    overdetermined_constant,
-    euclid_u,
-    euclid_u_prime,
-    pde_residual_euclid,
-    pde_residual_spaceform,
-    spaceform_u,
-    spaceform_u_prime,
-)
+from .oracles import radial_solution
 from .pfunction import pfunction_suite
 from .profiles import profile_from_id
 from .reports import ConfigError, RunManifest, _ring_text, csv_text, emit_csv, emit_json, parse_config
-from .rigidity import (
-    ExperimentConfig,
-    convergence_study,
-    convexity_contrast,
-    deviation_scan,
-)
+from .rigidity import ExperimentConfig, convergence_study, deviation_scan
+# convexity_contrast stays imported: perfbench/tracing.py patches it here
+from .rigidity import convexity_contrast
 # solve_linear_spaceform stays imported: perfbench/tracing.py patches it here
 from .solver import solve_Lf, solve_linear_spaceform
 from .spaceforms import ConeSection, space_form_from_id
@@ -247,24 +233,20 @@ def _cmd_oracle(args) -> int:
     t0 = time.perf_counter()
     if args.samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
-    sf = space_form_from_id(args.space_form)
-    profile = profile_from_id(args.profile)
-    if sf.curvature == 0:
-        sol = RadialSolutionEuclidean(profile, args.N, args.R)
-        u, u_prime, residual = euclid_u, euclid_u_prime, pde_residual_euclid
-    else:
-        if not profile.is_laplacian:
-            raise ConfigError("space-form oracles are linear; use --profile laplacian")
-        sol = RadialSolutionSpaceForm(sf, args.N, args.R)
-        u, u_prime, residual = spaceform_u, spaceform_u_prime, pde_residual_spaceform
-    c = overdetermined_constant(sol)
+    sol = radial_solution(space_form_from_id(args.space_form), profile_from_id(args.profile), args.N, args.R)
+    c = sol.c
     d = (np.arange(args.samples) + 0.5) * args.R / args.samples
     with np.errstate(all="ignore"):  # a non-finite value is a ConfigError below, naming its column and d
-        rows = [(dk, float(u(sol, dk)), float(u_prime(sol, dk)), residual(sol, dk), c) for dk in d]
+        rows = [(dk, float(sol.u(dk)), float(sol.u_prime(dk)), sol.residual(dk), c) for dk in d]
     header = ["d", "u", "u_prime", "residual", "c"]
-    bad = np.argwhere(~np.isfinite(np.array(rows, dtype=float).T))  # column by column
+    table = np.array(rows, dtype=float).T
+    bad = np.argwhere(~np.isfinite(table))  # column by column
     if bad.size:
         raise ConfigError(f"oracle {header[bad[0, 0]]} is not finite at d = {float(d[bad[0, 1]])!r}")
+    # the closed form solves its equation to roundoff: a residual past the bound is a profile it cannot evaluate
+    far = np.flatnonzero(np.abs(table[3]) > 1e-8)
+    if far.size:
+        raise ConfigError(f"oracle residual {table[3, far[0]]:.3g} is past 1e-8 at d = {float(d[far[0]])!r}")
     if args.out_dir is None:
         sys.stdout.write(csv_text(header, rows))
         return EXIT_OK
@@ -313,10 +295,7 @@ def _cmd_pfunction(args) -> int:
 def _cmd_rigidity(args) -> int:
     cfg = _load_config(args)
     t0 = time.perf_counter()
-    if cfg.alpha > math.pi:
-        report = convexity_contrast(cfg)
-    else:
-        report = deviation_scan(cfg)
+    report = deviation_scan(cfg)  # a reflex opening's scan is recorded unjudged
     rows = [
         (r.epsilon, r.sigma, r.c_mean, r.c_formula, r.defect, r.audit_pass_rate == 1.0 and r.converged)
         for r in report.rows

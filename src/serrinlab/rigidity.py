@@ -16,12 +16,7 @@ import numpy as np
 
 from .identities import identity_suite
 from .mesh import BoundaryRadius, build_grid, require_mode
-from .oracles import (
-    RadialSolutionEuclidean,
-    RadialSolutionSpaceForm,
-    overdetermined_constant,
-    sample_values,
-)
+from .oracles import RadialSolutionSpaceForm, radial_solution, sample_values
 from .pfunction import pfunction_suite
 from .profiles import profile_from_id
 from .solver import neumann_statistics, normal_derivative_gamma0, solve_Lf
@@ -210,7 +205,7 @@ def _scan_one(config: ExperimentConfig, size, eps: float, history=None) -> Rigid
         c_formula = checks["c_measured_vs_formula"].extras["c_formula"]
         rate = audit.pass_rate
     else:
-        c_formula = overdetermined_constant(RadialSolutionSpaceForm(sf, 2, config.R0))
+        c_formula = RadialSolutionSpaceForm(sf, 2, config.R0).c
         pf = pfunction_suite(grid, u)
         defect = pf.hessian_defect
         verdicts = list(pf.verdicts.values())
@@ -275,10 +270,7 @@ def convergence_study(config: ExperimentConfig):
     sf = space_form_from_id(config.space_form)
     profile = profile_from_id(config.profile)
     cone = ConeSection(sf, config.alpha)
-    if sf.curvature == 0:
-        oracle = RadialSolutionEuclidean(profile, 2, config.R0)
-    else:
-        oracle = RadialSolutionSpaceForm(sf, 2, config.R0)
+    oracle = radial_solution(sf, profile, 2, config.R0)
 
     rows = []
     prev = None

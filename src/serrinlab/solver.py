@@ -661,8 +661,9 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, star
     dropped when the step ends, and the next stage tries the separable part
     again: a miss wastes at most one GMRES cycle a stage.  A singular
     factor, or one whose solution still misses, ends the solve with
-    converged=False.  Convergence is judged on A(a) u - b at the stage's
-    tolerance, whatever the steps' accuracy.
+    converged=False, and so does a frozen coefficient that is not finite.
+    Convergence is judged on A(a) u - b at the stage's tolerance, whatever
+    the steps' accuracy.
     """
     if profile.is_laplacian:
         # a is identically 1: a single linear solve is exact, on every space form
@@ -714,7 +715,11 @@ def solve_Lf(grid: SectorGrid, profile: OperatorProfile, tol: float = 1e-8, star
         for _ in range(MAX_ITERS):
             if speed is None:  # once per iterate: a stage's last check and the next stage's first fill share it
                 speed = np.hypot(*metric_gradient(grid, u, kind="solution"))
-            A = matrix(reg.coefficient(speed))
+            with np.errstate(over="ignore"):  # an overflow is the non-finite coefficient reported below
+                a = reg.coefficient(speed)
+            if not np.all(np.isfinite(a)):
+                return result(float("inf"), f"Picard coefficient not finite at epsilon={eps}")
+            A = matrix(a)
             res = _scaled_residual(A, u.ravel(), b)
             if res <= stage_tol:
                 stage_done = True

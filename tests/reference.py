@@ -23,7 +23,7 @@ from serrinlab.identities import (
     pohozaev_residual,
     tol_discrete,
 )
-from serrinlab.oracles import RadialSolutionEuclidean, RadialSolutionSpaceForm, overdetermined_constant
+from serrinlab.oracles import RadialSolutionEuclidean, RadialSolutionSpaceForm
 from serrinlab.pfunction import (
     PFieldReport,
     max_principle_check,
@@ -304,7 +304,7 @@ def step3_identity_analytic(sol: RadialSolutionSpaceForm):
     the 1-D weight h^{N-1} directly.
     """
     sf, N, R = sol.space_form, sol.dimension, sol.radius
-    c = overdetermined_constant(sol)
+    c = sol.c
     denom = N * float(sf.h_dot(R))
     HR = float(sf.H(R))
 

@@ -18,17 +18,7 @@ from serrinlab.identities import (
     pohozaev_residual,
 )
 from serrinlab.mesh import BoundaryRadius, build_grid
-from serrinlab.oracles import (
-    RadialSolutionEuclidean,
-    RadialSolutionSpaceForm,
-    euclid_u_prime,
-    overdetermined_constant,
-    pde_residual_euclid,
-    pde_residual_spaceform,
-    sample_values,
-    spaceform_u,
-    spaceform_u_prime,
-)
+from serrinlab.oracles import RadialSolutionEuclidean, RadialSolutionSpaceForm, sample_values
 from serrinlab.profiles import (
     make_mean_curvature_profile,
     make_power_profile,
@@ -69,13 +59,13 @@ def test_criterion_1_oracle_exactness():
     for profile in (make_power_profile(2.0), make_power_profile(3.0), make_mean_curvature_profile()):
         sol = RadialSolutionEuclidean(profile, 2, 1.0)
         for rho in np.linspace(0.005, 0.995, 100):
-            worst_res = max(worst_res, abs(pde_residual_euclid(sol, rho)))
-        worst_c = max(worst_c, abs(-float(euclid_u_prime(sol, 1.0)) - overdetermined_constant(sol)))
+            worst_res = max(worst_res, abs(sol.residual(rho)))
+        worst_c = max(worst_c, abs(-float(sol.u_prime(1.0)) - sol.c))
     for sf, R in ((EUCLIDEAN, 1.0), (HYPERBOLIC, 1.0), (SPHERE, math.pi / 4)):
         sol = RadialSolutionSpaceForm(sf, 2, R)
         for d in np.linspace(R / 200, R * 0.995, 100):
-            worst_res = max(worst_res, abs(pde_residual_spaceform(sol, d)))
-        worst_c = max(worst_c, abs(-float(spaceform_u_prime(sol, R)) - overdetermined_constant(sol)))
+            worst_res = max(worst_res, abs(sol.residual(d)))
+        worst_c = max(worst_c, abs(-float(sol.u_prime(R)) - sol.c))
     elapsed = time.time() - t0
     ok = worst_res <= 1e-9 and worst_c <= 1e-10
     _report(1, "oracle exactness", ok, f"max residual {worst_res:.2e}, max c defect {worst_c:.2e}", elapsed, 1.0)
@@ -223,15 +213,15 @@ def test_criterion_7_pfunction_suite():
     details = []
     for sf, R in ((EUCLIDEAN, 1.0), (HYPERBOLIC, 1.0), (SPHERE, math.pi / 4)):
         sol = RadialSolutionSpaceForm(sf, 2, R)
-        c2 = overdetermined_constant(sol) ** 2
+        c2 = sol.c ** 2
         d = np.linspace(0.0, R, 400)
-        P = (np.asarray(spaceform_u_prime(sol, d)) ** 2
-             + np.asarray(spaceform_u(sol, d))
-             + sf.curvature * np.asarray(spaceform_u(sol, d)) ** 2)
+        P = (np.asarray(sol.u_prime(d)) ** 2
+             + np.asarray(sol.u(d))
+             + sf.curvature * np.asarray(sol.u(d)) ** 2)
         p_dev = float(np.max(np.abs(P - c2)))
         lhs, _, resid = step3_identity_analytic(sol)
-        f = obata_ode_profile(2, sf.curvature, float(spaceform_u(sol, 0.0)), d)
-        obata_dev = float(np.max(np.abs(f - np.asarray(spaceform_u(sol, d)))))
+        f = obata_ode_profile(2, sf.curvature, float(sol.u(0.0)), d)
+        obata_dev = float(np.max(np.abs(f - np.asarray(sol.u(d)))))
         ok = ok and p_dev <= 1e-10 and abs(resid) <= 1e-8 * abs(lhs) and obata_dev <= 1e-8
         details.append(f"K={sf.curvature}: P {p_dev:.1e}, step3 {abs(resid / lhs):.1e}, obata {obata_dev:.1e}")
     elapsed = time.time() - t0

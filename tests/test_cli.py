@@ -12,6 +12,7 @@ import pytest
 
 import serrinlab.cli as cli
 import serrinlab.reports as reports
+from serrinlab.oracles import RadialSolutionEuclidean
 from serrinlab.rigidity import ExperimentConfig
 from serrinlab.solver import SolveReport
 
@@ -121,13 +122,13 @@ def test_oracle_euclidean_in_higher_dimension(tmp_path, N):
 
 
 def test_oracle_manifest_times_the_whole_run(tmp_path, monkeypatch):
-    real = cli.euclid_u
+    real = RadialSolutionEuclidean.u
 
     def slow_u(sol, rho):
         time.sleep(0.05)
         return real(sol, rho)
 
-    monkeypatch.setattr(cli, "euclid_u", slow_u)
+    monkeypatch.setattr(RadialSolutionEuclidean, "u", slow_u)
     assert cli.main([
         "oracle", "--profile", "p-laplacian:3", "--samples", "4", "--out-dir", str(tmp_path),
     ]) == 0
@@ -161,14 +162,24 @@ def test_one_parser_parses_each_call_afresh(tmp_path, capsys):
     ("p-laplacian:inf", "power profile requires a finite p > 1, got inf"),
     # g' underflows to 0 and f''(0) is infinite: the residual is NaN
     ("p-laplacian:1.001", "oracle residual is not finite at d = 0.005"),
-], ids=["p-inf", "p-1.001"])
+    # finite, but g'(x) = x^(1/(p-1)) rounds to 1: the residual reads -200 where it is 0
+    ("p-laplacian:1e308", "oracle residual -200 is past 1e-8 at d = 0.005"),
+], ids=["p-inf", "p-1.001", "p-1e308"])
 @pytest.mark.parametrize("out_dir", [False, True], ids=["stdout", "out-dir"])
 def test_oracle_rejects_a_non_finite_table(tmp_path, capsys, profile, message, out_dir):
-    # a NaN in the oracle's table is a config error before anything is printed or written
+    # a NaN in the oracle's table, or a residual past 1e-8, is a config error before anything is printed or written
     argv = ["oracle", "--profile", profile] + (["--out-dir", str(tmp_path / "run")] if out_dir else [])
     assert cli.main(argv) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+    assert not (tmp_path / "run").exists()
+
+
+def test_space_form_oracle_rejects_a_quasilinear_profile(tmp_path, capsys):
+    argv = ["oracle", "--space-form", "hyperbolic", "--profile", "p-laplacian:3", "--out-dir", str(tmp_path / "run")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "space-form oracles are linear; use --profile laplacian" in captured.err and captured.out == ""
     assert not (tmp_path / "run").exists()
 
 

@@ -6,13 +6,7 @@ import pytest
 import serrinlab.pfunction as pfunction
 import serrinlab.solver as solver
 from serrinlab.mesh import BoundaryRadius, build_grid
-from serrinlab.oracles import (
-    RadialSolutionSpaceForm,
-    overdetermined_constant,
-    sample_values,
-    spaceform_u,
-    spaceform_u_prime,
-)
+from serrinlab.oracles import RadialSolutionSpaceForm, sample_values
 from serrinlab.pfunction import (
     hessian_proportionality_defect,
     max_principle_check,
@@ -57,9 +51,9 @@ def defect_of(g, u):
 def test_p_constant_on_oracle_analytic(sf, R):
     # analytic derivatives: P = u'(d)^2 + u + K u^2 must equal c^2 to 1e-10
     sol = RadialSolutionSpaceForm(sf, 2, R)
-    c2 = overdetermined_constant(sol) ** 2
+    c2 = sol.c ** 2
     d = np.linspace(0.0, R, 500)
-    P = np.asarray(spaceform_u_prime(sol, d)) ** 2 + np.asarray(spaceform_u(sol, d)) + sf.curvature * np.asarray(spaceform_u(sol, d)) ** 2
+    P = np.asarray(sol.u_prime(d)) ** 2 + np.asarray(sol.u(d)) + sf.curvature * np.asarray(sol.u(d)) ** 2
     assert float(np.max(np.abs(P - c2))) <= 1e-10
 
 
@@ -121,7 +115,7 @@ def test_max_principle_oracle_and_solved(sf, R):
     sol = RadialSolutionSpaceForm(sf, 2, R)
     mp = max_principle(g, sample_values(sol, g))
     assert mp["interior_bound_ok"] and mp["wall_sign_ok"]
-    c_exact = overdetermined_constant(sol)
+    c_exact = sol.c
     assert mp["c"] == pytest.approx(c_exact, rel=5e-3)
     u, _ = solve_linear_spaceform(g, 2)
     mp2 = max_principle(g, u)
@@ -146,7 +140,7 @@ def test_perturbed_domain_rigid_gap_opens():
 def test_step3_identity_euclidean_value():
     g = grid_for(EUCLIDEAN, 1.0)
     sol = RadialSolutionSpaceForm(EUCLIDEAN, 2, 1.0)
-    lhs, rhs, resid = step3(g, sample_values(sol, g), overdetermined_constant(sol))
+    lhs, rhs, resid = step3(g, sample_values(sol, g), sol.c)
     assert lhs == pytest.approx(math.pi / 16, rel=1e-12)  # c^2 |Omega| exactly
     assert rhs == pytest.approx(math.pi / 16, rel=1e-3)
     assert abs(resid) <= 1e-2 * lhs
@@ -204,8 +198,8 @@ def test_obata_profile_euclidean_closed_form():
 def test_obata_profile_matches_oracle(sf, R):
     sol = RadialSolutionSpaceForm(sf, 2, R)
     s = np.linspace(0.0, R, 65)
-    f = obata_ode_profile(2, sf.curvature, float(spaceform_u(sol, 0.0)), s)
-    assert np.max(np.abs(f - np.asarray(spaceform_u(sol, s)))) <= 1e-8
+    f = obata_ode_profile(2, sf.curvature, float(sol.u(0.0)), s)
+    assert np.max(np.abs(f - np.asarray(sol.u(s)))) <= 1e-8
     assert abs(f[-1]) <= 1e-8  # vanishes at the cap radius
 
 

@@ -12,12 +12,7 @@ import scipy.sparse as sp
 import serrinlab.solver as solver
 from serrinlab.identities import identity_suite
 from serrinlab.mesh import BoundaryRadius, build_grid
-from serrinlab.oracles import (
-    RadialSolutionEuclidean,
-    RadialSolutionSpaceForm,
-    overdetermined_constant,
-    sample_values,
-)
+from serrinlab.oracles import RadialSolutionEuclidean, RadialSolutionSpaceForm, sample_values
 from serrinlab.profiles import make_mean_curvature_profile, make_power_profile, profile_from_id
 from serrinlab.solver import (
     LINEAR_TOL,
@@ -389,8 +384,10 @@ def test_picard_iteration_budget(profile, budget):
         (P3, 1e3, 0.0, True),
         # p > 3 starts damped: undamped, this solve stalls at epsilon=0.1 after 16 iterations
         (make_power_profile(6.0), 1.0, 0.1, True),
+        # f'(q) = q^999 overflows: the solve ends on its non-finite Picard coefficient, warning nothing
+        (make_power_profile(1000.0), 1.0, 0.0, False),
     ],
-    ids=["p=4", "mean-curvature-R1.5", "p=1.1", "p=6", "p=3-R1e3", "p=6-eps0.1"],
+    ids=["p=4", "mean-curvature-R1.5", "p=1.1", "p=6", "p=3-R1e3", "p=6-eps0.1", "p=1000"],
 )
 def test_solver_envelope_converges_or_says_why(profile, R0, eps, converges):
     grid = build_grid(quarter(), 32, 32, BoundaryRadius(R0, eps, 2))
@@ -1013,7 +1010,7 @@ def test_normal_derivative_on_oracle_field():
     for profile in (P2, P3):
         sol = RadialSolutionEuclidean(profile, 2, 1.0)
         dn = normal_derivative_gamma0(grid, sample_values(sol, grid))
-        c = overdetermined_constant(sol)
+        c = sol.c
         assert np.max(np.abs(dn + c)) <= 5e-3 * c
     # zero field gives zeros, perturbed solves give nonconstant data
     assert np.array_equal(normal_derivative_gamma0(grid, np.zeros((64, 64))), np.zeros(64))

@@ -52,8 +52,10 @@ plus audit for p = 1.5 at 128x128 with eps = 0, the Laplacian solve at
 256x256 with eps = 0 and eps = 0.1, each followed by an audit of its
 solution.csv, the hyperbolic solve at 256x256 with eps = 0.1 (the largest
 matrix, 9-point with the N K shift), `oracle --out-dir`, the same oracle
-with no `--out-dir`, whose table goes to stdout.txt, and the Euclidean
-oracle in dimension 3, `oracle --N 3 --out-dir`.
+with no `--out-dir`, whose table goes to stdout.txt, the Euclidean
+oracle in dimension 3, `oracle --N 3 --out-dir`, and the space-form oracles
+`oracle --space-form hyperbolic --out-dir` and
+`oracle --space-form sphere --R 0.7 --out-dir`.
 
 The solution CSVs cover both paths of the writer and the reader.  A radial
 ring (r and u the same on every line, theta ring 0's) is written and read
@@ -134,6 +136,8 @@ def commands() -> list:
         ("oracle", "oracle", None, ["--out-dir", "out"]),
         ("oracle_stdout", "oracle", None, []),
         ("oracle_N3", "oracle", None, ["--N", "3", "--out-dir", "out"]),
+        ("oracle_hyperbolic", "oracle", None, ["--space-form", "hyperbolic", "--out-dir", "out"]),
+        ("oracle_sphere", "oracle", None, ["--space-form", "sphere", "--R", "0.7", "--out-dir", "out"]),
     ]
     return runs
 
